@@ -33,7 +33,9 @@ from .spectral import (
     Lattice,
     build_klein_gordon,
     diagonalize,
+    fit_decay_length,
     kernel_profile,
+    log_linear_fit,
 )
 
 LAMBDA_CONVERGENCE_MAX = -0.5  # integrals diverge for larger exponents
@@ -44,7 +46,15 @@ PANELS = 64
 GAUSS_POINTS = 24
 EULER_TOL = 1e-9
 RATE_WINDOW_COMPTON = (5.0, 15.0)
+RATE_SAMPLES = 25
 RATE_RTOL = 0.05
+# lattice refinement: spacings, sites at the coarsest spacing, kernel exponent,
+# fit window in Compton lengths, tolerance on the deviation from 1/m
+REFINE_SPACINGS = (1.0, 0.5)
+REFINE_BASE_NSITES = 512
+REFINE_EXPONENT = -0.5
+REFINE_WINDOW_COMPTON = (3.0, 20.0)
+REFINE_RTOL = 0.15
 
 
 class AsymptoticsError(RuntimeError):
@@ -355,33 +365,25 @@ class RateFit:
 
 
 def kernel_decay_rate(
-    symbol: SymbolPolynomial,
-    lam: float,
-    window: tuple[float, float] | None = None,
-    n_samples: int = 25,
-    rtol: float = RATE_RTOL,
+    symbol: SymbolPolynomial, lam: float, rtol: float = RATE_RTOL
 ) -> RateFit:
-    """Fit exp(-rate r) to r^(lam+2) R^lam(r) over the window.
+    """Fit exp(-rate r) to r^(lam+2) R^lam(r) over RATE_WINDOW_COMPTON.
 
-    The window defaults to (5, 15) Compton lengths. Near a simple dominant
+    The window spans (5, 15) Compton lengths. Near a simple dominant
     zero the kernel behaves as exp(-v0 r) r^-(lam+2) (the cut edge goes like
     rho^lam, and the contour prefactor contributes one more power), so that
     algebraic factor is divided out before the log-linear fit; what remains
     is compared against v0 at the stated tolerance.
     """
     v0 = 1.0 / predict_compton(symbol)
-    if window is None:
-        window = (RATE_WINDOW_COMPTON[0] / v0, RATE_WINDOW_COMPTON[1] / v0)
+    window = (RATE_WINDOW_COMPTON[0] / v0, RATE_WINDOW_COMPTON[1] / v0)
     power = lam + 2.0
-    radii = np.linspace(window[0], window[1], n_samples)
+    radii = np.linspace(window[0], window[1], RATE_SAMPLES)
     values = np.array([branch_cut_kernel(symbol, lam, r) for r in radii])
     if np.any(values <= 0):
         raise AsymptoticsError("kernel changed sign inside the rate window")
-    logs = np.log(values * radii**power)
-    slope, intercept = np.polyfit(radii, logs, 1)
-    resid = logs - (slope * radii + intercept)
-    rms = float(np.sqrt(np.mean(resid**2)))
-    rate = -float(slope)
+    slope, _, rms = log_linear_fit(radii, values * radii**power)
+    rate = -slope
     rel = abs(rate - v0) / v0
     return RateFit(
         rate=rate,
@@ -412,48 +414,34 @@ class ContinuumComparison:
     ok: bool
 
 
-def lattice_vs_continuum(
-    mass: float,
-    spacings: tuple[float, ...] = (1.0, 0.5),
-    base_nsites: int = 512,
-    exponent: float = -0.5,
-    window_compton: tuple[float, float] = (3.0, 20.0),
-    rtol: float = 0.15,
-) -> ContinuumComparison:
+def lattice_vs_continuum(mass: float) -> ContinuumComparison:
     """Refine the lattice and watch its decay length approach 1/m.
 
-    One-dimensional Klein-Gordon lattices at each spacing (fixed physical
-    size, so nsites scales inversely with spacing) are profiled from a
-    central source; the fit removes the lattice kernel's sqrt(d) prefactor.
-    Passing requires every deviation within ``rtol`` and the deviations
+    One-dimensional Klein-Gordon lattices at each of REFINE_SPACINGS (fixed
+    physical size, so nsites scales inversely with spacing) are profiled from
+    a central source; the fit removes the lattice kernel's sqrt(d) prefactor.
+    Passing requires every deviation within REFINE_RTOL and the deviations
     non-increasing as the spacing shrinks.
     """
     compton = 1.0 / mass
+    lo, hi = REFINE_WINDOW_COMPTON
+    window = (lo * compton, hi * compton)
     results = []
-    order = sorted(spacings, reverse=True)
+    order = sorted(REFINE_SPACINGS, reverse=True)
     for spacing in order:
-        nsites = int(round(base_nsites * order[0] / spacing))
+        nsites = int(round(REFINE_BASE_NSITES * order[0] / spacing))
         lattice = Lattice((nsites,), spacing)
         if mass * nsites * spacing < 50:
             raise ValueError(
                 f"lattice too small: m N a = {mass * nsites * spacing} < 50"
             )
-        op = build_klein_gordon(mass, lattice)
-        spec = diagonalize(op)
-        profile = kernel_profile(op, exponent, nsites // 2, spectrum=spec)
-        window = (window_compton[0] * compton, window_compton[1] * compton)
-        mask = (
-            (profile.distances >= window[0])
-            & (profile.distances <= window[1])
-            & (profile.values > 0)
-        )
-        d = profile.distances[mask]
-        v = profile.values[mask]
-        if d.size < 6:
+        spec = diagonalize(build_klein_gordon(mass, lattice))
+        profile = kernel_profile(spec, REFINE_EXPONENT, nsites // 2)
+        d = profile.distances
+        fit = fit_decay_length(d, profile.values * np.sqrt(d), window)
+        if fit.nsamples < 6:
             raise AsymptoticsError("not enough profile samples in the window")
-        logs = np.log(v * np.sqrt(d))
-        slope, _ = np.polyfit(d, logs, 1)
-        length = -1.0 / float(slope)
+        length = -1.0 / fit.slope
         results.append(
             SpacingResult(
                 spacing=float(spacing),
@@ -464,7 +452,7 @@ def lattice_vs_continuum(
         )
     devs = [res.deviation for res in results]
     monotone = all(b <= a + 1e-12 for a, b in zip(devs, devs[1:]))
-    ok = monotone and all(dev <= rtol for dev in devs)
+    ok = monotone and all(dev <= REFINE_RTOL for dev in devs)
     return ContinuumComparison(
         continuum_length=compton,
         results=tuple(results),

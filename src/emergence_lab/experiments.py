@@ -54,14 +54,12 @@ from .newton_wigner import (
     to_nw,
 )
 from .particle import (
+    PROBES,
     calibrate_kappa,
     elp_check,
-    energy_density_diff,
     localization_report,
     make_particle,
     particle_from_modes,
-    phi2_diff,
-    pi2_diff,
     region_ball,
     vacuum_two_point,
 )
@@ -307,7 +305,7 @@ def _run_kernel(config: ExperimentConfig, rng) -> tuple[list[CheckRecord], list[
     spec = _spectrum(config, 512)
     compton = 1.0 / config.mass
     source = spec.lattice.nsites // 2
-    profile = kernel_profile(spec.operator, -0.5, source, spectrum=spec)
+    profile = kernel_profile(spec, -0.5, source)
     window = (3.0 * compton, 20.0 * compton)
     fit = fit_decay_length(profile.distances, profile.values, window)
     checks = [
@@ -407,9 +405,8 @@ def _run_oracle_verify(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     alpha[0], alpha[1] = direction
     state = particle_from_modes(ModeVector(spectrum=spec, alpha=alpha))
     vac = fock_oracle.vacuum(space)
-    probes = {"phi2": phi2_diff, "pi2": pi2_diff, "energy": energy_density_diff}
     rows = []
-    for name, fn in probes.items():
+    for name, fn in PROBES.items():
         analytic = fn(state)
         worst = 0.0
         for x in range(lattice.nsites):
@@ -517,9 +514,12 @@ def _run_elp(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     center = lattice.nsites // 2
     offset = max(1, int(round(8.0 * compton / lattice.spacing)))
     cutoff = BUMP_CUTOFF_WIDTHS * width
+    # the centres wrap on lattices shorter than the offset
     states = [
-        make_particle(gaussian_bump(lattice, center - offset, width, cutoff=cutoff), spec),
-        make_particle(gaussian_bump(lattice, center + offset, width, cutoff=cutoff), spec),
+        make_particle(
+            gaussian_bump(lattice, site % lattice.nsites, width, cutoff=cutoff), spec
+        )
+        for site in (center - offset, center + offset)
     ]
     region = region_ball(lattice, center, 45.0 * compton)
     report = elp_check(

@@ -19,7 +19,7 @@ from functools import reduce
 import numpy as np
 import scipy.sparse as sp
 
-from .spectral import Spectrum
+from .spectral import Spectrum, log_linear_fit
 
 MAX_MODES = 3
 MAX_DIM = 100_000
@@ -292,10 +292,10 @@ def small_state_limit_check(
     for i, lam in enumerate(lams):
         disp = displacement(space, direction, lam).amplitudes
         residuals[i] = np.linalg.norm(disp - (vac + lam * part))
-    slope, intercept = np.polyfit(np.log(lams), np.log(residuals), 1)
+    slope, intercept, _ = log_linear_fit(np.log(lams), residuals)
     return SmallStateReport(
         lams=lams,
         residuals=residuals,
-        exponent=float(slope),
+        exponent=slope,
         coefficient=float(np.exp(intercept)),
     )

@@ -182,10 +182,9 @@ def gaussian_bump(
     lattice: Lattice,
     center: int,
     width: float,
-    amplitude: float = 1.0,
     cutoff: float | None = None,
 ) -> PhaseVector:
-    """Static Gaussian field bump: phi = A exp(-d^2 / 2 width^2), pi = 0.
+    """Static Gaussian field bump: phi = exp(-d^2 / 2 width^2), pi = 0.
 
     Distances are minimum-image, so the bump wraps smoothly on the torus.
     ``width`` is in length units. With ``cutoff`` set, the field is zeroed
@@ -193,7 +192,7 @@ def gaussian_bump(
     the declared support should be exact rather than threshold-based).
     """
     d = lattice.distances_from(center)
-    phi = amplitude * np.exp(-(d**2) / (2.0 * width**2))
+    phi = np.exp(-(d**2) / (2.0 * width**2))
     if cutoff is not None:
         phi = np.where(d <= cutoff, phi, 0.0)
     return PhaseVector(lattice=lattice, phi=phi, pi=np.zeros(lattice.nsites))

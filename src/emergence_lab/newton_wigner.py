@@ -66,8 +66,7 @@ def nw_norm(nw: NWWavefunction) -> float:
 
 def to_nw(u: PhaseVector, spec: Spectrum) -> NWWavefunction:
     """psi = sum_k alpha_k f_k; complex-linear with respect to J."""
-    alpha = to_modes(u, spec).alpha
-    return NWWavefunction(spectrum=spec, psi=spec.synthesize(alpha))
+    return nw_from_modes(to_modes(u, spec))
 
 
 def from_nw(nw: NWWavefunction) -> PhaseVector:
@@ -85,11 +84,8 @@ def nw_from_modes(modes: ModeVector) -> NWWavefunction:
 def evolve_nw(nw: NWWavefunction, t: float) -> NWWavefunction:
     """Exact Schrodinger evolution exp(-i R^{1/2} t) in the mode basis."""
     spec = nw.spectrum
-    alpha = spec.project(nw.psi)
-    return NWWavefunction(
-        spectrum=spec,
-        psi=spec.synthesize(alpha * np.exp(-1j * spec.frequencies * t)),
-    )
+    psi = spec.apply_function(lambda lam: np.exp(-1j * np.sqrt(lam) * t), nw.psi)
+    return NWWavefunction(spectrum=spec, psi=psi)
 
 
 def position_expectation(nw: NWWavefunction) -> np.ndarray:
@@ -170,7 +166,6 @@ def nw_delta_localization(
     spec: Spectrum,
     site: int,
     compton: float,
-    window: tuple[float, float] = NW_DELTA_WINDOW_COMPTON,
 ) -> NWDeltaReport:
     """Profile of phi2_diff for psi concentrated on a single site.
 
@@ -178,7 +173,8 @@ def nw_delta_localization(
     2 kappa cell [R^{-1/4} kernel column at the site]^2, checked here against
     the full pipeline (from_nw, make_particle, phi2_diff). The width is the
     decay length of the profile's amplitude (its square root), fitted over
-    ``window`` (in units of ``compton``) and compared against ``compton``.
+    NW_DELTA_WINDOW_COMPTON (in units of ``compton``) and compared against
+    ``compton``.
     """
     lattice = spec.lattice
     psi = np.zeros(lattice.nsites, dtype=complex)
@@ -187,15 +183,14 @@ def nw_delta_localization(
     state = make_particle(from_nw(nw), spec)
     measured = phi2_diff(state)
 
-    kernel_column = spec.basis @ (
-        spec.eigenvalues ** (-0.25) * spec.basis[site, :]
-    )
-    closed = 2.0 * KAPPA * lattice.cell * kernel_column**2
+    column = spec.kernel_column(lambda lam: lam**-0.25, site)
+    closed = 2.0 * KAPPA * lattice.cell * column**2
     dev = float(np.abs(measured - closed).max())
 
     dists = lattice.distances_from(site)
     d_out, v_out = bin_by_distance(dists, measured)
-    window_abs = (window[0] * compton, window[1] * compton)
+    lo, hi = NW_DELTA_WINDOW_COMPTON
+    window_abs = (lo * compton, hi * compton)
     fit = fit_decay_length(d_out, np.sqrt(v_out), window_abs)
     width_ok = bool(
         fit.quality_ok and abs(fit.length - compton) <= NW_DELTA_WIDTH_RTOL * compton
@@ -271,11 +266,10 @@ def superluminal_leakage(
     center: int,
     radius: float,
     t: float,
-    threshold: float = SUPPORT_THRESHOLD,
 ) -> LeakageReport:
     """Evolve a compactly supported psi and weigh what escapes the cone.
 
-    The initial wavefunction must vanish (below ``threshold`` of its peak)
+    The initial wavefunction must vanish (below SUPPORT_THRESHOLD of its peak)
     outside the given ball; after time t the weight at distances greater
     than radius + c t is reported. Any strictly positive value demonstrates
     that the NW flow is not causal.
@@ -283,7 +277,7 @@ def superluminal_leakage(
     lattice = nw.spectrum.lattice
     d = lattice.distances_from(center)
     amp = np.abs(nw.psi)
-    outside_initial = amp > threshold * amp.max()
+    outside_initial = amp > SUPPORT_THRESHOLD * amp.max()
     if np.any(outside_initial & (d > radius)):
         worst = float(d[outside_initial].max())
         raise ValueError(

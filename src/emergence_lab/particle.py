@@ -119,9 +119,7 @@ PROBES = {
 
 def vacuum_two_point(spec: Spectrum, x: int, y: int) -> float:
     """<0| phi(x) phi(y) |0> = (1/2) sum_k f_k(x) f_k(y) / omega_k."""
-    fx = spec.basis[x, :]
-    fy = spec.basis[y, :]
-    return 0.5 * float(np.sum(fx * fy / spec.frequencies))
+    return 0.5 * float(spec.kernel_column(lambda lam: lam**-0.5, x)[y])
 
 
 def calibrate_kappa(
@@ -216,19 +214,17 @@ class LocalizationReport:
 def localization_report(
     state: OneParticleState,
     compton: float,
-    eps: float = SUPPORT_EPS,
-    window: tuple[float, float] = FIT_WINDOW_COMPTON,
-    gate_factor: float = LOCALIZATION_GATE,
 ) -> LocalizationReport:
     """Fit the decay of all observable excesses beyond the support.
 
-    ``compton`` is the expected decay length of the theory; ``window`` is in
-    units of it, measuring distance beyond the support's edge. Each probe
-    passes when its fitted length is at most gate_factor * compton and the
-    fit quality flag holds.
+    ``compton`` is the expected decay length of the theory; the fit window
+    FIT_WINDOW_COMPTON is in units of it, measuring distance beyond the
+    support's edge. Each probe passes when its fitted length is at most
+    LOCALIZATION_GATE * compton and the fit quality flag holds.
     """
     lattice = state.spectrum.lattice
-    mask = support_sites(state.progenitor, eps)
+    gate = LOCALIZATION_GATE * compton
+    mask = support_sites(state.progenitor)
     nsup = int(mask.sum())
     frac = nsup / lattice.nsites
     if frac >= 0.5:
@@ -237,13 +233,14 @@ def localization_report(
             support_size=nsup,
             support_fraction=frac,
             compton=compton,
-            gate=gate_factor * compton,
+            gate=gate,
             probes=(),
             passes=False,
         )
     dist = distance_beyond(lattice, mask)
     outside = ~mask
-    window_abs = (window[0] * compton, window[1] * compton)
+    lo, hi = FIT_WINDOW_COMPTON
+    window_abs = (lo * compton, hi * compton)
     results = []
     for name in PROBE_NAMES:
         values = PROBES[name](state)
@@ -264,7 +261,7 @@ def localization_report(
             ok = True
         else:
             fit = fit_decay_length(d_out, v_out, window_abs)
-            ok = bool(fit.quality_ok and fit.length <= gate_factor * compton)
+            ok = bool(fit.quality_ok and fit.length <= gate)
         results.append(
             ProbeResult(probe=name, distances=d_out, values=v_out, fit=fit, passes=ok)
         )
@@ -274,7 +271,7 @@ def localization_report(
         support_size=nsup,
         support_fraction=frac,
         compton=compton,
-        gate=gate_factor * compton,
+        gate=gate,
         probes=tuple(results),
         passes=all_ok,
     )
@@ -313,7 +310,6 @@ def elp_check(
     compton: float,
     n_trials: int = 10,
     seed: int = 0,
-    eps: float = SUPPORT_EPS,
 ) -> ELPReport:
     """Random complex superpositions of localized states stay localized.
 
@@ -324,11 +320,11 @@ def elp_check(
     region = np.asarray(region, dtype=bool).reshape(-1)
     failures = []
     for i, s in enumerate(states):
-        mask = support_sites(s.progenitor, eps)
+        mask = support_sites(s.progenitor)
         if np.any(mask & ~region):
             failures.append(f"state {i}: support leaves the region")
             continue
-        rep = localization_report(s, compton, eps=eps)
+        rep = localization_report(s, compton)
         if not rep.passes:
             failures.append(f"state {i}: {rep.status}")
     if failures:
@@ -345,9 +341,9 @@ def elp_check(
         raw = rng.normal(size=len(states)) + 1j * rng.normal(size=len(states))
         coeffs = raw / np.linalg.norm(raw)
         w = superpose(states, coeffs)
-        mask = support_sites(w.progenitor, eps)
+        mask = support_sites(w.progenitor)
         in_region = not np.any(mask & ~region)
-        rep = localization_report(w, compton, eps=eps)
+        rep = localization_report(w, compton)
         trials.append(
             TrialResult(coefficients=coeffs, support_in_region=in_region, report=rep)
         )

@@ -1,48 +1,22 @@
-"""Plain-text persistence for configs, operators, spectra and states.
+"""Plain-text config files: flat ``key = value`` maps.
 
-Two formats live here, both line-oriented and diff-friendly.
-
-Config files are flat ``key = value`` maps. Full-line ``#`` comments and
-blank lines are ignored. Values are typed by shape: ``true``/``false`` parse
-as booleans, then integers, then floats, and anything else is kept as a
-string; a value of several whitespace-separated tokens parses to a tuple of
-scalars. Writing uses ``repr`` for floats and sorts keys, so a parsed file
-rewrites to canonical bytes and numbers round-trip exactly.
-
-Data files start with the header line ``# emergence-lab data v1`` followed by
-scalar ``key = value`` lines (same typing rules) and then ``array`` sections::
-
-    array eigenvalues 64
-      1.0 1.0000371 ...
-    array alpha 64 complex
-
-An array header names the block, gives the element count and an optional
-``complex`` tag; the payload is whitespace-separated floats (``repr``
-precision, so round-trips are exact), two per element for complex arrays,
-wrapped over as many lines as needed.
+Full-line ``#`` comments and blank lines are ignored. Values are typed by
+shape: ``true``/``false`` parse as booleans, then integers, then floats, and
+anything else is kept as a string; a value of several whitespace-separated
+tokens parses to a tuple of scalars. Writing uses ``repr`` for floats and
+sorts keys, so a parsed file rewrites to canonical bytes and numbers
+round-trip exactly.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 
 import numpy as np
 
-from .modes import ModeVector, PhaseVector
-from .newton_wigner import NWWavefunction
-from .spectral import Lattice, ROperator, Spectrum
-
-DATA_HEADER = "# emergence-lab data v1"
-FLOATS_PER_LINE = 6
-
 Scalar = bool | int | float | str
 ConfigValue = Scalar | tuple[Scalar, ...]
 
-
-# ---------------------------------------------------------------------------
-# flat config files
-# ---------------------------------------------------------------------------
 
 def _parse_scalar(token: str) -> Scalar:
     if token == "true":
@@ -117,238 +91,3 @@ def format_config(mapping: dict[str, ConfigValue]) -> str:
 
 def write_config(path: str | Path, mapping: dict[str, ConfigValue]) -> None:
     Path(path).write_text(format_config(mapping))
-
-
-# ---------------------------------------------------------------------------
-# block data files
-# ---------------------------------------------------------------------------
-
-@dataclasses.dataclass(frozen=True)
-class DataBlocks:
-    """Decoded contents of a data file: scalars plus named arrays."""
-
-    kind: str
-    scalars: dict[str, ConfigValue]
-    arrays: dict[str, np.ndarray]
-
-
-def _format_array_lines(name: str, values: np.ndarray) -> list[str]:
-    values = np.asarray(values)
-    if np.iscomplexobj(values):
-        header = f"array {name} {values.size} complex"
-        flat = np.empty(2 * values.size)
-        flat[0::2] = values.ravel().real
-        flat[1::2] = values.ravel().imag
-    else:
-        header = f"array {name} {values.size}"
-        flat = values.ravel().astype(float)
-    lines = [header]
-    for start in range(0, len(flat), FLOATS_PER_LINE):
-        chunk = flat[start:start + FLOATS_PER_LINE]
-        lines.append("  " + " ".join(repr(float(v)) for v in chunk))
-    return lines
-
-
-def write_data(path: str | Path, blocks: DataBlocks) -> None:
-    """Write scalars and arrays in the documented block format."""
-    lines = [DATA_HEADER, f"kind = {_format_scalar(blocks.kind)}"]
-    for key in sorted(blocks.scalars):
-        lines.append(f"{key} = {_format_value(blocks.scalars[key])}")
-    for name in blocks.arrays:
-        lines.extend(_format_array_lines(name, blocks.arrays[name]))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_data(path: str | Path) -> DataBlocks:
-    """Parse a block data file back into scalars and arrays."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0].strip() != DATA_HEADER:
-        raise ValueError(f"{path}: missing data header {DATA_HEADER!r}")
-    scalars: dict[str, ConfigValue] = {}
-    arrays: dict[str, np.ndarray] = {}
-    i = 1
-    while i < len(lines):
-        line = lines[i].strip()
-        if not line or line.startswith("#"):
-            i += 1
-            continue
-        if line.startswith("array "):
-            parts = line.split()
-            if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "complex"):
-                raise ValueError(f"{path}:{i + 1}: bad array header {line!r}")
-            name, count = parts[1], int(parts[2])
-            is_complex = len(parts) == 4
-            need = 2 * count if is_complex else count
-            tokens: list[str] = []
-            i += 1
-            while len(tokens) < need:
-                if i >= len(lines):
-                    raise ValueError(
-                        f"{path}: array {name!r} ends early "
-                        f"({len(tokens)} of {need} numbers)"
-                    )
-                tokens.extend(lines[i].split())
-                i += 1
-            if len(tokens) != need:
-                raise ValueError(f"{path}: array {name!r} has trailing numbers")
-            flat = np.array([float(t) for t in tokens])
-            if name in arrays:
-                raise ValueError(f"{path}: duplicate array {name!r}")
-            arrays[name] = flat[0::2] + 1j * flat[1::2] if is_complex else flat
-        else:
-            if "=" not in line:
-                raise ValueError(f"{path}:{i + 1}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            scalars[key.strip()] = _parse_value(value.strip())
-            i += 1
-    if "kind" not in scalars:
-        raise ValueError(f"{path}: data file has no 'kind' entry")
-    kind = str(scalars.pop("kind"))
-    return DataBlocks(kind=kind, scalars=scalars, arrays=arrays)
-
-
-# ---------------------------------------------------------------------------
-# typed save / load
-# ---------------------------------------------------------------------------
-
-def _lattice_scalars(lattice: Lattice) -> dict[str, ConfigValue]:
-    shape: ConfigValue = lattice.shape if len(lattice.shape) > 1 else lattice.shape[0]
-    return {"shape": shape, "spacing": float(lattice.spacing)}
-
-
-def _lattice_from_scalars(scalars: dict[str, ConfigValue], path) -> Lattice:
-    try:
-        shape = scalars["shape"]
-        spacing = scalars["spacing"]
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing lattice entry {exc}") from None
-    if isinstance(shape, tuple):
-        dims = tuple(int(n) for n in shape)
-    else:
-        dims = (int(shape),)
-    return Lattice(shape=dims, spacing=float(spacing))
-
-
-def _expect_kind(blocks: DataBlocks, kind: str, path) -> None:
-    if blocks.kind != kind:
-        raise ValueError(f"{path}: expected kind {kind!r}, found {blocks.kind!r}")
-
-
-def _get_array(blocks: DataBlocks, name: str, path) -> np.ndarray:
-    try:
-        return blocks.arrays[name]
-    except KeyError:
-        raise ValueError(f"{path}: missing array {name!r}") from None
-
-
-def save_operator(path: str | Path, op: ROperator) -> None:
-    scalars = _lattice_scalars(op.lattice)
-    if op.stencil_radius is not None:
-        scalars["stencil_radius"] = int(op.stencil_radius)
-    write_data(path, DataBlocks("operator", scalars, {"matrix": op.matrix}))
-
-
-def load_operator(path: str | Path) -> ROperator:
-    blocks = read_data(path)
-    _expect_kind(blocks, "operator", path)
-    lattice = _lattice_from_scalars(blocks.scalars, path)
-    n = lattice.nsites
-    matrix = _get_array(blocks, "matrix", path).reshape(n, n)
-    radius = blocks.scalars.get("stencil_radius")
-    return ROperator(
-        lattice=lattice,
-        matrix=matrix,
-        stencil_radius=None if radius is None else int(radius),
-    )
-
-
-def save_spectrum(path: str | Path, spec: Spectrum) -> None:
-    scalars = _lattice_scalars(spec.lattice)
-    if spec.operator.stencil_radius is not None:
-        scalars["stencil_radius"] = int(spec.operator.stencil_radius)
-    arrays = {
-        "matrix": spec.operator.matrix,
-        "eigenvalues": spec.eigenvalues,
-        "frequencies": spec.frequencies,
-        "basis": spec.basis,
-    }
-    write_data(path, DataBlocks("spectrum", scalars, arrays))
-
-
-def load_spectrum(path: str | Path) -> Spectrum:
-    blocks = read_data(path)
-    _expect_kind(blocks, "spectrum", path)
-    lattice = _lattice_from_scalars(blocks.scalars, path)
-    n = lattice.nsites
-    radius = blocks.scalars.get("stencil_radius")
-    op = ROperator(
-        lattice=lattice,
-        matrix=_get_array(blocks, "matrix", path).reshape(n, n),
-        stencil_radius=None if radius is None else int(radius),
-    )
-    return Spectrum(
-        operator=op,
-        eigenvalues=_get_array(blocks, "eigenvalues", path),
-        frequencies=_get_array(blocks, "frequencies", path),
-        basis=_get_array(blocks, "basis", path).reshape(n, n),
-    )
-
-
-def save_phase_vector(path: str | Path, u: PhaseVector) -> None:
-    arrays = {"phi": u.phi, "pi": u.pi}
-    write_data(path, DataBlocks("phase_vector", _lattice_scalars(u.lattice), arrays))
-
-
-def load_phase_vector(path: str | Path) -> PhaseVector:
-    blocks = read_data(path)
-    _expect_kind(blocks, "phase_vector", path)
-    lattice = _lattice_from_scalars(blocks.scalars, path)
-    return PhaseVector(
-        lattice=lattice,
-        phi=_get_array(blocks, "phi", path),
-        pi=_get_array(blocks, "pi", path),
-    )
-
-
-def _check_spectrum_match(
-    spec: Spectrum, blocks: DataBlocks, nmodes: int, path
-) -> None:
-    lattice = _lattice_from_scalars(blocks.scalars, path)
-    if lattice != spec.lattice:
-        raise ValueError(
-            f"{path}: file lattice {lattice.shape} spacing {lattice.spacing} "
-            f"does not match the supplied spectrum"
-        )
-    if nmodes != spec.nmodes:
-        raise ValueError(f"{path}: {nmodes} modes vs spectrum's {spec.nmodes}")
-
-
-def save_mode_vector(path: str | Path, modes: ModeVector) -> None:
-    scalars = _lattice_scalars(modes.spectrum.lattice)
-    write_data(path, DataBlocks("mode_vector", scalars, {"alpha": modes.alpha}))
-
-
-def load_mode_vector(path: str | Path, spec: Spectrum) -> ModeVector:
-    """Attach a saved coefficient vector to an already-built spectrum.
-
-    Mode files record only the lattice fingerprint and the coefficients;
-    the eigenbasis itself travels in a spectrum file.
-    """
-    blocks = read_data(path)
-    _expect_kind(blocks, "mode_vector", path)
-    alpha = _get_array(blocks, "alpha", path)
-    _check_spectrum_match(spec, blocks, len(alpha), path)
-    return ModeVector(spectrum=spec, alpha=alpha.astype(complex))
-
-
-def save_nw(path: str | Path, nw: NWWavefunction) -> None:
-    scalars = _lattice_scalars(nw.spectrum.lattice)
-    write_data(path, DataBlocks("nw_wavefunction", scalars, {"psi": nw.psi}))
-
-
-def load_nw(path: str | Path, spec: Spectrum) -> NWWavefunction:
-    blocks = read_data(path)
-    _expect_kind(blocks, "nw_wavefunction", path)
-    psi = _get_array(blocks, "psi", path)
-    _check_spectrum_match(spec, blocks, len(psi), path)
-    return NWWavefunction(spectrum=spec, psi=psi.astype(complex))

@@ -176,10 +176,18 @@ class Spectrum:
         """Field sum_k coeffs[k] f_k."""
         return self.basis @ coeffs
 
+    def apply_function(self, f, field: np.ndarray) -> np.ndarray:
+        """Apply f(R) to a field: sum_k f(lambda_k) <f_k, field> f_k."""
+        # keep this order: the reversed complex product rounds differently
+        return self.synthesize(self.project(field) * f(self.eigenvalues))
+
+    def kernel_column(self, f, site: int) -> np.ndarray:
+        """Integral kernel f(R)(y, site) = sum_k f(lambda_k) f_k(y) f_k(site)."""
+        return self.basis @ (f(self.eigenvalues) * self.basis[site, :])
+
     def apply_power(self, exponent: float, field: np.ndarray) -> np.ndarray:
         """Apply R^exponent to a field through the eigenbasis."""
-        w = self.eigenvalues ** exponent
-        return self.synthesize(w * self.project(field))
+        return self.apply_function(lambda lam: lam**exponent, field)
 
 
 def _laplacian_matrix(lattice: Lattice) -> np.ndarray:
@@ -337,27 +345,25 @@ def bin_by_distance(distances: np.ndarray, values: np.ndarray):
     return out_d, out_v
 
 
-def kernel_profile(
-    op: ROperator,
-    exponent: float,
-    source: int,
-    spectrum: Spectrum | None = None,
-) -> KernelProfile:
+def kernel_profile(spec: Spectrum, exponent: float, source: int) -> KernelProfile:
     """Profile of the R^exponent kernel as seen from one source site."""
-    lattice = op.lattice
+    lattice = spec.lattice
     if _is_nonneg_integer(exponent):
-        power = fractional_power(spectrum or diagonalize(op), exponent)
-        column = power.matrix[:, source] / lattice.cell
+        column = fractional_power(spec, exponent).matrix[:, source] / lattice.cell
     else:
-        spec = spectrum or diagonalize(op)
-        weights = spec.eigenvalues**exponent
-        # one kernel column: sum_k omega^(2 exponent) f_k(y) f_k(source)
-        column = spec.basis @ (weights * spec.basis[source, :])
-    dists = lattice.distances_from(source)
-    out_d, out_v = bin_by_distance(dists, column)
+        column = spec.kernel_column(lambda lam: lam**exponent, source)
+    out_d, out_v = bin_by_distance(lattice.distances_from(source), column)
     return KernelProfile(
         source=source, exponent=exponent, distances=out_d, values=out_v
     )
+
+
+def log_linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line through (x, ln y): slope, intercept, RMS residual."""
+    logy = np.log(y)
+    slope, intercept = np.polyfit(x, logy, 1)
+    resid = logy - (slope * x + intercept)
+    return float(slope), float(intercept), float(np.sqrt(np.mean(resid**2)))
 
 
 def fit_decay_length(
@@ -374,27 +380,16 @@ def fit_decay_length(
     values = np.asarray(values, dtype=float)
     mask = (distances >= d_min) & (distances <= d_max) & (values > 0)
     d = distances[mask]
-    v = values[mask]
     if d.size < 6:
-        return DecayFit(
-            length=float("nan"),
-            window=(float(d_min), float(d_max)),
-            rms_log_residual=float("nan"),
-            quality_ok=False,
-            nsamples=int(d.size),
-            slope=float("nan"),
-        )
-    logv = np.log(v)
-    slope, intercept = np.polyfit(d, logv, 1)
-    resid = logv - (slope * d + intercept)
-    rms = float(np.sqrt(np.mean(resid**2)))
+        slope = rms = float("nan")
+    else:
+        slope, _, rms = log_linear_fit(d, values[mask])
     ok = slope < 0 and rms < 0.5
-    length = -1.0 / slope if slope < 0 else float("nan")
     return DecayFit(
-        length=float(length),
+        length=-1.0 / slope if slope < 0 else float("nan"),
         window=(float(d_min), float(d_max)),
         rms_log_residual=rms,
         quality_ok=bool(ok),
         nsamples=int(d.size),
-        slope=float(slope),
+        slope=slope,
     )

@@ -112,7 +112,7 @@ def test_criterion_01_compton_locality():
     start = time.perf_counter()
     op = build_klein_gordon(1.0, Lattice((512,)))
     spec = diagonalize(op)
-    profile = kernel_profile(op, -0.5, 256, spectrum=spec)
+    profile = kernel_profile(spec, -0.5, 256)
     fit = fit_decay_length(profile.distances, profile.values, (3.0, 20.0))
     elapsed = time.perf_counter() - start
     dev = abs(fit.length - 1.0)

@@ -134,6 +134,20 @@ def test_check_failure_exits_one(tmp_path, capsys):
     assert payload["pass"] is False
 
 
+@pytest.mark.parametrize("shape", ["16", "8 8", "24"])
+def test_elp_on_small_lattice_reports_failure(tmp_path, capsys, shape):
+    # the two bump centres lie 8 sites either side of the middle; on a short
+    # lattice they wrap instead of indexing past the end
+    cfg = write_cfg(tmp_path, f"experiment = elp\nshape = {shape}\n")
+    out = tmp_path / "out"
+    code = main(["elp", "--config", cfg, "--out", str(out)])
+    assert code == EXIT_CHECK_FAILURE
+    assert "numeric failure" not in capsys.readouterr().err
+    payload = json.loads((out / "report.elp.json").read_text())
+    verdicts = {c["name"]: c["pass"] for c in payload["checks"]}
+    assert verdicts["inputs_localized_in_region"] is False
+
+
 def test_numeric_failure_exits_three(tmp_path, capsys):
     # lambda = +0.5 makes the radial integral diverge
     cfg = write_cfg(tmp_path, "experiment = asymptotics\nlambdas = 0.5\n")

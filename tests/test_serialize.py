@@ -1,42 +1,10 @@
-"""Tests for the flat config format and the block data files."""
+"""Tests for the flat config format."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from emergence_lab.modes import ModeVector, PhaseVector
-from emergence_lab.newton_wigner import NWWavefunction
-from emergence_lab.serialize import (
-    DATA_HEADER,
-    DataBlocks,
-    format_config,
-    load_mode_vector,
-    load_nw,
-    load_operator,
-    load_phase_vector,
-    load_spectrum,
-    read_config,
-    read_data,
-    save_mode_vector,
-    save_nw,
-    save_operator,
-    save_phase_vector,
-    save_spectrum,
-    write_config,
-    write_data,
-)
-from emergence_lab.spectral import Lattice, build_klein_gordon, diagonalize
-
-
-@pytest.fixture(scope="module")
-def spec8():
-    return diagonalize(build_klein_gordon(1.0, Lattice((8,))))
-
-
-# ---------------------------------------------------------------------------
-# config files
-# ---------------------------------------------------------------------------
+from emergence_lab.serialize import format_config, read_config, write_config
 
 
 def test_config_roundtrip_preserves_types(tmp_path):
@@ -93,180 +61,3 @@ def test_config_rejects_unwritable_values(tmp_path):
         format_config({"a": "two words"})
     with pytest.raises(ValueError, match="empty tuple"):
         format_config({"a": ()})
-
-
-# ---------------------------------------------------------------------------
-# block data files
-# ---------------------------------------------------------------------------
-
-
-def test_data_roundtrip_real_and_complex(tmp_path):
-    rng = np.random.default_rng(0)
-    real = rng.normal(size=13)
-    cplx = rng.normal(size=7) + 1j * rng.normal(size=7)
-    blocks = DataBlocks(
-        kind="demo", scalars={"n": 3, "tag": "x"}, arrays={"a": real, "b": cplx}
-    )
-    path = tmp_path / "d.dat"
-    write_data(path, blocks)
-    back = read_data(path)
-    assert back.kind == "demo"
-    assert back.scalars == {"n": 3, "tag": "x"}
-    assert np.array_equal(back.arrays["a"], real)  # repr floats, bit exact
-    assert np.array_equal(back.arrays["b"], cplx)
-
-
-def test_data_header_required(tmp_path):
-    path = tmp_path / "d.dat"
-    path.write_text("kind = demo\n")
-    with pytest.raises(ValueError, match="missing data header"):
-        read_data(path)
-
-
-def test_data_kind_required(tmp_path):
-    path = tmp_path / "d.dat"
-    path.write_text(DATA_HEADER + "\nn = 3\n")
-    with pytest.raises(ValueError, match="no 'kind'"):
-        read_data(path)
-
-
-def test_data_truncated_array(tmp_path):
-    path = tmp_path / "d.dat"
-    path.write_text(DATA_HEADER + "\nkind = demo\narray a 4\n  1.0 2.0\n")
-    with pytest.raises(ValueError, match="ends early"):
-        read_data(path)
-
-
-def test_data_trailing_numbers(tmp_path):
-    path = tmp_path / "d.dat"
-    path.write_text(DATA_HEADER + "\nkind = demo\narray a 2\n  1.0 2.0 3.0\n")
-    with pytest.raises(ValueError, match="trailing numbers"):
-        read_data(path)
-
-
-def test_data_bad_array_header(tmp_path):
-    path = tmp_path / "d.dat"
-    path.write_text(DATA_HEADER + "\nkind = demo\narray a 2 imaginary\n  1.0 2.0\n")
-    with pytest.raises(ValueError, match="bad array header"):
-        read_data(path)
-
-
-def test_data_duplicate_array(tmp_path):
-    path = tmp_path / "d.dat"
-    path.write_text(
-        DATA_HEADER + "\nkind = demo\narray a 1\n  1.0\narray a 1\n  2.0\n"
-    )
-    with pytest.raises(ValueError, match="duplicate array"):
-        read_data(path)
-
-
-# ---------------------------------------------------------------------------
-# typed objects
-# ---------------------------------------------------------------------------
-
-
-def test_operator_roundtrip(tmp_path, spec8):
-    path = tmp_path / "op.dat"
-    save_operator(path, spec8.operator)
-    back = load_operator(path)
-    assert back.lattice == spec8.lattice
-    assert back.stencil_radius == spec8.operator.stencil_radius
-    assert np.array_equal(back.matrix, spec8.operator.matrix)
-
-
-def test_operator_roundtrip_two_dimensions(tmp_path):
-    op = build_klein_gordon(2.0, Lattice((4, 4), spacing=0.5))
-    path = tmp_path / "op2.dat"
-    save_operator(path, op)
-    back = load_operator(path)
-    assert back.lattice == op.lattice
-    assert np.array_equal(back.matrix, op.matrix)
-
-
-def test_spectrum_roundtrip(tmp_path, spec8):
-    path = tmp_path / "spec.dat"
-    save_spectrum(path, spec8)
-    back = load_spectrum(path)
-    assert back.lattice == spec8.lattice
-    assert np.array_equal(back.eigenvalues, spec8.eigenvalues)
-    assert np.array_equal(back.frequencies, spec8.frequencies)
-    assert np.array_equal(back.basis, spec8.basis)
-    # the loaded spectrum is functional, not just storage
-    field = np.arange(8.0)
-    assert np.allclose(back.synthesize(back.project(field)), field, atol=1e-12)
-
-
-def test_phase_vector_roundtrip(tmp_path, spec8):
-    u = PhaseVector(spec8.lattice, np.arange(8.0), np.arange(8.0)[::-1].copy())
-    path = tmp_path / "u.dat"
-    save_phase_vector(path, u)
-    back = load_phase_vector(path)
-    assert back.lattice == u.lattice
-    assert np.array_equal(back.phi, u.phi)
-    assert np.array_equal(back.pi, u.pi)
-
-
-def test_mode_vector_roundtrip(tmp_path, spec8):
-    rng = np.random.default_rng(1)
-    modes = ModeVector(
-        spectrum=spec8, alpha=rng.normal(size=8) + 1j * rng.normal(size=8)
-    )
-    path = tmp_path / "m.dat"
-    save_mode_vector(path, modes)
-    back = load_mode_vector(path, spec8)
-    assert np.array_equal(back.alpha, modes.alpha)
-
-
-def test_mode_vector_lattice_mismatch(tmp_path, spec8):
-    modes = ModeVector(spectrum=spec8, alpha=np.ones(8, dtype=complex))
-    path = tmp_path / "m.dat"
-    save_mode_vector(path, modes)
-    other = diagonalize(build_klein_gordon(1.0, Lattice((16,))))
-    with pytest.raises(ValueError, match="does not match"):
-        load_mode_vector(path, other)
-
-
-def test_mode_vector_count_mismatch(tmp_path, spec8):
-    # same lattice fingerprint, wrong number of coefficients
-    blocks = DataBlocks(
-        kind="mode_vector",
-        scalars={"shape": 8, "spacing": 1.0},
-        arrays={"alpha": np.zeros(5, dtype=complex)},
-    )
-    path = tmp_path / "m.dat"
-    write_data(path, blocks)
-    with pytest.raises(ValueError, match="5 modes vs spectrum's 8"):
-        load_mode_vector(path, spec8)
-
-
-def test_nw_roundtrip(tmp_path, spec8):
-    rng = np.random.default_rng(2)
-    nw = NWWavefunction(
-        spectrum=spec8, psi=rng.normal(size=8) + 1j * rng.normal(size=8)
-    )
-    path = tmp_path / "psi.dat"
-    save_nw(path, nw)
-    back = load_nw(path, spec8)
-    assert np.array_equal(back.psi, nw.psi)
-
-
-def test_kind_mismatch(tmp_path, spec8):
-    modes = ModeVector(spectrum=spec8, alpha=np.ones(8, dtype=complex))
-    path = tmp_path / "m.dat"
-    save_mode_vector(path, modes)
-    with pytest.raises(ValueError, match="expected kind"):
-        load_nw(path, spec8)
-    with pytest.raises(ValueError, match="expected kind"):
-        load_operator(path)
-
-
-def test_missing_array(tmp_path, spec8):
-    blocks = DataBlocks(
-        kind="phase_vector",
-        scalars={"shape": 8, "spacing": 1.0},
-        arrays={"phi": np.zeros(8)},
-    )
-    path = tmp_path / "u.dat"
-    write_data(path, blocks)
-    with pytest.raises(ValueError, match="missing array 'pi'"):
-        load_phase_vector(path)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from emergence_lab.spectral import (
@@ -155,6 +156,54 @@ def test_integer_power_exactly_local():
 
 
 # ---------------------------------------------------------------------------
+# f(R) primitives against dense matrix functions of R
+# ---------------------------------------------------------------------------
+
+# fixed in advance; every reference below is built from the matrix of R alone
+PRIMITIVE_RTOL = 1e-10
+
+
+def _rel_dev(got, ref):
+    return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
+@pytest.fixture(
+    scope="module", params=[((24,), 1.0), ((5, 6), 0.5)], ids=["1d", "2d"]
+)
+def spec_small(request):
+    shape, spacing = request.param
+    return diagonalize(build_klein_gordon(1.3, Lattice(shape, spacing)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_kernel_column_matches_matrix_power(spec_small, n):
+    site = 7
+    ref = np.linalg.matrix_power(spec_small.operator.matrix, n)[:, site]
+    ref = ref / spec_small.lattice.cell
+    got = spec_small.kernel_column(lambda lam: lam**n, site)
+    assert _rel_dev(got, ref) < PRIMITIVE_RTOL
+
+
+def test_apply_function_matches_fractional_matrix_power(spec_small):
+    field = np.random.default_rng(3).normal(size=spec_small.lattice.nsites)
+    dense = scipy.linalg.fractional_matrix_power(spec_small.operator.matrix, -0.5)
+    ref = np.real_if_close(dense) @ field
+    got = spec_small.apply_function(lambda lam: lam**-0.5, field)
+    assert _rel_dev(got, ref) < PRIMITIVE_RTOL
+
+
+def test_apply_function_matches_schrodinger_propagator(spec_small):
+    rng = np.random.default_rng(4)
+    n = spec_small.lattice.nsites
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    t = 1.5
+    root = scipy.linalg.sqrtm(spec_small.operator.matrix)
+    ref = scipy.linalg.expm(-1j * t * root) @ psi
+    got = spec_small.apply_function(lambda lam: np.exp(-1j * np.sqrt(lam) * t), psi)
+    assert _rel_dev(got, ref) < PRIMITIVE_RTOL
+
+
+# ---------------------------------------------------------------------------
 # kernel profiles and decay fits
 # ---------------------------------------------------------------------------
 
@@ -191,7 +240,7 @@ def test_fit_fails_cleanly_on_growth():
 
 def test_compton_decay_mass_one():
     spec = diagonalize(build_klein_gordon(1.0, Lattice((512,))))
-    profile = kernel_profile(spec.operator, -0.5, 256, spectrum=spec)
+    profile = kernel_profile(spec, -0.5, 256)
     fit = fit_decay_length(profile.distances, profile.values, (3.0, 20.0))
     assert fit.quality_ok
     # frozen measurement; the physical gate is the 10% band around 1/m
@@ -201,7 +250,7 @@ def test_compton_decay_mass_one():
 
 def test_compton_decay_mass_two_scaled_window():
     spec = diagonalize(build_klein_gordon(2.0, Lattice((512,))))
-    profile = kernel_profile(spec.operator, -0.5, 256, spectrum=spec)
+    profile = kernel_profile(spec, -0.5, 256)
     fit = fit_decay_length(profile.distances, profile.values, (1.5, 10.0))
     assert abs(fit.length - 0.5) / 0.5 < 0.10
     wide = fit_decay_length(profile.distances, profile.values, (3.0, 20.0))
@@ -211,7 +260,7 @@ def test_compton_decay_mass_two_scaled_window():
 @pytest.mark.parametrize("lam", [-0.5, -0.25, 0.25, 0.5])
 def test_all_fractional_kernels_decay_at_compton_scale(lam):
     spec = diagonalize(build_klein_gordon(1.0, Lattice((512,))))
-    profile = kernel_profile(spec.operator, lam, 256, spectrum=spec)
+    profile = kernel_profile(spec, lam, 256)
     fit = fit_decay_length(profile.distances, profile.values, (3.0, 20.0))
     assert fit.quality_ok
     assert abs(fit.length - 1.0) < 0.15
@@ -219,14 +268,14 @@ def test_all_fractional_kernels_decay_at_compton_scale(lam):
 
 def test_profile_strictly_decreasing_in_physical_band():
     spec = diagonalize(build_klein_gordon(1.0, Lattice((512,))))
-    profile = kernel_profile(spec.operator, -0.5, 256, spectrum=spec)
+    profile = kernel_profile(spec, -0.5, 256)
     sel = (profile.distances >= 3.0) & (profile.distances <= 30.0)
     assert np.all(np.diff(profile.values[sel]) < 0)
 
 
 def test_profile_source_and_exponent_recorded():
     spec = diagonalize(build_klein_gordon(1.0, Lattice((16,))))
-    profile = kernel_profile(spec.operator, -0.5, 5, spectrum=spec)
+    profile = kernel_profile(spec, -0.5, 5)
     assert profile.source == 5
     assert profile.exponent == -0.5
     # binned distances are unique and ascending
