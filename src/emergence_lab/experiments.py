@@ -312,9 +312,9 @@ def _run_kernel(config: ExperimentConfig, rng) -> tuple[list[CheckRecord], list[
         _check("decay_length", fit.length, compton, config.decay_rtol * compton),
         _flag("fit_quality", fit.quality_ok),
     ]
-    # beyond ~35 Compton lengths the kernel sinks under the eigensolver's
-    # noise floor (~1e-16 of the peak), so monotonicity is only meaningful
-    # on the physical part of the tail
+    # beyond ~37 Compton lengths the kernel sinks under the roundoff floor
+    # of its FFT sum (~1e-17 of the peak; a dense eigensolver's is ~1e-16),
+    # so monotonicity is only meaningful on the physical part of the tail
     sel = (profile.distances >= 3.0 * compton) & (profile.distances <= 30.0 * compton)
     vals = profile.values[sel]
     checks.append(_flag("profile_decreasing", bool(np.all(np.diff(vals) < 0))))

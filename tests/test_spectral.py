@@ -6,9 +6,11 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from emergence_lab.spectral import (
+    DENSE_TRANSFORM_MAX_SITES,
     AxiomError,
     Lattice,
     ROperator,
+    _laplacian_matrix,
     bin_by_distance,
     build_klein_gordon,
     build_variable_coefficient,
@@ -167,12 +169,24 @@ def _rel_dev(got, ref):
     return float(np.abs(got - ref).max() / np.abs(ref).max())
 
 
+# (shape, spacing, mass ripple): "fft" cases lie above DENSE_TRANSFORM_MAX_SITES,
+# where transforms run by FFT; a rippled mass takes the dense eigensolver route
 @pytest.fixture(
-    scope="module", params=[((24,), 1.0), ((5, 6), 0.5)], ids=["1d", "2d"]
+    scope="module",
+    params=[
+        ((24,), 1.0, 0.0), ((5, 6), 0.5, 0.0),
+        ((300,), 1.0, 0.0), ((18, 17), 0.5, 0.0), ((7, 7, 7), 0.7, 0.0),
+        ((24,), 1.0, 0.4), ((5, 6), 0.5, 0.4),
+    ],
+    ids=["1d", "2d", "1d-fft", "2d-fft", "3d-fft", "1d-eigh", "2d-eigh"],
 )
 def spec_small(request):
-    shape, spacing = request.param
-    return diagonalize(build_klein_gordon(1.3, Lattice(shape, spacing)))
+    shape, spacing, ripple = request.param
+    lattice = Lattice(shape, spacing)
+    if not ripple:
+        return diagonalize(build_klein_gordon(1.3, lattice))
+    wave = np.sin(2 * np.pi * np.arange(lattice.nsites) / lattice.nsites)
+    return diagonalize(build_variable_coefficient(1.3 + ripple * wave, lattice))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -201,6 +215,70 @@ def test_apply_function_matches_schrodinger_propagator(spec_small):
     ref = scipy.linalg.expm(-1j * t * root) @ psi
     got = spec_small.apply_function(lambda lam: np.exp(-1j * np.sqrt(lam) * t), psi)
     assert _rel_dev(got, ref) < PRIMITIVE_RTOL
+
+
+# ---------------------------------------------------------------------------
+# route selection: closed-form Hartley spectrum or dense eigensolver
+# ---------------------------------------------------------------------------
+
+ROUTE_LATTICES = [
+    ((64,), 1.0), ((8, 9), 0.5), ((4, 5, 6), 0.7),
+    ((300,), 1.0), ((18, 17), 0.5), ((7, 7, 7), 0.7),
+]
+
+
+@pytest.mark.parametrize("shape,spacing", ROUTE_LATTICES)
+def test_hartley_basis_diagonalizes_translation_invariant_r(shape, spacing):
+    lat = Lattice(shape, spacing)
+    spec = diagonalize(build_klein_gordon(1.3, lat))
+    assert spec.hartley_modes is not None
+    assert (spec.dense_basis is None) == (lat.nsites > DENSE_TRANSFORM_MAX_SITES)
+    basis = spec.basis
+    residual = spec.operator.matrix @ basis - basis * spec.eigenvalues
+    assert np.abs(residual).max() / spec.eigenvalues[-1] <= 1e-12
+    gram = basis.T @ basis * lat.cell
+    assert np.abs(gram - np.eye(lat.nsites)).max() <= 1e-13
+    assert np.all(np.diff(spec.eigenvalues) >= 0)
+
+
+@pytest.mark.parametrize("shape,spacing", ROUTE_LATTICES)
+def test_transforms_agree_with_basis(shape, spacing):
+    lat = Lattice(shape, spacing)
+    spec = diagonalize(build_klein_gordon(0.8, lat))
+    rng = np.random.default_rng(5)
+    field = rng.normal(size=lat.nsites) + 1j * rng.normal(size=lat.nsites)
+    coeffs = spec.project(field)
+    assert _rel_dev(coeffs, spec.basis.T @ field * lat.cell) < PRIMITIVE_RTOL
+    assert _rel_dev(spec.synthesize(coeffs), field) < PRIMITIVE_RTOL
+
+
+def test_uniform_variable_coefficient_takes_fourier_route():
+    lat = Lattice((300,), spacing=0.5)
+    op = build_variable_coefficient(np.full(lat.nsites, 0.9), lat)
+    spec = diagonalize(op)
+    assert spec.hartley_modes is not None
+    assert_allclose(spec.eigenvalues, np.linalg.eigvalsh(op.matrix), rtol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(40,), (300,), (6, 7)])
+def test_perturbed_pair_takes_dense_route(shape):
+    lat = Lattice(shape)
+    matrix = build_klein_gordon(1.0, lat).matrix.copy()
+    matrix[3, 4] += 1e-3
+    matrix[4, 3] += 1e-3
+    op = ROperator(lattice=lat, matrix=matrix, stencil_radius=1)
+    spec = diagonalize(op)
+    assert spec.hartley_modes is None
+    assert_allclose(spec.eigenvalues, np.linalg.eigvalsh(matrix), rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "shape,spacing", [((8,), 1.0), ((300,), 1.0), ((4, 5, 6), 0.7), ((7, 7, 7), 0.7)]
+)
+def test_massless_translation_invariant_operator_rejected(shape, spacing):
+    lat = Lattice(shape, spacing)
+    with pytest.raises(AxiomError):
+        diagonalize(ROperator(lattice=lat, matrix=-_laplacian_matrix(lat)))
 
 
 # ---------------------------------------------------------------------------
