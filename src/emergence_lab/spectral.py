@@ -1,10 +1,12 @@
 """Operator calculus on periodic lattices.
 
 Builds the spatial operator R of the linear field equation ``phi_tt + R phi = 0``
-as a dense symmetric matrix over lattice sites, exposes its spectral
-decomposition (closed-form Fourier modes when R is translation invariant,
-a dense eigensolver otherwise), arbitrary real powers R^lambda, and tools to
-measure how fast the kernels of those powers decay with distance.
+as a symmetric operator over lattice sites: a mass term beside the 3-point
+Laplacian stencil, applied by neighbour sums and made dense only on request.
+It exposes R's spectral decomposition (closed-form Fourier modes when R is
+translation invariant, a dense eigensolver otherwise), arbitrary real powers
+R^lambda, and tools to measure how fast the kernels of those powers decay
+with distance.
 
 Conventions
 -----------
@@ -124,34 +126,62 @@ class Lattice:
 # the operator R and its spectrum
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
 class ROperator:
-    """Dense symmetric operator over lattice sites (application form).
+    """Symmetric operator R over lattice sites (application form).
+
+    Two forms share this class. The stencil form, made by
+    ``build_klein_gordon`` and ``build_variable_coefficient``, stores only
+    ``mass_squared`` (a scalar, or one value per site) for
+    R = mass_squared - Laplacian with the 3-point central stencil per axis and
+    periodic wrap: ``apply`` is an O(N) neighbour sum, and the dense
+    ``matrix`` is built on first read. Its + and - neighbour weights are
+    equal, so it is symmetric by construction. The explicit form holds a
+    caller's dense ``matrix``, checked for shape and symmetry here, and
+    applies it as a matrix product; ``mass_squared`` is then None.
 
     ``stencil_radius`` is the locality radius in integer site steps when the
     operator came from a differential stencil; None when unknown.
     """
 
-    lattice: Lattice
-    matrix: np.ndarray
-    stencil_radius: int | None = None
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        n = self.lattice.nsites
+    def __init__(
+        self,
+        lattice: Lattice,
+        matrix: np.ndarray | None = None,
+        stencil_radius: int | None = None,
+        *,
+        mass_squared=None,
+    ):
+        if (matrix is None) == (mass_squared is None):
+            raise ValueError("give exactly one of matrix and mass_squared")
+        self.lattice = lattice
+        self.stencil_radius = stencil_radius
+        n = lattice.nsites
+        if matrix is None:
+            mass = np.asarray(mass_squared, dtype=float)
+            if mass.ndim and mass.size != n:
+                raise ValueError(f"mass_squared has {mass.size} values for {n} sites")
+            self.mass_squared = mass.reshape(-1) if mass.ndim else float(mass)
+            return
+        self.mass_squared = None
+        m = np.asarray(matrix, dtype=float)
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match {n} sites")
         scale = np.abs(m).max()
         if scale > 0 and np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
             raise AxiomError("operator matrix is not symmetric")
-        object.__setattr__(self, "matrix", m)
+        # an explicit matrix shadows the lazily built one below
+        self.matrix = m
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense matrix of the stencil form, built on first read."""
+        return _mass_minus_laplacian(self.mass_squared, self.lattice)
 
     def apply(self, field: np.ndarray) -> np.ndarray:
-        return self.matrix @ field
-
-    def kernel(self) -> np.ndarray:
-        """Integral kernel R(x, y) = matrix / cell volume."""
-        return self.matrix / self.lattice.cell
+        """R field, for a field indexed by site along its leading axis."""
+        if self.mass_squared is None:
+            return self.matrix @ field
+        return _stencil_apply(self.mass_squared, self.lattice, field)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -217,8 +247,7 @@ class Spectrum:
         # by FFT even where the basis is stored: against an 80-bit reference
         # its roundoff is about 3x smaller than the matrix product's
         shape = self.lattice.shape
-        unit = np.zeros(self.nmodes)
-        unit[site] = 1.0
+        unit = _unit(self.lattice, site)
         spread = self._on_grid(f(self.eigenvalues)) * _hartley(unit, shape)
         return _hartley(spread, shape) / (self.nmodes * self.lattice.cell)
 
@@ -300,6 +329,26 @@ def _mass_minus_laplacian(mass_squared, lattice: Lattice) -> np.ndarray:
     return matrix
 
 
+def _stencil_apply(mass_squared, lattice: Lattice, field: np.ndarray) -> np.ndarray:
+    """(mass_squared - Laplacian) field by periodic neighbour sums, in O(N).
+
+    Terms accumulate in the order ``_mass_minus_laplacian`` adds matrix
+    entries, so applied to a unit vector this returns the matrix column bit
+    for bit.
+    """
+    shape = lattice.shape
+    grid = field.reshape(shape + field.shape[1:])
+    inv_a2 = 1.0 / lattice.spacing**2
+    lap = np.zeros_like(grid)
+    for ax in range(lattice.ndim):
+        lap += inv_a2 * np.roll(grid, -1, axis=ax)  # field(x + e)
+        lap += inv_a2 * np.roll(grid, 1, axis=ax)  # field(x - e)
+        lap -= 2.0 * inv_a2 * grid
+    mass = np.reshape(mass_squared, np.shape(mass_squared) + (1,) * (field.ndim - 1))
+    # 0.0 - lap, not -lap: like the matrix build, it leaves no negative zeros
+    return (0.0 - lap).reshape(field.shape) + mass * field
+
+
 def build_klein_gordon(mass: float, lattice: Lattice) -> ROperator:
     """R = mass^2 - Laplacian (3-point central stencil per axis, periodic).
 
@@ -311,8 +360,7 @@ def build_klein_gordon(mass: float, lattice: Lattice) -> ROperator:
             f"mass must be strictly positive (got {mass}); the constant mode "
             "would violate strict positivity of R"
         )
-    matrix = _mass_minus_laplacian(mass**2, lattice)
-    return ROperator(lattice=lattice, matrix=matrix, stencil_radius=1)
+    return ROperator(lattice, stencil_radius=1, mass_squared=mass**2)
 
 
 def build_variable_coefficient(mass_field: np.ndarray, lattice: Lattice) -> ROperator:
@@ -324,8 +372,7 @@ def build_variable_coefficient(mass_field: np.ndarray, lattice: Lattice) -> ROpe
         )
     if np.any(m <= 0):
         raise AxiomError("mass_field must be strictly positive everywhere")
-    matrix = _mass_minus_laplacian(m**2, lattice)
-    return ROperator(lattice=lattice, matrix=matrix, stencil_radius=1)
+    return ROperator(lattice, stencil_radius=1, mass_squared=m**2)
 
 
 def klein_gordon_symbol_eigenvalues(mass: float, lattice: Lattice) -> np.ndarray:
@@ -343,7 +390,14 @@ def klein_gordon_symbol_eigenvalues(mass: float, lattice: Lattice) -> np.ndarray
 
 
 def _is_translation_invariant(op: ROperator) -> bool:
-    """True when matrix[x + e, y + e] == matrix[x, y] exactly for every axis step e."""
+    """True when matrix[x + e, y + e] == matrix[x, y] exactly for every axis step e.
+
+    The stencil form is invariant exactly when its mass is one value; an
+    explicit matrix is compared with its one-step rolls.
+    """
+    if op.mass_squared is not None:
+        mass = np.ravel(op.mass_squared)
+        return bool(np.all(mass == mass[0]))
     shape = op.lattice.shape
     ndim = len(shape)
     grid = op.matrix.reshape(shape + shape)
@@ -358,15 +412,17 @@ def diagonalize(op: ROperator) -> Spectrum:
 
     Eigenvalues ascend; eigenvectors are L2-orthonormalized. A translation
     invariant operator is diagonalized in closed form: its eigenvalues are the
-    FFT of one matrix row, and each degenerate subspace (the +-k pairs and any
-    accidental coincidences) gets the real Hartley modes cas(2 pi k.x/N) of
-    its wavevectors, in stable ascending order of the symbol. Every other
-    operator goes to the dense solver, and degenerate subspaces come back with
-    the (deterministic) basis it picks.
+    FFT of R applied to the unit vector at site 0 (by symmetry, matrix row 0,
+    which the stencil form never builds), and each degenerate subspace (the
+    +-k pairs and any accidental coincidences) gets the real Hartley modes
+    cas(2 pi k.x/N) of its wavevectors, in stable ascending order of the
+    symbol. Every other operator goes to the dense solver, and degenerate
+    subspaces come back with the (deterministic) basis it picks.
     """
     lattice = op.lattice
     if _is_translation_invariant(op):
-        symbol = np.fft.fftn(op.matrix[0].reshape(lattice.shape)).real.reshape(-1)
+        row = op.matrix[0] if op.mass_squared is None else op.apply(_unit(lattice, 0))
+        symbol = np.fft.fftn(row.reshape(lattice.shape)).real.reshape(-1)
         modes = np.argsort(symbol, kind="stable")
         vals, dense = symbol[modes], None
     else:
@@ -387,6 +443,12 @@ def diagonalize(op: ROperator) -> Spectrum:
         dense_basis=dense,
         hartley_modes=modes,
     )
+
+
+def _unit(lattice: Lattice, site: int) -> np.ndarray:
+    unit = np.zeros(lattice.nsites)
+    unit[site] = 1.0
+    return unit
 
 
 def _is_nonneg_integer(x: float) -> bool:
@@ -461,10 +523,17 @@ def bin_by_distance(distances: np.ndarray, values: np.ndarray):
 
 
 def kernel_profile(spec: Spectrum, exponent: float, source: int) -> KernelProfile:
-    """Profile of the R^exponent kernel as seen from one source site."""
+    """Profile of the R^exponent kernel as seen from one source site.
+
+    A nonnegative integer exponent n applies R n times to the unit vector at
+    the source, so entries beyond n * stencil_radius stay exact zeros.
+    """
     lattice = spec.lattice
     if _is_nonneg_integer(exponent):
-        column = fractional_power(spec, exponent).matrix[:, source] / lattice.cell
+        column = _unit(lattice, source)
+        for _ in range(int(round(exponent))):
+            column = spec.operator.apply(column)
+        column = column / lattice.cell
     else:
         column = spec.kernel_column(lambda lam: lam**exponent, source)
     out_d, out_v = bin_by_distance(lattice.distances_from(source), column)

@@ -1,5 +1,7 @@
 """Lattice geometry, operator axioms, spectral calculus and kernel decay."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -120,6 +122,100 @@ def test_variable_coefficient_two_region_diagonal():
     assert_allclose(np.diag(op.matrix), field**2 + 2.0)
     spec = diagonalize(op)
     assert np.all(spec.eigenvalues > 0)
+
+
+# ---------------------------------------------------------------------------
+# stencil form against its dense matrix
+# ---------------------------------------------------------------------------
+
+# extents 1 and 2 make the + and - neighbours of a site coincide; on 3x3x1 at
+# spacing 0.9 the order in which diagonal terms add changes their rounding
+STENCIL_LATTICES = [
+    ((7,), 0.5), ((1, 5), 0.5), ((2, 40), 0.5), ((5, 6), 0.5), ((7, 7, 7), 0.7),
+    ((3, 3, 1), 0.9),
+]
+
+
+def _stencil_operators(shape, spacing):
+    lat = Lattice(shape, spacing)
+    ripple = 1.3 + 0.4 * np.sin(2 * np.pi * np.arange(lat.nsites) / lat.nsites)
+    return [build_klein_gordon(1.3, lat), build_variable_coefficient(ripple, lat)]
+
+
+@pytest.mark.parametrize("shape,spacing", STENCIL_LATTICES)
+def test_stencil_apply_matches_matrix(shape, spacing):
+    rng = np.random.default_rng(6)
+    for op in _stencil_operators(shape, spacing):
+        n = op.lattice.nsites
+        for field in (rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n)):
+            assert _rel_dev(op.apply(field), op.matrix @ field) < 1e-13
+
+
+@pytest.mark.parametrize("shape,spacing", STENCIL_LATTICES)
+def test_stencil_matrix_exactly_symmetric(shape, spacing):
+    for op in _stencil_operators(shape, spacing):
+        assert op.mass_squared is not None
+        assert np.array_equal(op.matrix, op.matrix.T)
+
+
+@pytest.mark.parametrize("shape,spacing", STENCIL_LATTICES)
+def test_stencil_and_explicit_forms_diagonalize_alike(shape, spacing):
+    for op in _stencil_operators(shape, spacing):
+        explicit = ROperator(op.lattice, matrix=op.matrix)
+        stencil_vals = diagonalize(op).eigenvalues
+        assert stencil_vals.tobytes() == diagonalize(explicit).eigenvalues.tobytes()
+
+
+def test_explicit_form_still_checks_symmetry():
+    lat = Lattice((5, 6), 0.5)
+    matrix = build_klein_gordon(1.3, lat).matrix.copy()
+    matrix[3, 4] += 1e-3
+    with pytest.raises(AxiomError):
+        ROperator(lat, matrix=matrix)
+
+
+def test_operator_takes_exactly_one_form():
+    lat = Lattice((4,))
+    with pytest.raises(ValueError):
+        ROperator(lat)
+    with pytest.raises(ValueError):
+        ROperator(lat, matrix=np.eye(4), mass_squared=1.0)
+    with pytest.raises(ValueError):
+        ROperator(lat, mass_squared=np.ones(3))
+
+
+# at the 4096 sites below, one dense N x N float array takes 134 MB
+NO_DENSE_PEAK_BYTES = 4_000_000
+
+
+@pytest.mark.parametrize("shape", [(4096,), (16, 16, 16)])
+def test_translation_invariant_route_allocates_no_dense_array(shape):
+    lat = Lattice(shape, 0.7)
+    field = np.random.default_rng(7).normal(size=lat.nsites)
+    tracemalloc.start()
+    try:
+        op = build_klein_gordon(1.0, lat)
+        spec = diagonalize(op)
+        op.apply(field)
+        spec.apply_power(-0.5, field)
+        kernel_profile(spec, -0.5, 5)
+        kernel_profile(spec, 3, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spec.hartley_modes is not None
+    assert peak < NO_DENSE_PEAK_BYTES
+
+
+def test_large_lattice_kernel_matches_small_one_near_source():
+    # the periodic images add terms of order exp(-m L), zero at both sizes
+    near = 40
+    big = diagonalize(build_klein_gordon(1.0, Lattice((2**17,))))
+    small = diagonalize(build_klein_gordon(1.0, Lattice((2048,))))
+    got = kernel_profile(big, -0.5, 2**16)
+    ref = kernel_profile(small, -0.5, 1024)
+    assert_allclose(got.distances[: near + 1], ref.distances[: near + 1])
+    assert _rel_dev(got.values[: near + 1], ref.values[: near + 1]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +445,25 @@ def test_profile_strictly_decreasing_in_physical_band():
     profile = kernel_profile(spec, -0.5, 256)
     sel = (profile.distances >= 3.0) & (profile.distances <= 30.0)
     assert np.all(np.diff(profile.values[sel]) < 0)
+
+
+@pytest.mark.parametrize("shape,spacing", [((24,), 0.5), ((9, 8), 0.5)])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_integer_kernel_profile_matches_dense_power(shape, spacing, n):
+    lat = Lattice(shape, spacing)
+    spec = diagonalize(build_klein_gordon(1.3, lat))
+    source = 5
+    got = kernel_profile(spec, n, source)
+    column = fractional_power(spec, n).matrix[:, source] / lat.cell
+    ref_d, ref_v = bin_by_distance(lat.distances_from(source), column)
+    assert np.array_equal(got.distances, ref_d)
+    assert _rel_dev(got.values, ref_v) < 1e-13
+    # strictly local: the dense power is zero beyond n steps, and the profile
+    # has exact zeros in the same bins
+    steps = np.abs(lat.min_image_deltas(source)).sum(axis=1)
+    assert np.all(np.abs(column[steps > n]) == 0)
+    assert np.array_equal(got.values == 0, ref_v == 0)
+    assert np.any(got.values == 0)
 
 
 def test_profile_source_and_exponent_recorded():
