@@ -26,7 +26,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy import integrate
 
 from .spectral import (
     AxiomError,
@@ -256,6 +255,10 @@ def branch_cut_kernel(symbol: SymbolPolynomial, lam: float, r: float) -> float:
             f"integer lambda = {int(round(lam))} not supported; only -1 has "
             "the simple-pole residue form"
         )
+    # scipy loads here, on the first quadrature, so that importing the package
+    # (and every lattice layer) never pays for it
+    from scipy import integrate
+
     t_max = math.sqrt(RHO_CUTOFF / r)
     total = 0.0 + 0.0j
     for i, k0 in enumerate(branch.zeros):

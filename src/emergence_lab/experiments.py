@@ -14,7 +14,6 @@ import dataclasses
 import time
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fock_oracle
 from .asymptotics import (
@@ -467,6 +466,8 @@ def _sandwich_r(spec: Spectrum, space: fock_oracle.FockSpace, x: int):
     (R^{1/2} phi)(x) = sum_k sqrt(omega_k / 2) f_k(x) (a_k + a_k^dagger),
     summed over the truncated space's modes.
     """
+    import scipy.sparse as sp
+
     op = sp.csr_matrix((space.dim, space.dim), dtype=float)
     for pos, k in enumerate(space.mode_indices):
         coeff = np.sqrt(spec.frequencies[k] / 2.0) * spec.basis[x, k]

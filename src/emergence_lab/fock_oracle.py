@@ -15,11 +15,14 @@ from __future__ import annotations
 import dataclasses
 import math
 from functools import reduce
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .spectral import Spectrum, log_linear_fit
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 MAX_MODES = 3
 MAX_DIM = 100_000
@@ -85,6 +88,9 @@ def build_fock(spec: Spectrum, mode_indices: tuple[int, ...], n_max: int = 14) -
     dim = (n_max + 1) ** len(modes)
     if dim > MAX_DIM:
         raise ValueError(f"truncated dimension {dim} exceeds {MAX_DIM}")
+    # scipy.sparse loads on the first oracle build, not at package import
+    import scipy.sparse as sp
+
     single = sp.diags(np.sqrt(np.arange(1.0, n_max + 1)), 1, format="csr")
     eye = sp.identity(n_max + 1, format="csr")
     lowering = []
@@ -224,6 +230,8 @@ def field_operator(space: FockSpace, site: int, which: str = "phi") -> sp.csr_ma
     With only a mode subset these satisfy the canonical commutator up to the
     missing modes' completeness defect.
     """
+    import scipy.sparse as sp
+
     basis = space.spectrum.basis
     op = sp.csr_matrix((space.dim, space.dim), dtype=complex)
     for j, k in enumerate(space.mode_indices):

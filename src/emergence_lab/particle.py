@@ -170,10 +170,14 @@ def distance_beyond(lattice: Lattice, mask: np.ndarray) -> np.ndarray:
     sites = np.nonzero(mask)[0]
     if sites.size == 0:
         raise ValueError("empty support mask")
-    dmin = np.full(lattice.nsites, np.inf)
-    for i in sites:
-        np.minimum(dmin, lattice.distances_from(int(i)), out=dmin)
-    return dmin
+    # minimum-image distance is translation invariant: distances_from(i) is
+    # distances_from(0) rolled by the coordinates of i, the same floats
+    base = lattice.distances_from(0).reshape(lattice.shape)
+    axes = tuple(range(lattice.ndim))
+    dmin = np.full(lattice.shape, np.inf)
+    for coord in zip(*np.unravel_index(sites, lattice.shape)):
+        np.minimum(dmin, np.roll(base, coord, axis=axes), out=dmin)
+    return dmin.reshape(-1)
 
 
 def region_ball(lattice: Lattice, center: int, radius: float) -> np.ndarray:

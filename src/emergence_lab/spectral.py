@@ -97,15 +97,13 @@ class Lattice:
         """Flat index of an integer coordinate tuple (C order)."""
         return int(np.ravel_multi_index(tuple(int(c) for c in coord), self.shape))
 
-    def min_image_deltas(self, i: int, j=None) -> np.ndarray:
-        """Minimum-image coordinate differences from site i (integer units).
+    def min_image_deltas(self, i: int) -> np.ndarray:
+        """Minimum-image coordinate differences from site i to every site.
 
-        With ``j=None`` returns deltas to every site, shape (nsites, ndim).
+        Integer units, shape (nsites, ndim).
         """
         coords = self.site_coords()
-        ref = coords[i]
-        other = coords if j is None else coords[np.atleast_1d(j)]
-        delta = other - ref
+        delta = coords - coords[i]
         for ax, n in enumerate(self.shape):
             d = delta[:, ax]
             d += n // 2

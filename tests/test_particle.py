@@ -191,6 +191,37 @@ def test_distance_beyond_support():
     assert d[0] == pytest.approx(7.0)
 
 
+DISTANCE_LATTICES = [
+    ((2048,), 1.0),
+    ((7,), 1.0),
+    ((1, 5), 1.0),
+    ((2, 40), 1.0),
+    ((5, 6), 1.0),
+    ((12, 12, 12), 0.7),
+    ((3, 4, 5), 0.9),
+]
+
+
+@pytest.mark.parametrize("shape, spacing", DISTANCE_LATTICES)
+@pytest.mark.parametrize("kind", ["sparse", "dense", "single"])
+def test_distance_beyond_bytes_match_brute_force(shape, spacing, kind):
+    lat = Lattice(shape, spacing)
+    rng = np.random.default_rng(lat.nsites)
+    if kind == "single":
+        mask = np.zeros(lat.nsites, dtype=bool)
+        mask[rng.integers(lat.nsites)] = True
+    else:
+        mask = rng.random(lat.nsites) < (0.05 if kind == "sparse" else 0.6)
+        mask[rng.integers(lat.nsites)] = True
+    ref = np.full(lat.nsites, np.inf)
+    for i in np.nonzero(mask)[0]:
+        ref = np.minimum(ref, lat.distances_from(int(i)))
+    got = distance_beyond(lat, mask)
+    assert got.shape == (lat.nsites,)
+    assert got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+
+
 def test_region_ball_inclusive():
     lat = Lattice((32,))
     region = region_ball(lat, 16, 3.0)
