@@ -6,10 +6,12 @@ radius r is the one-dimensional integral
     R^lam(r) = (1/(2 pi^2 r)) Int_0^inf k P(k^2)^lam sin(kr) dk.
 
 Two independent evaluations are provided. The contour route closes the
-integral in the upper half plane and collects one term per complex zero k_i
-of the symbol: a vertical branch-cut integral for fractional lam, or a plain
-residue for lam = -1. The direct route integrates the oscillatory integrand
-over half-period panels and sums the alternating series by repeated
+integral in the upper half plane around the complex zeros k_i of the
+symbol: for fractional lam one branch-cut integral up each vertical line of
+zeros, evaluated by a fixed tanh-sinh (double-exponential) rule in numpy on
+the intervals between zeros, or for lam = -1 a plain residue per zero. The
+direct route integrates the oscillatory integrand over half-period panels
+with Gauss-Legendre rules and sums the alternating series by repeated
 averaging. They share no code and are compared against each other (and, for
 the Klein-Gordon symbol, against Bessel/Yukawa closed forms) in the tests.
 
@@ -22,8 +24,8 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
-import warnings
 
 import numpy as np
 
@@ -38,9 +40,18 @@ from .spectral import (
 )
 
 LAMBDA_CONVERGENCE_MAX = -0.5  # integrals diverge for larger exponents
-SIDE_OFFSET = 1e-8  # relative two-sided offset for cut discontinuities
+# two-sided offset for cut jumps, relative to the distance from the nearer
+# interval end; the jump's first-order error is about this size (nil at
+# lam = -1/2), and the factored power keeps its sign exact however small
+SIDE_OFFSET = 1e-12
 RHO_CUTOFF = 40.0  # integrate the cut to rho = RHO_CUTOFF / r
-QUAD_RTOL = 1e-10
+# tanh-sinh rule: step in s and node range |s| <= extent. At 6 the outermost
+# node sits ~1e-275 of the interval from its end, so the neglected piece of a
+# rho^lam edge, ~(1e-275)^(1 + lam), is below roundoff down to lam ~ -0.95
+# (at 4 it is 1e-37, and lam = -0.9 misses 2e-4); e^{pi sinh s} overflows
+# just above 6.1
+TANH_SINH_STEP = 1.0 / 64.0
+TANH_SINH_EXTENT = 6.0
 PANELS = 64
 GAUSS_POINTS = 24
 EULER_TOL = 1e-9
@@ -196,9 +207,13 @@ def _residue_kernel(symbol: SymbolPolynomial, branch: BranchStructure, r: float)
 
 
 def _factored_power(
-    symbol: SymbolPolynomial, s_roots: np.ndarray, lam: float, k: complex
-) -> complex:
-    """P(k^2)^lam with the branch adapted to vertical cuts.
+    symbol: SymbolPolynomial,
+    zeros: np.ndarray,
+    lam: float,
+    base: np.ndarray,
+    dk: np.ndarray,
+) -> np.ndarray:
+    """P(k^2)^lam at k = base + dk, with the branch adapted to vertical cuts.
 
     Taking per-factor principal powers prod_j (k^2 - s_j)^lam keeps the
     function analytic away from the vertical rays whenever the s-roots are
@@ -206,42 +221,87 @@ def _factored_power(
     principal power of the assembled product would instead jump across
     spurious curves where factors' phases add up past pi. On the real axis
     both definitions coincide with the positive real value.
+
+    Each factor is formed as ((base - k_j) + dk) ((base + k_j) + dk), so a
+    point a tiny dk away from a zero base = k_j keeps all its digits; the
+    expanded k^2 - s_j would lose them all to cancellation. The product of
+    principal powers is taken in polar form: the moduli multiply and the
+    principal arguments add before the one power.
     """
-    lead = symbol.coeffs[-1]
-    value = complex(lead) ** lam
-    for s in s_roots:
-        value *= (k * k - s) ** lam
-    return value
+    lead = complex(symbol.coeffs[-1])
+    modulus, phase = abs(lead), cmath.phase(lead)
+    for k_j in zeros:
+        factor = ((base - k_j) + dk) * ((base + k_j) + dk)
+        modulus = modulus * np.abs(factor)
+        phase = phase + np.angle(factor)
+    phase = lam * phase
+    return modulus**lam * (np.cos(phase) + 1j * np.sin(phase))
 
 
 def _cut_discontinuity(
     symbol: SymbolPolynomial,
-    s_roots: np.ndarray,
+    zeros: np.ndarray,
     lam: float,
-    k0: complex,
-    rho: float,
-):
-    """Two-sided jump of the adapted-branch power across the ray above k0."""
-    eps = SIDE_OFFSET * rho
-    k_right = k0 + eps + 1j * rho
-    k_left = k0 - eps + 1j * rho
-    return _factored_power(symbol, s_roots, lam, k_right) - _factored_power(
-        symbol, s_roots, lam, k_left
+    base: np.ndarray,
+    dk: np.ndarray,
+) -> np.ndarray:
+    """Two-sided jump of the adapted-branch power across the ray at base + dk.
+
+    dk is purely imaginary, measured from the nearer end of the interval
+    (where a zero may sit); the two sides lie SIDE_OFFSET |dk| to its right
+    and left, so the offset shrinks as the point nears that end.
+    """
+    eps = SIDE_OFFSET * np.abs(dk)
+    return _factored_power(symbol, zeros, lam, base, dk + eps) - _factored_power(
+        symbol, zeros, lam, base, dk - eps
+    )
+
+
+@functools.cache
+def _tanh_sinh_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tanh-sinh rule on [-1, 1]: nodes tanh((pi/2) sinh s) at s = j h.
+
+    h = TANH_SINH_STEP and |s| <= TANH_SINH_EXTENT. Returns each node's
+    signed distance to its nearer endpoint (positive: measured up from -1;
+    negative: down from +1; node 0 is the midpoint), its weight in the rule
+    of step h, and its weight in the rule of step 2h on the same nodes
+    (doubled on even j, zero on odd). The distance 1 - tanh(x) is formed as
+    2 / (1 + e^{2x}), so the outermost nodes, about 1e-275 from their
+    endpoint, keep their digits instead of rounding onto it. Built on the
+    first contour quadrature, not at import, like the Gauss-Legendre rule.
+    """
+    count = int(round(TANH_SINH_EXTENT / TANH_SINH_STEP))
+    s = TANH_SINH_STEP * np.arange(count + 1)
+    x = 0.5 * math.pi * np.sinh(s)
+    gap = 2.0 / (1.0 + np.exp(2.0 * x))
+    weight = TANH_SINH_STEP * 0.5 * math.pi * np.cosh(s) / np.cosh(x) ** 2
+    coarse = np.where(np.arange(count + 1) % 2 == 0, 2.0 * weight, 0.0)
+    return (
+        np.concatenate([gap, -gap[1:]]),
+        np.concatenate([weight, weight[1:]]),
+        np.concatenate([coarse, coarse[1:]]),
     )
 
 
 def branch_cut_kernel(symbol: SymbolPolynomial, lam: float, r: float) -> float:
     """Kernel value R^lam(r) via upper-half-plane contour pieces.
 
-    For fractional lam each zero k_i = u_i + i v_i contributes
+    For fractional lam each vertical line through zeros, starting at its
+    lowest zero k_0 = u + i v, contributes
 
-        e^{(i u_i - v_i) r} Int_0^inf disc_i(rho) (u_i + i (v_i + rho))
-                                      e^{-rho r} d rho / (2 pi)^2 r,
+        e^{(i u - v) r} Int_0^inf disc(rho) (u + i (v + rho))
+                                  e^{-rho r} d rho / (2 pi)^2 r,
 
-    where disc_i is the principal-branch discontinuity across the vertical
-    ray. The substitution rho = t^2 absorbs the inverse-square-root edge of
-    the discontinuity, so an adaptive quadrature sees a smooth integrand.
-    Exact for symbols whose zeros lie on the imaginary axis (any product of
+    where disc is the discontinuity of the adapted-branch power across the
+    ray; higher zeros on the same line lie on that ray and only split it
+    into intervals. Each interval, up to rho = RHO_CUTOFF / r, is integrated
+    by a fixed tanh-sinh rule (Takahasi & Mori 1974), whose nodes cluster
+    double-exponentially at both ends and so absorb the integrable
+    rho^lam edges there; nodes are placed by their distance to the nearer
+    end, and the integrand is evaluated relative to that end, so it stays
+    exact at the branch points. The error estimate is the difference
+    between the rules of step h and 2h on the same samples. Exact for
+    symbols whose zeros lie on the imaginary axis (any product of
     positive-mass factors); lam = -1 is routed to the residue formula.
     """
     if r <= 0:
@@ -255,44 +315,42 @@ def branch_cut_kernel(symbol: SymbolPolynomial, lam: float, r: float) -> float:
             f"integer lambda = {int(round(lam))} not supported; only -1 has "
             "the simple-pole residue form"
         )
-    # scipy loads here, on the first quadrature, so that importing the package
-    # (and every lattice layer) never pays for it
-    from scipy import integrate
-
-    t_max = math.sqrt(RHO_CUTOFF / r)
+    gap, weight, coarse_weight = _tanh_sinh_rule()
+    from_lower = gap > 0
+    cutoff = RHO_CUTOFF / r
+    # zeros on one vertical line share one cut, integrated from the lowest up
+    lines: list[list[complex]] = []
+    for k in sorted(branch.zeros, key=lambda z: z.imag):
+        for line in lines:
+            if abs(line[0].real - k.real) < 1e-12:
+                line.append(k)
+                break
+        else:
+            lines.append([k])
     total = 0.0 + 0.0j
-    for i, k0 in enumerate(branch.zeros):
+    for k0, *higher in lines:
         u, v = k0.real, k0.imag
-
-        def integrand(t: float, _k0=k0, _u=u, _v=v) -> complex:
-            if t == 0.0:
-                return 0.0
-            rho = t * t
-            disc = _cut_discontinuity(symbol, branch.s_roots, lam, _k0, rho)
-            return disc * (_u + 1j * (_v + rho)) * math.exp(-rho * r) * 2.0 * t
-
-        # quad integrates real functions; do real and imaginary parts
-        breaks = [
-            math.sqrt(other.imag - v)
-            for j, other in enumerate(branch.zeros)
-            if j != i and abs(other.real - u) < 1e-12 and other.imag > v
-            and other.imag - v < RHO_CUTOFF / r
-        ]
-        with warnings.catch_warnings():
-            # roundoff chatter near the subtraction scale; the explicit error
-            # check below is the convergence gate
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            re_val, re_err = integrate.quad(
-                lambda t: integrand(t).real, 0.0, t_max,
-                limit=200, epsabs=0.0, epsrel=QUAD_RTOL, points=breaks or None,
-            )
-            im_val, im_err = integrate.quad(
-                lambda t: integrand(t).imag, 0.0, t_max,
-                limit=200, epsabs=0.0, epsrel=QUAD_RTOL, points=breaks or None,
-            )
-        piece = complex(re_val, im_val)
-        err = math.hypot(re_err, im_err)
-        if err > 1e-7 * (abs(piece) + 1e-300):
+        breaks = [k for k in higher if k.imag - v < cutoff]
+        ends = [0.0, *(k.imag - v for k in breaks), cutoff]
+        anchors = [k0, *breaks, k0 + 1j * cutoff]
+        piece = coarse = 0.0 + 0.0j
+        for lo, hi, k_lo, k_hi in zip(ends, ends[1:], anchors, anchors[1:]):
+            half = 0.5 * (hi - lo)
+            offset = half * gap
+            rho = np.where(from_lower, lo, hi) + offset
+            base = np.where(from_lower, k_lo, k_hi)
+            # at a non-integrable edge (lam < -1) the outermost samples
+            # overflow; the inf or nan they leave fails the error gate below
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = (
+                    _cut_discontinuity(symbol, branch.zeros, lam, base, 1j * offset)
+                    * (u + 1j * (v + rho))
+                    * np.exp(-rho * r)
+                )
+                piece += half * (values @ weight)
+                coarse += half * (values @ coarse_weight)
+        err = abs(piece - coarse)
+        if not err <= 1e-7 * (abs(piece) + 1e-300):  # a nan error fails too
             raise AsymptoticsError(
                 f"cut integral at zero {k0:.6g} converged only to {err:.3e}"
             )
@@ -309,6 +367,16 @@ def branch_cut_kernel(symbol: SymbolPolynomial, lam: float, r: float) -> float:
 # direct oscillatory route
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """GAUSS_POINTS-point nodes and weights on [-1, 1], built on first use.
+
+    leggauss solves an eigenproblem; at import it would be the first LAPACK
+    call of runs that never reach this route.
+    """
+    return np.polynomial.legendre.leggauss(GAUSS_POINTS)
+
+
 def direct_radial_integral(symbol: SymbolPolynomial, lam: float, r: float) -> float:
     """Kernel value by direct integration of k P(k^2)^lam sin(kr).
 
@@ -321,14 +389,12 @@ def direct_radial_integral(symbol: SymbolPolynomial, lam: float, r: float) -> fl
         raise ValueError("radius must be positive")
     _require_convergent(lam)
     find_branch_points(symbol)  # validates positivity of the symbol
-    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_POINTS)
+    nodes, weights = _gauss_legendre_rule()
     half = math.pi / r
-    panel_sums = np.empty(PANELS)
-    for n in range(PANELS):
-        lo = n * half
-        k = lo + (nodes + 1.0) * (half / 2.0)
-        values = k * np.asarray(self_energy(symbol, k)) ** lam * np.sin(k * r)
-        panel_sums[n] = float(values @ weights) * (half / 2.0)
+    # one row of GAUSS_POINTS nodes per panel
+    k = (np.arange(PANELS) * half)[:, None] + (nodes + 1.0) * (half / 2.0)
+    values = k * self_energy(symbol, k) ** lam * np.sin(k * r)
+    panel_sums = (values @ weights) * (half / 2.0)
     partial = np.cumsum(panel_sums)
     estimates = [partial[-1]]
     current = partial

@@ -404,21 +404,20 @@ def _run_oracle_verify(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     alpha[0], alpha[1] = direction
     state = particle_from_modes(ModeVector(spectrum=spec, alpha=alpha))
     vac = fock_oracle.vacuum(space)
+    sites = range(lattice.nsites)
+    fields = {
+        which: [fock_oracle.field_operator(space, x, which) for x in sites]
+        for which in ("phi", "pi")
+    }
     rows = []
     for name, fn in PROBES.items():
         analytic = fn(state)
         worst = 0.0
-        for x in range(lattice.nsites):
+        for x in sites:
+            field = fields["phi" if name == "phi2" else "pi"][x]
+            op = field @ field
             if name == "energy":
-                phi_op = fock_oracle.field_operator(space, x, "phi")
-                pi_op = fock_oracle.field_operator(space, x, "pi")
-                op = 0.5 * (pi_op @ pi_op)
-                op = op + 0.5 * _sandwich_r(spec, space, x)
-            else:
-                base = fock_oracle.field_operator(
-                    space, x, "phi" if name == "phi2" else "pi"
-                )
-                op = base @ base
+                op = 0.5 * op + 0.5 * _sandwich_r(spec, space, x)
             excess = (
                 fock_oracle.expectation(state_fock, op).real
                 - fock_oracle.expectation(vac, op).real
@@ -431,12 +430,11 @@ def _run_oracle_verify(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     spec3 = diagonalize(build_klein_gordon(config.mass, lattice3))
     space3 = fock_oracle.build_fock(spec3, (0, 1, 2), n_max=6)
     vac3 = fock_oracle.vacuum(space3)
+    phi3 = [fock_oracle.field_operator(space3, x, "phi") for x in range(3)]
     worst = 0.0
     for x in range(3):
         for y in range(3):
-            phi_x = fock_oracle.field_operator(space3, x, "phi")
-            phi_y = fock_oracle.field_operator(space3, y, "phi")
-            oracle = fock_oracle.expectation(vac3, (phi_x @ phi_y).tocsr()).real
+            oracle = fock_oracle.expectation(vac3, (phi3[x] @ phi3[y]).tocsr()).real
             worst = max(worst, abs(oracle - vacuum_two_point(spec3, x, y)))
     checks.append(_check("vacuum_two_point", worst, 0.0, 1e-8))
     rows.append(("two_point", worst, 1e-8))

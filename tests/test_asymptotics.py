@@ -9,6 +9,7 @@ import pytest
 from scipy import special
 
 from emergence_lab.asymptotics import (
+    AsymptoticsError,
     BranchStructure,
     SymbolPolynomial,
     branch_cut_kernel,
@@ -118,7 +119,8 @@ def test_inverse_sqrt_kernel_is_bessel(mass, r):
     sym = SymbolPolynomial.klein_gordon(mass)
     got = branch_cut_kernel(sym, -0.5, r)
     want = mass * special.k1(mass * r) / (2.0 * math.pi**2 * r)
-    assert got == pytest.approx(want, rel=1e-12)
+    # abs=0: approx's default absolute 1e-12 would dwarf rel on values ~1e-3
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("mass,r", [(1.0, 2.0), (1.5, 5.0)])
@@ -131,14 +133,25 @@ def test_inverse_kernel_is_yukawa(mass, r):
 
 
 @pytest.mark.parametrize("sym", [KG, TWO_FACTOR], ids=["kg", "two-factor"])
-@pytest.mark.parametrize("lam", [-0.5, -1.0])
-@pytest.mark.parametrize("r", [2.0, 4.0, 8.0])
+@pytest.mark.parametrize("lam", [-0.5, -0.6, -0.75, -0.9, -1.0])
+@pytest.mark.parametrize("r", [2.0, 4.0, 8.0, 15.0])
 def test_contour_and_direct_routes_agree(sym, lam, r):
+    # two-factor zeros i and 2i share one vertical line: above 2i the jump
+    # vanishes only at lam = -1/2, so other exponents fail if that part of
+    # the cut is counted twice
     a = branch_cut_kernel(sym, lam, r)
     b = direct_radial_integral(sym, lam, r)
     assert a == pytest.approx(b, rel=1e-4)
     # both routes are far better than the gate in practice
     assert abs(a - b) <= 1e-8 * abs(b)
+
+
+@pytest.mark.parametrize("sym", [KG, TWO_FACTOR], ids=["kg", "two-factor"])
+@pytest.mark.parametrize("lam", [-1.05, -1.25, -1.5])
+def test_non_integrable_cut_raises(sym, lam):
+    # the jump grows as rho^lam at the branch point: not integrable below -1
+    with pytest.raises(AsymptoticsError, match="converged only"):
+        branch_cut_kernel(sym, lam, 4.0)
 
 
 def test_divergent_exponent_rejected():

@@ -1,10 +1,11 @@
-"""Import cost: scipy loads only in the layers that call it.
+"""Import cost: scipy loads only in the layer that calls it.
 
 The lattice layers (kernels, modes, geometry, localization, ELP, Newton-
-Wigner, Segal forms) are pure numpy; scipy is needed only by the continuum
-contour quadrature (``asymptotics``) and the Fock oracle (``oracle-verify``).
-These tests run fresh interpreters, because this test process has imported
-scipy itself.
+Wigner, Segal forms) and the continuum kernels (``asymptotics``, whose
+contour and direct quadratures are numpy rules) are pure numpy; scipy is
+needed only by the Fock oracle (``oracle-verify``), which loads it on first
+call. These tests run fresh interpreters, because this test process has
+imported scipy itself.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from emergence_lab.cli import EXIT_PASS, main
 
 SRC = str(Path(emergence_lab.__file__).resolve().parent.parent)
 
-LATTICE_EXPERIMENTS = (
+NUMPY_EXPERIMENTS = (
     "kernel", "modes-check", "geometry-check", "localize", "elp", "nw",
-    "segal-check",
+    "segal-check", "asymptotics",
 )
-SCIPY_EXPERIMENTS = ("asymptotics", "oracle-verify")
+SCIPY_EXPERIMENTS = ("oracle-verify",)
 
 BLOCKED_RUN = """
 import importlib.abc, json, sys
@@ -88,10 +89,10 @@ def _write_cfg(tmp_path: Path, experiment: str, shape: str) -> str:
     return str(path)
 
 
-def test_lattice_layers_run_with_scipy_blocked(tmp_path):
+def test_numpy_layers_run_with_scipy_blocked(tmp_path):
     runs = [
         (exp, _write_cfg(tmp_path, exp, "64"), str(tmp_path / "blocked" / exp))
-        for exp in LATTICE_EXPERIMENTS
+        for exp in NUMPY_EXPERIMENTS
     ]
     done = _python([BLOCKED_RUN, json.dumps(runs)], cwd=tmp_path)
     assert done.returncode == 0, done.stderr
