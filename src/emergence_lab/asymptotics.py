@@ -302,7 +302,9 @@ def branch_cut_kernel(symbol: SymbolPolynomial, lam: float, r: float) -> float:
     exact at the branch points. The error estimate is the difference
     between the rules of step h and 2h on the same samples. Exact for
     symbols whose zeros lie on the imaginary axis (any product of
-    positive-mass factors); lam = -1 is routed to the residue formula.
+    positive-mass factors); lam = -1 is routed to the residue formula, and
+    other exponents raise NotImplementedError for zeros off that axis, whose
+    per-factor cuts are not the vertical rays integrated here.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
@@ -314,6 +316,13 @@ def branch_cut_kernel(symbol: SymbolPolynomial, lam: float, r: float) -> float:
         raise NotImplementedError(
             f"integer lambda = {int(round(lam))} not supported; only -1 has "
             "the simple-pole residue form"
+        )
+    off_axis = [k for k in branch.zeros if abs(k.real) > 1e-9 * max(1.0, abs(k))]
+    if off_axis:
+        raise NotImplementedError(
+            "cut route needs zeros on the imaginary axis; zeros "
+            + ", ".join(f"{k:.6g}" for k in off_axis)
+            + " lie off it"
         )
     gap, weight, coarse_weight = _tanh_sinh_rule()
     from_lower = gap > 0

@@ -28,7 +28,6 @@ import numpy as np
 # Eigenvalues below POSITIVITY_FLOOR * lambda_max are treated as violations of
 # strict positivity rather than numerical noise.
 POSITIVITY_FLOOR = 1e-10
-SYMMETRY_RTOL = 1e-12
 DISTANCE_BIN = 1e-9
 # Translation-invariant operators up to this many sites keep matrix-product
 # transforms over a closed-form Hartley basis; above it they transform by FFT.
@@ -39,7 +38,7 @@ DENSE_TRANSFORM_MAX_SITES = 256
 
 
 class AxiomError(ValueError):
-    """The operator violates a structural requirement (symmetry/positivity)."""
+    """The operator violates a structural requirement (strict positivity)."""
 
 
 class LatticeMismatchError(ValueError):
@@ -124,62 +123,49 @@ class Lattice:
 # the operator R and its spectrum
 # ---------------------------------------------------------------------------
 
+@dataclasses.dataclass(frozen=True, eq=False)
 class ROperator:
-    """Symmetric operator R over lattice sites (application form).
+    """R = mass_squared - Laplacian over lattice sites (application form).
 
-    Two forms share this class. The stencil form, made by
-    ``build_klein_gordon`` and ``build_variable_coefficient``, stores only
-    ``mass_squared`` (a scalar, or one value per site) for
-    R = mass_squared - Laplacian with the 3-point central stencil per axis and
-    periodic wrap: ``apply`` is an O(N) neighbour sum, and the dense
-    ``matrix`` is built on first read. Its + and - neighbour weights are
-    equal, so it is symmetric by construction. The explicit form holds a
-    caller's dense ``matrix``, checked for shape and symmetry here, and
-    applies it as a matrix product; ``mass_squared`` is then None.
-
-    ``stencil_radius`` is the locality radius in integer site steps when the
-    operator came from a differential stencil; None when unknown.
+    ``mass_squared`` is a scalar, or one value per site; the Laplacian is the
+    3-point central stencil per axis with periodic wrap. ``apply`` is an O(N)
+    neighbour sum, and the dense ``matrix`` is built from it on first read.
+    The + and - neighbour weights are equal, so R is symmetric by
+    construction. Equality is identity.
     """
 
-    def __init__(
-        self,
-        lattice: Lattice,
-        matrix: np.ndarray | None = None,
-        stencil_radius: int | None = None,
-        *,
-        mass_squared=None,
-    ):
-        if (matrix is None) == (mass_squared is None):
-            raise ValueError("give exactly one of matrix and mass_squared")
-        self.lattice = lattice
-        self.stencil_radius = stencil_radius
-        n = lattice.nsites
-        if matrix is None:
-            mass = np.asarray(mass_squared, dtype=float)
-            if mass.ndim and mass.size != n:
-                raise ValueError(f"mass_squared has {mass.size} values for {n} sites")
-            self.mass_squared = mass.reshape(-1) if mass.ndim else float(mass)
-            return
-        self.mass_squared = None
-        m = np.asarray(matrix, dtype=float)
-        if m.shape != (n, n):
-            raise ValueError(f"matrix shape {m.shape} does not match {n} sites")
-        scale = np.abs(m).max()
-        if scale > 0 and np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
-            raise AxiomError("operator matrix is not symmetric")
-        # an explicit matrix shadows the lazily built one below
-        self.matrix = m
+    lattice: Lattice
+    mass_squared: float | np.ndarray
+
+    def __post_init__(self):
+        n = self.lattice.nsites
+        mass = np.asarray(self.mass_squared, dtype=float)
+        if mass.ndim and mass.size != n:
+            raise ValueError(f"mass_squared has {mass.size} values for {n} sites")
+        object.__setattr__(
+            self, "mass_squared", mass.reshape(-1) if mass.ndim else float(mass)
+        )
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        """Dense matrix of the stencil form, built on first read."""
-        return _mass_minus_laplacian(self.mass_squared, self.lattice)
+        """Dense matrix, built on first read as R applied to the identity."""
+        return self.apply(np.eye(self.lattice.nsites))
 
     def apply(self, field: np.ndarray) -> np.ndarray:
         """R field, for a field indexed by site along its leading axis."""
-        if self.mass_squared is None:
-            return self.matrix @ field
-        return _stencil_apply(self.mass_squared, self.lattice, field)
+        shape = self.lattice.shape
+        grid = field.reshape(shape + field.shape[1:])
+        inv_a2 = 1.0 / self.lattice.spacing**2
+        lap = np.zeros_like(grid)
+        for ax in range(self.lattice.ndim):
+            lap += inv_a2 * np.roll(grid, -1, axis=ax)  # field(x + e)
+            lap += inv_a2 * np.roll(grid, 1, axis=ax)  # field(x - e)
+            lap -= 2.0 * inv_a2 * grid
+        mass = np.reshape(
+            self.mass_squared, np.shape(self.mass_squared) + (1,) * (field.ndim - 1)
+        )
+        # 0.0 - lap, not -lap: it leaves no negative zeros
+        return (0.0 - lap).reshape(field.shape) + mass * field
 
 
 @dataclasses.dataclass(frozen=True)
@@ -295,58 +281,6 @@ def _hartley_basis(lattice: Lattice, modes: np.ndarray) -> np.ndarray:
     return cas[phase]
 
 
-def _laplacian_matrix(lattice: Lattice) -> np.ndarray:
-    """Second-order central-difference Laplacian with periodic wrap."""
-    n = lattice.nsites
-    lap = np.zeros((n, n))
-    inv_a2 = 1.0 / lattice.spacing**2
-    coords = lattice.site_coords()
-    for ax, extent in enumerate(lattice.shape):
-        step = np.zeros(lattice.ndim, dtype=int)
-        step[ax] = 1
-        plus = (coords + step) % lattice.shape
-        minus = (coords - step) % lattice.shape
-        plus_idx = np.ravel_multi_index(plus.T, lattice.shape)
-        minus_idx = np.ravel_multi_index(minus.T, lattice.shape)
-        rows = np.arange(n)
-        lap[rows, plus_idx] += inv_a2
-        lap[rows, minus_idx] += inv_a2
-        lap[rows, rows] -= 2.0 * inv_a2
-    return lap
-
-
-def _mass_minus_laplacian(mass_squared, lattice: Lattice) -> np.ndarray:
-    """mass_squared (scalar or per site) on the diagonal minus the Laplacian.
-
-    Built in the Laplacian's own storage, so no other N x N array is made.
-    """
-    matrix = _laplacian_matrix(lattice)
-    np.subtract(0.0, matrix, out=matrix)
-    idx = np.arange(lattice.nsites)
-    matrix[idx, idx] += mass_squared
-    return matrix
-
-
-def _stencil_apply(mass_squared, lattice: Lattice, field: np.ndarray) -> np.ndarray:
-    """(mass_squared - Laplacian) field by periodic neighbour sums, in O(N).
-
-    Terms accumulate in the order ``_mass_minus_laplacian`` adds matrix
-    entries, so applied to a unit vector this returns the matrix column bit
-    for bit.
-    """
-    shape = lattice.shape
-    grid = field.reshape(shape + field.shape[1:])
-    inv_a2 = 1.0 / lattice.spacing**2
-    lap = np.zeros_like(grid)
-    for ax in range(lattice.ndim):
-        lap += inv_a2 * np.roll(grid, -1, axis=ax)  # field(x + e)
-        lap += inv_a2 * np.roll(grid, 1, axis=ax)  # field(x - e)
-        lap -= 2.0 * inv_a2 * grid
-    mass = np.reshape(mass_squared, np.shape(mass_squared) + (1,) * (field.ndim - 1))
-    # 0.0 - lap, not -lap: like the matrix build, it leaves no negative zeros
-    return (0.0 - lap).reshape(field.shape) + mass * field
-
-
 def build_klein_gordon(mass: float, lattice: Lattice) -> ROperator:
     """R = mass^2 - Laplacian (3-point central stencil per axis, periodic).
 
@@ -358,7 +292,7 @@ def build_klein_gordon(mass: float, lattice: Lattice) -> ROperator:
             f"mass must be strictly positive (got {mass}); the constant mode "
             "would violate strict positivity of R"
         )
-    return ROperator(lattice, stencil_radius=1, mass_squared=mass**2)
+    return ROperator(lattice, mass**2)
 
 
 def build_variable_coefficient(mass_field: np.ndarray, lattice: Lattice) -> ROperator:
@@ -370,14 +304,14 @@ def build_variable_coefficient(mass_field: np.ndarray, lattice: Lattice) -> ROpe
         )
     if np.any(m <= 0):
         raise AxiomError("mass_field must be strictly positive everywhere")
-    return ROperator(lattice, stencil_radius=1, mass_squared=m**2)
+    return ROperator(lattice, m**2)
 
 
 def klein_gordon_symbol_eigenvalues(mass: float, lattice: Lattice) -> np.ndarray:
     """Closed-form circulant eigenvalues m^2 + sum_ax (2 - 2 cos(2 pi j/N))/a^2.
 
     Returned in ascending order; used as an independent cross-check on the
-    FFT symbol that ``diagonalize`` reads off the matrix.
+    FFT symbol that ``diagonalize`` reads off R applied to a unit vector.
     """
     coords = lattice.site_coords()
     vals = np.full(lattice.nsites, mass**2)
@@ -387,39 +321,23 @@ def klein_gordon_symbol_eigenvalues(mass: float, lattice: Lattice) -> np.ndarray
     return np.sort(vals)
 
 
-def _is_translation_invariant(op: ROperator) -> bool:
-    """True when matrix[x + e, y + e] == matrix[x, y] exactly for every axis step e.
-
-    The stencil form is invariant exactly when its mass is one value; an
-    explicit matrix is compared with its one-step rolls.
-    """
-    if op.mass_squared is not None:
-        mass = np.ravel(op.mass_squared)
-        return bool(np.all(mass == mass[0]))
-    shape = op.lattice.shape
-    ndim = len(shape)
-    grid = op.matrix.reshape(shape + shape)
-    return all(
-        np.array_equal(grid, np.roll(grid, 1, axis=(ax, ndim + ax)))
-        for ax in range(ndim)
-    )
-
-
 def diagonalize(op: ROperator) -> Spectrum:
     """Full eigendecomposition; raises AxiomError if strict positivity fails.
 
-    Eigenvalues ascend; eigenvectors are L2-orthonormalized. A translation
-    invariant operator is diagonalized in closed form: its eigenvalues are the
-    FFT of R applied to the unit vector at site 0 (by symmetry, matrix row 0,
-    which the stencil form never builds), and each degenerate subspace (the
-    +-k pairs and any accidental coincidences) gets the real Hartley modes
-    cas(2 pi k.x/N) of its wavevectors, in stable ascending order of the
-    symbol. Every other operator goes to the dense solver, and degenerate
-    subspaces come back with the (deterministic) basis it picks.
+    Eigenvalues ascend; eigenvectors are L2-orthonormalized. When the mass is
+    one value R is translation invariant and is diagonalized in closed form:
+    its eigenvalues are the FFT of R applied to the unit vector at site 0 (by
+    symmetry, matrix row 0, which is never built), and each degenerate
+    subspace (the +-k pairs and any accidental coincidences) gets the real
+    Hartley modes cas(2 pi k.x/N) of its wavevectors, in stable ascending
+    order of the symbol. A mass that varies over the sites sends the dense
+    matrix to the eigensolver, and degenerate subspaces come back with the
+    (deterministic) basis it picks.
     """
     lattice = op.lattice
-    if _is_translation_invariant(op):
-        row = op.matrix[0] if op.mass_squared is None else op.apply(_unit(lattice, 0))
+    mass = np.ravel(op.mass_squared)
+    if np.all(mass == mass[0]):
+        row = op.apply(_unit(lattice, 0))
         symbol = np.fft.fftn(row.reshape(lattice.shape)).real.reshape(-1)
         modes = np.argsort(symbol, kind="stable")
         vals, dense = symbol[modes], None
@@ -451,27 +369,6 @@ def _unit(lattice: Lattice, site: int) -> np.ndarray:
 
 def _is_nonneg_integer(x: float) -> bool:
     return x >= 0 and abs(x - round(x)) < 1e-12
-
-
-def fractional_power(spec: Spectrum, exponent: float) -> ROperator:
-    """Dense R^exponent.
-
-    Nonnegative integer exponents are computed by repeated multiplication of
-    the original matrix so strict locality is exact (entries beyond
-    stencil_radius * exponent are identical zeros). Everything else goes
-    through the spectral sum sum_k omega_k^(2 exponent) f_k f_k^T.
-    """
-    lattice = spec.lattice
-    if _is_nonneg_integer(exponent):
-        n = int(round(exponent))
-        matrix = np.linalg.matrix_power(spec.operator.matrix, n)
-        base_radius = spec.operator.stencil_radius
-        radius = None if base_radius is None else base_radius * n
-        return ROperator(lattice=lattice, matrix=matrix, stencil_radius=radius)
-    weights = spec.eigenvalues**exponent
-    matrix = (spec.basis * weights) @ spec.basis.T * lattice.cell
-    matrix = 0.5 * (matrix + matrix.T)
-    return ROperator(lattice=lattice, matrix=matrix, stencil_radius=None)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +421,7 @@ def kernel_profile(spec: Spectrum, exponent: float, source: int) -> KernelProfil
     """Profile of the R^exponent kernel as seen from one source site.
 
     A nonnegative integer exponent n applies R n times to the unit vector at
-    the source, so entries beyond n * stencil_radius stay exact zeros.
+    the source, so entries more than n stencil steps away stay exact zeros.
     """
     lattice = spec.lattice
     if _is_nonneg_integer(exponent):

@@ -1,0 +1,42 @@
+"""Dense reference for the Klein-Gordon operator R and its real powers.
+
+The package applies R = mass_squared - Laplacian by periodic neighbour sums
+(``np.roll``). This module writes the same operator out entry by entry, by
+scattering the 3-point stencil weights at the raveled neighbour indices of
+each site, so a test that compares the two does not compare the stencil code
+with itself. Powers of R come from ``numpy.linalg.eigh`` of that dense
+matrix, never from a package ``Spectrum``.
+"""
+
+import numpy as np
+
+
+def klein_gordon_matrix(lattice, mass_squared) -> np.ndarray:
+    """mass_squared (scalar or per site) on the diagonal minus the Laplacian.
+
+    Entries add in the order the stencil sums its terms (+ neighbour,
+    - neighbour, centre, axis by axis), so the result matches the package's
+    ``ROperator.matrix`` bit for bit.
+    """
+    n = lattice.nsites
+    lap = np.zeros((n, n))
+    inv_a2 = 1.0 / lattice.spacing**2
+    coords = lattice.site_coords()
+    rows = np.arange(n)
+    for ax in range(lattice.ndim):
+        step = np.zeros(lattice.ndim, dtype=int)
+        step[ax] = 1
+        plus = np.ravel_multi_index(((coords + step) % lattice.shape).T, lattice.shape)
+        minus = np.ravel_multi_index(((coords - step) % lattice.shape).T, lattice.shape)
+        lap[rows, plus] += inv_a2
+        lap[rows, minus] += inv_a2
+        lap[rows, rows] -= 2.0 * inv_a2
+    matrix = 0.0 - lap
+    matrix[rows, rows] += mass_squared
+    return matrix
+
+
+def dense_power(matrix: np.ndarray, exponent: float) -> np.ndarray:
+    """matrix^exponent of a symmetric positive matrix, through ``eigh``."""
+    vals, vecs = np.linalg.eigh(matrix)
+    return (vecs * vals**exponent) @ vecs.T

@@ -123,13 +123,13 @@ def test_inverse_sqrt_kernel_is_bessel(mass, r):
     assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("mass,r", [(1.0, 2.0), (1.5, 5.0)])
+@pytest.mark.parametrize("mass,r", [(1.0, 2.0), (1.5, 5.0), (0.5, 1.0), (2.0, 3.0)])
 def test_inverse_kernel_is_yukawa(mass, r):
     # lambda = -1 collapses to the residue at the pole: exp(-m r) / (4 pi r)
     sym = SymbolPolynomial.klein_gordon(mass)
     got = branch_cut_kernel(sym, -1.0, r)
     want = math.exp(-mass * r) / (4.0 * math.pi * r)
-    assert got == pytest.approx(want, rel=1e-14)
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("sym", [KG, TWO_FACTOR], ids=["kg", "two-factor"])
@@ -164,6 +164,26 @@ def test_divergent_exponent_rejected():
 def test_other_negative_integers_not_implemented():
     with pytest.raises(NotImplementedError):
         branch_cut_kernel(KG, -2.0, 1.0)
+
+
+# zeros +-0.5 + 0.866i and +-0.763 + 0.912i: no vertical cut carries the jump
+OFF_AXIS = [SymbolPolynomial((1.0, 1.0, 1.0)), SymbolPolynomial((2.0, 0.5, 1.0))]
+
+
+@pytest.mark.parametrize("sym", OFF_AXIS, ids=["1-1-1", "2-0.5-1"])
+@pytest.mark.parametrize("lam", [-0.5, -0.75])
+def test_off_axis_zeros_not_implemented(sym, lam):
+    with pytest.raises(NotImplementedError, match="off it"):
+        branch_cut_kernel(sym, lam, 4.0)
+
+
+@pytest.mark.parametrize("sym", OFF_AXIS, ids=["1-1-1", "2-0.5-1"])
+@pytest.mark.parametrize("r", [2.0, 4.0, 8.0])
+def test_off_axis_residue_matches_direct(sym, r):
+    # the residue route closes the contour around poles, wherever they lie
+    a = branch_cut_kernel(sym, -1.0, r)
+    b = direct_radial_integral(sym, -1.0, r)
+    assert abs(a - b) <= 1e-8 * abs(b)
 
 
 def test_nonpositive_radius_rejected():

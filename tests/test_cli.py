@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emergence_lab.cli import (
     EXIT_CHECK_FAILURE,
@@ -15,7 +18,7 @@ from emergence_lab.cli import (
     emit_table,
     main,
 )
-from emergence_lab.experiments import Table
+from emergence_lab.experiments import EXPERIMENT_NAMES, Table
 
 
 def write_cfg(tmp_path: Path, text: str) -> str:
@@ -154,6 +157,32 @@ def test_numeric_failure_exits_three(tmp_path, capsys):
     code = main(["asymptotics", "--config", cfg, "--out", str(tmp_path)])
     assert code == EXIT_NUMERIC
     assert "numeric failure" in capsys.readouterr().err
+
+
+SHAPES = st.one_of(
+    st.tuples(st.integers(1, 64)),
+    st.lists(st.integers(1, 8), min_size=2, max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    experiment=st.sampled_from(EXPERIMENT_NAMES),
+    shape=SHAPES,
+    spacing=st.sampled_from([0.05, 0.3, 1.0, 3.0]),
+    mass=st.sampled_from([0.05, 1.0, 4.0, 30.0]),
+)
+def test_any_small_config_ends_in_an_exit_code(experiment, shape, spacing, mass):
+    # outside an experiment's domain of validity a run must end in a
+    # documented exit code, never in a traceback
+    text = (
+        f"shape = {' '.join(map(str, shape))}\n"
+        f"spacing = {spacing!r}\nmass = {mass!r}\n"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_cfg(Path(tmp), text)
+        code = main([experiment, "--config", cfg, "--out", tmp])
+    assert code in (EXIT_PASS, EXIT_CHECK_FAILURE, EXIT_USAGE, EXIT_NUMERIC)
 
 
 # ---------------------------------------------------------------------------
