@@ -7,7 +7,9 @@ Usage::
 where experiment is one of kernel, modes-check, geometry-check,
 oracle-verify, localize, elp, nw, asymptotics, segal-check, or all. The
 config file is a flat ``key = value`` text file (see serialize.read_config);
-keys it may set are the ExperimentConfig fields. --seed overrides the file.
+keys it may set are the ExperimentConfig fields, and each value is parsed
+and validated by its field's type (experiments.config_from_mapping). --seed
+overrides the file.
 
 Outputs land in the --out directory: ``report.<experiment>.json`` with the
 per-check records, and one ``<table>.tsv`` per data table, each with a ``#``
@@ -15,8 +17,9 @@ metadata preamble. Timing is printed to stdout only, so identical configs
 produce byte-identical files.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-config error, 3 numeric failure (axiom violation, non-convergent quadrature,
-linear-algebra breakdown).
+config error (including a malformed or out-of-range config value), 3 numeric
+failure (axiom violation, non-convergent quadrature, linear-algebra
+breakdown).
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+import typing
 
 import numpy as np
 
@@ -71,18 +72,6 @@ from .spectral import (
     kernel_profile,
 )
 
-EXPERIMENT_NAMES = (
-    "kernel",
-    "modes-check",
-    "geometry-check",
-    "oracle-verify",
-    "localize",
-    "elp",
-    "nw",
-    "asymptotics",
-    "segal-check",
-)
-
 # cutoff radius of truncated Gaussian progenitors, in units of the width;
 # 4 sigma keeps the edge value ~3e-4 of the peak, far above the support
 # threshold, so declared support is stable under superposition
@@ -140,67 +129,78 @@ class ExperimentConfig:
             raise ConfigError("time must be positive")
         if not self.width_compton > 0:
             raise ConfigError("width_compton must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
+        if self.shape:
+            try:
+                Lattice(self.shape, self.spacing)
+            except ValueError as exc:
+                raise ConfigError(f"shape must be 1 to 3 positive integers: {exc}") from None
 
 
-_INT_FIELDS = {"n_trials", "n_pairs", "seed"}
-_FLOAT_FIELDS = {
-    "spacing", "mass", "time", "width_compton",
-    "decay_rtol", "rate_rtol", "form_tol", "drift_tol", "nonrel_tol",
-}
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+_KIND_WORDS = {int: "integer", float: "number", str: "word"}
+
+
+def _parse_field(key: str, raw):
+    """Value of config field ``key`` from its text or a Python value.
+
+    Text is split on whitespace; a Python scalar or tuple is taken as it is.
+    Every token is read through ``str`` by the field's type, so ``true``,
+    ``True`` and ``64.7`` are refused for an integer rather than coerced.
+    Tuple fields take one or more tokens, scalar fields exactly one.
+    """
+    hint = _FIELD_TYPES[key]
+    many = typing.get_origin(hint) is tuple
+    kind = typing.get_args(hint)[0] if many else hint
+    if isinstance(raw, str):
+        tokens = raw.split()
+    else:
+        tokens = raw if isinstance(raw, tuple) else (raw,)
+    word = _KIND_WORDS[kind]
+    expected = f"one or more {word}s" if many else f"one {word}"
+    error = ConfigError(f"{key} must be {expected}, got {raw!r}")
+    if not tokens or (len(tokens) > 1 and not many):
+        raise error
+    try:
+        values = tuple(kind(str(t)) for t in tokens)
+    except ValueError:
+        raise error from None
+    return values if many else values[0]
 
 
 def config_from_mapping(experiment: str, mapping: dict) -> ExperimentConfig:
     """Build a validated config from a flat key mapping (a parsed file).
 
-    The experiment name comes from the command line, not the file; a file
-    that names one anyway must agree with it.
+    Each value is parsed by its ExperimentConfig field type. The experiment
+    name comes from the command line, not the file; a file that names one
+    anyway must agree with it.
     """
     values: dict = {}
     for key, raw in mapping.items():
-        if key == "experiment":
-            if str(raw) != experiment:
-                raise ConfigError(
-                    f"config names experiment {raw!r} but {experiment!r} was requested"
-                )
-            continue
-        if key == "shape":
-            items = raw if isinstance(raw, tuple) else (raw,)
-            try:
-                values["shape"] = tuple(int(n) for n in items)
-            except (TypeError, ValueError):
-                raise ConfigError(f"shape must be integers, got {raw!r}") from None
-        elif key == "lambdas":
-            items = raw if isinstance(raw, tuple) else (raw,)
-            try:
-                values["lambdas"] = tuple(float(x) for x in items)
-            except (TypeError, ValueError):
-                raise ConfigError(f"lambdas must be numbers, got {raw!r}") from None
-        elif key in _INT_FIELDS:
-            if isinstance(raw, bool) or not isinstance(raw, int):
-                raise ConfigError(f"{key} must be an integer, got {raw!r}")
-            values[key] = raw
-        elif key in _FLOAT_FIELDS:
-            if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-                raise ConfigError(f"{key} must be a number, got {raw!r}")
-            values[key] = float(raw)
-        else:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-    try:
-        return ExperimentConfig(experiment=experiment, **values)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+        values[key] = _parse_field(key, raw)
+    named = values.pop("experiment", experiment)
+    if named != experiment:
+        raise ConfigError(
+            f"config names experiment {named!r} but {experiment!r} was requested"
+        )
+    return ExperimentConfig(experiment=experiment, **values)
 
 
 def config_to_mapping(config: ExperimentConfig) -> dict:
-    """Flat echo of a config; inverse of config_from_mapping."""
-    out: dict = {"experiment": config.experiment}
-    if config.shape:
-        out["shape"] = config.shape if len(config.shape) > 1 else config.shape[0]
-    out["lambdas"] = config.lambdas if len(config.lambdas) > 1 else config.lambdas[0]
-    for key in sorted(_INT_FIELDS | _FLOAT_FIELDS):
-        out[key] = getattr(config, key)
+    """Flat echo of a config; inverse of config_from_mapping.
+
+    A one-element shape or lambdas echoes as its element, and the default
+    empty shape is left out.
+    """
+    out = dataclasses.asdict(config)
+    for key in ("shape", "lambdas"):
+        if len(out[key]) == 1:
+            out[key] = out[key][0]
+    if not config.shape:
+        del out["shape"]
     return out
 
 
@@ -691,6 +691,7 @@ _RUNNERS = {
     "asymptotics": _run_asymptotics,
     "segal-check": _run_segal_check,
 }
+EXPERIMENT_NAMES = tuple(_RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[RunReport, list[Table]]:

@@ -153,16 +153,13 @@ class CanonicalReport:
     ok: bool
 
 
-def check_canonical(spec: Spectrum, drop_mode: int | None = None) -> CanonicalReport:
+def check_canonical(spec: Spectrum) -> CanonicalReport:
     """Check the discrete relations that make (q_k, p_k) canonical.
 
     Orthonormality: sum_x f_j f_k cell = delta_jk. Completeness:
-    sum_k f_k(x) f_k(y) cell = delta_xy. ``drop_mode`` deliberately removes
-    one eigenvector to demonstrate the completeness defect (order 1/N).
+    sum_k f_k(x) f_k(y) cell = delta_xy.
     """
     basis = spec.basis
-    if drop_mode is not None:
-        basis = np.delete(basis, drop_mode, axis=1)
     cell = spec.lattice.cell
     eye_modes = np.eye(basis.shape[1])
     eye_sites = np.eye(basis.shape[0])

@@ -31,7 +31,6 @@ KAPPA = 0.5
 SUPPORT_EPS = 1e-6
 LOCALIZATION_GATE = 1.2
 FIT_WINDOW_COMPTON = (2.0, 10.0)
-PROBE_NAMES = ("phi2", "pi2", "energy")
 ZERO_TAIL_FLOOR = 1e-20  # relative: probe values below this count as vanished
 
 
@@ -157,12 +156,13 @@ def calibrate_kappa(
 # localization diagnostics
 # ---------------------------------------------------------------------------
 
-def support_sites(u: PhaseVector, eps: float = SUPPORT_EPS) -> np.ndarray:
-    """Boolean mask of sites where either field exceeds eps times the peak."""
+def support_sites(u: PhaseVector) -> np.ndarray:
+    """Boolean mask of sites where either field exceeds SUPPORT_EPS times the peak."""
     peak = max(float(np.abs(u.phi).max()), float(np.abs(u.pi).max()))
     if peak == 0.0:
         raise ValueError("zero state has no support")
-    return (np.abs(u.phi) > eps * peak) | (np.abs(u.pi) > eps * peak)
+    floor = SUPPORT_EPS * peak
+    return (np.abs(u.phi) > floor) | (np.abs(u.pi) > floor)
 
 
 def distance_beyond(lattice: Lattice, mask: np.ndarray) -> np.ndarray:
@@ -246,8 +246,8 @@ def localization_report(
     lo, hi = FIT_WINDOW_COMPTON
     window_abs = (lo * compton, hi * compton)
     results = []
-    for name in PROBE_NAMES:
-        values = PROBES[name](state)
+    for name, probe in PROBES.items():
+        values = probe(state)
         d_out, v_out = bin_by_distance(dist[outside], values[outside])
         in_window = (d_out >= window_abs[0]) & (d_out <= window_abs[1])
         floor = ZERO_TAIL_FLOOR * float(values.max())

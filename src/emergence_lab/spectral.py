@@ -219,9 +219,13 @@ class Spectrum:
         return scale * _hartley(self._on_grid(coeffs), self.lattice.shape)
 
     def apply_function(self, f, field: np.ndarray) -> np.ndarray:
-        """Apply f(R) to a field: sum_k f(lambda_k) <f_k, field> f_k."""
+        """Apply f(R) to a field: sum_k f(lambda_k) <f_k, field> f_k.
+
+        A 2-D field is a batch of fields, one per column.
+        """
+        weights = f(self.eigenvalues).reshape((self.nmodes,) + (1,) * (field.ndim - 1))
         # keep this order: the reversed complex product rounds differently
-        return self.synthesize(self.project(field) * f(self.eigenvalues))
+        return self.synthesize(self.project(field) * weights)
 
     def kernel_column(self, f, site: int) -> np.ndarray:
         """Integral kernel f(R)(y, site) = sum_k f(lambda_k) f_k(y) f_k(site)."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -18,7 +20,12 @@ from emergence_lab.cli import (
     emit_table,
     main,
 )
-from emergence_lab.experiments import EXPERIMENT_NAMES, Table
+from emergence_lab.experiments import (
+    EXPERIMENT_NAMES,
+    ConfigError,
+    Table,
+    config_from_mapping,
+)
 
 
 def write_cfg(tmp_path: Path, text: str) -> str:
@@ -183,6 +190,108 @@ def test_any_small_config_ends_in_an_exit_code(experiment, shape, spacing, mass)
         cfg = write_cfg(Path(tmp), text)
         code = main([experiment, "--config", cfg, "--out", tmp])
     assert code in (EXIT_PASS, EXIT_CHECK_FAILURE, EXIT_USAGE, EXIT_NUMERIC)
+
+
+# ---------------------------------------------------------------------------
+# config values
+# ---------------------------------------------------------------------------
+
+INT_KEYS = ("n_trials", "n_pairs", "seed")
+FLOAT_KEYS = (
+    "spacing", "mass", "time", "width_compton",
+    "decay_rtol", "rate_rtol", "form_tol", "drift_tol", "nonrel_tol",
+)
+NOT_AN_INTEGER = st.one_of(
+    st.sampled_from(["true", "false", "1.5", "2.0", "64.7", "1e3", "abc"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+NOT_A_NUMBER = st.sampled_from(["true", "false", "abc", "1.0.0", "--1", "0x10"])
+BAD_ENTRIES = st.one_of(
+    st.tuples(st.sampled_from(INT_KEYS), NOT_AN_INTEGER),
+    st.tuples(st.just("seed"), st.integers(-10**6, -1).map(str)),
+    st.tuples(st.sampled_from(FLOAT_KEYS + ("lambdas",)), NOT_A_NUMBER),
+    st.tuples(st.sampled_from(FLOAT_KEYS), st.floats(-1e6, 0.0).map(repr)),
+    st.tuples(st.sampled_from(("n_trials", "n_pairs")), st.integers(-5, 0).map(str)),
+    # shape: a non-integer extent, an extent below 1, or four or more axes
+    st.tuples(st.just("shape"), st.one_of(
+        st.lists(st.one_of(st.integers(1, 8).map(str), NOT_AN_INTEGER), min_size=1, max_size=3)
+        .filter(lambda tokens: not all(t.isdigit() for t in tokens)),
+        st.lists(st.integers(-3, 8).map(str), min_size=1, max_size=3)
+        .filter(lambda tokens: not all(t.isdigit() and int(t) > 0 for t in tokens)),
+        st.lists(st.integers(1, 4).map(str), min_size=4, max_size=6),
+    ).map(" ".join)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(experiment=st.sampled_from(EXPERIMENT_NAMES), entry=BAD_ENTRIES)
+def test_malformed_or_out_of_range_value_is_usage_error(experiment, entry):
+    key, value = entry
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        cfg = write_cfg(Path(tmp), f"{key} = {value}\n")
+        code = main([experiment, "--config", cfg, "--out", tmp])
+    assert code == EXIT_USAGE, (key, value)
+    assert key in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def test_seed_flag_is_validated_too(tmp_path, capsys):
+    assert main(["modes-check", "--out", str(tmp_path), "--seed", "-1"]) == EXIT_USAGE
+    assert "seed" in capsys.readouterr().err
+
+
+def test_config_from_python_values():
+    # the form the benchmark workloads build configs in
+    config = config_from_mapping("kernel", {"shape": 2048, "seed": 3, "n_pairs": 40})
+    assert config.shape == (2048,)
+    assert config.seed == 3 and config.n_pairs == 40
+    config = config_from_mapping("localize", {"shape": (12, 12, 12), "mass": 2})
+    assert config.shape == (12, 12, 12)
+    assert type(config.mass) is float and config.mass == 2.0
+    for key, value in [("seed", True), ("shape", True), ("n_pairs", 4.0),
+                       ("shape", (8, 8.5)), ("mass", False), ("lambdas", (True,))]:
+        with pytest.raises(ConfigError, match=key):
+            config_from_mapping("kernel", {key: value})
+
+
+EVERY_KEY = """\
+experiment = geometry-check
+shape = {shape}
+spacing = 0.5
+mass = 2
+lambdas = {lambdas}
+time = 20.0
+width_compton = 4.0
+n_trials = 3
+n_pairs = 7
+seed = 3
+decay_rtol = 0.2
+rate_rtol = 0.1
+form_tol = 1e-8
+drift_tol = 1e-7
+nonrel_tol = 0.02
+"""
+
+
+@pytest.mark.parametrize(
+    "shape,lambdas,shape_echo,lambdas_echo",
+    [("16", "-0.5", 16, -0.5), ("4 4", "-0.5 -1", [4, 4], [-0.5, -1.0])],
+)
+def test_every_key_echoes_into_the_report(tmp_path, shape, lambdas, shape_echo, lambdas_echo):
+    cfg = write_cfg(tmp_path, EVERY_KEY.format(shape=shape, lambdas=lambdas))
+    out = tmp_path / "out"
+    main(["geometry-check", "--config", cfg, "--out", str(out)])
+    echo = json.loads((out / "report.geometry-check.json").read_text())["config"]
+    expected = {
+        "experiment": "geometry-check", "shape": shape_echo, "spacing": 0.5,
+        "mass": 2.0, "lambdas": lambdas_echo, "time": 20.0, "width_compton": 4.0,
+        "n_trials": 3, "n_pairs": 7, "seed": 3, "decay_rtol": 0.2, "rate_rtol": 0.1,
+        "form_tol": 1e-8, "drift_tol": 1e-7, "nonrel_tol": 0.02,
+    }
+    # JSON text tells 2 from 2.0: one-element tuples echo as scalars, ints
+    # stay ints and floats stay floats
+    assert json.dumps(echo, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

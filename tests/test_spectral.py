@@ -302,6 +302,18 @@ def test_apply_function_matches_schrodinger_propagator(spec_small):
     assert _rel_dev(got, ref) < PRIMITIVE_RTOL
 
 
+@pytest.mark.parametrize("columns", ["square", 3])
+def test_apply_power_on_a_batch_matches_each_column(spec_small, columns):
+    # a (sites x k) batch weights the mode axis, whether or not k = sites
+    n = spec_small.lattice.nsites
+    k = n if columns == "square" else columns
+    batch = np.random.default_rng(6).normal(size=(n, k))
+    got = spec_small.apply_power(-0.5, batch)
+    ref = np.column_stack([spec_small.apply_power(-0.5, col) for col in batch.T])
+    assert got.shape == (n, k)
+    assert _rel_dev(got, ref) < 1e-13
+
+
 # ---------------------------------------------------------------------------
 # route selection: closed-form Hartley spectrum or dense eigensolver
 # ---------------------------------------------------------------------------
