@@ -104,6 +104,16 @@ class SymbolPolynomial:
         dcoeffs = np.polynomial.polynomial.polyder(np.asarray(self.coeffs))
         return np.polynomial.polynomial.polyval(s, dcoeffs)
 
+    @functools.cached_property
+    def branch(self) -> BranchStructure:
+        """find_branch_points of this symbol, found once and kept.
+
+        Every quadrature call needs the zeros; a rate fit alone makes 25
+        calls on one symbol. A symbol that violates the axioms is not
+        cached, so each use raises again.
+        """
+        return find_branch_points(self)
+
 
 def rescale_symbol(symbol: SymbolPolynomial, c: float) -> SymbolPolynomial:
     """Dilate lengths by c: each zero k_i maps to k_i / c.
@@ -154,12 +164,15 @@ def find_branch_points(symbol: SymbolPolynomial) -> BranchStructure:
         zeros.append(k)
     zeros = np.array(zeros)
     dominant = int(np.argmin(zeros.imag))
+    # SymbolPolynomial.branch shares one structure among all its callers
+    s_roots.flags.writeable = False
+    zeros.flags.writeable = False
     return BranchStructure(s_roots=s_roots, zeros=zeros, dominant=dominant)
 
 
 def predict_compton(symbol: SymbolPolynomial) -> float:
     """Compton length 1/v0 from the lowest upper-half-plane zero."""
-    return find_branch_points(symbol).compton
+    return symbol.branch.compton
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +322,7 @@ def branch_cut_kernel(symbol: SymbolPolynomial, lam: float, r: float) -> float:
     if r <= 0:
         raise ValueError("radius must be positive")
     _require_convergent(lam)
-    branch = find_branch_points(symbol)
+    branch = symbol.branch
     if abs(lam - round(lam)) < 1e-12:
         if round(lam) == -1:
             return _residue_kernel(symbol, branch, r)
@@ -397,7 +410,7 @@ def direct_radial_integral(symbol: SymbolPolynomial, lam: float, r: float) -> fl
     if r <= 0:
         raise ValueError("radius must be positive")
     _require_convergent(lam)
-    find_branch_points(symbol)  # validates positivity of the symbol
+    symbol.branch  # validates positivity of the symbol
     nodes, weights = _gauss_legendre_rule()
     half = math.pi / r
     # one row of GAUSS_POINTS nodes per panel

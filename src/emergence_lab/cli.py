@@ -51,10 +51,12 @@ EXIT_NUMERIC = 3
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
+    # numpy scalars are written as the Python values they hold: numpy 2's
+    # repr of np.float64 would add the "np.float64(...)" wrapper
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 

@@ -112,8 +112,12 @@ class ExperimentConfig:
     nonrel_tol: float = 0.01
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
-        object.__setattr__(self, "lambdas", tuple(float(x) for x in self.lambdas))
+        # every field is read by its type, whether it came from a file or
+        # from Python; only the default empty shape has no tokens to read
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not (field.name == "shape" and isinstance(value, tuple) and not value):
+                object.__setattr__(self, field.name, _parse_field(field.name, value))
         if self.experiment not in EXPERIMENT_NAMES + ("all",):
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         for name in ("decay_rtol", "rate_rtol", "form_tol", "drift_tol", "nonrel_tol"):
@@ -172,16 +176,15 @@ def _parse_field(key: str, raw):
 def config_from_mapping(experiment: str, mapping: dict) -> ExperimentConfig:
     """Build a validated config from a flat key mapping (a parsed file).
 
-    Each value is parsed by its ExperimentConfig field type. The experiment
+    ExperimentConfig parses each value by its field type. The experiment
     name comes from the command line, not the file; a file that names one
     anyway must agree with it.
     """
-    values: dict = {}
-    for key, raw in mapping.items():
+    for key in mapping:
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _parse_field(key, raw)
-    named = values.pop("experiment", experiment)
+    values = dict(mapping)
+    named = _parse_field("experiment", values.pop("experiment", experiment))
     if named != experiment:
         raise ConfigError(
             f"config names experiment {named!r} but {experiment!r} was requested"
@@ -434,7 +437,7 @@ def _run_oracle_verify(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     worst = 0.0
     for x in range(3):
         for y in range(3):
-            oracle = fock_oracle.expectation(vac3, (phi3[x] @ phi3[y]).tocsr()).real
+            oracle = fock_oracle.expectation(vac3, phi3[x] @ phi3[y]).real
             worst = max(worst, abs(oracle - vacuum_two_point(spec3, x, y)))
     checks.append(_check("vacuum_two_point", worst, 0.0, 1e-8))
     rows.append(("two_point", worst, 1e-8))
@@ -464,13 +467,12 @@ def _sandwich_r(spec: Spectrum, space: fock_oracle.FockSpace, x: int):
     (R^{1/2} phi)(x) = sum_k sqrt(omega_k / 2) f_k(x) (a_k + a_k^dagger),
     summed over the truncated space's modes.
     """
-    import scipy.sparse as sp
-
-    op = sp.csr_matrix((space.dim, space.dim), dtype=float)
-    for pos, k in enumerate(space.mode_indices):
-        coeff = np.sqrt(spec.frequencies[k] / 2.0) * spec.basis[x, k]
-        op = op + coeff * (space.lowering[pos] + space.raising(pos))
-    return (op @ op).tocsr()
+    op = sum(
+        np.sqrt(spec.frequencies[k] / 2.0) * spec.basis[x, k]
+        * (space.lowering[pos] + space.raising(pos))
+        for pos, k in enumerate(space.mode_indices)
+    )
+    return op @ op
 
 
 def _run_localize(config, rng) -> tuple[list[CheckRecord], list[Table]]:

@@ -1,10 +1,14 @@
 """Brute-force Fock-space oracle on a few selected modes.
 
 Everything here is deliberately naive: occupation-number bases, explicit
-sparse ladder matrices, truncated exponential series. The point is to have an
+ladder matrices, truncated exponential series. The point is to have an
 independent slow path whose only approximation is the occupation cutoff
 ``n_max`` (with a computable tail bound), so that closed-form expressions used
 elsewhere in the package can be checked against direct matrix algebra.
+
+Operators are stored by their diagonals (FockOperator). A ladder operator is
+one shifted diagonal, and a product of two field operators on k modes has at
+most (2k+1)^2 of them, so storage stays O(dim * offsets) up to MAX_DIM.
 
 States live on a subset of at most three modes of a Spectrum; the basis is
 the tensor product of per-mode number states 0..n_max, first selected mode
@@ -15,20 +19,88 @@ from __future__ import annotations
 import dataclasses
 import math
 from functools import reduce
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .spectral import Spectrum, log_linear_fit
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 MAX_MODES = 3
 MAX_DIM = 100_000
 SERIES_RTOL = 1e-18
 MAX_SERIES_TERMS = 400
 GUARD_FRACTION = 0.25  # |alpha| above n_max * this triggers the truncation flag
+
+
+def _shift(values: np.ndarray, offset: int) -> np.ndarray:
+    """out[i] = values[i + offset] along axis 0, zero where i + offset leaves it."""
+    out = np.zeros_like(values)
+    n = len(values)
+    if offset >= 0:
+        out[: n - offset] = values[offset:]
+    else:
+        out[-offset:] = values[: n + offset]
+    return out
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class FockOperator:
+    """Square operator stored by its diagonals: diags[offset][i] = M[i, i + offset].
+
+    Entries whose column i + offset falls outside the matrix are zero.
+    Supports +, -, scalar *, .T, and @ with another FockOperator or with a
+    state array of shape (dim,) or (dim, k); ``sum`` of operators works too.
+    """
+
+    dim: int
+    diags: dict[int, np.ndarray]
+
+    # numpy scalars defer to __rmul__ instead of broadcasting over the object
+    __array_ufunc__ = None
+
+    def __add__(self, other: FockOperator) -> FockOperator:
+        diags = dict(self.diags)
+        for offset, values in other.diags.items():
+            diags[offset] = diags[offset] + values if offset in diags else values
+        return FockOperator(self.dim, diags)
+
+    def __radd__(self, other) -> FockOperator:
+        # the 0 that sum() and running totals start from
+        if isinstance(other, int) and other == 0:
+            return self
+        return NotImplemented
+
+    def __sub__(self, other: FockOperator) -> FockOperator:
+        return self + (-1.0) * other
+
+    def __mul__(self, scalar) -> FockOperator:
+        return FockOperator(self.dim, {o: scalar * v for o, v in self.diags.items()})
+
+    __rmul__ = __mul__
+
+    @property
+    def T(self) -> FockOperator:
+        # M^T[i, i - offset] = M[i - offset, i]
+        return FockOperator(
+            self.dim, {-o: _shift(v, -o) for o, v in self.diags.items()}
+        )
+
+    def __matmul__(self, other):
+        if isinstance(other, FockOperator):
+            # (AB)[i, i + p + q] collects A[i, i + p] B[i + p, i + p + q]
+            diags: dict[int, np.ndarray] = {}
+            for p, a in self.diags.items():
+                for q, b in other.diags.items():
+                    term = a * _shift(b, p)
+                    diags[p + q] = diags[p + q] + term if p + q in diags else term
+            return FockOperator(self.dim, diags)
+        vec = np.asarray(other)
+        if vec.shape[0] != self.dim:
+            raise ValueError(f"{vec.shape[0]} rows for dimension {self.dim}")
+        column = (-1,) + (1,) * (vec.ndim - 1)
+        return sum(
+            values.reshape(column) * _shift(vec, offset)
+            for offset, values in self.diags.items()
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -39,7 +111,7 @@ class FockSpace:
     mode_indices: tuple[int, ...]
     n_max: int
     frequencies: np.ndarray
-    lowering: tuple[sp.csr_matrix, ...]
+    lowering: tuple[FockOperator, ...]
 
     @property
     def nmodes(self) -> int:
@@ -49,8 +121,8 @@ class FockSpace:
     def dim(self) -> int:
         return (self.n_max + 1) ** self.nmodes
 
-    def raising(self, j: int) -> sp.csr_matrix:
-        return self.lowering[j].T.tocsr()
+    def raising(self, j: int) -> FockOperator:
+        return self.lowering[j].T
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,10 +143,12 @@ class FockVector:
 
 
 def build_fock(spec: Spectrum, mode_indices: tuple[int, ...], n_max: int = 14) -> FockSpace:
-    """Assemble ladder matrices for the selected modes.
+    """Assemble ladder operators for the selected modes.
 
-    The per-mode lowering matrix has entries a[n-1, n] = sqrt(n); multi-mode
-    operators are Kronecker products with identities on the other factors.
+    The per-mode lowering matrix has entries a[n-1, n] = sqrt(n). In the
+    C-ordered product basis mode j moves the index by its stride
+    (n_max+1)^(nmodes-1-j), so its lowering operator is the single diagonal
+    at that offset, sqrt(n_j + 1) on rows where n_j < n_max.
     """
     modes = tuple(int(k) for k in mode_indices)
     if not 1 <= len(modes) <= MAX_MODES:
@@ -88,16 +162,12 @@ def build_fock(spec: Spectrum, mode_indices: tuple[int, ...], n_max: int = 14) -
     dim = (n_max + 1) ** len(modes)
     if dim > MAX_DIM:
         raise ValueError(f"truncated dimension {dim} exceeds {MAX_DIM}")
-    # scipy.sparse loads on the first oracle build, not at package import
-    import scipy.sparse as sp
-
-    single = sp.diags(np.sqrt(np.arange(1.0, n_max + 1)), 1, format="csr")
-    eye = sp.identity(n_max + 1, format="csr")
+    occ = np.unravel_index(np.arange(dim), (n_max + 1,) * len(modes))
     lowering = []
-    for j in range(len(modes)):
-        factors = [eye] * len(modes)
-        factors[j] = single
-        lowering.append(reduce(lambda a, b: sp.kron(a, b, format="csr"), factors))
+    for j, n in enumerate(occ):
+        stride = (n_max + 1) ** (len(modes) - 1 - j)
+        values = np.where(n < n_max, np.sqrt(n + 1.0), 0.0)
+        lowering.append(FockOperator(dim, {stride: values}))
     return FockSpace(
         spectrum=spec,
         mode_indices=modes,
@@ -213,15 +283,14 @@ def displacement(space: FockSpace, direction: np.ndarray, z: complex) -> FockVec
     return FockVector(space=space, amplitudes=math.exp(-0.5 * abs(z) ** 2) * amps)
 
 
-def number_operator(space: FockSpace, mode: int | None = None) -> sp.csr_matrix:
+def number_operator(space: FockSpace, mode: int | None = None) -> FockOperator:
     """adag_k a_k for one mode, or the total number operator."""
     if mode is not None:
-        return (space.raising(mode) @ space.lowering[mode]).tocsr()
-    total = sum(space.raising(k) @ space.lowering[k] for k in range(space.nmodes))
-    return total.tocsr()
+        return space.raising(mode) @ space.lowering[mode]
+    return sum(space.raising(k) @ space.lowering[k] for k in range(space.nmodes))
 
 
-def field_operator(space: FockSpace, site: int, which: str = "phi") -> sp.csr_matrix:
+def field_operator(space: FockSpace, site: int, which: str = "phi") -> FockOperator:
     """Field operator at one site, restricted to the oracle's modes.
 
     phi(x) = sum_k f_k(x)/sqrt(2 w_k) (a_k + adag_k)
@@ -230,10 +299,8 @@ def field_operator(space: FockSpace, site: int, which: str = "phi") -> sp.csr_ma
     With only a mode subset these satisfy the canonical commutator up to the
     missing modes' completeness defect.
     """
-    import scipy.sparse as sp
-
     basis = space.spectrum.basis
-    op = sp.csr_matrix((space.dim, space.dim), dtype=complex)
+    op = 0
     for j, k in enumerate(space.mode_indices):
         f = basis[site, k]
         w = space.frequencies[j]
@@ -243,16 +310,15 @@ def field_operator(space: FockSpace, site: int, which: str = "phi") -> sp.csr_ma
             op = op + math.sqrt(w / 2.0) * f * (1j * (space.raising(j) - space.lowering[j]))
         else:
             raise ValueError(f"unknown field {which!r}; use 'phi' or 'pi'")
-    return op.tocsr()
+    return op
 
 
-def fock_hamiltonian(space: FockSpace) -> sp.csr_matrix:
+def fock_hamiltonian(space: FockSpace) -> FockOperator:
     """H = sum_k w_k adag_k a_k (normal ordered; vacuum energy dropped)."""
-    h = sum(
+    return sum(
         space.frequencies[k] * (space.raising(k) @ space.lowering[k])
         for k in range(space.nmodes)
     )
-    return h.tocsr()
 
 
 def evolve_fock(state: FockVector, t: float) -> FockVector:
@@ -264,7 +330,7 @@ def evolve_fock(state: FockVector, t: float) -> FockVector:
     )
 
 
-def expectation(state: FockVector, op: sp.spmatrix) -> complex:
+def expectation(state: FockVector, op: FockOperator) -> complex:
     """Normalized matrix element <s|op|s> / <s|s>."""
     n2 = float(np.vdot(state.amplitudes, state.amplitudes).real)
     if n2 < 1e-300:

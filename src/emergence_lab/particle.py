@@ -143,7 +143,7 @@ def calibrate_kappa(
         if denom[x] < 1e-12 * denom.max():
             continue
         op = fock_oracle.field_operator(space, x, "phi")
-        op2 = (op @ op).tocsr()
+        op2 = op @ op
         excess = (
             fock_oracle.expectation(part, op2).real
             - fock_oracle.expectation(vac, op2).real

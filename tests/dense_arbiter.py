@@ -1,4 +1,4 @@
-"""Dense reference for the Klein-Gordon operator R and its real powers.
+"""Dense references for the Klein-Gordon operator R and the Fock ladders.
 
 The package applies R = mass_squared - Laplacian by periodic neighbour sums
 (``np.roll``). This module writes the same operator out entry by entry, by
@@ -6,7 +6,14 @@ scattering the 3-point stencil weights at the raveled neighbour indices of
 each site, so a test that compares the two does not compare the stencil code
 with itself. Powers of R come from ``numpy.linalg.eigh`` of that dense
 matrix, never from a package ``Spectrum``.
+
+The Fock oracle stores its operators by diagonals, placed by each mode's
+stride. Here the ladder operators are dense matrices instead: the one-mode
+matrix is written entry by entry and joined to identities on the other
+modes by ``np.kron``, so no stride or offset arithmetic is shared.
 """
+
+from functools import reduce
 
 import numpy as np
 
@@ -40,3 +47,22 @@ def dense_power(matrix: np.ndarray, exponent: float) -> np.ndarray:
     """matrix^exponent of a symmetric positive matrix, through ``eigh``."""
     vals, vecs = np.linalg.eigh(matrix)
     return (vecs * vals**exponent) @ vecs.T
+
+
+def dense_fock_lowering(nmodes: int, n_max: int) -> list[np.ndarray]:
+    """Lowering matrix of each mode on the C-ordered product of 0..n_max.
+
+    One mode has a[n-1, n] = sqrt(n); mode j of several is that matrix in
+    the j-th Kronecker factor (first mode outermost) and identities
+    elsewhere.
+    """
+    single = np.zeros((n_max + 1, n_max + 1))
+    for n in range(1, n_max + 1):
+        single[n - 1, n] = np.sqrt(n)
+    eye = np.eye(n_max + 1)
+    lowering = []
+    for j in range(nmodes):
+        factors = [eye] * nmodes
+        factors[j] = single
+        lowering.append(reduce(np.kron, factors))
+    return lowering

@@ -102,6 +102,33 @@ def test_real_zero_violates_axioms():
         find_branch_points(SymbolPolynomial(coeffs=(4.0, -5.0, 1.0)))
 
 
+def test_branch_points_are_found_once_per_symbol(monkeypatch):
+    from emergence_lab import asymptotics
+
+    calls = []
+
+    def counting(symbol):
+        calls.append(symbol)
+        return find_branch_points(symbol)
+
+    monkeypatch.setattr(asymptotics, "find_branch_points", counting)
+    symbol = SymbolPolynomial(coeffs=(4.0, 5.0, 1.0))
+    fit = kernel_decay_rate(symbol, -0.5)
+    direct_radial_integral(symbol, -0.5, 3.0)
+    assert predict_compton(symbol) == pytest.approx(1.0)
+    assert fit.ok
+    assert calls == [symbol]
+    assert symbol.branch is symbol.branch
+    # the cached zeros are shared, so no caller may write to them
+    with pytest.raises(ValueError):
+        symbol.branch.zeros[0] = 0.0
+    # a symbol that violates the axioms raises on every use, not just once
+    bad = SymbolPolynomial(coeffs=(4.0, -5.0, 1.0))
+    for _ in range(2):
+        with pytest.raises(AxiomError):
+            direct_radial_integral(bad, -0.5, 1.0)
+
+
 def test_branch_structure_is_plain_data():
     bs = find_branch_points(KG)
     assert isinstance(bs, BranchStructure)

@@ -8,6 +8,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from emergence_lab.cli import (
 from emergence_lab.experiments import (
     EXPERIMENT_NAMES,
     ConfigError,
+    ExperimentConfig,
     Table,
     config_from_mapping,
 )
@@ -255,6 +257,21 @@ def test_config_from_python_values():
             config_from_mapping("kernel", {key: value})
 
 
+@pytest.mark.parametrize(
+    "key,value", [("shape", (64.7,)), ("shape", (True,)), ("shape", (8, False)),
+                  ("lambdas", (True,)), ("lambdas", (-0.5, False))],
+)
+def test_direct_config_is_held_to_the_file_rules(key, value):
+    # built in Python, a config refuses what a file or mapping is refused,
+    # with the same message, instead of coercing it
+    with pytest.raises(ConfigError) as direct:
+        ExperimentConfig("kernel", **{key: value})
+    with pytest.raises(ConfigError) as mapped:
+        config_from_mapping("kernel", {key: value})
+    assert str(direct.value) == str(mapped.value)
+    assert str(direct.value).startswith(f"{key} must be one or more")
+
+
 EVERY_KEY = """\
 experiment = geometry-check
 shape = {shape}
@@ -314,6 +331,29 @@ def test_emit_table_format(tmp_path):
     assert lines[-3] == "x\tflag\tv"
     assert lines[-2] == "1\ttrue\t0.5"
     assert lines[-1] == "2\tfalse\t1.5"
+
+
+def test_emit_table_writes_numpy_scalars_as_python_values(tmp_path):
+    table = Table(
+        name="numpy",
+        columns=("v", "flag", "n"),
+        rows=[(np.float64(1.6653345369377348e-16), np.bool_(True), np.int64(3)),
+              (np.float32(0.5), np.bool_(False), 4)],
+    )
+    path = tmp_path / "numpy.tsv"
+    emit_table(path, table, {"x": np.float64(2.0)})
+    lines = path.read_text().splitlines()
+    assert "# x = 2.0" in lines
+    assert lines[-2:] == ["1.6653345369377348e-16\ttrue\t3", "0.5\tfalse\t4"]
+
+
+def test_all_writes_no_numpy_repr(tmp_path):
+    out = tmp_path / "out"
+    assert main(["all", "--out", str(out)]) == EXIT_PASS
+    for path in sorted(out.iterdir()):
+        for line in path.read_text().splitlines():
+            for cell in line.split("\t"):
+                assert "np." not in cell, (path.name, cell)
 
 
 def test_emit_table_empty_rows(tmp_path):

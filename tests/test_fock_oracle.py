@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dense_arbiter import dense_fock_lowering
 from emergence_lab import fock_oracle as fo
+from emergence_lab.experiments import _sandwich_r
 from emergence_lab.spectral import Lattice, build_klein_gordon, diagonalize
 
 
@@ -21,9 +23,9 @@ def spec6():
 
 def test_single_mode_ladder_entries(spec6):
     space = fo.build_fock(spec6, (0,), n_max=2)
-    a = space.lowering[0].toarray()
+    a = space.lowering[0] @ np.eye(3)
     assert_allclose(a, [[0, 1, 0], [0, 0, np.sqrt(2)], [0, 0, 0]])
-    adag = space.raising(0).toarray()
+    adag = space.raising(0) @ np.eye(3)
     assert_allclose(adag, a.T)
 
 
@@ -56,8 +58,57 @@ def test_commutator_truncation_defect(spec6):
     # [a, adag] = I everywhere except the cut edge, where the defect is -n_max
     space = fo.build_fock(spec6, (0,), n_max=2)
     a = space.lowering[0]
-    comm = (a @ space.raising(0) - space.raising(0) @ a).toarray()
+    comm = (a @ space.raising(0) - space.raising(0) @ a) @ np.eye(3)
     assert_allclose(np.diag(comm), [1.0, 1.0, -2.0])
+
+
+def _oracle_and_dense(spec, space, x):
+    """Each oracle operator beside its dense build, keyed by name."""
+    lower = dense_fock_lowering(space.nmodes, space.n_max)
+    w = space.frequencies
+    f = spec.basis[x, list(space.mode_indices)]
+    pairs = {}
+    for j, a in enumerate(lower):
+        pairs[f"a{j}"] = (space.lowering[j], a)
+        pairs[f"adag{j}"] = (space.raising(j), a.T)
+        pairs[f"n{j}"] = (fo.number_operator(space, j), a.T @ a)
+    pairs["number"] = (fo.number_operator(space), sum(a.T @ a for a in lower))
+    pairs["hamiltonian"] = (
+        fo.fock_hamiltonian(space), sum(wj * (a.T @ a) for wj, a in zip(w, lower))
+    )
+    phi_op, pi_op = fo.field_operator(space, x, "phi"), fo.field_operator(space, x, "pi")
+    phi = sum(fj / np.sqrt(2.0 * wj) * (a + a.T) for fj, wj, a in zip(f, w, lower))
+    pi = sum(np.sqrt(wj / 2.0) * fj * 1j * (a.T - a) for fj, wj, a in zip(f, w, lower))
+    root_phi = sum(np.sqrt(wj / 2.0) * fj * (a + a.T) for fj, wj, a in zip(f, w, lower))
+    pairs["phi"] = (phi_op, phi)
+    pairs["pi"] = (pi_op, pi)
+    pairs["phi.T"] = (phi_op.T, phi.T)
+    pairs["pi.T"] = (pi_op.T, pi.T)
+    pairs["phi@phi"] = (phi_op @ phi_op, phi @ phi)
+    pairs["pi@pi"] = (pi_op @ pi_op, pi @ pi)
+    pairs["phi@pi"] = (phi_op @ pi_op, phi @ pi)
+    pairs["(pi@phi).T"] = ((pi_op @ phi_op).T, (pi @ phi).T)
+    pairs["phi-pi"] = (phi_op - pi_op, phi - pi)
+    pairs["sandwich_r"] = (_sandwich_r(spec, space, x), root_phi @ root_phi)
+    return pairs
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+@pytest.mark.parametrize("modes", [(1,), (0, 3), (0, 2, 5)])
+def test_operators_match_dense_fock_build(spec6, modes, n_max):
+    space = fo.build_fock(spec6, modes, n_max=n_max)
+    eye = np.eye(space.dim)
+    vec = np.random.default_rng(n_max).normal(size=(space.dim, 2)) @ [1.0, 1j]
+    for x in (0, 4):
+        for name, (op, dense) in _oracle_and_dense(spec6, space, x).items():
+            if "@" in name or name == "sandwich_r":
+                # a product entry sums several nonzero terms, which the dense
+                # matmul may add in another order: allow one rounding each
+                scale = np.abs(dense).max()
+                assert_allclose(op @ eye, dense, rtol=0, atol=4e-16 * scale, err_msg=name)
+            else:
+                np.testing.assert_array_equal(op @ eye, dense, err_msg=name)
+            assert_allclose(op @ vec, dense @ vec, rtol=1e-14, atol=1e-14, err_msg=name)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +162,7 @@ def test_coherent_coefficients_match_closed_form(spec6):
 def test_coherent_lowering_eigenvalue(spec6):
     space = fo.build_fock(spec6, (0,), n_max=14)
     coh = fo.coherent_state(space, np.array([0.5]))
-    mean_a = fo.expectation(coh.vector, space.lowering[0].tocsr())
+    mean_a = fo.expectation(coh.vector, space.lowering[0])
     assert_allclose(mean_a, 0.5, atol=1e-12)
     assert coh.guard_ok
     assert coh.tail_bound < 1e-12

@@ -1,10 +1,11 @@
-"""Import cost: scipy loads only in the layer that calls it.
+"""The package runs without scipy.
 
-The lattice layers (kernels, modes, geometry, localization, ELP, Newton-
-Wigner, Segal forms) and the continuum kernels (``asymptotics``, whose
-contour and direct quadratures are numpy rules) are pure numpy; scipy is
-needed only by the Fock oracle (``oracle-verify``), which loads it on first
-call. These tests run fresh interpreters, because this test process has
+Every layer is numpy alone: the lattice layers (kernels, modes, geometry,
+localization, ELP, Newton-Wigner, Segal forms), the continuum kernels of
+``asymptotics`` (whose contour and direct quadratures are numpy rules) and
+the Fock oracle (whose operators are numpy diagonals). scipy is a test
+dependency only, as an independent arbiter. The test runs a fresh
+interpreter with scipy imports blocked, because this test process has
 imported scipy itself.
 """
 
@@ -16,18 +17,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import emergence_lab
-from emergence_lab.cli import EXIT_PASS, main
+from emergence_lab.cli import main
+from emergence_lab.experiments import EXPERIMENT_NAMES
 
 SRC = str(Path(emergence_lab.__file__).resolve().parent.parent)
-
-NUMPY_EXPERIMENTS = (
-    "kernel", "modes-check", "geometry-check", "localize", "elp", "nw",
-    "segal-check", "asymptotics",
-)
-SCIPY_EXPERIMENTS = ("oracle-verify",)
 
 BLOCKED_RUN = """
 import importlib.abc, json, sys
@@ -50,21 +44,10 @@ import emergence_lab  # noqa: F401
 from emergence_lab.cli import main
 
 codes = {}
-for exp, cfg, out in json.loads(sys.argv[1]):
-    codes[exp] = main([exp, "--config", cfg, "--out", out])
+for name, argv in json.loads(sys.argv[1]):
+    codes[name] = main(argv)
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 print(json.dumps({"codes": codes, "scipy_modules": loaded}))
-"""
-
-COLD_RUN = """
-import sys
-import emergence_lab  # noqa: F401
-before = sorted(m for m in sys.modules if m.startswith("scipy"))
-from emergence_lab.cli import main
-code = main(sys.argv[1:])
-if before:
-    raise SystemExit(f"scipy loaded at import: {before}")
-sys.exit(code)
 """
 
 
@@ -90,26 +73,22 @@ def _write_cfg(tmp_path: Path, experiment: str, shape: str) -> str:
 
 
 def test_numpy_layers_run_with_scipy_blocked(tmp_path):
-    runs = [
-        (exp, _write_cfg(tmp_path, exp, "64"), str(tmp_path / "blocked" / exp))
-        for exp in NUMPY_EXPERIMENTS
+    # each experiment on a small lattice, and the whole battery at defaults
+    runs = {
+        exp: [exp, "--config", _write_cfg(tmp_path, exp, "64")]
+        for exp in EXPERIMENT_NAMES
+    }
+    runs["all"] = ["all"]
+    blocked = [
+        (name, argv + ["--out", str(tmp_path / "blocked" / name)])
+        for name, argv in runs.items()
     ]
-    done = _python([BLOCKED_RUN, json.dumps(runs)], cwd=tmp_path)
+    done = _python([BLOCKED_RUN, json.dumps(blocked)], cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["scipy_modules"] == []
-    for exp, cfg, out in runs:
-        ref = tmp_path / "ref" / exp
-        expected = main([exp, "--config", cfg, "--out", str(ref)])
-        assert result["codes"][exp] == expected, exp
-        assert _files(Path(out)) == _files(ref), exp
-
-
-@pytest.mark.parametrize("experiment", SCIPY_EXPERIMENTS)
-def test_deferred_scipy_imports_from_cold_interpreter(tmp_path, experiment):
-    cold = tmp_path / "cold"
-    done = _python([COLD_RUN, experiment, "--out", str(cold)], cwd=tmp_path)
-    assert done.returncode == EXIT_PASS, done.stdout + done.stderr
-    ref = tmp_path / "ref"
-    assert main([experiment, "--out", str(ref)]) == EXIT_PASS
-    assert _files(cold) == _files(ref)
+    assert sorted(result["codes"]) == sorted(runs)
+    for name, argv in runs.items():
+        ref = tmp_path / "ref" / name
+        assert result["codes"][name] == main(argv + ["--out", str(ref)]), name
+        assert _files(tmp_path / "blocked" / name) == _files(ref), name
