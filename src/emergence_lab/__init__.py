@@ -48,17 +48,13 @@ from .geometry import (
 from .particle import (
     ELPReport,
     LocalizationReport,
-    OneParticleState,
     calibrate_kappa,
     elp_check,
     energy_density_diff,
     localization_report,
-    make_particle,
-    particle_from_modes,
     phi2_diff,
     pi2_diff,
     region_ball,
-    superpose,
     support_sites,
     vacuum_two_point,
 )
@@ -82,7 +78,6 @@ from .asymptotics import (
     find_branch_points,
     kernel_decay_rate,
     lattice_vs_continuum,
-    predict_compton,
     rescale_symbol,
 )
 from .experiments import ExperimentConfig, RunReport, run_all, run_experiment
@@ -102,7 +97,6 @@ __all__ = [
     "LocalizationReport",
     "ModeVector",
     "NWWavefunction",
-    "OneParticleState",
     "PhaseVector",
     "ROperator",
     "RunReport",
@@ -134,15 +128,12 @@ __all__ = [
     "kernel_profile",
     "lattice_vs_continuum",
     "localization_report",
-    "make_particle",
     "nonrelativistic_compare",
     "nw_delta_localization",
     "nw_norm",
-    "particle_from_modes",
     "phi2_diff",
     "pi2_diff",
     "position_expectation",
-    "predict_compton",
     "region_ball",
     "rescale_symbol",
     "run_all",
@@ -150,7 +141,6 @@ __all__ = [
     "schrodinger_rhs",
     "segal_inner_product",
     "superluminal_leakage",
-    "superpose",
     "support_sites",
     "symplectic",
     "to_modes",

@@ -138,6 +138,7 @@ class BranchStructure:
 
     @property
     def compton(self) -> float:
+        """Compton length 1/v0 from the lowest upper-half-plane zero."""
         return 1.0 / float(self.zeros[self.dominant].imag)
 
 
@@ -168,11 +169,6 @@ def find_branch_points(symbol: SymbolPolynomial) -> BranchStructure:
     s_roots.flags.writeable = False
     zeros.flags.writeable = False
     return BranchStructure(s_roots=s_roots, zeros=zeros, dominant=dominant)
-
-
-def predict_compton(symbol: SymbolPolynomial) -> float:
-    """Compton length 1/v0 from the lowest upper-half-plane zero."""
-    return symbol.branch.compton
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +411,7 @@ def direct_radial_integral(symbol: SymbolPolynomial, lam: float, r: float) -> fl
     half = math.pi / r
     # one row of GAUSS_POINTS nodes per panel
     k = (np.arange(PANELS) * half)[:, None] + (nodes + 1.0) * (half / 2.0)
-    values = k * self_energy(symbol, k) ** lam * np.sin(k * r)
+    values = k * symbol(k**2) ** lam * np.sin(k * r)
     panel_sums = (values @ weights) * (half / 2.0)
     partial = np.cumsum(panel_sums)
     estimates = [partial[-1]]
@@ -431,11 +427,6 @@ def direct_radial_integral(symbol: SymbolPolynomial, lam: float, r: float) -> fl
             f"averaged partial sums did not settle (spread {spread:.3e})"
         )
     return float(tail[-1]) / (2.0 * math.pi**2 * r)
-
-
-def self_energy(symbol: SymbolPolynomial, k: np.ndarray) -> np.ndarray:
-    """omega^2(k) = P(k^2) on real wavenumbers."""
-    return symbol(np.asarray(k) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +457,7 @@ def kernel_decay_rate(
     algebraic factor is divided out before the log-linear fit; what remains
     is compared against v0 at the stated tolerance.
     """
-    v0 = 1.0 / predict_compton(symbol)
+    v0 = 1.0 / symbol.branch.compton
     window = (RATE_WINDOW_COMPTON[0] / v0, RATE_WINDOW_COMPTON[1] / v0)
     power = lam + 2.0
     radii = np.linspace(window[0], window[1], RATE_SAMPLES)

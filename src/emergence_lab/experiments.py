@@ -23,7 +23,6 @@ from .asymptotics import (
     direct_radial_integral,
     kernel_decay_rate,
     lattice_vs_continuum,
-    predict_compton,
 )
 from .geometry import (
     apply_J,
@@ -58,8 +57,6 @@ from .particle import (
     calibrate_kappa,
     elp_check,
     localization_report,
-    make_particle,
-    particle_from_modes,
     region_ball,
     vacuum_two_point,
 )
@@ -405,7 +402,7 @@ def _run_oracle_verify(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     state_fock = fock_oracle.one_particle(space, direction)
     alpha = np.zeros(spec.nmodes, dtype=complex)
     alpha[0], alpha[1] = direction
-    state = particle_from_modes(ModeVector(spectrum=spec, alpha=alpha))
+    u = from_modes(ModeVector(spectrum=spec, alpha=alpha))
     vac = fock_oracle.vacuum(space)
     sites = range(lattice.nsites)
     fields = {
@@ -414,13 +411,13 @@ def _run_oracle_verify(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     }
     rows = []
     for name, fn in PROBES.items():
-        analytic = fn(state)
+        analytic = fn(u, spec)
         worst = 0.0
         for x in sites:
             field = fields["phi" if name == "phi2" else "pi"][x]
             op = field @ field
             if name == "energy":
-                op = 0.5 * op + 0.5 * _sandwich_r(spec, space, x)
+                op = 0.5 * op + 0.5 * fock_oracle.potential_operator(space, x)
             excess = (
                 fock_oracle.expectation(state_fock, op).real
                 - fock_oracle.expectation(vac, op).real
@@ -461,20 +458,6 @@ def _run_oracle_verify(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     return checks, [table]
 
 
-def _sandwich_r(spec: Spectrum, space: fock_oracle.FockSpace, x: int):
-    """Oracle operator (R^{1/2} phi)(x)^2, the potential term of the density.
-
-    (R^{1/2} phi)(x) = sum_k sqrt(omega_k / 2) f_k(x) (a_k + a_k^dagger),
-    summed over the truncated space's modes.
-    """
-    op = sum(
-        np.sqrt(spec.frequencies[k] / 2.0) * spec.basis[x, k]
-        * (space.lowering[pos] + space.raising(pos))
-        for pos, k in enumerate(space.mode_indices)
-    )
-    return op @ op
-
-
 def _run_localize(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     spec = _spectrum(config, 512)
     lattice = spec.lattice
@@ -483,8 +466,7 @@ def _run_localize(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     bump = gaussian_bump(
         lattice, lattice.nsites // 2, width, cutoff=BUMP_CUTOFF_WIDTHS * width
     )
-    state = make_particle(bump, spec)
-    report = localization_report(state, compton)
+    report = localization_report(bump, spec, compton)
     checks = [
         _flag("state_localizable", report.support_fraction < 0.5),
     ]
@@ -517,14 +499,12 @@ def _run_elp(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     cutoff = BUMP_CUTOFF_WIDTHS * width
     # the centres wrap on lattices shorter than the offset
     states = [
-        make_particle(
-            gaussian_bump(lattice, site % lattice.nsites, width, cutoff=cutoff), spec
-        )
+        gaussian_bump(lattice, site % lattice.nsites, width, cutoff=cutoff)
         for site in (center - offset, center + offset)
     ]
     region = region_ball(lattice, center, 45.0 * compton)
     report = elp_check(
-        states, region, compton, n_trials=config.n_trials, seed=config.seed
+        states, spec, region, compton, n_trials=config.n_trials, seed=config.seed
     )
     n_passed = sum(1 for t in report.trials if t.passes)
     checks = [
@@ -607,10 +587,10 @@ def _run_asymptotics(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     two_factor = SymbolPolynomial((4.0 * m**4, 5.0 * m**2, 1.0))
     compton = 1.0 / m
     checks = [
-        _check("branch_point_compton", predict_compton(symbol), compton, 1e-12 * compton),
+        _check("branch_point_compton", symbol.branch.compton, compton, 1e-12 * compton),
         _check(
             "two_factor_lighter_dominates",
-            predict_compton(two_factor), compton, 1e-12 * compton,
+            two_factor.branch.compton, compton, 1e-12 * compton,
         ),
     ]
     cross_rows = []

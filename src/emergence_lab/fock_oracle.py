@@ -313,6 +313,21 @@ def field_operator(space: FockSpace, site: int, which: str = "phi") -> FockOpera
     return op
 
 
+def potential_operator(space: FockSpace, site: int) -> FockOperator:
+    """(R^{1/2} phi)(x)^2 at one site, the potential term of the energy density.
+
+    (R^{1/2} phi)(x) = sum_k sqrt(w_k / 2) f_k(x) (a_k + adag_k), summed over
+    the truncated space's modes.
+    """
+    basis = space.spectrum.basis
+    op = sum(
+        np.sqrt(space.frequencies[j] / 2.0) * basis[site, k]
+        * (space.lowering[j] + space.raising(j))
+        for j, k in enumerate(space.mode_indices)
+    )
+    return op @ op
+
+
 def fock_hamiltonian(space: FockSpace) -> FockOperator:
     """H = sum_k w_k adag_k a_k (normal ordered; vacuum energy dropped)."""
     return sum(

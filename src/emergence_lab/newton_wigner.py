@@ -20,8 +20,8 @@ import math
 
 import numpy as np
 
-from .modes import ModeVector, PhaseVector, from_modes, to_modes
-from .particle import KAPPA, make_particle, phi2_diff
+from .modes import ModeVector, PhaseVector, from_modes, gaussian_bump, to_modes
+from .particle import KAPPA, phi2_diff
 from .spectral import (
     DecayFit,
     Lattice,
@@ -132,14 +132,8 @@ def gaussian_packet(
     used by the causality check).
     """
     lattice = spec.lattice
-    d = lattice.distances_from(center)
-    envelope = np.exp(-(d**2) / (2.0 * width**2))
-    if cutoff is not None:
-        envelope = np.where(d <= cutoff, envelope, 0.0)
-    coords = lattice.site_coords()[:, 0].astype(float)
-    x0 = lattice.site_coords()[center, 0]
-    n0 = lattice.shape[0]
-    rel = ((coords - x0 + n0 / 2.0) % n0 - n0 / 2.0) * lattice.spacing
+    envelope = gaussian_bump(lattice, center, width, cutoff).phi
+    rel = lattice.min_image_deltas(center)[:, 0] * lattice.spacing
     psi = envelope * np.exp(1j * momentum * rel)
     nw = NWWavefunction(spectrum=spec, psi=psi)
     return NWWavefunction(spectrum=spec, psi=psi / nw_norm(nw))
@@ -171,8 +165,8 @@ def nw_delta_localization(
 
     The profile admits a closed form: for the unit-norm delta it equals
     2 kappa cell [R^{-1/4} kernel column at the site]^2, checked here against
-    the full pipeline (from_nw, make_particle, phi2_diff). The width is the
-    decay length of the profile's amplitude (its square root), fitted over
+    the full pipeline (from_nw, phi2_diff). The width is the decay length of
+    the profile's amplitude (its square root), fitted over
     NW_DELTA_WINDOW_COMPTON (in units of ``compton``) and compared against
     ``compton``.
     """
@@ -180,8 +174,7 @@ def nw_delta_localization(
     psi = np.zeros(lattice.nsites, dtype=complex)
     psi[site] = 1.0 / math.sqrt(lattice.cell)
     nw = NWWavefunction(spectrum=spec, psi=psi)
-    state = make_particle(from_nw(nw), spec)
-    measured = phi2_diff(state)
+    measured = phi2_diff(from_nw(nw), spec)
 
     column = spec.kernel_column(lambda lam: lam**-0.25, site)
     closed = 2.0 * KAPPA * lattice.cell * column**2

@@ -1,21 +1,25 @@
 """One-particle states and where their observables live.
 
-A one-particle state is labeled by its mode amplitudes alpha_k (equivalently
-by the classical progenitor solution those amplitudes describe). Expectation
-values of squared field operators in such a state exceed their vacuum values
-by an amount expressible directly in the progenitor's fields:
+A one-particle state is labeled by its classical progenitor, the phase point
+u = (phi, pi) whose mode amplitudes alpha_k are the state's wavefunction.
+The complex structure J multiplies those amplitudes by i, so a complex
+superposition sum_i c_i u_i is the real combination
+sum_i Re(c_i) u_i + Im(c_i) J u_i of progenitors, with no mode coordinates.
+Expectation values of squared field operators in such a state exceed their
+vacuum values by an amount expressible directly in the progenitor's fields:
 
     phi-square excess    kappa (phi^2 + (R^{-1/2} pi)^2)
     pi-square excess     kappa (pi^2 + (R^{1/2} phi)^2)
     energy density       2 kappa (pi^2/2 + (R^{1/2} phi)^2/2)
 
-States need not be normalized; the excesses above are quadratic in alpha.
+States need not be normalized; the excesses above are quadratic in u.
 KAPPA is a fixed constant of the quantization conventions; it is not assumed
 but measured against the brute-force Fock oracle by calibrate_kappa, and the
 energy-density site sum reproduces sum_k omega_k |alpha_k|^2 with no further
 constant. Localization diagnostics ask how fast these excesses decay away
 from the progenitor's support, and whether superpositions of localized states
-stay localized.
+stay localized. The probes and diagnostics read only ``spec.lattice`` and
+``spec.apply_power`` of the Spectrum they are given.
 """
 from __future__ import annotations
 
@@ -24,7 +28,8 @@ import dataclasses
 import numpy as np
 
 from . import fock_oracle
-from .modes import ModeVector, PhaseVector, from_modes, to_modes
+from .geometry import apply_J
+from .modes import ModeVector, PhaseVector, _check_same_lattice, from_modes
 from .spectral import Lattice, Spectrum, bin_by_distance, fit_decay_length, DecayFit
 
 KAPPA = 0.5
@@ -34,77 +39,32 @@ FIT_WINDOW_COMPTON = (2.0, 10.0)
 ZERO_TAIL_FLOOR = 1e-20  # relative: probe values below this count as vanished
 
 
-@dataclasses.dataclass(frozen=True)
-class OneParticleState:
-    """Mode amplitudes plus the classical progenitor they label."""
-
-    modes: ModeVector
-    progenitor: PhaseVector
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.modes.alpha) ** 2))
-
-    @property
-    def spectrum(self) -> Spectrum:
-        return self.modes.spectrum
-
-
-def make_particle(u: PhaseVector, spec: Spectrum) -> OneParticleState:
-    """One-particle state labeled by a classical solution; real-linear in u."""
-    return OneParticleState(modes=to_modes(u, spec), progenitor=u)
-
-
-def particle_from_modes(modes: ModeVector) -> OneParticleState:
-    return OneParticleState(modes=modes, progenitor=from_modes(modes))
-
-
-def superpose(
-    states: list[OneParticleState], coefficients: np.ndarray
-) -> OneParticleState:
-    """Complex linear combination in the one-particle Hilbert space."""
-    if not states:
-        raise ValueError("need at least one state")
-    spec = states[0].spectrum
-    for s in states[1:]:
-        if s.spectrum is not spec:
-            raise ValueError("states belong to different spectra")
-    coeffs = np.asarray(coefficients, dtype=complex).reshape(-1)
-    if coeffs.shape != (len(states),):
-        raise ValueError(f"{coeffs.shape[0]} coefficients for {len(states)} states")
-    alpha = sum(c * s.modes.alpha for c, s in zip(coeffs, states))
-    return particle_from_modes(ModeVector(spectrum=spec, alpha=alpha))
-
-
 # ---------------------------------------------------------------------------
 # observable excesses over the vacuum
 # ---------------------------------------------------------------------------
 
-def phi2_diff(state: OneParticleState) -> np.ndarray:
+def phi2_diff(u: PhaseVector, spec: Spectrum) -> np.ndarray:
     """Site-wise excess of <phi(x)^2> over the vacuum value."""
-    u = state.progenitor
-    spec = state.spectrum
+    _check_same_lattice(u.lattice, spec.lattice)
     smeared_pi = spec.apply_power(-0.5, u.pi)
     return KAPPA * (u.phi**2 + smeared_pi**2)
 
 
-def pi2_diff(state: OneParticleState) -> np.ndarray:
+def pi2_diff(u: PhaseVector, spec: Spectrum) -> np.ndarray:
     """Site-wise excess of <pi(x)^2> over the vacuum value."""
-    u = state.progenitor
-    spec = state.spectrum
+    _check_same_lattice(u.lattice, spec.lattice)
     smeared_phi = spec.apply_power(0.5, u.phi)
     return KAPPA * (u.pi**2 + smeared_phi**2)
 
 
-def energy_density_diff(state: OneParticleState) -> np.ndarray:
+def energy_density_diff(u: PhaseVector, spec: Spectrum) -> np.ndarray:
     """Site-wise excess of the energy density pi^2/2 + (R^{1/2} phi)^2/2.
 
     Summed over sites (times the cell volume) this gives exactly
     sum_k omega_k |alpha_k|^2. Pointwise it coincides with pi2_diff because
     both quadratures carry the same mode weights in this convention.
     """
-    u = state.progenitor
-    spec = state.spectrum
+    _check_same_lattice(u.lattice, spec.lattice)
     smeared_phi = spec.apply_power(0.5, u.phi)
     return 2.0 * KAPPA * (0.5 * u.pi**2 + 0.5 * smeared_phi**2)
 
@@ -135,8 +95,7 @@ def calibrate_kappa(
     vac = fock_oracle.vacuum(space)
     alpha = np.zeros(spec.nmodes, dtype=complex)
     alpha[mode_index] = 1.0
-    state = particle_from_modes(ModeVector(spectrum=spec, alpha=alpha))
-    u = state.progenitor
+    u = from_modes(ModeVector(spectrum=spec, alpha=alpha))
     denom = u.phi**2 + spec.apply_power(-0.5, u.pi) ** 2
     ratios = []
     for x in range(spec.lattice.nsites):
@@ -216,19 +175,21 @@ class LocalizationReport:
 
 
 def localization_report(
-    state: OneParticleState,
+    u: PhaseVector,
+    spec: Spectrum,
     compton: float,
 ) -> LocalizationReport:
-    """Fit the decay of all observable excesses beyond the support.
+    """Fit the decay of all observable excesses of progenitor u beyond its support.
 
     ``compton`` is the expected decay length of the theory; the fit window
     FIT_WINDOW_COMPTON is in units of it, measuring distance beyond the
     support's edge. Each probe passes when its fitted length is at most
     LOCALIZATION_GATE * compton and the fit quality flag holds.
     """
-    lattice = state.spectrum.lattice
+    _check_same_lattice(u.lattice, spec.lattice)
+    lattice = spec.lattice
     gate = LOCALIZATION_GATE * compton
-    mask = support_sites(state.progenitor)
+    mask = support_sites(u)
     nsup = int(mask.sum())
     frac = nsup / lattice.nsites
     if frac >= 0.5:
@@ -247,7 +208,7 @@ def localization_report(
     window_abs = (lo * compton, hi * compton)
     results = []
     for name, probe in PROBES.items():
-        values = probe(state)
+        values = probe(u, spec)
         d_out, v_out = bin_by_distance(dist[outside], values[outside])
         in_window = (d_out >= window_abs[0]) & (d_out <= window_abs[1])
         floor = ZERO_TAIL_FLOOR * float(values.max())
@@ -309,7 +270,8 @@ class ELPReport:
 
 
 def elp_check(
-    states: list[OneParticleState],
+    states: list[PhaseVector],
+    spec: Spectrum,
     region: np.ndarray,
     compton: float,
     n_trials: int = 10,
@@ -317,18 +279,23 @@ def elp_check(
 ) -> ELPReport:
     """Random complex superpositions of localized states stay localized.
 
-    Every input must be localized with support inside ``region`` (boolean
-    site mask); then ``n_trials`` Gaussian complex combinations are formed
-    and each must again be localized with support inside the region.
+    Every input progenitor must be localized with support inside ``region``
+    (boolean site mask); then ``n_trials`` Gaussian complex combinations
+    sum_i c_i u_i = sum_i Re(c_i) u_i + Im(c_i) J u_i are formed and each
+    must again be localized with support inside the region.
     """
+    if not states:
+        raise ValueError("need at least one state")
+    for u in states:
+        _check_same_lattice(u.lattice, spec.lattice)
     region = np.asarray(region, dtype=bool).reshape(-1)
     failures = []
-    for i, s in enumerate(states):
-        mask = support_sites(s.progenitor)
+    for i, u in enumerate(states):
+        mask = support_sites(u)
         if np.any(mask & ~region):
             failures.append(f"state {i}: support leaves the region")
             continue
-        rep = localization_report(s, compton)
+        rep = localization_report(u, spec, compton)
         if not rep.passes:
             failures.append(f"state {i}: {rep.status}")
     if failures:
@@ -339,15 +306,22 @@ def elp_check(
             seed=seed,
             passes=False,
         )
+    # (phi, pi) of each u_i and of J u_i as (2, nsites) arrays, so that a
+    # trial validates one PhaseVector rather than one per term of its sum
+    fields = [np.array((u.phi, u.pi)) for u in states]
+    rotated = [np.array((ju.phi, ju.pi)) for ju in (apply_J(u, spec) for u in states)]
     rng = np.random.default_rng(seed)
     trials = []
     for _ in range(n_trials):
         raw = rng.normal(size=len(states)) + 1j * rng.normal(size=len(states))
         coeffs = raw / np.linalg.norm(raw)
-        w = superpose(states, coeffs)
-        mask = support_sites(w.progenitor)
+        phi, pi = sum(
+            c.real * f + c.imag * jf for c, f, jf in zip(coeffs, fields, rotated)
+        )
+        w = PhaseVector(spec.lattice, phi, pi)
+        mask = support_sites(w)
         in_region = not np.any(mask & ~region)
-        rep = localization_report(w, compton)
+        rep = localization_report(w, spec, compton)
         trials.append(
             TrialResult(coefficients=coeffs, support_in_region=in_region, report=rep)
         )

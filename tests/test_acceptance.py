@@ -22,12 +22,12 @@ from emergence_lab.asymptotics import (
     kernel_decay_rate,
 )
 from emergence_lab.cli import main as cli_main
-from emergence_lab.experiments import _sandwich_r
 from emergence_lab.fock_oracle import (
     build_fock,
     field_operator,
     expectation,
     one_particle,
+    potential_operator,
     small_state_limit_check,
     vacuum,
 )
@@ -42,6 +42,7 @@ from emergence_lab.modes import (
     PhaseVector,
     evolve_modes,
     evolve_state,
+    from_modes,
     gaussian_bump,
     to_modes,
 )
@@ -60,8 +61,6 @@ from emergence_lab.particle import (
     elp_check,
     energy_density_diff,
     localization_report,
-    make_particle,
-    particle_from_modes,
     phi2_diff,
     pi2_diff,
     region_ball,
@@ -281,7 +280,7 @@ def test_criterion_07_oracle_arbitration():
     vac = vacuum(space)
     alpha = np.zeros(spec.nmodes, dtype=complex)
     alpha[:3] = direction
-    state = particle_from_modes(ModeVector(spectrum=spec, alpha=alpha))
+    u = from_modes(ModeVector(spectrum=spec, alpha=alpha))
 
     worst = 0.0
     for name, fn in (
@@ -289,11 +288,11 @@ def test_criterion_07_oracle_arbitration():
         ("pi2", pi2_diff),
         ("energy", energy_density_diff),
     ):
-        analytic = fn(state)
+        analytic = fn(u, spec)
         for x in range(lattice.nsites):
             if name == "energy":
                 pi_op = field_operator(space, x, "pi")
-                op = 0.5 * (pi_op @ pi_op) + 0.5 * _sandwich_r(spec, space, x)
+                op = 0.5 * (pi_op @ pi_op) + 0.5 * potential_operator(space, x)
             else:
                 base = field_operator(space, x, "phi" if name == "phi2" else "pi")
                 op = base @ base
@@ -349,16 +348,15 @@ def test_criterion_09_localization_and_elp(spec512):
     width = 5.0 * compton
     lattice = spec512.lattice
     bump = gaussian_bump(lattice, 256, width, cutoff=4.0 * width)
-    state = make_particle(bump, spec512)
-    report = localization_report(state, compton)
+    report = localization_report(bump, spec512, compton)
     probe_ok = report.passes and all(
         r.fit.nsamples == 0 or r.fit.length <= 1.2 * compton for r in report.probes
     )
 
-    left = make_particle(gaussian_bump(lattice, 248, width, cutoff=4.0 * width), spec512)
-    right = make_particle(gaussian_bump(lattice, 264, width, cutoff=4.0 * width), spec512)
+    left = gaussian_bump(lattice, 248, width, cutoff=4.0 * width)
+    right = gaussian_bump(lattice, 264, width, cutoff=4.0 * width)
     region = region_ball(lattice, 256, 45.0 * compton)
-    elp = elp_check([left, right], region, compton, n_trials=10, seed=0)
+    elp = elp_check([left, right], spec512, region, compton, n_trials=10, seed=0)
     elapsed = time.perf_counter() - start
     ok = probe_ok and elp.precondition_ok and elp.passes and elapsed < 60.0
     lengths = ", ".join(

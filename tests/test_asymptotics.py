@@ -17,9 +17,7 @@ from emergence_lab.asymptotics import (
     find_branch_points,
     kernel_decay_rate,
     lattice_vs_continuum,
-    predict_compton,
     rescale_symbol,
-    self_energy,
 )
 from emergence_lab.spectral import AxiomError
 
@@ -54,15 +52,15 @@ def test_symbol_validation():
         SymbolPolynomial.klein_gordon(0.0)
 
 
-def test_self_energy_values():
-    np.testing.assert_allclose(
-        self_energy(KG, np.array([0.0, 1.0, 2.0])), [1.0, 2.0, 5.0]
-    )
+def test_symbol_on_real_wavenumbers():
+    # omega^2(k) = P(k^2)
+    k = np.array([0.0, 1.0, 2.0])
+    np.testing.assert_allclose(KG(k**2), [1.0, 2.0, 5.0])
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0, 3.0])
 def test_rescale_moves_compton_exactly(c):
-    assert predict_compton(rescale_symbol(KG, c)) == pytest.approx(c, rel=1e-14)
+    assert rescale_symbol(KG, c).branch.compton == pytest.approx(c, rel=1e-14)
 
 
 def test_rescale_coefficient_law():
@@ -115,7 +113,7 @@ def test_branch_points_are_found_once_per_symbol(monkeypatch):
     symbol = SymbolPolynomial(coeffs=(4.0, 5.0, 1.0))
     fit = kernel_decay_rate(symbol, -0.5)
     direct_radial_integral(symbol, -0.5, 3.0)
-    assert predict_compton(symbol) == pytest.approx(1.0)
+    assert symbol.branch.compton == pytest.approx(1.0)
     assert fit.ok
     assert calls == [symbol]
     assert symbol.branch is symbol.branch

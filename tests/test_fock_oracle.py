@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from dense_arbiter import dense_fock_lowering
 from emergence_lab import fock_oracle as fo
-from emergence_lab.experiments import _sandwich_r
 from emergence_lab.spectral import Lattice, build_klein_gordon, diagonalize
 
 
@@ -89,7 +88,7 @@ def _oracle_and_dense(spec, space, x):
     pairs["phi@pi"] = (phi_op @ pi_op, phi @ pi)
     pairs["(pi@phi).T"] = ((pi_op @ phi_op).T, (pi @ phi).T)
     pairs["phi-pi"] = (phi_op - pi_op, phi - pi)
-    pairs["sandwich_r"] = (_sandwich_r(spec, space, x), root_phi @ root_phi)
+    pairs["potential"] = (fo.potential_operator(space, x), root_phi @ root_phi)
     return pairs
 
 
@@ -101,7 +100,7 @@ def test_operators_match_dense_fock_build(spec6, modes, n_max):
     vec = np.random.default_rng(n_max).normal(size=(space.dim, 2)) @ [1.0, 1j]
     for x in (0, 4):
         for name, (op, dense) in _oracle_and_dense(spec6, space, x).items():
-            if "@" in name or name == "sandwich_r":
+            if "@" in name or name == "potential":
                 # a product entry sums several nonzero terms, which the dense
                 # matmul may add in another order: allow one rounding each
                 scale = np.abs(dense).max()

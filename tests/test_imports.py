@@ -92,3 +92,12 @@ def test_numpy_layers_run_with_scipy_blocked(tmp_path):
         ref = tmp_path / "ref" / name
         assert result["codes"][name] == main(argv + ["--out", str(ref)]), name
         assert _files(tmp_path / "blocked" / name) == _files(ref), name
+
+
+def test_every_public_name_resolves():
+    # a name deleted from the package but left in __all__ breaks `import *`
+    missing = [name for name in emergence_lab.__all__ if not hasattr(emergence_lab, name)]
+    assert missing == []
+    namespace = {}
+    exec("from emergence_lab import *", namespace)
+    assert set(emergence_lab.__all__) <= set(namespace)

@@ -1,28 +1,35 @@
 """One-particle observables, the Fock arbitration and localization checks."""
 
+import dataclasses
+import types
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from emergence_lab import fock_oracle as fo
-from emergence_lab.modes import ModeVector, PhaseVector, gaussian_bump
+from emergence_lab.geometry import apply_J
+from emergence_lab.modes import ModeVector, PhaseVector, from_modes, gaussian_bump, to_modes
 from emergence_lab.particle import (
     KAPPA,
+    PROBES,
     calibrate_kappa,
     distance_beyond,
     elp_check,
     energy_density_diff,
     localization_report,
-    make_particle,
-    particle_from_modes,
     phi2_diff,
     pi2_diff,
     region_ball,
-    superpose,
     support_sites,
     vacuum_two_point,
 )
-from emergence_lab.spectral import Lattice, build_klein_gordon, diagonalize
+from emergence_lab.spectral import (
+    Lattice,
+    LatticeMismatchError,
+    build_klein_gordon,
+    diagonalize,
+)
 
 
 @pytest.fixture(scope="module")
@@ -35,11 +42,11 @@ def spec512():
     return diagonalize(build_klein_gordon(1.0, Lattice((512,))))
 
 
-def particle_on_modes(spec, assignments):
+def modes_on(spec, assignments):
     alpha = np.zeros(spec.nmodes, dtype=complex)
     for k, a in assignments.items():
         alpha[k] = a
-    return particle_from_modes(ModeVector(spectrum=spec, alpha=alpha))
+    return ModeVector(spectrum=spec, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -68,13 +75,13 @@ def test_probes_match_fock_oracle_two_modes(spec6):
     space = fo.build_fock(spec6, (0, 1), n_max=10)
     fock_state = fo.one_particle(space, direction)
     vac = fo.vacuum(space)
-    state = particle_on_modes(spec6, {0: direction[0], 1: direction[1]})
+    u = from_modes(modes_on(spec6, {0: direction[0], 1: direction[1]}))
 
     for name, probe, which in [
         ("phi2", phi2_diff, "phi"),
         ("pi2", pi2_diff, "pi"),
     ]:
-        analytic = probe(state)
+        analytic = probe(u, spec6)
         for x in range(6):
             op = fo.field_operator(space, x, which)
             op2 = op @ op
@@ -85,8 +92,8 @@ def test_probes_match_fock_oracle_two_modes(spec6):
 
 
 def test_energy_density_equals_pi2_pointwise(spec6):
-    state = particle_on_modes(spec6, {0: 0.5, 2: 0.3j, 4: -0.2})
-    assert_allclose(energy_density_diff(state), pi2_diff(state), atol=1e-15)
+    u = from_modes(modes_on(spec6, {0: 0.5, 2: 0.3j, 4: -0.2}))
+    assert_allclose(energy_density_diff(u, spec6), pi2_diff(u, spec6), atol=1e-15)
 
 
 def test_site_sums_reduce_to_mode_sums(spec512):
@@ -94,16 +101,15 @@ def test_site_sums_reduce_to_mode_sums(spec512):
     u = PhaseVector(
         spec512.lattice, rng.normal(size=512), rng.normal(size=512)
     )
-    state = make_particle(u, spec512)
-    alpha = state.modes.alpha
+    alpha = to_modes(u, spec512).alpha
     cell = spec512.lattice.cell
     assert_allclose(
-        np.sum(phi2_diff(state)) * cell,
+        np.sum(phi2_diff(u, spec512)) * cell,
         np.sum(np.abs(alpha) ** 2 / spec512.frequencies),
         rtol=1e-12,
     )
     assert_allclose(
-        np.sum(pi2_diff(state)) * cell,
+        np.sum(pi2_diff(u, spec512)) * cell,
         np.sum(np.abs(alpha) ** 2 * spec512.frequencies),
         rtol=1e-12,
     )
@@ -111,10 +117,11 @@ def test_site_sums_reduce_to_mode_sums(spec512):
 
 def test_phi2_closed_form(spec6):
     # phi^2 excess is 4 kappa |sum_k alpha_k f_k / sqrt(2 w_k)|^2
-    state = particle_on_modes(spec6, {1: 0.7, 3: 0.2 - 0.5j})
-    alpha = state.modes.alpha
-    smeared = spec6.basis @ (alpha / np.sqrt(2.0 * spec6.frequencies))
-    assert_allclose(phi2_diff(state), 4.0 * KAPPA * np.abs(smeared) ** 2, atol=1e-14)
+    modes = modes_on(spec6, {1: 0.7, 3: 0.2 - 0.5j})
+    smeared = spec6.basis @ (modes.alpha / np.sqrt(2.0 * spec6.frequencies))
+    assert_allclose(
+        phi2_diff(from_modes(modes), spec6), 4.0 * KAPPA * np.abs(smeared) ** 2, atol=1e-14
+    )
 
 
 def test_vacuum_two_point_matches_oracle():
@@ -140,26 +147,17 @@ def test_vacuum_two_point_symmetric(spec6):
 # superposition
 # ---------------------------------------------------------------------------
 
-def test_superpose_is_linear_in_alpha(spec6):
-    s1 = particle_on_modes(spec6, {0: 1.0})
-    s2 = particle_on_modes(spec6, {1: 1.0})
-    mix = superpose([s1, s2], np.array([0.6, 0.8j]))
-    assert_allclose(mix.modes.alpha[:2], [0.6, 0.8j], atol=1e-15)
-
-
-def test_superpose_zero_coefficient_reduces(spec6):
-    s1 = particle_on_modes(spec6, {0: 0.3, 2: 0.4})
-    s2 = particle_on_modes(spec6, {1: 1.0})
-    mix = superpose([s1, s2], np.array([1.0, 0.0]))
-    assert_allclose(mix.modes.alpha, s1.modes.alpha, atol=1e-15)
-
-
-def test_superpose_requires_shared_spectrum(spec6):
-    other = diagonalize(build_klein_gordon(1.0, Lattice((6,))))
-    s1 = particle_on_modes(spec6, {0: 1.0})
-    s2 = particle_on_modes(other, {0: 1.0})
-    with pytest.raises(ValueError):
-        superpose([s1, s2], np.array([1.0, 1.0]))
+@pytest.mark.parametrize("coeffs", [(0.6, 0.8j), (1.0, 0.0), (0.6 - 0.2j, -0.3 + 0.7j)])
+def test_j_superposition_is_linear_in_alpha(spec6, coeffs):
+    # sum_i Re(c_i) u_i + Im(c_i) J u_i has amplitudes sum_i c_i alpha_i
+    m1 = modes_on(spec6, {0: 0.3, 2: 0.4})
+    m2 = modes_on(spec6, {1: 1.0, 2: -0.5j})
+    mix = PhaseVector.zero(spec6.lattice)
+    for c, m in zip(coeffs, (m1, m2)):
+        u = from_modes(m)
+        mix = mix + np.real(c) * u + np.imag(c) * apply_J(u, spec6)
+    expected = coeffs[0] * m1.alpha + coeffs[1] * m2.alpha
+    assert_allclose(to_modes(mix, spec6).alpha, expected, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +233,7 @@ def test_region_ball_inclusive():
 
 def test_truncated_bump_is_localized(spec512):
     bump = gaussian_bump(spec512.lattice, 256, 5.0, cutoff=20.0)
-    report = localization_report(make_particle(bump, spec512), 1.0)
+    report = localization_report(bump, spec512, 1.0)
     assert report.passes
     assert report.support_size == 41
     by_name = {p.probe: p for p in report.probes}
@@ -256,7 +254,7 @@ def test_plane_wave_reported_not_localized(spec512):
         np.cos(2.0 * np.pi * 3.0 * np.arange(512) / 512.0),
         np.zeros(512),
     )
-    report = localization_report(make_particle(wave, spec512), 1.0)
+    report = localization_report(wave, spec512, 1.0)
     assert not report.passes
     assert report.status.startswith("not localized")
     assert report.support_size == 510
@@ -272,27 +270,27 @@ def elp_setup(spec512):
     lattice = spec512.lattice
     cutoff = 20.0
     states = [
-        make_particle(gaussian_bump(lattice, 248, 5.0, cutoff=cutoff), spec512),
-        make_particle(gaussian_bump(lattice, 264, 5.0, cutoff=cutoff), spec512),
+        gaussian_bump(lattice, 248, 5.0, cutoff=cutoff),
+        gaussian_bump(lattice, 264, 5.0, cutoff=cutoff),
     ]
     region = region_ball(lattice, 256, 45.0)
     return states, region
 
 
 @pytest.mark.parametrize("seed", [0, 42])
-def test_elp_superpositions_stay_localized(elp_setup, seed):
+def test_elp_superpositions_stay_localized(spec512, elp_setup, seed):
     states, region = elp_setup
-    report = elp_check(states, region, 1.0, n_trials=10, seed=seed)
+    report = elp_check(states, spec512, region, 1.0, n_trials=10, seed=seed)
     assert report.precondition_ok
     assert report.passes
     assert len(report.trials) == 10
     assert all(t.passes for t in report.trials)
 
 
-def test_elp_same_seed_same_coefficients(elp_setup):
+def test_elp_same_seed_same_coefficients(spec512, elp_setup):
     states, region = elp_setup
-    a = elp_check(states, region, 1.0, n_trials=3, seed=5)
-    b = elp_check(states, region, 1.0, n_trials=3, seed=5)
+    a = elp_check(states, spec512, region, 1.0, n_trials=3, seed=5)
+    b = elp_check(states, spec512, region, 1.0, n_trials=3, seed=5)
     for ta, tb in zip(a.trials, b.trials):
         assert_allclose(ta.coefficients, tb.coefficients, atol=0)
 
@@ -300,8 +298,58 @@ def test_elp_same_seed_same_coefficients(elp_setup):
 def test_elp_precondition_failure_reported(spec512, elp_setup):
     states, _ = elp_setup
     small_region = region_ball(spec512.lattice, 256, 10.0)
-    report = elp_check(states, small_region, 1.0, n_trials=5, seed=0)
+    report = elp_check(states, spec512, small_region, 1.0, n_trials=5, seed=0)
     assert not report.precondition_ok
     assert not report.passes
     assert report.trials == ()
     assert any("support leaves the region" in msg for msg in report.failures)
+
+
+@pytest.mark.parametrize("shape, spacing", [((256,), 1.0), ((512,), 0.5)])
+def test_elp_rejects_state_on_other_lattice(spec512, elp_setup, shape, spacing):
+    states, region = elp_setup
+    stray = gaussian_bump(Lattice(shape, spacing), 128, 5.0, cutoff=20.0)
+    with pytest.raises(LatticeMismatchError):
+        elp_check([states[0], stray], spec512, region, 1.0, n_trials=2, seed=0)
+
+
+def test_elp_needs_a_state(spec512, elp_setup):
+    _, region = elp_setup
+    with pytest.raises(ValueError, match="at least one state"):
+        elp_check([], spec512, region, 1.0, n_trials=2, seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_elp_trials_match_mode_superposition(spec512, elp_setup, seed):
+    # arbiter: each trial, formed through J, against the same complex
+    # combination of mode amplitudes synthesized back to fields
+    states, region = elp_setup
+    report = elp_check(states, spec512, region, 1.0, n_trials=10, seed=seed)
+    alphas = [to_modes(u, spec512).alpha for u in states]
+    assert len(report.trials) == 10
+    for trial in report.trials:
+        alpha = sum(c * a for c, a in zip(trial.coefficients, alphas))
+        w = from_modes(ModeVector(spectrum=spec512, alpha=alpha))
+        ref = localization_report(w, spec512, 1.0)
+        assert len(trial.report.probes) == len(ref.probes) == len(PROBES)
+        for got, want in zip(trial.report.probes, ref.probes):
+            peak = float(PROBES[want.probe](w, spec512).max())
+            assert got.probe == want.probe
+            assert np.array_equal(got.distances, want.distances)
+            assert np.abs(got.values - want.values).max() <= 1e-12 * peak, got.probe
+
+
+def test_localization_chain_reads_only_lattice_and_apply_power(spec512, elp_setup):
+    states, region = elp_setup
+    applier = types.SimpleNamespace(
+        lattice=spec512.lattice, apply_power=spec512.apply_power
+    )
+    u = states[0] + apply_J(states[1], spec512)
+    np.testing.assert_equal(
+        dataclasses.astuple(localization_report(u, applier, 1.0)),
+        dataclasses.astuple(localization_report(u, spec512, 1.0)),
+    )
+    np.testing.assert_equal(
+        dataclasses.astuple(elp_check(states, applier, region, 1.0, n_trials=3, seed=7)),
+        dataclasses.astuple(elp_check(states, spec512, region, 1.0, n_trials=3, seed=7)),
+    )
