@@ -78,7 +78,6 @@ from .asymptotics import (
     find_branch_points,
     kernel_decay_rate,
     lattice_vs_continuum,
-    rescale_symbol,
 )
 from .experiments import ExperimentConfig, RunReport, run_all, run_experiment
 
@@ -135,7 +134,6 @@ __all__ = [
     "pi2_diff",
     "position_expectation",
     "region_ball",
-    "rescale_symbol",
     "run_all",
     "run_experiment",
     "schrodinger_rhs",

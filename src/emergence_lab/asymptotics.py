@@ -57,14 +57,15 @@ GAUSS_POINTS = 24
 EULER_TOL = 1e-9
 RATE_WINDOW_COMPTON = (5.0, 15.0)
 RATE_SAMPLES = 25
+# a fitted rate within this fraction of the branch-point rate passes, here
+# (RateFit.ok) and in the asymptotics experiment's decay_rate checks
 RATE_RTOL = 0.05
 # lattice refinement: spacings, sites at the coarsest spacing, kernel exponent,
-# fit window in Compton lengths, tolerance on the deviation from 1/m
+# fit window in Compton lengths
 REFINE_SPACINGS = (1.0, 0.5)
 REFINE_BASE_NSITES = 512
 REFINE_EXPONENT = -0.5
 REFINE_WINDOW_COMPTON = (3.0, 20.0)
-REFINE_RTOL = 0.15
 
 
 class AsymptoticsError(RuntimeError):
@@ -113,19 +114,6 @@ class SymbolPolynomial:
         cached, so each use raises again.
         """
         return find_branch_points(self)
-
-
-def rescale_symbol(symbol: SymbolPolynomial, c: float) -> SymbolPolynomial:
-    """Dilate lengths by c: each zero k_i maps to k_i / c.
-
-    Coefficient a_j picks up c^{2j}, so P_c(s) = P(c^2 s) and the Compton
-    length scales by exactly c.
-    """
-    if c <= 0:
-        raise ValueError("scale factor must be positive")
-    return SymbolPolynomial(
-        coeffs=tuple(a * c ** (2 * j) for j, a in enumerate(symbol.coeffs))
-    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -492,8 +480,6 @@ class ContinuumComparison:
 
     continuum_length: float
     results: tuple[SpacingResult, ...]
-    monotone: bool
-    ok: bool
 
 
 def lattice_vs_continuum(mass: float) -> ContinuumComparison:
@@ -502,8 +488,8 @@ def lattice_vs_continuum(mass: float) -> ContinuumComparison:
     One-dimensional Klein-Gordon lattices at each of REFINE_SPACINGS (fixed
     physical size, so nsites scales inversely with spacing) are profiled from
     a central source; the fit removes the lattice kernel's sqrt(d) prefactor.
-    Passing requires every deviation within REFINE_RTOL and the deviations
-    non-increasing as the spacing shrinks.
+    Results run from the coarsest spacing to the finest, each with its
+    relative deviation from 1/m.
     """
     compton = 1.0 / mass
     lo, hi = REFINE_WINDOW_COMPTON
@@ -532,12 +518,4 @@ def lattice_vs_continuum(mass: float) -> ContinuumComparison:
                 deviation=abs(length - compton) / compton,
             )
         )
-    devs = [res.deviation for res in results]
-    monotone = all(b <= a + 1e-12 for a, b in zip(devs, devs[1:]))
-    ok = monotone and all(dev <= REFINE_RTOL for dev in devs)
-    return ContinuumComparison(
-        continuum_length=compton,
-        results=tuple(results),
-        monotone=monotone,
-        ok=ok,
-    )
+    return ContinuumComparison(continuum_length=compton, results=tuple(results))

@@ -9,12 +9,16 @@ oracle-verify, localize, elp, nw, asymptotics, segal-check, or all. The
 config file is a flat ``key = value`` text file (see serialize.read_config);
 keys it may set are the ExperimentConfig fields, and each value is parsed
 and validated by its field's type (experiments.config_from_mapping). --seed
-overrides the file.
+overrides the file. No key sets a gate: every check's bounds are constants
+of the experiment.
 
 Outputs land in the --out directory: ``report.<experiment>.json`` with the
 per-check records, and one ``<table>.tsv`` per data table, each with a ``#``
-metadata preamble. Timing is printed to stdout only, so identical configs
-produce byte-identical files.
+metadata preamble. A check record holds the number its gate judged
+(``measured``), the gate's inclusive ``lower`` and ``upper`` bounds (null
+when a side is open) and ``pass``, which is lower <= measured <= upper and
+false for a NaN measurement. Timing is printed to stdout only, so identical
+configs produce byte-identical files.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 config error (including a malformed or out-of-range config value), 3 numeric
@@ -88,8 +92,8 @@ def report_json(report: RunReport) -> str:
             {
                 "name": c.name,
                 "measured": c.measured,
-                "expected": c.expected,
-                "tolerance": c.tolerance,
+                "lower": c.lower,
+                "upper": c.upper,
                 "pass": c.passed,
             }
             for c in report.checks
@@ -125,7 +129,7 @@ def _print_report(report: RunReport) -> None:
         if not check.passed:
             print(
                 f"  FAIL {check.name}: measured={check.measured!r} "
-                f"expected={check.expected!r} tolerance={check.tolerance!r}"
+                f"lower={check.lower!r} upper={check.upper!r}"
             )
 
 

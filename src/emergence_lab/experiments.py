@@ -2,7 +2,9 @@
 
 Each experiment builds its own small lattice, runs one family of checks and
 returns a RunReport (per-check records plus an overall verdict) together with
-plot-ready tables. Experiments are pure given their config: every random draw
+plot-ready tables. Every check is a CheckRecord: the number its gate judged
+against bounds that are module constants beside the check, so no config key
+moves a gate. Experiments are pure given their config: every random draw
 flows from one generator seeded with ``config.seed``, so reruns with the same
 config reproduce the same reports and tables byte for byte. Timing is carried
 on the report object for display but is never written to disk.
@@ -11,6 +13,7 @@ on the report object for display but is never written to disk.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 import typing
 
@@ -21,6 +24,7 @@ from .asymptotics import (
     SymbolPolynomial,
     branch_cut_kernel,
     direct_radial_integral,
+    RATE_RTOL,
     kernel_decay_rate,
     lattice_vs_continuum,
 )
@@ -53,6 +57,7 @@ from .newton_wigner import (
     to_nw,
 )
 from .particle import (
+    KAPPA,
     PROBES,
     calibrate_kappa,
     elp_check,
@@ -61,6 +66,7 @@ from .particle import (
     vacuum_two_point,
 )
 from .spectral import (
+    FIT_RMS_MAX,
     Lattice,
     Spectrum,
     build_klein_gordon,
@@ -88,8 +94,7 @@ class ExperimentConfig:
     """Flat, serializable experiment parameters.
 
     ``shape = ()`` means "use the experiment's documented default size".
-    Tolerances must be positive; the seed feeds the single random generator
-    used by an experiment run.
+    The seed feeds the single random generator used by an experiment run.
     """
 
     experiment: str
@@ -102,11 +107,6 @@ class ExperimentConfig:
     n_trials: int = 10
     n_pairs: int = 100
     seed: int = 0
-    decay_rtol: float = 0.1
-    rate_rtol: float = 0.05
-    form_tol: float = 1e-9
-    drift_tol: float = 1e-8
-    nonrel_tol: float = 0.01
 
     def __post_init__(self):
         # every field is read by its type, whether it came from a file or
@@ -117,9 +117,6 @@ class ExperimentConfig:
                 object.__setattr__(self, field.name, _parse_field(field.name, value))
         if self.experiment not in EXPERIMENT_NAMES + ("all",):
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        for name in ("decay_rtol", "rate_rtol", "form_tol", "drift_tol", "nonrel_tol"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
         if not self.mass > 0:
             raise ConfigError("mass must be positive")
         if not self.spacing > 0:
@@ -210,17 +207,28 @@ def config_to_mapping(config: ExperimentConfig) -> dict:
 
 @dataclasses.dataclass(frozen=True)
 class CheckRecord:
-    """One measured quantity against its expectation.
+    """The number one gate judged, against the gate's bounds.
 
-    A record passes when |measured - expected| <= tolerance; boolean checks
-    encode pass as measured 1.0 against expected 1.0 at tolerance 0.
+    ``passed`` is computed, never given: lower <= measured <= upper, where an
+    absent bound (None) is open and a NaN measurement fails. A strict gate
+    x < b is stored as the inclusive bound nextafter(b, -inf), and x > b as
+    nextafter(b, +inf).
     """
 
     name: str
     measured: float
-    expected: float
-    tolerance: float
-    passed: bool
+    lower: float | None = None
+    upper: float | None = None
+    passed: bool = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        for name in ("measured", "lower", "upper"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
+        lower = -math.inf if self.lower is None else self.lower
+        upper = math.inf if self.upper is None else self.upper
+        # a NaN fails both comparisons, whatever the bounds
+        object.__setattr__(self, "passed", lower <= self.measured <= upper)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -256,25 +264,13 @@ class RunReport:
     elapsed_seconds: float
 
 
-def _check(name: str, measured: float, expected: float, tolerance: float) -> CheckRecord:
-    measured = float(measured)
-    passed = bool(abs(measured - expected) <= tolerance)
-    return CheckRecord(
-        name=name,
-        measured=measured,
-        expected=float(expected),
-        tolerance=float(tolerance),
-        passed=passed,
-    )
-
-
-def _flag(name: str, condition: bool) -> CheckRecord:
-    return _check(name, 1.0 if condition else 0.0, 1.0, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
+
+def _within(name: str, measured: float, expected: float, tol: float) -> CheckRecord:
+    return CheckRecord(name, measured, expected - tol, expected + tol)
+
 
 def _default_lattice(config: ExperimentConfig, default_sites: int) -> Lattice:
     shape = config.shape if config.shape else (default_sites,)
@@ -297,8 +293,14 @@ def _rel(a: complex, b: complex) -> float:
 
 
 # ---------------------------------------------------------------------------
-# experiments
+# experiments, each after the constant bounds of its gates
 # ---------------------------------------------------------------------------
+
+FORM_TOL = 1e-9  # two routes to one quantity agree to roundoff
+DRIFT_TOL = 1e-8  # a conserved inner product after an evolution
+FIT_RMS_UPPER = float(np.nextafter(FIT_RMS_MAX, -np.inf))  # strict: rms < max
+DECAY_RTOL = 0.1  # the R^{-1/2} decay length against 1/m
+
 
 def _run_kernel(config: ExperimentConfig, rng) -> tuple[list[CheckRecord], list[Table]]:
     spec = _spectrum(config, 512)
@@ -307,16 +309,17 @@ def _run_kernel(config: ExperimentConfig, rng) -> tuple[list[CheckRecord], list[
     profile = kernel_profile(spec, -0.5, source)
     window = (3.0 * compton, 20.0 * compton)
     fit = fit_decay_length(profile.distances, profile.values, window)
-    checks = [
-        _check("decay_length", fit.length, compton, config.decay_rtol * compton),
-        _flag("fit_quality", fit.quality_ok),
-    ]
     # beyond ~37 Compton lengths the kernel sinks under the roundoff floor
     # of its FFT sum (~1e-17 of the peak; a dense eigensolver's is ~1e-16),
-    # so monotonicity is only meaningful on the physical part of the tail
+    # so monotonicity is only meaningful on the physical part of the tail;
+    # the record counts the steps there that fail to decrease
     sel = (profile.distances >= 3.0 * compton) & (profile.distances <= 30.0 * compton)
-    vals = profile.values[sel]
-    checks.append(_flag("profile_decreasing", bool(np.all(np.diff(vals) < 0))))
+    steps = np.diff(profile.values[sel])
+    checks = [
+        _within("decay_length", fit.length, compton, DECAY_RTOL * compton),
+        CheckRecord("fit_quality", fit.rms_log_residual, upper=FIT_RMS_UPPER),
+        CheckRecord("profile_decreasing", np.count_nonzero(~(steps < 0)), upper=0),
+    ]
     rows = tuple(
         (float(d), float(v), float(np.log(v)))
         for d, v in zip(profile.distances, profile.values)
@@ -340,11 +343,11 @@ def _run_modes_check(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     evolved = to_modes(evolve_state(u, spec, config.time), spec)
     drift = abs(hamiltonian_energy(evolved) - e_modes) / e_modes
     checks = [
-        _check("orthonormality", canon.orthonormality_dev, 0.0, config.form_tol),
-        _check("completeness", canon.completeness_dev, 0.0, config.form_tol),
-        _check("mode_roundtrip", roundtrip, 0.0, config.form_tol),
-        _check("energy_agreement", _rel(e_modes, e_field), 0.0, config.form_tol),
-        _check("energy_drift", drift, 0.0, config.form_tol),
+        CheckRecord("orthonormality", canon.orthonormality_dev, upper=FORM_TOL),
+        CheckRecord("completeness", canon.completeness_dev, upper=FORM_TOL),
+        CheckRecord("mode_roundtrip", roundtrip, upper=FORM_TOL),
+        CheckRecord("energy_agreement", _rel(e_modes, e_field), upper=FORM_TOL),
+        CheckRecord("energy_drift", drift, upper=FORM_TOL),
     ]
     rows = tuple(
         (int(k), float(spec.eigenvalues[k]), float(spec.frequencies[k]))
@@ -379,10 +382,10 @@ def _run_geometry_check(config, rng) -> tuple[list[CheckRecord], list[Table]]:
         sympl = max(sympl, abs(om_j - om) / max(abs(om), 1e-300))
         rows.append((i, devs[0], devs[1], devs[2]))
     checks = [
-        _check("J_squared_is_minus_identity", j_sq, 0.0, config.form_tol),
-        _check("rhs_matches_hamilton", rhs_dev, 0.0, config.form_tol),
-        _check("forms_agree", forms, 0.0, config.form_tol),
-        _check("symplectic_J_invariance", sympl, 0.0, config.form_tol),
+        CheckRecord("J_squared_is_minus_identity", j_sq, upper=FORM_TOL),
+        CheckRecord("rhs_matches_hamilton", rhs_dev, upper=FORM_TOL),
+        CheckRecord("forms_agree", forms, upper=FORM_TOL),
+        CheckRecord("symplectic_J_invariance", sympl, upper=FORM_TOL),
     ]
     table = Table(
         "form_agreement", ("pair", "alpha_vs_qp", "alpha_vs_direct", "qp_vs_direct"),
@@ -391,11 +394,18 @@ def _run_geometry_check(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     return checks, [table]
 
 
+KAPPA_TOL = 1e-9
+ORACLE_TOL = 1e-8  # probe excesses and the two-point function
+DISPLACEMENT_TOL = 1e-10
+SMALL_STATE_EXPONENT = 2.0
+SMALL_STATE_EXPONENT_TOL = 0.1
+
+
 def _run_oracle_verify(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     lattice = Lattice((6,), spacing=config.spacing)
     spec = diagonalize(build_klein_gordon(config.mass, lattice))
     kappa = calibrate_kappa(spec, mode_index=0, n_max=14)
-    checks = [_check("kappa", kappa, 0.5, 1e-9)]
+    checks = [_within("kappa", kappa, KAPPA, KAPPA_TOL)]
 
     space = fock_oracle.build_fock(spec, (0, 1), n_max=10)
     direction = np.array([0.8, 0.6j])
@@ -423,8 +433,8 @@ def _run_oracle_verify(config, rng) -> tuple[list[CheckRecord], list[Table]]:
                 - fock_oracle.expectation(vac, op).real
             )
             worst = max(worst, abs(excess - analytic[x]))
-        checks.append(_check(f"{name}_matches_oracle", worst, 0.0, 1e-8))
-        rows.append((name, worst, 1e-8))
+        checks.append(CheckRecord(f"{name}_matches_oracle", worst, upper=ORACLE_TOL))
+        rows.append((name, worst, ORACLE_TOL))
 
     lattice3 = Lattice((3,), spacing=config.spacing)
     spec3 = diagonalize(build_klein_gordon(config.mass, lattice3))
@@ -436,26 +446,30 @@ def _run_oracle_verify(config, rng) -> tuple[list[CheckRecord], list[Table]]:
         for y in range(3):
             oracle = fock_oracle.expectation(vac3, phi3[x] @ phi3[y]).real
             worst = max(worst, abs(oracle - vacuum_two_point(spec3, x, y)))
-    checks.append(_check("vacuum_two_point", worst, 0.0, 1e-8))
-    rows.append(("two_point", worst, 1e-8))
+    checks.append(CheckRecord("vacuum_two_point", worst, upper=ORACLE_TOL))
+    rows.append(("two_point", worst, ORACLE_TOL))
 
     unit = direction / np.linalg.norm(direction)
     z = 0.4 + 0.2j
     disp = fock_oracle.displacement(space, unit, z)
     coh = fock_oracle.coherent_state(space, z * unit)
     dev = float(np.linalg.norm(disp.amplitudes - coh.vector.amplitudes))
-    checks.append(_check("displacement_vs_coherent", dev, 0.0, 1e-10))
-    rows.append(("displacement", dev, 1e-10))
+    checks.append(CheckRecord("displacement_vs_coherent", dev, upper=DISPLACEMENT_TOL))
+    rows.append(("displacement", dev, DISPLACEMENT_TOL))
 
     single = fock_oracle.build_fock(spec, (0,), n_max=14)
     report = fock_oracle.small_state_limit_check(
         single, np.array([1.0]), np.geomspace(0.02, 0.2, 8)
     )
-    checks.append(_check("small_state_exponent", report.exponent, 2.0, 0.1))
-    rows.append(("small_state_exponent", report.exponent, 0.1))
+    checks.append(_within("small_state_exponent", report.exponent,
+                          SMALL_STATE_EXPONENT, SMALL_STATE_EXPONENT_TOL))
+    rows.append(("small_state_exponent", report.exponent, SMALL_STATE_EXPONENT_TOL))
 
     table = Table("oracle_deviations", ("check", "value", "tolerance"), tuple(rows))
     return checks, [table]
+
+
+SUPPORT_UPPER = float(np.nextafter(0.5, -np.inf))  # strict: under half the sites
 
 
 def _run_localize(config, rng) -> tuple[list[CheckRecord], list[Table]]:
@@ -468,10 +482,13 @@ def _run_localize(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     )
     report = localization_report(bump, spec, compton)
     checks = [
-        _flag("state_localizable", report.support_fraction < 0.5),
+        CheckRecord("state_localizable", report.support_fraction, upper=SUPPORT_UPPER)
     ]
-    for probe in report.probes:
-        checks.append(_flag(f"{probe.probe}_decay_within_gate", probe.passes))
+    for p in report.probes:
+        checks += [
+            CheckRecord(f"{p.probe}_decay_within_gate", p.fit.length, upper=report.gate),
+            CheckRecord(f"{p.probe}_fit_rms", p.fit.rms_log_residual, upper=FIT_RMS_UPPER),
+        ]
     rows = []
     if report.probes:
         dists = report.probes[0].distances
@@ -508,27 +525,30 @@ def _run_elp(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     )
     n_passed = sum(1 for t in report.trials if t.passes)
     checks = [
-        _flag("inputs_localized_in_region", report.precondition_ok),
-        _check("trials_passed", n_passed, config.n_trials, 0.0),
+        # the count of inputs that are not localized inside the region
+        CheckRecord("inputs_localized_in_region", len(report.failures), upper=0),
+        CheckRecord("trials_passed", n_passed, lower=config.n_trials),
     ]
     rows = []
     for i, trial in enumerate(report.trials):
-        lengths = {p.probe: p.fit.length for p in trial.report.probes}
-        rows.append((
-            i,
-            int(trial.support_in_region),
-            int(trial.passes),
-            lengths.get("phi2", float("nan")),
-            lengths.get("pi2", float("nan")),
-            lengths.get("energy", float("nan")),
-        ))
+        fits = {p.probe: p.fit for p in trial.report.probes}
+        lengths = [fits[p].length if p in fits else float("nan") for p in PROBES]
+        rms = [fits[p].rms_log_residual if p in fits else float("nan") for p in PROBES]
+        rows.append((i, int(trial.support_in_region), int(trial.passes), *lengths, *rms))
     table = Table(
         "elp_trials",
-        ("trial", "support_in_region", "passes", "phi2_length", "pi2_length",
-         "energy_length"),
+        ("trial", "support_in_region", "passes")
+        + tuple(f"{p}_length" for p in PROBES)
+        + tuple(f"{p}_rms" for p in PROBES),
         tuple(rows),
     )
     return checks, [table]
+
+
+NW_DELTA_WIDTH_RTOL = 0.25  # the delta footprint's width against 1/m
+NONREL_LOW_K_MIN = 0.999  # a packet's weight below m/5
+NONREL_TOL = 0.01
+LEAKAGE_LOWER = float(np.nextafter(0.0, np.inf))  # strict: leakage > 0
 
 
 def _run_nw(config, rng) -> tuple[list[CheckRecord], list[Table]]:
@@ -553,15 +573,20 @@ def _run_nw(config, rng) -> tuple[list[CheckRecord], list[Table]]:
         route_b = evolve_nw(nw, config.time)
         evolve_dev = max(evolve_dev, float(np.abs(route_a.psi - route_b.psi).max()))
     checks = [
-        _check("nw_intertwines_J", commute, 0.0, config.form_tol),
-        _check("norm_agreement", norm_dev, 0.0, config.form_tol),
-        _check("nw_roundtrip", roundtrip, 0.0, config.form_tol),
-        _check("evolution_commutes", evolve_dev, 0.0, config.form_tol),
+        CheckRecord("nw_intertwines_J", commute, upper=FORM_TOL),
+        CheckRecord("norm_agreement", norm_dev, upper=FORM_TOL),
+        CheckRecord("nw_roundtrip", roundtrip, upper=FORM_TOL),
+        CheckRecord("evolution_commutes", evolve_dev, upper=FORM_TOL),
     ]
 
     delta = nw_delta_localization(spec, lattice.nsites // 2, compton)
-    checks.append(_check("delta_profile_closed_form", delta.closed_form_dev, 0.0, 1e-9))
-    checks.append(_flag("delta_width_near_compton", delta.width_ok))
+    width = delta.amplitude_fit
+    checks += [
+        CheckRecord("delta_profile_closed_form", delta.closed_form_dev, upper=FORM_TOL),
+        _within("delta_width_near_compton", width.length, compton,
+                NW_DELTA_WIDTH_RTOL * compton),
+        CheckRecord("delta_width_fit_rms", width.rms_log_residual, upper=FIT_RMS_UPPER),
+    ]
     rows = tuple(
         (float(d), float(v)) for d, v in zip(delta.distances, delta.values)
     )
@@ -570,15 +595,23 @@ def _run_nw(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     big = diagonalize(build_klein_gordon(config.mass, Lattice((1024,), config.spacing)))
     packet = gaussian_packet(big, 512, 20.0 / config.mass)
     nonrel = nonrelativistic_compare(packet, config.mass, 10.0)
-    checks.append(_flag("nonrel_precondition", nonrel.precondition_ok))
-    checks.append(_check("nonrel_l2_distance", nonrel.l2_distance, 0.0, config.nonrel_tol))
+    checks += [
+        CheckRecord("nonrel_precondition", nonrel.low_k_weight, lower=NONREL_LOW_K_MIN),
+        CheckRecord("nonrel_l2_distance", nonrel.l2_distance, upper=NONREL_TOL),
+    ]
 
     trunc = gaussian_packet(big, 512, 10.0 * big.lattice.spacing,
                             cutoff=40.0 * big.lattice.spacing)
     leak = superluminal_leakage(trunc, 512, 40.0 * big.lattice.spacing, 5.0)
-    checks.append(_flag("leakage_positive", leak.leakage > 0.0))
-    checks.append(_check("leakage_norm_drift", leak.norm_drift, 0.0, 1e-9))
+    checks.append(CheckRecord("leakage_positive", leak.leakage, lower=LEAKAGE_LOWER))
+    checks.append(CheckRecord("leakage_norm_drift", leak.norm_drift, upper=FORM_TOL))
     return checks, [table]
+
+
+BRANCH_RTOL = 1e-12  # the branch point's Compton length against 1/m
+CROSS_QUADRATURE_TOL = 1e-4
+REFINE_RTOL = 0.15  # lattice decay lengths against 1/m, at every spacing
+REFINE_GROWTH_MAX = 1e-12  # the deviation may not grow as the spacing shrinks
 
 
 def _run_asymptotics(config, rng) -> tuple[list[CheckRecord], list[Table]]:
@@ -586,12 +619,10 @@ def _run_asymptotics(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     symbol = SymbolPolynomial.klein_gordon(m)
     two_factor = SymbolPolynomial((4.0 * m**4, 5.0 * m**2, 1.0))
     compton = 1.0 / m
+    tol = BRANCH_RTOL * compton
     checks = [
-        _check("branch_point_compton", symbol.branch.compton, compton, 1e-12 * compton),
-        _check(
-            "two_factor_lighter_dominates",
-            two_factor.branch.compton, compton, 1e-12 * compton,
-        ),
+        _within("branch_point_compton", symbol.branch.compton, compton, tol),
+        _within("two_factor_lighter_dominates", two_factor.branch.compton, compton, tol),
     ]
     cross_rows = []
     worst = 0.0
@@ -602,17 +633,18 @@ def _run_asymptotics(config, rng) -> tuple[list[CheckRecord], list[Table]]:
             dev = _rel(cut, direct)
             worst = max(worst, dev)
             cross_rows.append((lam, r, cut, direct, dev))
-    checks.append(_check("cross_quadrature", worst, 0.0, 1e-4))
+    checks.append(CheckRecord("cross_quadrature", worst, upper=CROSS_QUADRATURE_TOL))
     for lam in config.lambdas:
-        fit = kernel_decay_rate(symbol, lam, rtol=config.rate_rtol)
-        checks.append(
-            _check(
-                f"decay_rate_lambda_{lam}", fit.rate, fit.expected,
-                config.rate_rtol * fit.expected,
-            )
-        )
+        fit = kernel_decay_rate(symbol, lam)
+        tol = RATE_RTOL * fit.expected
+        checks.append(_within(f"decay_rate_lambda_{lam}", fit.rate, fit.expected, tol))
     comparison = lattice_vs_continuum(m)
-    checks.append(_flag("lattice_approaches_continuum", comparison.ok))
+    devs = np.array([res.deviation for res in comparison.results])
+    checks += [
+        CheckRecord("lattice_approaches_continuum", devs.max(), upper=REFINE_RTOL),
+        CheckRecord("lattice_continuum_monotone", np.diff(devs).max(),
+                    upper=REFINE_GROWTH_MAX),
+    ]
     lattice_rows = tuple(
         (res.spacing, res.nsites, res.fitted_length, res.deviation)
         for res in comparison.results
@@ -656,8 +688,8 @@ def _run_segal_check(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     )
     worst_drift = _rel(before, after)
     checks = [
-        _check("four_forms_agree", worst_forms, 0.0, config.form_tol),
-        _check("time_invariance", worst_drift, 0.0, config.drift_tol),
+        CheckRecord("four_forms_agree", worst_forms, upper=FORM_TOL),
+        CheckRecord("time_invariance", worst_drift, upper=DRIFT_TOL),
     ]
     return checks, []
 

@@ -20,8 +20,6 @@ import numpy as np
 
 from .spectral import Lattice, LatticeMismatchError, ROperator, Spectrum
 
-CANONICAL_TOL = 1e-8
-
 
 @dataclasses.dataclass(frozen=True)
 class PhaseVector:
@@ -150,7 +148,6 @@ class CanonicalReport:
     completeness_dev: float
     nmodes: int
     nsites: int
-    ok: bool
 
 
 def check_canonical(spec: Spectrum) -> CanonicalReport:
@@ -165,13 +162,11 @@ def check_canonical(spec: Spectrum) -> CanonicalReport:
     eye_sites = np.eye(basis.shape[0])
     ortho = float(np.abs(basis.T @ basis * cell - eye_modes).max())
     complete = float(np.abs(basis @ basis.T * cell - eye_sites).max())
-    ok = ortho < CANONICAL_TOL and complete < CANONICAL_TOL
     return CanonicalReport(
         orthonormality_dev=ortho,
         completeness_dev=complete,
         nmodes=basis.shape[1],
         nsites=basis.shape[0],
-        ok=ok,
     )
 
 

@@ -31,8 +31,6 @@ from .spectral import (
 )
 
 NW_DELTA_WINDOW_COMPTON = (3.0, 20.0)
-NW_DELTA_WIDTH_RTOL = 0.25
-LOW_K_FRACTION = 0.999
 LIGHT_SPEED = 1.0
 SUPPORT_THRESHOLD = 1e-12
 
@@ -153,7 +151,6 @@ class NWDeltaReport:
     closed_form_dev: float
     amplitude_fit: DecayFit
     compton: float
-    width_ok: bool
 
 
 def nw_delta_localization(
@@ -167,8 +164,8 @@ def nw_delta_localization(
     2 kappa cell [R^{-1/4} kernel column at the site]^2, checked here against
     the full pipeline (from_nw, phi2_diff). The width is the decay length of
     the profile's amplitude (its square root), fitted over
-    NW_DELTA_WINDOW_COMPTON (in units of ``compton``) and compared against
-    ``compton``.
+    NW_DELTA_WINDOW_COMPTON (in units of ``compton``); the nw experiment
+    gates it against ``compton``.
     """
     lattice = spec.lattice
     psi = np.zeros(lattice.nsites, dtype=complex)
@@ -185,9 +182,6 @@ def nw_delta_localization(
     lo, hi = NW_DELTA_WINDOW_COMPTON
     window_abs = (lo * compton, hi * compton)
     fit = fit_decay_length(d_out, np.sqrt(v_out), window_abs)
-    width_ok = bool(
-        fit.quality_ok and abs(fit.length - compton) <= NW_DELTA_WIDTH_RTOL * compton
-    )
     return NWDeltaReport(
         site=site,
         distances=d_out,
@@ -195,7 +189,6 @@ def nw_delta_localization(
         closed_form_dev=dev,
         amplitude_fit=fit,
         compton=compton,
-        width_ok=width_ok,
     )
 
 
@@ -209,15 +202,14 @@ class NonrelReport:
 
     The surrogate phases are exp(-i (m + (lambda_k - m^2)/(2m)) t); they only
     approximate sqrt(lambda_k) when the state's spectral weight sits well
-    below the mass scale, so the report carries the low-frequency weight
-    fraction and flags (without gating) states that violate it.
+    below the mass scale (|k| < m/5), so the report carries that
+    low-frequency weight fraction beside the distance.
     """
 
     l2_distance: float
     time: float
     mass: float
     low_k_weight: float
-    precondition_ok: bool
 
 
 def nonrelativistic_compare(nw: NWWavefunction, mass: float, t: float) -> NonrelReport:
@@ -239,7 +231,6 @@ def nonrelativistic_compare(nw: NWWavefunction, mass: float, t: float) -> Nonrel
         time=t,
         mass=mass,
         low_k_weight=low,
-        precondition_ok=low >= LOW_K_FRACTION,
     )
 
 

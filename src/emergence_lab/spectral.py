@@ -29,6 +29,9 @@ import numpy as np
 # strict positivity rather than numerical noise.
 POSITIVITY_FLOOR = 1e-10
 DISTANCE_BIN = 1e-9
+# a decay fit is trusted only while the RMS residual of its log values stays
+# strictly below this
+FIT_RMS_MAX = 0.5
 # Translation-invariant operators up to this many sites keep matrix-product
 # transforms over a closed-form Hartley basis; above it they transform by FFT.
 # Per call on a 2-vCPU Xeon (numpy 2.4, OpenBLAS), a real matvec costs
@@ -311,20 +314,6 @@ def build_variable_coefficient(mass_field: np.ndarray, lattice: Lattice) -> ROpe
     return ROperator(lattice, m**2)
 
 
-def klein_gordon_symbol_eigenvalues(mass: float, lattice: Lattice) -> np.ndarray:
-    """Closed-form circulant eigenvalues m^2 + sum_ax (2 - 2 cos(2 pi j/N))/a^2.
-
-    Returned in ascending order; used as an independent cross-check on the
-    FFT symbol that ``diagonalize`` reads off R applied to a unit vector.
-    """
-    coords = lattice.site_coords()
-    vals = np.full(lattice.nsites, mass**2)
-    for ax, n in enumerate(lattice.shape):
-        k = 2.0 * np.pi * coords[:, ax] / n
-        vals += (2.0 - 2.0 * np.cos(k)) / lattice.spacing**2
-    return np.sort(vals)
-
-
 def diagonalize(op: ROperator) -> Spectrum:
     """Full eigendecomposition; raises AxiomError if strict positivity fails.
 
@@ -398,7 +387,7 @@ class DecayFit:
     """Log-linear decay fit: |kernel| ~ exp(-d / length).
 
     quality_ok is set when the fit succeeded (negative slope, enough samples)
-    and the RMS residual of the log values stays below 0.5.
+    and the RMS residual of the log values stays below FIT_RMS_MAX.
     """
 
     length: float
@@ -467,7 +456,7 @@ def fit_decay_length(
         slope = rms = float("nan")
     else:
         slope, _, rms = log_linear_fit(d, values[mask])
-    ok = slope < 0 and rms < 0.5
+    ok = slope < 0 and rms < FIT_RMS_MAX
     return DecayFit(
         length=-1.0 / slope if slope < 0 else float("nan"),
         window=(float(d_min), float(d_max)),

@@ -5,7 +5,8 @@ The package applies R = mass_squared - Laplacian by periodic neighbour sums
 scattering the 3-point stencil weights at the raveled neighbour indices of
 each site, so a test that compares the two does not compare the stencil code
 with itself. Powers of R come from ``numpy.linalg.eigh`` of that dense
-matrix, never from a package ``Spectrum``.
+matrix, never from a package ``Spectrum``, and its eigenvalues also have a
+closed form, the circulant symbol written out per axis.
 
 The Fock oracle stores its operators by diagonals, placed by each mode's
 stride. Here the ladder operators are dense matrices instead: the one-mode
@@ -41,6 +42,20 @@ def klein_gordon_matrix(lattice, mass_squared) -> np.ndarray:
     matrix = 0.0 - lap
     matrix[rows, rows] += mass_squared
     return matrix
+
+
+def klein_gordon_symbol_eigenvalues(mass: float, lattice) -> np.ndarray:
+    """Closed-form circulant eigenvalues m^2 + sum_ax (2 - 2 cos(2 pi j/N))/a^2.
+
+    Returned in ascending order; an independent cross-check on the FFT
+    symbol that ``diagonalize`` reads off R applied to a unit vector.
+    """
+    coords = lattice.site_coords()
+    vals = np.full(lattice.nsites, mass**2)
+    for ax, n in enumerate(lattice.shape):
+        k = 2.0 * np.pi * coords[:, ax] / n
+        vals += (2.0 - 2.0 * np.cos(k)) / lattice.spacing**2
+    return np.sort(vals)
 
 
 def dense_power(matrix: np.ndarray, exponent: float) -> np.ndarray:

@@ -388,6 +388,8 @@ def test_criterion_10_newton_wigner(spec64, spec512, spec1024):
         norm_dev = max(norm_dev, abs(nw_norm(to_nw(u, spec64)) - segal) / segal)
 
     delta = nw_delta_localization(spec512, 256, 1.0)
+    width = delta.amplitude_fit
+    width_ok = width.quality_ok and abs(width.length - 1.0) <= 0.25
 
     packet = gaussian_packet(spec1024, 512, 20.0)
     nonrel = nonrelativistic_compare(packet, 1.0, 10.0)
@@ -399,7 +401,7 @@ def test_criterion_10_newton_wigner(spec64, spec512, spec1024):
         intertwine <= 1e-9
         and norm_dev <= 1e-9
         and delta.closed_form_dev <= 1e-9
-        and delta.width_ok
+        and width_ok
         and nonrel.l2_distance < 0.01
         and leak.leakage > 0.0
     )
@@ -413,7 +415,7 @@ def test_criterion_10_newton_wigner(spec64, spec512, spec1024):
     assert intertwine <= 1e-9
     assert norm_dev <= 1e-9
     assert delta.closed_form_dev <= 1e-9
-    assert delta.width_ok
+    assert width_ok
     assert nonrel.l2_distance < 0.01
     assert leak.leakage > 0.0
 

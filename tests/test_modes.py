@@ -80,7 +80,6 @@ def test_phase_vector_mismatched_lattices():
 
 def test_basis_is_canonical(spec64):
     report = check_canonical(spec64)
-    assert report.ok
     assert report.orthonormality_dev < 1e-12
     assert report.completeness_dev < 1e-12
     assert report.nmodes == report.nsites == 64
@@ -89,7 +88,6 @@ def test_basis_is_canonical(spec64):
 def test_dropped_mode_breaks_completeness(spec64):
     truncated = dataclasses.replace(spec64, dense_basis=np.delete(spec64.basis, 3, axis=1))
     report = check_canonical(truncated)
-    assert not report.ok
     # a missing oscillatory mode leaves a rank-one hole of size 2/N
     assert_allclose(report.completeness_dev, 2.0 / 64.0, rtol=1e-10)
 

@@ -18,10 +18,9 @@ from emergence_lab.spectral import (
     diagonalize,
     fit_decay_length,
     kernel_profile,
-    klein_gordon_symbol_eigenvalues,
 )
 
-from dense_arbiter import klein_gordon_matrix
+from dense_arbiter import klein_gordon_matrix, klein_gordon_symbol_eigenvalues
 
 
 # ---------------------------------------------------------------------------
