@@ -68,12 +68,15 @@ def emit_table(path: Path, table: Table, meta: dict) -> None:
     """Write one TSV table with a metadata preamble.
 
     The preamble lines start with ``#`` and echo the run parameters (sorted
-    keys) so a table is interpretable on its own. Empty tables still get
+    keys) so a table is interpretable on its own; a tuple value is written
+    space-separated, as a config file spells it. Empty tables still get
     their header row. Output is deterministic for fixed inputs.
     """
     lines = [f"# table = {table.name}"]
     for key in sorted(meta):
-        lines.append(f"# {key} = {_format_cell(meta[key])}")
+        value = meta[key]
+        items = value if isinstance(value, tuple) else (value,)
+        lines.append(f"# {key} = {' '.join(_format_cell(v) for v in items)}")
     lines.append("\t".join(table.columns))
     for row in table.rows:
         lines.append("\t".join(_format_cell(v) for v in row))

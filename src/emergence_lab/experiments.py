@@ -59,6 +59,7 @@ from .newton_wigner import (
 from .particle import (
     KAPPA,
     PROBES,
+    SUPPORT_FRACTION_MAX,
     calibrate_kappa,
     elp_check,
     localization_report,
@@ -469,7 +470,7 @@ def _run_oracle_verify(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     return checks, [table]
 
 
-SUPPORT_UPPER = float(np.nextafter(0.5, -np.inf))  # strict: under half the sites
+SUPPORT_UPPER = float(np.nextafter(SUPPORT_FRACTION_MAX, -np.inf))  # strict: frac < max
 
 
 def _run_localize(config, rng) -> tuple[list[CheckRecord], list[Table]]:

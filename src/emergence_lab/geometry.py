@@ -11,6 +11,9 @@ The inner product can be evaluated three ways (mode amplitudes, canonical
 coordinates, or directly from the fields) and recovered from Omega alone via
 <<u, v>> = Omega(Ju, v) - i Omega(u, v). All four routes agree to rounding,
 which is what ``tests`` pin down; none is an approximation of another.
+Above 256 sites (``spectral.DENSE_TRANSFORM_MAX_SITES``) the "direct" form
+shares no transform with "alpha" and "qp": it applies R^{+-1/2} as Fourier
+multipliers, while they read mode coordinates through Hartley transforms.
 """
 from __future__ import annotations
 

@@ -37,6 +37,7 @@ SUPPORT_EPS = 1e-6
 LOCALIZATION_GATE = 1.2
 FIT_WINDOW_COMPTON = (2.0, 10.0)
 ZERO_TAIL_FLOOR = 1e-20  # relative: probe values below this count as vanished
+SUPPORT_FRACTION_MAX = 0.5  # strict: only states under this support fraction are fitted
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +127,22 @@ def support_sites(u: PhaseVector) -> np.ndarray:
 
 def distance_beyond(lattice: Lattice, mask: np.ndarray) -> np.ndarray:
     """Minimum-image distance from each site to the nearest masked site."""
-    sites = np.nonzero(mask)[0]
-    if sites.size == 0:
+    grid = np.asarray(mask, dtype=bool).reshape(lattice.shape)
+    if not grid.any():
         raise ValueError("empty support mask")
+    axes = tuple(range(lattice.ndim))
+    # a step from an interior masked site toward x shortens the minimum-image
+    # offset, so the nearest masked site is one with an unmasked neighbour
+    interior = np.logical_and.reduce(
+        [np.roll(grid, step, axis=ax) for ax in axes for step in (1, -1)]
+    )
     # minimum-image distance is translation invariant: distances_from(i) is
     # distances_from(0) rolled by the coordinates of i, the same floats
     base = lattice.distances_from(0).reshape(lattice.shape)
-    axes = tuple(range(lattice.ndim))
     dmin = np.full(lattice.shape, np.inf)
-    for coord in zip(*np.unravel_index(sites, lattice.shape)):
+    for coord in zip(*np.nonzero(grid & ~interior)):
         np.minimum(dmin, np.roll(base, coord, axis=axes), out=dmin)
+    dmin[grid] = 0.0
     return dmin.reshape(-1)
 
 
@@ -159,10 +166,10 @@ class ProbeResult:
 class LocalizationReport:
     """Verdict on whether a one-particle state is localized.
 
-    A state whose support already covers half the lattice is reported as
-    not localized outright (status explains why, probes are empty) rather
-    than fitted; a delocalized plane wave simply has no outside region to
-    probe, and that is a finding, not an error.
+    A state whose support covers SUPPORT_FRACTION_MAX of the lattice or more
+    is reported as not localized outright (status explains why, probes are
+    empty) rather than fitted; a delocalized plane wave simply has no outside
+    region to probe, and that is a finding, not an error.
     """
 
     status: str
@@ -192,7 +199,7 @@ def localization_report(
     mask = support_sites(u)
     nsup = int(mask.sum())
     frac = nsup / lattice.nsites
-    if frac >= 0.5:
+    if frac >= SUPPORT_FRACTION_MAX:
         return LocalizationReport(
             status=f"not localized: support covers {nsup} of {lattice.nsites} sites",
             support_size=nsup,

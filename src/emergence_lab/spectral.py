@@ -83,7 +83,7 @@ class Lattice:
 
     @property
     def nsites(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def cell(self) -> float:
@@ -184,7 +184,9 @@ class Spectrum:
     q = ``hartley_modes[k]``; otherwise ``hartley_modes`` is None.
     ``project``/``synthesize`` are matrix products with ``dense_basis`` when
     it is set, and FFTs otherwise, in which case ``basis`` is built from the
-    closed form on first access.
+    closed form on first access and ``apply_function`` skips the modes: f(R)
+    is then f of the symbol on the wavevector grid (the eigenvalues placed
+    through ``hartley_modes``) times the field's DFT.
     """
 
     operator: ROperator
@@ -224,11 +226,28 @@ class Spectrum:
     def apply_function(self, f, field: np.ndarray) -> np.ndarray:
         """Apply f(R) to a field: sum_k f(lambda_k) <f_k, field> f_k.
 
-        A 2-D field is a batch of fields, one per column.
+        A 2-D field is a batch of fields, one per column. On the FFT route
+        f(R) is a Fourier multiplier, applied by one real-FFT pair when the
+        weights and the field are real.
         """
-        weights = f(self.eigenvalues).reshape((self.nmodes,) + (1,) * (field.ndim - 1))
-        # keep this order: the reversed complex product rounds differently
-        return self.synthesize(self.project(field) * weights)
+        batch = (1,) * (field.ndim - 1)
+        if self.dense_basis is not None:
+            weights = f(self.eigenvalues).reshape((self.nmodes,) + batch)
+            # keep this order: the reversed complex product rounds differently
+            return self.synthesize(self.project(field) * weights)
+        shape = self.lattice.shape
+        axes = tuple(range(len(shape)))
+        grid = field.reshape(shape + field.shape[1:])
+        weights = f(self._symbol_grid)
+        if np.iscomplexobj(weights) or np.iscomplexobj(field):
+            spread = weights.reshape(shape + batch) * np.fft.fftn(grid, axes=axes)
+            out = np.fft.ifftn(spread, axes=axes)
+        else:
+            # the real-FFT half grid: the last axis up to its Nyquist index
+            half = weights[..., : shape[-1] // 2 + 1]
+            spread = half.reshape(half.shape + batch) * np.fft.rfftn(grid, axes=axes)
+            out = np.fft.irfftn(spread, s=shape, axes=axes)
+        return out.reshape(field.shape)
 
     def kernel_column(self, f, site: int) -> np.ndarray:
         """Integral kernel f(R)(y, site) = sum_k f(lambda_k) f_k(y) f_k(site)."""
@@ -241,6 +260,11 @@ class Spectrum:
         unit = _unit(self.lattice, site)
         spread = self._on_grid(f(self.eigenvalues)) * _hartley(unit, shape)
         return _hartley(spread, shape) / (self.nmodes * self.lattice.cell)
+
+    @functools.cached_property
+    def _symbol_grid(self) -> np.ndarray:
+        """Eigenvalues at their wavevectors, in the lattice's shape."""
+        return self._on_grid(self.eigenvalues).reshape(self.lattice.shape)
 
     def _on_grid(self, coeffs: np.ndarray) -> np.ndarray:
         """Mode coefficients moved to their wavevectors' flat grid positions."""

@@ -6,7 +6,9 @@ scattering the 3-point stencil weights at the raveled neighbour indices of
 each site, so a test that compares the two does not compare the stencil code
 with itself. Powers of R come from ``numpy.linalg.eigh`` of that dense
 matrix, never from a package ``Spectrum``, and its eigenvalues also have a
-closed form, the circulant symbol written out per axis.
+closed form, the circulant symbol written out per axis. For roundoff
+comparisons a power of R is also summed over its Fourier modes in long
+double.
 
 The Fock oracle stores its operators by diagonals, placed by each mode's
 stride. Here the ladder operators are dense matrices instead: the one-mode
@@ -58,10 +60,43 @@ def klein_gordon_symbol_eigenvalues(mass: float, lattice) -> np.ndarray:
     return np.sort(vals)
 
 
+def dense_function(matrix: np.ndarray, f) -> np.ndarray:
+    """f(matrix) of a symmetric matrix, through ``eigh``; f may be complex."""
+    vals, vecs = np.linalg.eigh(matrix)
+    return (vecs * f(vals)) @ vecs.T
+
+
 def dense_power(matrix: np.ndarray, exponent: float) -> np.ndarray:
     """matrix^exponent of a symmetric positive matrix, through ``eigh``."""
-    vals, vecs = np.linalg.eigh(matrix)
-    return (vecs * vals**exponent) @ vecs.T
+    return dense_function(matrix, lambda vals: vals**exponent)
+
+
+def longdouble_power(lattice, mass: float, exponent: float, field) -> np.ndarray:
+    """R^exponent field for Klein-Gordon R, as a Fourier sum in long double.
+
+    Sums the real Fourier modes cas(2 pi k.x/N) = cos + sin directly, with
+    the closed-form eigenvalue of each wavevector, in numpy's long double
+    (80-bit extended precision on x86). Phases k.x are reduced exactly in
+    integers before the trigonometric tables are read, so the result is a
+    reference for double-precision transforms, not another one of them.
+    """
+    ld = np.longdouble
+    n = lattice.nsites
+    coords = lattice.site_coords()
+    phase = np.zeros((n, n), dtype=np.int64)
+    for ax, extent in enumerate(lattice.shape):
+        term = np.multiply.outer(coords[:, ax], coords[:, ax]) % extent
+        phase += term * (n // extent)
+    phase %= n
+    two_pi = 8 * np.arctan(ld(1))
+    angle = two_pi * np.arange(n, dtype=ld) / n
+    cas = (np.cos(angle) + np.sin(angle))[phase]
+    vals = np.full(n, ld(mass) ** 2)
+    for ax, extent in enumerate(lattice.shape):
+        k = two_pi * coords[:, ax].astype(ld) / extent
+        vals += (2 - 2 * np.cos(k)) / ld(lattice.spacing) ** 2
+    coeffs = vals ** ld(exponent) * (cas.T @ np.asarray(field, dtype=ld))
+    return cas @ coeffs / n
 
 
 def dense_fock_lowering(nmodes: int, n_max: int) -> list[np.ndarray]:

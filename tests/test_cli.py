@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
@@ -28,6 +29,7 @@ from emergence_lab.experiments import (
     Table,
     config_from_mapping,
 )
+from emergence_lab.serialize import read_config
 
 
 def write_cfg(tmp_path: Path, text: str) -> str:
@@ -323,11 +325,14 @@ def test_emit_table_format(tmp_path):
         rows=[(1, True, 0.5), (2, False, 1.5)],
     )
     path = tmp_path / "demo.tsv"
-    emit_table(path, table, {"seed": 0, "mass": 1.0})
+    emit_table(path, table, {"seed": 0, "mass": 1.0, "shape": (4, 5), "lambdas": (-0.5,)})
     lines = path.read_text().splitlines()
     assert lines[0] == "# table = demo"
     assert "# mass = 1.0" in lines
     assert "# seed = 0" in lines
+    # tuples are spelled as a config file spells them
+    assert "# shape = 4 5" in lines
+    assert "# lambdas = -0.5" in lines
     assert lines[-3] == "x\tflag\tv"
     assert lines[-2] == "1\ttrue\t0.5"
     assert lines[-1] == "2\tfalse\t1.5"
@@ -347,13 +352,35 @@ def test_emit_table_writes_numpy_scalars_as_python_values(tmp_path):
     assert lines[-2:] == ["1.6653345369377348e-16\ttrue\t3", "0.5\tfalse\t4"]
 
 
-def test_all_writes_no_numpy_repr(tmp_path):
-    out = tmp_path / "out"
+@pytest.fixture(scope="module")
+def all_outputs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("all")
     assert main(["all", "--out", str(out)]) == EXIT_PASS
-    for path in sorted(out.iterdir()):
+    return out
+
+
+def test_all_writes_no_numpy_repr(all_outputs):
+    for path in sorted(all_outputs.iterdir()):
         for line in path.read_text().splitlines():
             for cell in line.split("\t"):
                 assert "np." not in cell, (path.name, cell)
+
+
+def test_table_preambles_read_back_as_the_config_that_wrote_them(all_outputs, tmp_path):
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    tables = sorted(all_outputs.glob("*.tsv"))
+    assert tables
+    for path in tables:
+        preamble = [line[2:] for line in path.read_text().splitlines()
+                    if line.startswith("# ")]
+        echoed = [line for line in preamble if line.partition(" = ")[0] in fields]
+        cfg = tmp_path / f"{path.stem}.cfg"
+        cfg.write_text("\n".join(echoed) + "\n")
+        mapping = read_config(cfg)
+        assert "lambdas" in mapping, path.name
+        experiment = mapping["experiment"]
+        # `all` at default config runs each experiment at its defaults
+        assert config_from_mapping(experiment, mapping) == ExperimentConfig(experiment)
 
 
 def test_emit_table_empty_rows(tmp_path):

@@ -16,8 +16,13 @@ from emergence_lab.experiments import (
     ExperimentConfig,
     run_experiment,
 )
-from emergence_lab.particle import LOCALIZATION_GATE
-from emergence_lab.spectral import FIT_RMS_MAX
+from emergence_lab.modes import PhaseVector
+from emergence_lab.particle import (
+    LOCALIZATION_GATE,
+    SUPPORT_FRACTION_MAX,
+    localization_report,
+)
+from emergence_lab.spectral import FIT_RMS_MAX, Lattice, build_klein_gordon, diagonalize
 
 
 def _records(experiment: str, **settings) -> dict[str, CheckRecord]:
@@ -61,6 +66,20 @@ def test_strict_gates_are_stored_as_inclusive_bounds():
     assert not CheckRecord("leakage_positive", 0.0, lower=LEAKAGE_LOWER).passed
     assert FIT_RMS_UPPER == np.nextafter(FIT_RMS_MAX, -np.inf)
     assert not CheckRecord("fit_rms", FIT_RMS_MAX, upper=FIT_RMS_UPPER).passed
+
+
+@pytest.mark.parametrize("nsup", [7, 8, 9])
+def test_support_gate_passes_exactly_the_states_that_get_probes(nsup):
+    # SUPPORT_UPPER is the last fraction below the cutoff localization_report
+    # applies: the record fails exactly when the report fits no probe
+    assert SUPPORT_UPPER == np.nextafter(SUPPORT_FRACTION_MAX, -np.inf)
+    spec = diagonalize(build_klein_gordon(1.0, Lattice((16,))))
+    phi = np.zeros(16)
+    phi[:nsup] = 1.0
+    report = localization_report(PhaseVector(spec.lattice, phi, np.zeros(16)), spec, 1.0)
+    record = CheckRecord("state_localizable", report.support_fraction, upper=SUPPORT_UPPER)
+    assert report.support_fraction == nsup / 16
+    assert record.passed is bool(report.probes) is (nsup / 16 < SUPPORT_FRACTION_MAX)
 
 
 def test_record_holds_python_floats_and_computes_its_verdict():

@@ -200,17 +200,33 @@ DISTANCE_LATTICES = [
 ]
 
 
-@pytest.mark.parametrize("shape, spacing", DISTANCE_LATTICES)
-@pytest.mark.parametrize("kind", ["sparse", "dense", "single"])
-def test_distance_beyond_bytes_match_brute_force(shape, spacing, kind):
-    lat = Lattice(shape, spacing)
+def _support_mask(lat: Lattice, kind: str) -> np.ndarray:
+    reach = lat.spacing * max(lat.shape)
+    if kind == "hollow":
+        # an annulus (a shell in 3-D) with unmasked sites inside it
+        d = lat.distances_from(lat.nsites // 2)
+        mask = (d >= reach / 6) & (d <= reach / 3)
+        assert not mask[lat.nsites // 2]
+        return mask
+    if kind == "wrapped":
+        # a ball around site 0 runs across every periodic edge
+        return lat.distances_from(0) <= reach / 4
+    if kind == "full":
+        return np.ones(lat.nsites, dtype=bool)
     rng = np.random.default_rng(lat.nsites)
     if kind == "single":
         mask = np.zeros(lat.nsites, dtype=bool)
-        mask[rng.integers(lat.nsites)] = True
     else:
         mask = rng.random(lat.nsites) < (0.05 if kind == "sparse" else 0.6)
-        mask[rng.integers(lat.nsites)] = True
+    mask[rng.integers(lat.nsites)] = True
+    return mask
+
+
+@pytest.mark.parametrize("shape, spacing", DISTANCE_LATTICES)
+@pytest.mark.parametrize("kind", ["sparse", "dense", "single", "hollow", "wrapped", "full"])
+def test_distance_beyond_bytes_match_brute_force(shape, spacing, kind):
+    lat = Lattice(shape, spacing)
+    mask = _support_mask(lat, kind)
     ref = np.full(lat.nsites, np.inf)
     for i in np.nonzero(mask)[0]:
         ref = np.minimum(ref, lat.distances_from(int(i)))

@@ -20,7 +20,12 @@ from emergence_lab.spectral import (
     kernel_profile,
 )
 
-from dense_arbiter import klein_gordon_matrix, klein_gordon_symbol_eigenvalues
+from dense_arbiter import (
+    dense_function,
+    klein_gordon_matrix,
+    klein_gordon_symbol_eigenvalues,
+    longdouble_power,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +316,48 @@ def test_apply_power_on_a_batch_matches_each_column(spec_small, columns):
     ref = np.column_stack([spec_small.apply_power(-0.5, col) for col in batch.T])
     assert got.shape == (n, k)
     assert _rel_dev(got, ref) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the FFT route's Fourier multiplier
+# ---------------------------------------------------------------------------
+
+# above DENSE_TRANSFORM_MAX_SITES, with an odd last axis in 2-D
+FFT_LATTICES = [((300,), 1.0), ((18, 17), 0.5), ((7, 7, 7), 0.7)]
+
+
+@pytest.mark.parametrize("shape,spacing", FFT_LATTICES)
+def test_complex_weights_on_a_real_field_keep_their_imaginary_part(shape, spacing):
+    # a real-FFT pair would drop Im f(R) field; the dense propagator keeps it
+    lat = Lattice(shape, spacing)
+    spec = diagonalize(build_klein_gordon(1.3, lat))
+    assert spec.dense_basis is None
+    batch = np.random.default_rng(8).normal(size=(lat.nsites, 2))
+
+    def evolve(lam):
+        return np.exp(-1j * np.sqrt(lam) * 1.5)
+
+    propagator = dense_function(klein_gordon_matrix(lat, 1.3**2), evolve)
+    got = spec.apply_function(evolve, batch[:, 0])
+    assert _rel_dev(got, propagator @ batch[:, 0]) < PRIMITIVE_RTOL
+    assert np.abs(got.imag).max() > 0.1 * np.abs(got).max()
+    assert _rel_dev(spec.apply_function(evolve, batch), propagator @ batch) < PRIMITIVE_RTOL
+
+
+# fixed in advance: a few double roundings of a peak-sized value
+LONGDOUBLE_PEAK_RTOL = 1e-15
+
+
+@pytest.mark.parametrize("exponent", [0.5, -0.5, -0.25])
+@pytest.mark.parametrize("shape,spacing", FFT_LATTICES)
+def test_apply_power_matches_long_double_fourier_sum(shape, spacing, exponent):
+    lat = Lattice(shape, spacing)
+    spec = diagonalize(build_klein_gordon(1.3, lat))
+    assert spec.dense_basis is None
+    field = np.random.default_rng(9).normal(size=lat.nsites)
+    ref = longdouble_power(lat, 1.3, exponent, field)
+    got = spec.apply_power(exponent, field)
+    assert float(np.abs(got - ref).max() / np.abs(ref).max()) < LONGDOUBLE_PEAK_RTOL
 
 
 # ---------------------------------------------------------------------------
