@@ -54,7 +54,6 @@ from .particle import (
     localization_report,
     phi2_diff,
     pi2_diff,
-    region_ball,
     support_sites,
     vacuum_two_point,
 )
@@ -66,7 +65,6 @@ from .newton_wigner import (
     nonrelativistic_compare,
     nw_delta_localization,
     nw_norm,
-    position_expectation,
     superluminal_leakage,
     to_nw,
 )
@@ -132,8 +130,6 @@ __all__ = [
     "nw_norm",
     "phi2_diff",
     "pi2_diff",
-    "position_expectation",
-    "region_ball",
     "run_all",
     "run_experiment",
     "schrodinger_rhs",

@@ -94,10 +94,6 @@ class SymbolPolynomial:
             raise AxiomError(f"mass must be positive, got {mass}")
         return cls(coeffs=(mass**2, 1.0))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __call__(self, s):
         return np.polynomial.polynomial.polyval(s, np.asarray(self.coeffs))
 
@@ -478,7 +474,6 @@ class SpacingResult:
 class ContinuumComparison:
     """Lattice kernel decay lengths against the continuum Compton length."""
 
-    continuum_length: float
     results: tuple[SpacingResult, ...]
 
 
@@ -518,4 +513,4 @@ def lattice_vs_continuum(mass: float) -> ContinuumComparison:
                 deviation=abs(length - compton) / compton,
             )
         )
-    return ContinuumComparison(continuum_length=compton, results=tuple(results))
+    return ContinuumComparison(results=tuple(results))

@@ -21,9 +21,9 @@ false for a NaN measurement. Timing is printed to stdout only, so identical
 configs produce byte-identical files.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-config error (including a malformed or out-of-range config value), 3 numeric
-failure (axiom violation, non-convergent quadrature, linear-algebra
-breakdown).
+config error (including a malformed, non-finite or out-of-range config
+value), 3 numeric failure (axiom violation, non-convergent quadrature,
+linear-algebra breakdown, arithmetic overflow or division by zero).
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ def main(argv=None) -> int:
             written = _write_outputs(out_dir, report, tables)
             passed = report.passed
     except (ValueError, RuntimeError, NotImplementedError,
-            np.linalg.LinAlgError, FloatingPointError) as exc:
+            np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     for path in written:

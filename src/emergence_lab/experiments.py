@@ -63,7 +63,6 @@ from .particle import (
     calibrate_kappa,
     elp_check,
     localization_report,
-    region_ball,
     vacuum_two_point,
 )
 from .spectral import (
@@ -147,7 +146,8 @@ def _parse_field(key: str, raw):
     Text is split on whitespace; a Python scalar or tuple is taken as it is.
     Every token is read through ``str`` by the field's type, so ``true``,
     ``True`` and ``64.7`` are refused for an integer rather than coerced.
-    Tuple fields take one or more tokens, scalar fields exactly one.
+    Tuple fields take one or more tokens, scalar fields exactly one, and a
+    number must be finite.
     """
     hint = _FIELD_TYPES[key]
     many = typing.get_origin(hint) is tuple
@@ -165,6 +165,8 @@ def _parse_field(key: str, raw):
         values = tuple(kind(str(t)) for t in tokens)
     except ValueError:
         raise error from None
+    if kind is float and not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
     return values if many else values[0]
 
 
@@ -520,7 +522,7 @@ def _run_elp(config, rng) -> tuple[list[CheckRecord], list[Table]]:
         gaussian_bump(lattice, site % lattice.nsites, width, cutoff=cutoff)
         for site in (center - offset, center + offset)
     ]
-    region = region_ball(lattice, center, 45.0 * compton)
+    region = lattice.distances_from(center) <= 45.0 * compton
     report = elp_check(
         states, spec, region, compton, n_trials=config.n_trials, seed=config.seed
     )

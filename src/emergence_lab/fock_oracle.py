@@ -177,13 +177,6 @@ def build_fock(spec: Spectrum, mode_indices: tuple[int, ...], n_max: int = 14) -
     )
 
 
-def occupations(space: FockSpace) -> np.ndarray:
-    """Integer table (dim, nmodes): occupation of each mode per basis state."""
-    shape = (space.n_max + 1,) * space.nmodes
-    idx = np.unravel_index(np.arange(space.dim), shape)
-    return np.stack(idx, axis=1)
-
-
 def vacuum(space: FockSpace) -> FockVector:
     amps = np.zeros(space.dim, dtype=complex)
     amps[0] = 1.0
@@ -283,13 +276,6 @@ def displacement(space: FockSpace, direction: np.ndarray, z: complex) -> FockVec
     return FockVector(space=space, amplitudes=math.exp(-0.5 * abs(z) ** 2) * amps)
 
 
-def number_operator(space: FockSpace, mode: int | None = None) -> FockOperator:
-    """adag_k a_k for one mode, or the total number operator."""
-    if mode is not None:
-        return space.raising(mode) @ space.lowering[mode]
-    return sum(space.raising(k) @ space.lowering[k] for k in range(space.nmodes))
-
-
 def field_operator(space: FockSpace, site: int, which: str = "phi") -> FockOperator:
     """Field operator at one site, restricted to the oracle's modes.
 
@@ -336,15 +322,6 @@ def fock_hamiltonian(space: FockSpace) -> FockOperator:
     )
 
 
-def evolve_fock(state: FockVector, t: float) -> FockVector:
-    """Exact evolution by the diagonal Hamiltonian: phases exp(-i E_n t)."""
-    energies = occupations(state.space) @ state.space.frequencies
-    return FockVector(
-        space=state.space,
-        amplitudes=state.amplitudes * np.exp(-1j * energies * t),
-    )
-
-
 def expectation(state: FockVector, op: FockOperator) -> complex:
     """Normalized matrix element <s|op|s> / <s|s>."""
     n2 = float(np.vdot(state.amplitudes, state.amplitudes).real)
@@ -355,12 +332,10 @@ def expectation(state: FockVector, op: FockOperator) -> complex:
 
 @dataclasses.dataclass(frozen=True)
 class SmallStateReport:
-    """Residuals of D(lambda)|0> against |0> + lambda |particle>."""
+    """Residuals of D(lambda)|0> against |0> + lambda |particle>, one per lambda."""
 
-    lams: np.ndarray
     residuals: np.ndarray
     exponent: float
-    coefficient: float
 
 
 def small_state_limit_check(
@@ -368,9 +343,9 @@ def small_state_limit_check(
 ) -> SmallStateReport:
     """Measure how fast the displaced vacuum approaches vacuum + particle.
 
-    The residual norm scales as coefficient * lambda^exponent; the exponent
-    is fitted in log-log. Quadratic scaling is what makes single particles
-    dominate weakly excited states.
+    The residual norm scales as lambda^exponent; the exponent is fitted in
+    log-log. Quadratic scaling is what makes single particles dominate
+    weakly excited states.
     """
     lams = np.asarray(lams, dtype=float).reshape(-1)
     if np.any(lams <= 0) or np.any(lams > 0.3):
@@ -381,10 +356,5 @@ def small_state_limit_check(
     for i, lam in enumerate(lams):
         disp = displacement(space, direction, lam).amplitudes
         residuals[i] = np.linalg.norm(disp - (vac + lam * part))
-    slope, intercept, _ = log_linear_fit(np.log(lams), residuals)
-    return SmallStateReport(
-        lams=lams,
-        residuals=residuals,
-        exponent=slope,
-        coefficient=float(np.exp(intercept)),
-    )
+    slope, _, _ = log_linear_fit(np.log(lams), residuals)
+    return SmallStateReport(residuals=residuals, exponent=slope)

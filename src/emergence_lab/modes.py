@@ -42,11 +42,6 @@ class PhaseVector:
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "pi", pi)
 
-    @classmethod
-    def zero(cls, lattice: Lattice) -> "PhaseVector":
-        n = lattice.nsites
-        return cls(lattice, np.zeros(n), np.zeros(n))
-
     def __add__(self, other: "PhaseVector") -> "PhaseVector":
         _check_same_lattice(self.lattice, other.lattice)
         return PhaseVector(self.lattice, self.phi + other.phi, self.pi + other.pi)
@@ -146,8 +141,6 @@ class CanonicalReport:
 
     orthonormality_dev: float
     completeness_dev: float
-    nmodes: int
-    nsites: int
 
 
 def check_canonical(spec: Spectrum) -> CanonicalReport:
@@ -162,12 +155,7 @@ def check_canonical(spec: Spectrum) -> CanonicalReport:
     eye_sites = np.eye(basis.shape[0])
     ortho = float(np.abs(basis.T @ basis * cell - eye_modes).max())
     complete = float(np.abs(basis @ basis.T * cell - eye_sites).max())
-    return CanonicalReport(
-        orthonormality_dev=ortho,
-        completeness_dev=complete,
-        nmodes=basis.shape[1],
-        nsites=basis.shape[0],
-    )
+    return CanonicalReport(orthonormality_dev=ortho, completeness_dev=complete)
 
 
 def gaussian_bump(

@@ -86,55 +86,20 @@ def evolve_nw(nw: NWWavefunction, t: float) -> NWWavefunction:
     return NWWavefunction(spectrum=spec, psi=psi)
 
 
-def position_expectation(nw: NWWavefunction) -> np.ndarray:
-    """|psi|^2-weighted mean position, one coordinate per axis (length units).
-
-    On the torus a plain average is meaningless, so each axis first gets a
-    circular-mean anchor and the average is then taken over minimum-image
-    displacements from that anchor.
-    """
-    lattice = nw.lattice
-    weights = np.abs(nw.psi) ** 2
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise ValueError("position undefined for the zero wavefunction")
-    weights = weights / total
-    coords = lattice.site_coords()
-    out = np.empty(lattice.ndim)
-    for axis in range(lattice.ndim):
-        n = lattice.shape[axis]
-        c = coords[:, axis].astype(float)
-        phases = np.exp(2j * np.pi * c / n)
-        z = complex(np.sum(weights * phases))
-        if abs(z) < 1e-12:
-            raise ValueError(
-                f"position undefined along axis {axis}: weight is delocalized"
-            )
-        anchor = (np.angle(z) * n / (2.0 * np.pi)) % n
-        delta = (c - anchor + n / 2.0) % n - n / 2.0
-        out[axis] = (anchor + float(np.sum(weights * delta))) % n
-    return out * lattice.spacing
-
-
 def gaussian_packet(
     spec: Spectrum,
     center: int,
     width: float,
-    momentum: float = 0.0,
     cutoff: float | None = None,
 ) -> NWWavefunction:
-    """Normalized Gaussian wave packet, optionally boosted and truncated.
+    """Normalized real Gaussian wave packet, optionally truncated.
 
-    The phase factor exp(i momentum x) is applied along axis 0. With
-    ``cutoff`` the envelope is zeroed beyond that radius (hard truncation,
-    used by the causality check).
+    With ``cutoff`` the envelope is zeroed beyond that radius (hard
+    truncation, used by the causality check).
     """
-    lattice = spec.lattice
-    envelope = gaussian_bump(lattice, center, width, cutoff).phi
-    rel = lattice.min_image_deltas(center)[:, 0] * lattice.spacing
-    psi = envelope * np.exp(1j * momentum * rel)
-    nw = NWWavefunction(spectrum=spec, psi=psi)
-    return NWWavefunction(spectrum=spec, psi=psi / nw_norm(nw))
+    envelope = gaussian_bump(spec.lattice, center, width, cutoff).phi
+    nw = NWWavefunction(spectrum=spec, psi=envelope)
+    return NWWavefunction(spectrum=spec, psi=nw.psi / nw_norm(nw))
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +110,10 @@ def gaussian_packet(
 class NWDeltaReport:
     """Field-space footprint of a one-site NW wavefunction."""
 
-    site: int
     distances: np.ndarray
     values: np.ndarray
     closed_form_dev: float
     amplitude_fit: DecayFit
-    compton: float
 
 
 def nw_delta_localization(
@@ -183,12 +146,7 @@ def nw_delta_localization(
     window_abs = (lo * compton, hi * compton)
     fit = fit_decay_length(d_out, np.sqrt(v_out), window_abs)
     return NWDeltaReport(
-        site=site,
-        distances=d_out,
-        values=v_out,
-        closed_form_dev=dev,
-        amplitude_fit=fit,
-        compton=compton,
+        distances=d_out, values=v_out, closed_form_dev=dev, amplitude_fit=fit
     )
 
 
@@ -207,8 +165,6 @@ class NonrelReport:
     """
 
     l2_distance: float
-    time: float
-    mass: float
     low_k_weight: float
 
 
@@ -227,10 +183,7 @@ def nonrelativistic_compare(nw: NWWavefunction, mass: float, t: float) -> Nonrel
     surrogate = alpha * np.exp(-1j * (mass + ksq / (2.0 * mass)) * t)
     # Parseval: the L2 distance of the fields equals the amplitude distance
     return NonrelReport(
-        l2_distance=float(np.linalg.norm(exact - surrogate)),
-        time=t,
-        mass=mass,
-        low_k_weight=low,
+        l2_distance=float(np.linalg.norm(exact - surrogate)), low_k_weight=low
     )
 
 
@@ -239,9 +192,6 @@ class LeakageReport:
     """Norm fraction beyond the light cone after evolving a truncated packet."""
 
     leakage: float
-    horizon: float
-    time: float
-    initial_radius: float
     norm_drift: float
 
 
@@ -273,10 +223,4 @@ def superluminal_leakage(
     total = float(weight.sum())
     leak = float(weight[d > horizon].sum() / total)
     drift = abs(nw_norm(evolved) - nw_norm(nw))
-    return LeakageReport(
-        leakage=leak,
-        horizon=horizon,
-        time=t,
-        initial_radius=radius,
-        norm_drift=drift,
-    )
+    return LeakageReport(leakage=leak, norm_drift=drift)

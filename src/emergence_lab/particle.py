@@ -146,11 +146,6 @@ def distance_beyond(lattice: Lattice, mask: np.ndarray) -> np.ndarray:
     return dmin.reshape(-1)
 
 
-def region_ball(lattice: Lattice, center: int, radius: float) -> np.ndarray:
-    """Boolean mask of the minimum-image ball around one site."""
-    return lattice.distances_from(center) <= radius
-
-
 @dataclasses.dataclass(frozen=True)
 class ProbeResult:
     """Decay fit of one observable excess beyond the support."""
@@ -175,7 +170,6 @@ class LocalizationReport:
     status: str
     support_size: int
     support_fraction: float
-    compton: float
     gate: float
     probes: tuple[ProbeResult, ...]
     passes: bool
@@ -204,7 +198,6 @@ def localization_report(
             status=f"not localized: support covers {nsup} of {lattice.nsites} sites",
             support_size=nsup,
             support_fraction=frac,
-            compton=compton,
             gate=gate,
             probes=(),
             passes=False,
@@ -242,7 +235,6 @@ def localization_report(
         status="ok" if all_ok else "probe decay outside gate",
         support_size=nsup,
         support_fraction=frac,
-        compton=compton,
         gate=gate,
         probes=tuple(results),
         passes=all_ok,
@@ -264,16 +256,13 @@ class TrialResult:
 class ELPReport:
     """Superposition-stability check of localization.
 
-    precondition_ok records whether every input state was itself localized
-    inside the region; when it fails the trials are skipped and the report
-    explains which input broke the precondition.
+    ``failures`` names each input state that is not localized inside the
+    region; when there is one the trials are skipped. The check holds when
+    there are no failures and every trial passes.
     """
 
-    precondition_ok: bool
     failures: tuple[str, ...]
     trials: tuple[TrialResult, ...]
-    seed: int
-    passes: bool
 
 
 def elp_check(
@@ -306,13 +295,7 @@ def elp_check(
         if not rep.passes:
             failures.append(f"state {i}: {rep.status}")
     if failures:
-        return ELPReport(
-            precondition_ok=False,
-            failures=tuple(failures),
-            trials=(),
-            seed=seed,
-            passes=False,
-        )
+        return ELPReport(failures=tuple(failures), trials=())
     # (phi, pi) of each u_i and of J u_i as (2, nsites) arrays, so that a
     # trial validates one PhaseVector rather than one per term of its sum
     fields = [np.array((u.phi, u.pi)) for u in states]
@@ -332,10 +315,4 @@ def elp_check(
         trials.append(
             TrialResult(coefficients=coeffs, support_in_region=in_region, report=rep)
         )
-    return ELPReport(
-        precondition_ok=True,
-        failures=(),
-        trials=tuple(trials),
-        seed=seed,
-        passes=all(t.passes for t in trials),
-    )
+    return ELPReport(failures=(), trials=tuple(trials))

@@ -95,10 +95,6 @@ class Lattice:
         grids = np.indices(self.shape).reshape(self.ndim, -1).T
         return grids
 
-    def index_of(self, coord) -> int:
-        """Flat index of an integer coordinate tuple (C order)."""
-        return int(np.ravel_multi_index(tuple(int(c) for c in coord), self.shape))
-
     def min_image_deltas(self, i: int) -> np.ndarray:
         """Minimum-image coordinate differences from site i to every site.
 
@@ -117,9 +113,6 @@ class Lattice:
         """Minimum-image Euclidean distance from site i to all sites."""
         delta = self.min_image_deltas(i)
         return np.sqrt((delta.astype(float) ** 2).sum(axis=1)) * self.spacing
-
-    def distance(self, i: int, j: int) -> float:
-        return float(self.distances_from(i)[j])
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +337,10 @@ def diagonalize(op: ROperator) -> Spectrum:
     Eigenvalues ascend; eigenvectors are L2-orthonormalized. When the mass is
     one value R is translation invariant and is diagonalized in closed form:
     its eigenvalues are the FFT of R applied to the unit vector at site 0 (by
-    symmetry, matrix row 0, which is never built), and each degenerate
-    subspace (the +-k pairs and any accidental coincidences) gets the real
-    Hartley modes cas(2 pi k.x/N) of its wavevectors, in stable ascending
-    order of the symbol. A mass that varies over the sites sends the dense
+    symmetry, matrix row 0, which is never built), averaged over k and -k so
+    that they are exactly even. Each degenerate subspace (the +-k pairs and
+    any accidental coincidences) gets the real Hartley modes cas(2 pi k.x/N)
+    of its wavevectors, in stable ascending order of the symbol. A mass that varies over the sites sends the dense
     matrix to the eigensolver, and degenerate subspaces come back with the
     (deterministic) basis it picks.
     """
@@ -355,7 +348,12 @@ def diagonalize(op: ROperator) -> Spectrum:
     mass = np.ravel(op.mass_squared)
     if np.all(mass == mass[0]):
         row = op.apply(_unit(lattice, 0))
-        symbol = np.fft.fftn(row.reshape(lattice.shape)).real.reshape(-1)
+        symbol = np.fft.fftn(row.reshape(lattice.shape)).real
+        # R is symmetric, so its symbol is even in k, but the FFT's roundoff
+        # is not; flipping and rolling by one maps k to -k
+        axes = tuple(range(lattice.ndim))
+        mirrored = np.roll(np.flip(symbol, axis=axes), 1, axis=axes)
+        symbol = (0.5 * (symbol + mirrored)).reshape(-1)
         modes = np.argsort(symbol, kind="stable")
         vals, dense = symbol[modes], None
     else:
@@ -400,8 +398,6 @@ class KernelProfile:
     magnitude, which is the conservative choice for decay fits.
     """
 
-    source: int
-    exponent: float
     distances: np.ndarray
     values: np.ndarray
 
@@ -449,9 +445,7 @@ def kernel_profile(spec: Spectrum, exponent: float, source: int) -> KernelProfil
     else:
         column = spec.kernel_column(lambda lam: lam**exponent, source)
     out_d, out_v = bin_by_distance(lattice.distances_from(source), column)
-    return KernelProfile(
-        source=source, exponent=exponent, distances=out_d, values=out_v
-    )
+    return KernelProfile(distances=out_d, values=out_v)
 
 
 def log_linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

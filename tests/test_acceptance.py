@@ -63,7 +63,6 @@ from emergence_lab.particle import (
     localization_report,
     phi2_diff,
     pi2_diff,
-    region_ball,
     vacuum_two_point,
 )
 from emergence_lab.spectral import (
@@ -355,10 +354,11 @@ def test_criterion_09_localization_and_elp(spec512):
 
     left = gaussian_bump(lattice, 248, width, cutoff=4.0 * width)
     right = gaussian_bump(lattice, 264, width, cutoff=4.0 * width)
-    region = region_ball(lattice, 256, 45.0 * compton)
+    region = lattice.distances_from(256) <= 45.0 * compton
     elp = elp_check([left, right], spec512, region, compton, n_trials=10, seed=0)
     elapsed = time.perf_counter() - start
-    ok = probe_ok and elp.precondition_ok and elp.passes and elapsed < 60.0
+    elp_ok = not elp.failures and all(t.passes for t in elp.trials)
+    ok = probe_ok and elp_ok and elapsed < 60.0
     lengths = ", ".join(
         f"{r.probe} {r.fit.length:.3f}" if r.fit.nsamples else f"{r.probe} compact"
         for r in report.probes
@@ -369,8 +369,9 @@ def test_criterion_09_localization_and_elp(spec512):
         f"{lengths}; trials {sum(t.passes for t in elp.trials)}/10, {elapsed:.1f} s",
     )
     assert probe_ok
-    assert elp.precondition_ok
-    assert elp.passes
+    assert elp.failures == ()
+    assert len(elp.trials) == 10
+    assert elp_ok
     assert elapsed < 60.0
 
 

@@ -179,12 +179,13 @@ SHAPES = st.one_of(
 @given(
     experiment=st.sampled_from(EXPERIMENT_NAMES),
     shape=SHAPES,
-    spacing=st.sampled_from([0.05, 0.3, 1.0, 3.0]),
-    mass=st.sampled_from([0.05, 1.0, 4.0, 30.0]),
+    spacing=st.sampled_from([1e-300, 0.05, 0.3, 1.0, 3.0, 1e300]),
+    mass=st.sampled_from([1e-300, 0.05, 1.0, 4.0, 30.0, 1e300]),
 )
 def test_any_small_config_ends_in_an_exit_code(experiment, shape, spacing, mass):
     # outside an experiment's domain of validity a run must end in a
-    # documented exit code, never in a traceback
+    # documented exit code, never in a traceback; 1e+-300 overflows or
+    # underflows the stencil and mass terms
     text = (
         f"shape = {' '.join(map(str, shape))}\n"
         f"spacing = {spacing!r}\nmass = {mass!r}\n"
@@ -206,10 +207,13 @@ NOT_AN_INTEGER = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
 )
 NOT_A_NUMBER = st.sampled_from(["true", "false", "abc", "1.0.0", "--1", "0x10"])
+NOT_FINITE = st.sampled_from(["inf", "-inf", "nan", "Infinity", "1e999"])
 BAD_ENTRIES = st.one_of(
     st.tuples(st.sampled_from(INT_KEYS), NOT_AN_INTEGER),
     st.tuples(st.just("seed"), st.integers(-10**6, -1).map(str)),
     st.tuples(st.sampled_from(FLOAT_KEYS + ("lambdas",)), NOT_A_NUMBER),
+    st.tuples(st.sampled_from(FLOAT_KEYS + ("lambdas",)), NOT_FINITE),
+    st.tuples(st.just("lambdas"), NOT_FINITE.map("-0.5 {}".format)),
     st.tuples(st.sampled_from(FLOAT_KEYS), st.floats(-1e6, 0.0).map(repr)),
     st.tuples(st.sampled_from(("n_trials", "n_pairs")), st.integers(-5, 0).map(str)),
     # shape: a non-integer extent, an extent below 1, or four or more axes

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 from emergence_lab.cli import report_json
@@ -13,7 +14,8 @@ from emergence_lab.experiments import (
     run_experiment,
 )
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+TESTS = Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
 
 
 def _table(header: str) -> list[list[str]]:
@@ -29,6 +31,13 @@ def _table(header: str) -> list[list[str]]:
             break
         rows.append([cell.strip() for cell in line.strip("|").split("|")])
     return rows
+
+
+def _section(heading: str) -> str:
+    """Text of the README section under ``## heading``, up to the next one."""
+    text = README.read_text()
+    body = text.split(f"\n## {heading}\n", 1)[1]
+    return body.split("\n## ", 1)[0]
 
 
 def _code(cell: str) -> str | None:
@@ -62,3 +71,8 @@ def test_record_table_lists_the_written_fields():
     for record in written:
         # the writer sorts keys, so only the set of names is compared
         assert sorted(record) == documented
+
+
+def test_tests_section_names_every_test_file():
+    named = set(re.findall(r"test_\w+\.py", _section("Tests")))
+    assert named == {path.name for path in TESTS.glob("test_*.py")}

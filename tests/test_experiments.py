@@ -137,6 +137,14 @@ def test_nw_records_width_precondition_and_leakage():
     assert records["leakage_positive"].measured == pytest.approx(5.4e-12, rel=0.01)
 
 
+@pytest.mark.parametrize("sites", [512, 2048])
+def test_nw_evolution_routes_agree_to_a_few_ulp(sites):
+    # the Fourier multiplier exp(-i sqrt(omega^2) t) of an exactly even
+    # symbol commutes with the Hartley route to a few roundoffs
+    record = _records("nw", shape=(sites,))["evolution_commutes"]
+    assert record.measured <= 5e-15
+
+
 def test_elp_seed_8009_trial_fails_on_fit_rms_alone():
     # at 2048 sites and seed 8009 trial 3's pi2 and energy tails fit a length
     # well inside the 1.2/m gate, but with a log residual above FIT_RMS_MAX,

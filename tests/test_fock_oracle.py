@@ -35,8 +35,12 @@ def test_two_mode_dimensions(spec6):
 
 
 def test_occupations_c_order(spec6):
+    # basis states |n0 n1> in C order: |00>, |01>, |10>, |11>
     space = fo.build_fock(spec6, (0, 1), n_max=1)
-    assert_allclose(fo.occupations(space), [[0, 0], [0, 1], [1, 0], [1, 1]])
+    basis = np.eye(4)
+    assert_allclose(space.raising(1) @ basis[0], basis[1])
+    assert_allclose(space.raising(0) @ basis[0], basis[2])
+    assert_allclose(space.raising(0) @ basis[1], basis[3])
 
 
 @pytest.mark.parametrize(
@@ -70,8 +74,7 @@ def _oracle_and_dense(spec, space, x):
     for j, a in enumerate(lower):
         pairs[f"a{j}"] = (space.lowering[j], a)
         pairs[f"adag{j}"] = (space.raising(j), a.T)
-        pairs[f"n{j}"] = (fo.number_operator(space, j), a.T @ a)
-    pairs["number"] = (fo.number_operator(space), sum(a.T @ a for a in lower))
+        pairs[f"n{j}"] = (space.raising(j) @ space.lowering[j], a.T @ a)
     pairs["hamiltonian"] = (
         fo.fock_hamiltonian(space), sum(wj * (a.T @ a) for wj, a in zip(w, lower))
     )
@@ -140,7 +143,7 @@ def test_expectation_rejects_zero_state(spec6):
     space = fo.build_fock(spec6, (0,), n_max=2)
     zero = fo.FockVector(space=space, amplitudes=np.zeros(3, dtype=complex))
     with pytest.raises(ValueError):
-        fo.expectation(zero, fo.number_operator(space))
+        fo.expectation(zero, fo.fock_hamiltonian(space))
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +206,20 @@ def test_displacement_is_unitary_on_vacuum(spec6):
 
 
 # ---------------------------------------------------------------------------
-# evolution
+# evolution by the oracle's Hamiltonian
 # ---------------------------------------------------------------------------
+
+def _evolve(state, t):
+    """exp(-i H t) state for the diagonal H = sum_k w_k adag_k a_k."""
+    h = fo.fock_hamiltonian(state.space)
+    assert set(h.diags) == {0}
+    return fo.FockVector(state.space, np.exp(-1j * h.diags[0] * t) * state.amplitudes)
+
 
 def test_evolution_preserves_norm_and_phases(spec6):
     space = fo.build_fock(spec6, (0, 1), n_max=6)
     coh = fo.coherent_state(space, np.array([0.4, 0.3j]))
-    evolved = fo.evolve_fock(coh.vector, 2.5)
+    evolved = _evolve(coh.vector, 2.5)
     assert evolved.norm() == pytest.approx(coh.vector.norm(), abs=1e-14)
 
 
@@ -218,7 +228,7 @@ def test_coherent_state_keeps_its_shape(spec6):
     space = fo.build_fock(spec6, (0, 2), n_max=10)
     alphas = np.array([0.5, 0.2 - 0.4j])
     t = 1.7
-    evolved = fo.evolve_fock(fo.coherent_state(space, alphas).vector, t)
+    evolved = _evolve(fo.coherent_state(space, alphas).vector, t)
     rotated = fo.coherent_state(space, alphas * np.exp(-1j * space.frequencies * t))
     assert_allclose(evolved.amplitudes, rotated.vector.amplitudes, atol=1e-13)
 
@@ -227,7 +237,7 @@ def test_one_particle_evolution_is_a_phase(spec6):
     space = fo.build_fock(spec6, (1,), n_max=3)
     state = fo.one_particle(space, np.array([1.0]))
     t = 0.9
-    evolved = fo.evolve_fock(state, t)
+    evolved = _evolve(state, t)
     phase = np.exp(-1j * space.frequencies[0] * t)
     assert_allclose(evolved.amplitudes, phase * state.amplitudes, atol=1e-14)
 
@@ -238,12 +248,11 @@ def test_one_particle_evolution_is_a_phase(spec6):
 
 def test_small_state_quadratic_residual(spec6):
     space = fo.build_fock(spec6, (0,), n_max=14)
-    report = fo.small_state_limit_check(
-        space, np.array([1.0]), np.geomspace(0.02, 0.2, 8)
-    )
+    lams = np.geomspace(0.02, 0.2, 8)
+    report = fo.small_state_limit_check(space, np.array([1.0]), lams)
     assert abs(report.exponent - 2.0) < 0.1
     # the second-order term has norm sqrt(3)/2 * lambda^2 exactly
-    ratio = report.residuals[-1] / report.lams[-1] ** 2
+    ratio = report.residuals[-1] / lams[-1] ** 2
     assert abs(ratio - np.sqrt(3.0) / 2.0) < 0.02
 
 

@@ -11,8 +11,10 @@ imported scipy itself.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +23,9 @@ import emergence_lab
 from emergence_lab.cli import main
 from emergence_lab.experiments import EXPERIMENT_NAMES
 
-SRC = str(Path(emergence_lab.__file__).resolve().parent.parent)
+PACKAGE = Path(emergence_lab.__file__).resolve().parent
+SRC = str(PACKAGE.parent)
+README = PACKAGE.parent.parent / "README.md"
 
 BLOCKED_RUN = """
 import importlib.abc, json, sys
@@ -101,3 +105,50 @@ def test_every_public_name_resolves():
     namespace = {}
     exec("from emergence_lab import *", namespace)
     assert set(emergence_lab.__all__) <= set(namespace)
+
+
+def _library_api() -> set[str]:
+    """Names bulleted as `name` in the README's "Library API" section."""
+    section = README.read_text().split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"^- `(\w+)`", section, flags=re.MULTILINE))
+
+
+def _public_and_read() -> tuple[set[str], set[str]]:
+    """Public names of the package, and the names that src/ reads.
+
+    A public name is one in ``__all__`` or a top-level def or class of a
+    module whose name has no leading underscore. A read is a name or an
+    attribute access anywhere under src/ outside ``__init__.py`` and outside
+    the definition itself; an import alone is not a read.
+    """
+    public = set(emergence_lab.__all__)
+    reads = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            defined = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not defined.startswith("_"):
+                public.add(defined)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != defined:
+                    reads.add(name)
+    return public, reads
+
+
+def test_every_public_name_has_a_caller():
+    # the converse of the test above: a public name that nothing under src/
+    # reads is surface kept for the tests alone, unless the README lists it
+    # as library API and says why it stays
+    public, reads = _public_and_read()
+    unread = public - reads
+    documented = _library_api()
+    assert sorted(unread - documented) == []
+    # a listed name must exist and still lack a caller
+    assert sorted(documented - unread) == []

@@ -20,7 +20,6 @@ from emergence_lab.particle import (
     localization_report,
     phi2_diff,
     pi2_diff,
-    region_ball,
     support_sites,
     vacuum_two_point,
 )
@@ -152,7 +151,7 @@ def test_j_superposition_is_linear_in_alpha(spec6, coeffs):
     # sum_i Re(c_i) u_i + Im(c_i) J u_i has amplitudes sum_i c_i alpha_i
     m1 = modes_on(spec6, {0: 0.3, 2: 0.4})
     m2 = modes_on(spec6, {1: 1.0, 2: -0.5j})
-    mix = PhaseVector.zero(spec6.lattice)
+    mix = PhaseVector(spec6.lattice, np.zeros(6), np.zeros(6))
     for c, m in zip(coeffs, (m1, m2)):
         u = from_modes(m)
         mix = mix + np.real(c) * u + np.imag(c) * apply_J(u, spec6)
@@ -236,13 +235,6 @@ def test_distance_beyond_bytes_match_brute_force(shape, spacing, kind):
     assert got.tobytes() == ref.tobytes()
 
 
-def test_region_ball_inclusive():
-    lat = Lattice((32,))
-    region = region_ball(lat, 16, 3.0)
-    d = lat.distances_from(16)
-    assert np.array_equal(region, d <= 3.0)
-
-
 # ---------------------------------------------------------------------------
 # localization verdicts
 # ---------------------------------------------------------------------------
@@ -289,7 +281,7 @@ def elp_setup(spec512):
         gaussian_bump(lattice, 248, 5.0, cutoff=cutoff),
         gaussian_bump(lattice, 264, 5.0, cutoff=cutoff),
     ]
-    region = region_ball(lattice, 256, 45.0)
+    region = lattice.distances_from(256) <= 45.0
     return states, region
 
 
@@ -297,8 +289,7 @@ def elp_setup(spec512):
 def test_elp_superpositions_stay_localized(spec512, elp_setup, seed):
     states, region = elp_setup
     report = elp_check(states, spec512, region, 1.0, n_trials=10, seed=seed)
-    assert report.precondition_ok
-    assert report.passes
+    assert report.failures == ()
     assert len(report.trials) == 10
     assert all(t.passes for t in report.trials)
 
@@ -313,10 +304,9 @@ def test_elp_same_seed_same_coefficients(spec512, elp_setup):
 
 def test_elp_precondition_failure_reported(spec512, elp_setup):
     states, _ = elp_setup
-    small_region = region_ball(spec512.lattice, 256, 10.0)
+    small_region = spec512.lattice.distances_from(256) <= 10.0
     report = elp_check(states, spec512, small_region, 1.0, n_trials=5, seed=0)
-    assert not report.precondition_ok
-    assert not report.passes
+    assert report.failures
     assert report.trials == ()
     assert any("support leaves the region" in msg for msg in report.failures)
 

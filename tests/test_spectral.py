@@ -22,6 +22,7 @@ from emergence_lab.spectral import (
 
 from dense_arbiter import (
     dense_function,
+    dense_power,
     klein_gordon_matrix,
     klein_gordon_symbol_eigenvalues,
     longdouble_power,
@@ -57,23 +58,23 @@ def test_min_image_distance_symmetry_and_wrap():
     assert d[7] == 2.0
     assert d.max() == 8.0
     for j in range(8):
-        assert lat.distance(0, j) == lat.distance(j, 0)
-    assert lat.distance(3, 3) == 0.0
+        assert lat.distances_from(0)[j] == lat.distances_from(j)[0]
+    assert lat.distances_from(3)[3] == 0.0
 
 
 def test_min_image_2d_matches_hand_count():
     lat = Lattice((4, 4))
-    i = lat.index_of((0, 0))
-    j = lat.index_of((3, 3))
+    j = int(np.ravel_multi_index((3, 3), lat.shape))
     # (3, 3) wraps to (-1, -1)
-    assert lat.distance(i, j) == pytest.approx(np.sqrt(2.0))
+    assert lat.distances_from(0)[j] == pytest.approx(np.sqrt(2.0))
 
 
 def test_site_coords_roundtrip():
     lat = Lattice((3, 5))
     coords = lat.site_coords()
-    for flat, coord in enumerate(coords):
-        assert lat.index_of(coord) == flat
+    # C order: the flat index of each row's coordinates is its row number
+    flat = np.ravel_multi_index(tuple(coords.T), lat.shape)
+    assert np.array_equal(flat, np.arange(lat.nsites))
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +396,20 @@ def test_transforms_agree_with_basis(shape, spacing):
     assert _rel_dev(spec.synthesize(coeffs), field) < PRIMITIVE_RTOL
 
 
+@pytest.mark.parametrize("shape", [(512,), (2048,), (18, 17), (12, 12, 12)])
+def test_symbol_is_exactly_even(shape):
+    # R is symmetric, so omega^2(k) = omega^2(-k) bit for bit, and each +-k
+    # pair is an exact tie
+    lat = Lattice(shape, 0.7)
+    spec = diagonalize(build_klein_gordon(1.3, lat))
+    grid = np.empty(lat.nsites)
+    grid[spec.hartley_modes] = spec.eigenvalues
+    grid = grid.reshape(shape)
+    axes = tuple(range(len(shape)))
+    negated = np.roll(np.flip(grid, axis=axes), 1, axis=axes)
+    assert grid.tobytes() == negated.tobytes()
+
+
 def test_uniform_variable_coefficient_takes_fourier_route():
     lat = Lattice((300,), spacing=0.5)
     op = build_variable_coefficient(np.full(lat.nsites, 0.9), lat)
@@ -513,9 +528,15 @@ def test_integer_kernel_profile_matches_dense_power(shape, spacing, n):
 
 
 def test_profile_source_and_exponent_recorded():
-    spec = diagonalize(build_klein_gordon(1.0, Lattice((16,))))
+    # the profile is |R^exponent(y, source)| binned by distance from the
+    # source; a varying mass makes the source matter
+    lat = Lattice((24,), 0.5)
+    ripple = 1.3 + 0.4 * np.sin(2 * np.pi * np.arange(lat.nsites) / lat.nsites)
+    spec = diagonalize(build_variable_coefficient(ripple, lat))
     profile = kernel_profile(spec, -0.5, 5)
-    assert profile.source == 5
-    assert profile.exponent == -0.5
+    column = dense_power(_dense(spec.operator), -0.5)[:, 5] / lat.cell
+    ref_d, ref_v = bin_by_distance(lat.distances_from(5), column)
+    assert np.array_equal(profile.distances, ref_d)
+    assert _rel_dev(profile.values, ref_v) < 1e-12
     # binned distances are unique and ascending
     assert np.all(np.diff(profile.distances) > 0)
