@@ -14,12 +14,17 @@ which is what ``tests`` pin down; none is an approximation of another.
 Above 256 sites (``spectral.DENSE_TRANSFORM_MAX_SITES``) the "direct" form
 shares no transform with "alpha" and "qp": it applies R^{+-1/2} as Fourier
 multipliers, while they read mode coordinates through Hartley transforms.
+
+Every function takes a block of phase points, (sites x k) fields with one
+point per column (see ``modes``), as readily as one point: J and the
+right-hand side map it column by column, and Omega and the inner products
+return one value per column pair.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .modes import PhaseVector, _check_same_lattice, to_modes
+from .modes import PhaseVector, _check_same_lattice, _column_dot, to_modes
 from .spectral import Spectrum
 
 INNER_PRODUCT_FORMS = ("alpha", "qp", "direct")
@@ -35,15 +40,20 @@ def apply_J(u: PhaseVector, spec: Spectrum) -> PhaseVector:
     )
 
 
-def symplectic(u: PhaseVector, v: PhaseVector) -> float:
+def _complex(re, im):
+    """re + i im as stored pairs, with no 0 * inf from a product with 1j."""
+    return np.stack((re, im), axis=-1).view(complex)[..., 0][()]
+
+
+def symplectic(u: PhaseVector, v: PhaseVector) -> float | np.ndarray:
     """Omega(u, v) = (1/2) Int (pi_u phi_v - phi_u pi_v)."""
     _check_same_lattice(u.lattice, v.lattice)
-    return 0.5 * float(u.pi @ v.phi - u.phi @ v.pi) * u.lattice.cell
+    return 0.5 * (_column_dot(u.pi, v.phi) - _column_dot(u.phi, v.pi)) * u.lattice.cell
 
 
 def inner_product(
     u: PhaseVector, v: PhaseVector, spec: Spectrum, form: str = "alpha"
-) -> complex:
+) -> complex | np.ndarray:
     """Hermitian inner product <<u, v>>, antilinear in u.
 
     form="alpha": sum_k conj(alpha_k) alpha'_k.
@@ -54,30 +64,30 @@ def inner_product(
     _check_same_lattice(u.lattice, v.lattice)
     _check_same_lattice(u.lattice, spec.lattice)
     if form == "alpha":
-        au = to_modes(u, spec).alpha
-        av = to_modes(v, spec).alpha
-        return complex(np.vdot(au, av))
+        return _column_dot(to_modes(u, spec).alpha, to_modes(v, spec).alpha)
     if form == "qp":
         mu = to_modes(u, spec)
         mv = to_modes(v, spec)
-        re = 0.5 * float(mu.q @ mv.q + mu.p @ mv.p)
-        im = 0.5 * float(mu.q @ mv.p - mu.p @ mv.q)
-        return complex(re, im)
+        re = 0.5 * (_column_dot(mu.q, mv.q) + _column_dot(mu.p, mv.p))
+        im = 0.5 * (_column_dot(mu.q, mv.p) - _column_dot(mu.p, mv.q))
+        return _complex(re, im)
     if form == "direct":
         cell = u.lattice.cell
-        re = 0.5 * float(
-            u.phi @ spec.apply_power(0.5, v.phi)
-            + u.pi @ spec.apply_power(-0.5, v.pi)
+        re = 0.5 * (
+            _column_dot(u.phi, spec.apply_power(0.5, v.phi))
+            + _column_dot(u.pi, spec.apply_power(-0.5, v.pi))
         ) * cell
-        im = 0.5 * float(u.phi @ v.pi - u.pi @ v.phi) * cell
-        return complex(re, im)
+        im = 0.5 * (_column_dot(u.phi, v.pi) - _column_dot(u.pi, v.phi)) * cell
+        return _complex(re, im)
     raise ValueError(f"unknown inner-product form {form!r}; use one of {INNER_PRODUCT_FORMS}")
 
 
-def segal_inner_product(u: PhaseVector, v: PhaseVector, spec: Spectrum) -> complex:
+def segal_inner_product(
+    u: PhaseVector, v: PhaseVector, spec: Spectrum
+) -> complex | np.ndarray:
     """<<u, v>> rebuilt from the symplectic form: Omega(Ju, v) - i Omega(u, v)."""
     ju = apply_J(u, spec)
-    return complex(symplectic(ju, v), -symplectic(u, v))
+    return _complex(symplectic(ju, v), -symplectic(u, v))
 
 
 def schrodinger_rhs(u: PhaseVector, spec: Spectrum) -> PhaseVector:

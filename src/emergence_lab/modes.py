@@ -10,6 +10,12 @@ so that the field equation becomes independent phase rotations
 alpha_k(t) = alpha_k exp(-i omega_k t) and the classical energy is
 sum_k omega_k |alpha_k|^2. Time evolution is exact spectral rotation; there is
 no integrator anywhere in this package.
+
+A block of k phase points is stored as (sites x k) fields, one point per
+column, the batch convention of ``Spectrum.apply_function``. Transforms map
+a block column by column, and reductions (norms, energies, products) return
+one value per column: a scalar for one point, a length-k array for a block.
+A field in its lattice's grid shape is always one point.
 """
 from __future__ import annotations
 
@@ -30,10 +36,10 @@ class PhaseVector:
     pi: np.ndarray
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float).reshape(-1)
-        pi = np.asarray(self.pi, dtype=float).reshape(-1)
         n = self.lattice.nsites
-        if phi.shape != (n,) or pi.shape != (n,):
+        phi = _columns(self.phi, float, self.lattice.shape)
+        pi = _columns(self.pi, float, self.lattice.shape)
+        if phi.shape[0] != n or phi.shape != pi.shape:
             raise ValueError(
                 f"fields have shapes {phi.shape}/{pi.shape} for {n} sites"
             )
@@ -56,11 +62,10 @@ class PhaseVector:
 
     __rmul__ = __mul__
 
-    def norm(self) -> float:
+    def norm(self) -> float | np.ndarray:
         """Plain Euclidean size of the pair of fields (diagnostic only)."""
-        return math.sqrt(
-            float(self.phi @ self.phi + self.pi @ self.pi) * self.lattice.cell
-        )
+        dots = _column_dot(self.phi, self.phi) + _column_dot(self.pi, self.pi)
+        return np.sqrt(dots * self.lattice.cell)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,8 +76,8 @@ class ModeVector:
     alpha: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.alpha, dtype=complex).reshape(-1)
-        if a.shape != (self.spectrum.nmodes,):
+        a = _columns(self.alpha, complex, (self.spectrum.nmodes,))
+        if a.shape[0] != self.spectrum.nmodes:
             raise ValueError(
                 f"{a.shape[0]} amplitudes for {self.spectrum.nmodes} modes"
             )
@@ -94,19 +99,53 @@ def _check_same_lattice(a: Lattice, b: Lattice) -> None:
         raise LatticeMismatchError(f"lattices differ: {a} vs {b}")
 
 
+def _columns(values, dtype, grid: tuple[int, ...]) -> np.ndarray:
+    """One field as a 1-D array, or a (rows x k) block as it is.
+
+    An array in the ``grid`` shape (a field on its lattice) is one field even
+    when it is 2-D, so a (5, 1) lattice's field is not a block of one column.
+    """
+    values = np.asarray(values, dtype=dtype)
+    if values.ndim != 2 or values.shape == grid:
+        return values.reshape(-1)
+    return values
+
+
+def _per_row(weights: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Per-mode (or per-site) weights shaped to broadcast over a block's columns."""
+    return weights.reshape(weights.shape + (1,) * (block.ndim - 1))
+
+
+def _column_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_x conj(a(x)) b(x) of each column; a scalar for 1-D a and b.
+
+    The columns are made contiguous first, so a block column reduces with
+    the same bits as that column alone (one BLAS dot each).
+    """
+    return np.vecdot(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
+
+
+def _column_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis, with each column's bits as if alone."""
+    return np.sum(np.ascontiguousarray(a.T), axis=-1)
+
+
 def to_modes(state: PhaseVector, spec: Spectrum) -> ModeVector:
     """Mode amplitudes of a phase point; real-linear in (phi, pi)."""
     _check_same_lattice(state.lattice, spec.lattice)
-    sqrt_w = np.sqrt(spec.frequencies)
-    q = sqrt_w * spec.project(state.phi)
-    p = spec.project(state.pi) / sqrt_w
-    return ModeVector(spectrum=spec, alpha=(q + 1j * p) / math.sqrt(2.0))
+    sqrt_w = _per_row(np.sqrt(spec.frequencies), state.phi)
+    # column-major, so that _column_dot reads the columns without a copy
+    alpha = np.empty(state.phi.shape, dtype=complex, order="F")
+    np.multiply(sqrt_w, spec.project(state.phi), out=alpha.real)  # q
+    np.divide(spec.project(state.pi), sqrt_w, out=alpha.imag)  # p
+    alpha /= math.sqrt(2.0)
+    return ModeVector(spectrum=spec, alpha=alpha)
 
 
 def from_modes(modes: ModeVector) -> PhaseVector:
     """Inverse of to_modes: phi = sum q_k f_k / sqrt(omega_k), pi = sum p_k sqrt(omega_k) f_k."""
     spec = modes.spectrum
-    sqrt_w = np.sqrt(spec.frequencies)
+    sqrt_w = _per_row(np.sqrt(spec.frequencies), modes.alpha)
     phi = spec.synthesize(modes.q / sqrt_w)
     pi = spec.synthesize(modes.p * sqrt_w)
     return PhaseVector(lattice=spec.lattice, phi=phi, pi=pi)
@@ -115,7 +154,8 @@ def from_modes(modes: ModeVector) -> PhaseVector:
 def evolve_modes(modes: ModeVector, t: float) -> ModeVector:
     """Exact evolution: each amplitude rotates by exp(-i omega_k t)."""
     phase = np.exp(-1j * modes.spectrum.frequencies * t)
-    return ModeVector(spectrum=modes.spectrum, alpha=modes.alpha * phase)
+    alpha = modes.alpha * _per_row(phase, modes.alpha)
+    return ModeVector(spectrum=modes.spectrum, alpha=alpha)
 
 
 def evolve_state(state: PhaseVector, spec: Spectrum, t: float) -> PhaseVector:
@@ -123,16 +163,17 @@ def evolve_state(state: PhaseVector, spec: Spectrum, t: float) -> PhaseVector:
     return from_modes(evolve_modes(to_modes(state, spec), t))
 
 
-def hamiltonian_energy(modes: ModeVector) -> float:
+def hamiltonian_energy(modes: ModeVector) -> float | np.ndarray:
     """Classical energy sum_k omega_k |alpha_k|^2."""
-    return float(np.sum(modes.spectrum.frequencies * np.abs(modes.alpha) ** 2))
+    freq = _per_row(modes.spectrum.frequencies, modes.alpha)
+    return _column_sum(freq * np.abs(modes.alpha) ** 2)
 
 
-def field_hamiltonian(state: PhaseVector, op: ROperator) -> float:
+def field_hamiltonian(state: PhaseVector, op: ROperator) -> float | np.ndarray:
     """Field-space energy (1/2) Int (pi^2 + phi R phi); cross-check target."""
     _check_same_lattice(state.lattice, op.lattice)
-    dens = state.pi @ state.pi + state.phi @ op.apply(state.phi)
-    return 0.5 * float(dens) * op.lattice.cell
+    dens = _column_dot(state.pi, state.pi) + _column_dot(state.phi, op.apply(state.phi))
+    return 0.5 * dens * op.lattice.cell
 
 
 @dataclasses.dataclass(frozen=True)

@@ -12,6 +12,10 @@ localization widths, spreading speed) only makes sense in this picture, and
 the diagnostics here quantify how far it can be trusted: the NW delta has a
 Compton-scale field profile, the non-relativistic limit holds for slow wide
 packets, and compactly supported psi leak outside the light cone.
+
+Like phase points (see ``modes``), a block of k wavefunctions is a (sites x k)
+psi, one wavefunction per column: to_nw, from_nw and evolve_nw map it column
+by column, and nw_norm returns one norm per column.
 """
 from __future__ import annotations
 
@@ -20,7 +24,15 @@ import math
 
 import numpy as np
 
-from .modes import ModeVector, PhaseVector, from_modes, gaussian_bump, to_modes
+from .modes import (
+    ModeVector,
+    PhaseVector,
+    _column_sum,
+    _columns,
+    from_modes,
+    gaussian_bump,
+    to_modes,
+)
 from .particle import KAPPA, phi2_diff
 from .spectral import (
     DecayFit,
@@ -37,14 +49,14 @@ SUPPORT_THRESHOLD = 1e-12
 
 @dataclasses.dataclass(frozen=True)
 class NWWavefunction:
-    """Complex wavefunction on lattice sites."""
+    """Complex wavefunction on lattice sites, or a (sites x k) block of them."""
 
     spectrum: Spectrum
     psi: np.ndarray
 
     def __post_init__(self):
-        psi = np.asarray(self.psi, dtype=complex).reshape(-1)
-        if psi.shape != (self.spectrum.lattice.nsites,):
+        psi = _columns(self.psi, complex, self.spectrum.lattice.shape)
+        if psi.shape[0] != self.spectrum.lattice.nsites:
             raise ValueError(
                 f"{psi.shape[0]} entries for {self.spectrum.lattice.nsites} sites"
             )
@@ -57,9 +69,9 @@ class NWWavefunction:
         return self.spectrum.lattice
 
 
-def nw_norm(nw: NWWavefunction) -> float:
+def nw_norm(nw: NWWavefunction) -> float | np.ndarray:
     """Discrete L2 norm, sqrt(sum |psi|^2 cell)."""
-    return math.sqrt(float(np.sum(np.abs(nw.psi) ** 2)) * nw.lattice.cell)
+    return np.sqrt(_column_sum(np.abs(nw.psi) ** 2) * nw.lattice.cell)
 
 
 def to_nw(u: PhaseVector, spec: Spectrum) -> NWWavefunction:

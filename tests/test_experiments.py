@@ -125,6 +125,17 @@ def test_localize_records_the_fraction_and_each_fit():
     assert all(c.passed for c in report.checks)
 
 
+def test_a_nan_trial_reaches_its_record():
+    # at mass 1e150 R phi is ~1e300 and its square overflows, so every
+    # trial's rhs deviation is inf/inf; a running max(0.0, nan) kept 0.0
+    config = ExperimentConfig("geometry-check", mass=1e150)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report, _ = run_experiment(config)
+    record = {check.name: check for check in report.checks}["rhs_matches_hamilton"]
+    assert math.isnan(record.measured)
+    assert not record.passed
+
+
 def test_nw_records_width_precondition_and_leakage():
     records = _records("nw")
     width = records["delta_width_near_compton"]

@@ -319,6 +319,27 @@ def test_apply_power_on_a_batch_matches_each_column(spec_small, columns):
     assert _rel_dev(got, ref) < 1e-13
 
 
+@pytest.mark.parametrize("columns", [1, 3])
+def test_complex_block_matches_the_dense_arbiter(spec_small, columns):
+    # the stored basis multiplies a complex block as one real product of its
+    # real and imaginary parts; the FFT route transforms them by parts
+    n = spec_small.lattice.nsites
+    rng = np.random.default_rng(8)
+    block = rng.normal(size=(n, columns)) + 1j * rng.normal(size=(n, columns))
+
+    def f(lam):
+        return np.exp(-1j * np.sqrt(lam) * 1.5)
+
+    ref = dense_function(_dense(spec_small.operator), f) @ block
+    got = spec_small.apply_function(f, block)
+    assert got.shape == (n, columns)
+    assert _rel_dev(got, ref) < PRIMITIVE_RTOL
+    coeffs = spec_small.project(block)
+    ref = spec_small.basis.T @ block * spec_small.lattice.cell
+    assert _rel_dev(coeffs, ref) < PRIMITIVE_RTOL
+    assert _rel_dev(spec_small.synthesize(coeffs), block) < PRIMITIVE_RTOL
+
+
 # ---------------------------------------------------------------------------
 # the FFT route's Fourier multiplier
 # ---------------------------------------------------------------------------
