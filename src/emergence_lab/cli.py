@@ -23,7 +23,9 @@ configs produce byte-identical files.
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 config error (including a malformed, non-finite or out-of-range config
 value), 3 numeric failure (axiom violation, non-convergent quadrature,
-linear-algebra breakdown, arithmetic overflow or division by zero).
+linear-algebra breakdown, arithmetic overflow or division by zero). Every
+output is written before anything is printed, so a stdout closed early by
+its reader keeps the run's verdict code and all files.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -167,26 +170,35 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         if args.experiment == "all":
-            aggregate, results = run_all(config)
-            written = []
-            for report, tables in results:
-                _print_report(report)
-                written.extend(_write_outputs(out_dir, report, tables))
-            _print_report(aggregate)
-            written.extend(_write_outputs(out_dir, aggregate, []))
-            passed = aggregate.passed
+            aggregate, runs = run_all(config)
+            runs = runs + [(aggregate, [])]
         else:
-            report, tables = run_experiment(config)
-            _print_report(report)
-            written = _write_outputs(out_dir, report, tables)
-            passed = report.passed
+            runs = [run_experiment(config)]
+        # every output is written before the first line is printed, so a
+        # reader that closes stdout early (``| head -1``) costs lines only
+        written = [
+            path for report, tables in runs
+            for path in _write_outputs(out_dir, report, tables)
+        ]
     except (ValueError, RuntimeError, NotImplementedError,
             np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    for path in written:
-        print(f"wrote {path}")
-    return EXIT_PASS if passed else EXIT_CHECK_FAILURE
+    # the last report is the run's verdict: the aggregate of ``all``
+    verdict = EXIT_PASS if runs[-1][0].passed else EXIT_CHECK_FAILURE
+    try:
+        for report, _ in runs:
+            _print_report(report)
+        for path in written:
+            print(f"wrote {path}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; Python flushes stdout at exit, and the
+        # unwritten rest would raise again there and exit 120
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return verdict
 
 
 if __name__ == "__main__":

@@ -29,6 +29,9 @@ from .asymptotics import (
     lattice_vs_continuum,
 )
 from .geometry import (
+    _alpha_form,
+    _direct_form,
+    _qp_form,
     apply_J,
     inner_product,
     schrodinger_rhs,
@@ -39,6 +42,7 @@ from .modes import (
     ModeVector,
     PhaseVector,
     check_canonical,
+    evolve_modes,
     evolve_state,
     field_hamiltonian,
     from_modes,
@@ -52,6 +56,7 @@ from .newton_wigner import (
     gaussian_packet,
     nonrelativistic_compare,
     nw_delta_localization,
+    nw_from_modes,
     nw_norm,
     superluminal_leakage,
     to_nw,
@@ -408,17 +413,19 @@ def _run_geometry_check(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     lattice = spec.lattice
     j_sq, rhs_dev, sympl, rows = [], [], [], []
     for u, v in _random_blocks(rng, lattice, 20, 2):
-        ju = apply_J(u, spec)
+        # each point is transformed once, and every check below shares it
+        ju, jv = apply_J(u, spec), apply_J(v, spec)
+        mu, mv = to_modes(u, spec), to_modes(v, spec)
         j_sq.extend(np.ravel((apply_J(ju, spec) + u).norm() / u.norm()))
         hamilton = PhaseVector(lattice, u.pi, -spec.operator.apply(u.phi))
         rhs = schrodinger_rhs(u, spec) - hamilton
         rhs_dev.extend(np.ravel(rhs.norm() / hamilton.norm()))
-        forms = (inner_product(u, v, spec, form=f) for f in ("alpha", "qp", "direct"))
+        forms = (_alpha_form(mu, mv), _qp_form(mu, mv), _direct_form(u, v, jv))
         for f_alpha, f_qp, f_direct in zip(*map(np.ravel, forms)):
             rows.append((len(rows), _rel(f_alpha, f_qp), _rel(f_alpha, f_direct),
                          _rel(f_qp, f_direct)))
         om = symplectic(u, v)
-        om_j = symplectic(ju, apply_J(v, spec))
+        om_j = symplectic(ju, jv)
         sympl.extend(np.ravel(np.abs(om_j - om) / np.maximum(np.abs(om), 1e-300)))
     checks = [
         CheckRecord("J_squared_is_minus_identity", np.max(j_sq), upper=FORM_TOL),
@@ -596,12 +603,16 @@ def _run_nw(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     compton = 1.0 / config.mass
     commute, norm_dev, roundtrip, evolve_dev = [], [], [], []
     for (u,) in _random_blocks(rng, lattice, 10, 1):
-        nw = to_nw(u, spec)
+        # u's mode amplitudes, shared by the NW map, the norm and the evolution
+        mu = to_modes(u, spec)
+        nw = nw_from_modes(mu)
         commute.extend(_column_max(1j * nw.psi - to_nw(apply_J(u, spec), spec).psi))
-        norm_u = np.sqrt(inner_product(u, u, spec, form="alpha").real)
+        norm_u = np.sqrt(_alpha_form(mu, mu).real)
         norm_dev.extend(np.ravel(np.abs(nw_norm(nw) - norm_u) / norm_u))
         roundtrip.extend(_roundtrip(from_nw(nw), u))
-        route_a = to_nw(evolve_state(u, spec, config.time), spec).psi
+        # evolve_state(u, spec, t), from the shared amplitudes
+        evolved = from_modes(evolve_modes(mu, config.time))
+        route_a = to_nw(evolved, spec).psi
         evolve_dev.extend(_column_max(route_a - evolve_nw(nw, config.time).psi))
     checks = [
         CheckRecord("nw_intertwines_J", np.max(commute), upper=FORM_TOL),
@@ -699,9 +710,10 @@ def _run_segal_check(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     lattice = spec.lattice
     forms = []
     for u, v in _random_blocks(rng, lattice, config.n_pairs, 2):
+        mu, mv = to_modes(u, spec), to_modes(v, spec)
         blocks = [
-            inner_product(u, v, spec, form="alpha"),
-            inner_product(u, v, spec, form="qp"),
+            _alpha_form(mu, mv),
+            _qp_form(mu, mv),
             inner_product(u, v, spec, form="direct"),
             segal_inner_product(u, v, spec),
         ]

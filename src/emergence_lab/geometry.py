@@ -11,9 +11,14 @@ The inner product can be evaluated three ways (mode amplitudes, canonical
 coordinates, or directly from the fields) and recovered from Omega alone via
 <<u, v>> = Omega(Ju, v) - i Omega(u, v). All four routes agree to rounding,
 which is what ``tests`` pin down; none is an approximation of another.
-Above 256 sites (``spectral.DENSE_TRANSFORM_MAX_SITES``) the "direct" form
-shares no transform with "alpha" and "qp": it applies R^{+-1/2} as Fourier
-multipliers, while they read mode coordinates through Hartley transforms.
+Each form is written once, as a private helper of what it reads: "alpha"
+and "qp" read the two points' mode amplitudes, and "direct" reads u, v and
+J v, whose fields are R^{1/2} phi' and -R^{-1/2} pi'. A caller that checks
+several forms on the same points transforms each point once and hands the
+shared results to the helpers. Above 256 sites
+(``spectral.DENSE_TRANSFORM_MAX_SITES``) "direct" still shares no transform
+with "alpha" and "qp": J applies R^{+-1/2} as Fourier multipliers, while
+they read mode coordinates through Hartley transforms.
 
 Every function takes a block of phase points, (sites x k) fields with one
 point per column (see ``modes``), as readily as one point: J and the
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .modes import PhaseVector, _check_same_lattice, _column_dot, to_modes
+from .modes import ModeVector, PhaseVector, _check_same_lattice, _column_dot, to_modes
 from .spectral import Spectrum
 
 INNER_PRODUCT_FORMS = ("alpha", "qp", "direct")
@@ -64,22 +69,36 @@ def inner_product(
     _check_same_lattice(u.lattice, v.lattice)
     _check_same_lattice(u.lattice, spec.lattice)
     if form == "alpha":
-        return _column_dot(to_modes(u, spec).alpha, to_modes(v, spec).alpha)
+        return _alpha_form(to_modes(u, spec), to_modes(v, spec))
     if form == "qp":
-        mu = to_modes(u, spec)
-        mv = to_modes(v, spec)
-        re = 0.5 * (_column_dot(mu.q, mv.q) + _column_dot(mu.p, mv.p))
-        im = 0.5 * (_column_dot(mu.q, mv.p) - _column_dot(mu.p, mv.q))
-        return _complex(re, im)
+        return _qp_form(to_modes(u, spec), to_modes(v, spec))
     if form == "direct":
-        cell = u.lattice.cell
-        re = 0.5 * (
-            _column_dot(u.phi, spec.apply_power(0.5, v.phi))
-            + _column_dot(u.pi, spec.apply_power(-0.5, v.pi))
-        ) * cell
-        im = 0.5 * (_column_dot(u.phi, v.pi) - _column_dot(u.pi, v.phi)) * cell
-        return _complex(re, im)
+        return _direct_form(u, v, apply_J(v, spec))
     raise ValueError(f"unknown inner-product form {form!r}; use one of {INNER_PRODUCT_FORMS}")
+
+
+def _alpha_form(mu: ModeVector, mv: ModeVector) -> complex | np.ndarray:
+    """The "alpha" form from the two points' mode amplitudes."""
+    return _column_dot(mu.alpha, mv.alpha)
+
+
+def _qp_form(mu: ModeVector, mv: ModeVector) -> complex | np.ndarray:
+    """The "qp" form from the two points' mode amplitudes."""
+    re = 0.5 * (_column_dot(mu.q, mv.q) + _column_dot(mu.p, mv.p))
+    im = 0.5 * (_column_dot(mu.q, mv.p) - _column_dot(mu.p, mv.q))
+    return _complex(re, im)
+
+
+def _direct_form(u: PhaseVector, v: PhaseVector, jv: PhaseVector) -> complex | np.ndarray:
+    """The "direct" form from u, v and J v.
+
+    (J v).pi is R^{1/2} phi' and -(J v).phi is R^{-1/2} pi', so J v holds
+    both smeared fields the real part reads.
+    """
+    cell = u.lattice.cell
+    re = 0.5 * (_column_dot(u.phi, jv.pi) - _column_dot(u.pi, jv.phi)) * cell
+    im = 0.5 * (_column_dot(u.phi, v.pi) - _column_dot(u.pi, v.phi)) * cell
+    return _complex(re, im)
 
 
 def segal_inner_product(

@@ -15,7 +15,9 @@ packets, and compactly supported psi leak outside the light cone.
 
 Like phase points (see ``modes``), a block of k wavefunctions is a (sites x k)
 psi, one wavefunction per column: to_nw, from_nw and evolve_nw map it column
-by column, and nw_norm returns one norm per column.
+by column, and nw_norm returns one norm per column. The two regime
+diagnostics, nonrelativistic_compare and superluminal_leakage, weigh one
+wavefunction and refuse a block.
 """
 from __future__ import annotations
 
@@ -180,7 +182,16 @@ class NonrelReport:
     low_k_weight: float
 
 
+def _one_wavefunction(nw: NWWavefunction, diagnostic: str) -> None:
+    """Refuse a (sites x k) block where only one wavefunction makes sense."""
+    if nw.psi.ndim != 1:
+        raise ValueError(
+            f"{diagnostic} takes one wavefunction, not a block of shape {nw.psi.shape}"
+        )
+
+
 def nonrelativistic_compare(nw: NWWavefunction, mass: float, t: float) -> NonrelReport:
+    _one_wavefunction(nw, "nonrelativistic_compare")
     spec = nw.spectrum
     if mass <= 0:
         raise ValueError("mass must be positive")
@@ -220,6 +231,7 @@ def superluminal_leakage(
     than radius + c t is reported. Any strictly positive value demonstrates
     that the NW flow is not causal.
     """
+    _one_wavefunction(nw, "superluminal_leakage")
     lattice = nw.spectrum.lattice
     d = lattice.distances_from(center)
     amp = np.abs(nw.psi)

@@ -168,7 +168,6 @@ class LocalizationReport:
     """
 
     status: str
-    support_size: int
     support_fraction: float
     gate: float
     probes: tuple[ProbeResult, ...]
@@ -196,7 +195,6 @@ def localization_report(
     if frac >= SUPPORT_FRACTION_MAX:
         return LocalizationReport(
             status=f"not localized: support covers {nsup} of {lattice.nsites} sites",
-            support_size=nsup,
             support_fraction=frac,
             gate=gate,
             probes=(),
@@ -206,12 +204,13 @@ def localization_report(
     outside = ~mask
     lo, hi = FIT_WINDOW_COMPTON
     window_abs = (lo * compton, hi * compton)
+    # one column per probe, binned by one sort of the distances
+    values = np.stack([probe(u, spec) for probe in PROBES.values()], axis=1)
+    d_out, binned = bin_by_distance(dist[outside], values[outside])
+    in_window = (d_out >= window_abs[0]) & (d_out <= window_abs[1])
     results = []
-    for name, probe in PROBES.items():
-        values = probe(u, spec)
-        d_out, v_out = bin_by_distance(dist[outside], values[outside])
-        in_window = (d_out >= window_abs[0]) & (d_out <= window_abs[1])
-        floor = ZERO_TAIL_FLOOR * float(values.max())
+    for name, column, v_out in zip(PROBES, values.T, binned.T):
+        floor = ZERO_TAIL_FLOOR * float(column.max())
         if in_window.any() and not np.any(v_out[in_window] > floor):
             # compactly supported probe: it decays faster than any
             # exponential, so there is nothing to fit and the gate holds
@@ -233,7 +232,6 @@ def localization_report(
     all_ok = all(r.passes for r in results)
     return LocalizationReport(
         status="ok" if all_ok else "probe decay outside gate",
-        support_size=nsup,
         support_fraction=frac,
         gate=gate,
         probes=tuple(results),

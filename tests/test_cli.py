@@ -6,6 +6,9 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emergence_lab
 from emergence_lab.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_NUMERIC,
@@ -159,6 +163,34 @@ def test_elp_on_small_lattice_reports_failure(tmp_path, capsys, shape):
     payload = json.loads((out / "report.elp.json").read_text())
     verdicts = {c["name"]: c["pass"] for c in payload["checks"]}
     assert verdicts["inputs_localized_in_region"] is False
+
+
+@pytest.mark.parametrize(
+    "unbuffered, lines_read",
+    [("1", 1), ("", 0)],
+    ids=["closed-after-first-line", "closed-before-output"],
+)
+def test_closed_stdout_keeps_every_file_and_the_verdict(tmp_path, unbuffered, lines_read):
+    # `emergence-lab all --out D | head -1`: the reader closes stdout after
+    # the first line (line by line), or before any output (one buffered
+    # write at exit, which Python otherwise fails at shutdown with code 120)
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=str(Path(emergence_lab.__file__).parents[1]))
+    out = tmp_path / "out"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "emergence_lab.cli", "all", "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    lines = [proc.stdout.readline() for _ in range(lines_read)]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    code = proc.returncode
+    assert [line.split(b":")[0] for line in lines] == [b"kernel"] * lines_read
+    assert err == b""
+    reports = {path.name for path in out.glob("report.*.json")}
+    assert reports == {f"report.{name}.json" for name in EXPERIMENT_NAMES + ("all",)}
+    verdict = json.loads((out / "report.all.json").read_text())["pass"]
+    assert code == (EXIT_PASS if verdict else EXIT_CHECK_FAILURE)
 
 
 def test_numeric_failure_exits_three(tmp_path, capsys):

@@ -7,6 +7,7 @@ import json
 import re
 from pathlib import Path
 
+from emergence_lab import cli
 from emergence_lab.cli import report_json
 from emergence_lab.experiments import (
     ExperimentConfig,
@@ -71,6 +72,11 @@ def test_record_table_lists_the_written_fields():
     for record in written:
         # the writer sorts keys, so only the set of names is compared
         assert sorted(record) == documented
+
+
+def test_exit_code_table_lists_the_runner_codes():
+    codes = [int(row[0]) for row in _table("code")]
+    assert codes == [cli.EXIT_PASS, cli.EXIT_CHECK_FAILURE, cli.EXIT_USAGE, cli.EXIT_NUMERIC]
 
 
 def test_tests_section_names_every_test_file():

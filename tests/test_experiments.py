@@ -22,7 +22,13 @@ from emergence_lab.particle import (
     SUPPORT_FRACTION_MAX,
     localization_report,
 )
-from emergence_lab.spectral import FIT_RMS_MAX, Lattice, build_klein_gordon, diagonalize
+from emergence_lab.spectral import (
+    FIT_RMS_MAX,
+    Lattice,
+    Spectrum,
+    build_klein_gordon,
+    diagonalize,
+)
 
 
 def _records(experiment: str, **settings) -> dict[str, CheckRecord]:
@@ -173,3 +179,32 @@ def test_elp_seed_8009_trial_fails_on_fit_rms_alone():
     trials = {c.name: c for c in report.checks}["trials_passed"]
     assert (trials.measured, trials.lower, trials.upper) == (9.0, 10.0, None)
     assert not trials.passed
+
+
+# At 512 sites a block holds 8 trials. geometry-check's 20 trials are 3
+# blocks, each 10 applies (J u, J v, J J u, and 4 in the right-hand side) and
+# 4 projections (to_modes of u and v); nw's 10 are 2 blocks of 7 projections
+# (to_modes of u, of J u and of the evolved u, and from_nw), plus one each
+# for the NW delta and the non-relativistic comparison; segal-check's 100
+# pairs are 13 blocks of 4 projections, plus 12 for time_invariance.
+@pytest.mark.parametrize(
+    "experiment, expected",
+    [
+        ("geometry-check", {"apply_function": 30, "project": 12, "synthesize": 0}),
+        ("nw", {"apply_function": 8, "project": 16, "synthesize": 16}),
+        ("segal-check", {"apply_function": 52, "project": 64, "synthesize": 4}),
+    ],
+)
+def test_each_trial_transforms_its_fields_once(monkeypatch, experiment, expected):
+    counts = dict.fromkeys(expected, 0)
+    for name in expected:
+        method = getattr(Spectrum, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            counts[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(Spectrum, name, counted)
+    report, _ = run_experiment(ExperimentConfig(experiment, shape=(512,)))
+    assert report.passed
+    assert counts == expected

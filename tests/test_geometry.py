@@ -8,6 +8,9 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from emergence_lab.geometry import (
+    _alpha_form,
+    _direct_form,
+    _qp_form,
     apply_J,
     inner_product,
     schrodinger_rhs,
@@ -157,6 +160,28 @@ def test_inner_product_time_invariant():
         evolve_state(u, SPEC, 100.0), evolve_state(v, SPEC, 100.0), SPEC, form="alpha"
     )
     assert_allclose(after, before, rtol=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(64,), (512,), (12, 12, 12)], ids=["64", "512", "12^3"])
+@pytest.mark.parametrize("columns", [None, 3])
+def test_form_helpers_on_shared_transforms_equal_inner_product(shape, columns):
+    # the experiments transform each point once and hand the results to the
+    # helpers; that must give inner_product's bits, one point or a block
+    spec = diagonalize(build_klein_gordon(1.0, Lattice(shape)))
+    rng = np.random.default_rng(23)
+    size = (spec.lattice.nsites,) + ((columns,) if columns else ())
+    u, v = (PhaseVector(spec.lattice, rng.normal(size=size), rng.normal(size=size))
+            for _ in range(2))
+    mu, mv = to_modes(u, spec), to_modes(v, spec)
+    shared = {
+        "alpha": _alpha_form(mu, mv),
+        "qp": _qp_form(mu, mv),
+        "direct": _direct_form(u, v, apply_J(v, spec)),
+    }
+    for form, value in shared.items():
+        np.testing.assert_array_equal(value, inner_product(u, v, spec, form=form))
+    # the norm the nw experiment reads, from one point's amplitudes twice
+    np.testing.assert_array_equal(_alpha_form(mu, mu), inner_product(u, u, spec))
 
 
 def test_unknown_form_rejected():

@@ -231,3 +231,16 @@ def test_leakage_rejects_untruncated_packet(spec1024):
     packet = gaussian_packet(spec1024, 512, 10.0)
     with pytest.raises(ValueError, match="beyond radius"):
         superluminal_leakage(packet, 512, 40.0, 5.0)
+
+
+def test_regime_diagnostics_refuse_a_block(spec64):
+    # both weigh one wavefunction; a block of two is refused by its shape
+    packet = gaussian_packet(spec64, 32, 2.0, cutoff=8.0)
+    block = NWWavefunction(spectrum=spec64, psi=np.stack((packet.psi, packet.psi), axis=1))
+    with pytest.raises(ValueError, match=r"not a block of shape \(64, 2\)"):
+        nonrelativistic_compare(block, 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"not a block of shape \(64, 2\)"):
+        superluminal_leakage(block, 32, 8.0, 1.0)
+    # the same packet alone is accepted by both
+    nonrelativistic_compare(packet, 1.0, 1.0)
+    superluminal_leakage(packet, 32, 8.0, 1.0)

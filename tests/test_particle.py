@@ -243,7 +243,7 @@ def test_truncated_bump_is_localized(spec512):
     bump = gaussian_bump(spec512.lattice, 256, 5.0, cutoff=20.0)
     report = localization_report(bump, spec512, 1.0)
     assert report.passes
-    assert report.support_size == 41
+    assert report.support_fraction == 41 / 512
     by_name = {p.probe: p for p in report.probes}
     # phi of a phi-only compact bump vanishes identically outside the support
     assert by_name["phi2"].fit.nsamples == 0
@@ -264,8 +264,8 @@ def test_plane_wave_reported_not_localized(spec512):
     )
     report = localization_report(wave, spec512, 1.0)
     assert not report.passes
-    assert report.status.startswith("not localized")
-    assert report.support_size == 510
+    assert report.status == "not localized: support covers 510 of 512 sites"
+    assert report.support_fraction == 510 / 512
     assert report.probes == ()
 
 
