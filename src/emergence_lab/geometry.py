@@ -15,10 +15,10 @@ Each form is written once, as a private helper of what it reads: "alpha"
 and "qp" read the two points' mode amplitudes, and "direct" reads u, v and
 J v, whose fields are R^{1/2} phi' and -R^{-1/2} pi'. A caller that checks
 several forms on the same points transforms each point once and hands the
-shared results to the helpers. Above 256 sites
-(``spectral.DENSE_TRANSFORM_MAX_SITES``) "direct" still shares no transform
-with "alpha" and "qp": J applies R^{+-1/2} as Fourier multipliers, while
-they read mode coordinates through Hartley transforms.
+shared results to the helpers. For a constant mass, at every lattice size,
+"direct" still shares no transform with "alpha" and "qp": J applies
+R^{+-1/2} as Fourier multipliers, while they read mode coordinates through
+Hartley transforms. (A variable mass has one eigenbasis for all three.)
 
 Every function takes a block of phase points, (sites x k) fields with one
 point per column (see ``modes``), as readily as one point: J and the

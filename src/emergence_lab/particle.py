@@ -19,7 +19,9 @@ energy-density site sum reproduces sum_k omega_k |alpha_k|^2 with no further
 constant. Localization diagnostics ask how fast these excesses decay away
 from the progenitor's support, and whether superpositions of localized states
 stay localized. The probes and diagnostics read only ``spec.lattice`` and
-``spec.apply_power`` of the Spectrum they are given.
+``spec.apply_power`` of the Spectrum they are given. The probes map a
+(sites x k) block of progenitors column by column; the support, and so every
+localization verdict, judges one state and refuses a block.
 """
 from __future__ import annotations
 
@@ -118,6 +120,8 @@ def calibrate_kappa(
 
 def support_sites(u: PhaseVector) -> np.ndarray:
     """Boolean mask of sites where either field exceeds SUPPORT_EPS times the peak."""
+    if u.phi.ndim != 1:
+        raise ValueError(f"support takes one phase point, not a block of shape {u.phi.shape}")
     peak = max(float(np.abs(u.phi).max()), float(np.abs(u.pi).max()))
     if peak == 0.0:
         raise ValueError("zero state has no support")

@@ -3,10 +3,11 @@
 Builds the spatial operator R of the linear field equation ``phi_tt + R phi = 0``
 as a symmetric operator over lattice sites: a mass term beside the 3-point
 Laplacian stencil, applied by neighbour sums and made dense only on request.
-It exposes R's spectral decomposition (closed-form Fourier modes when R is
-translation invariant, a dense eigensolver otherwise), arbitrary real powers
-R^lambda, and tools to measure how fast the kernels of those powers decay
-with distance.
+It exposes R's spectral decomposition, arbitrary real powers R^lambda, and
+tools to measure how fast the kernels of those powers decay with distance.
+Each operator kind has one transform route at every size: a constant mass
+(R translation invariant) takes closed-form Fourier modes and FFTs, and a
+variable mass takes a dense eigensolver and products with its eigenbasis.
 
 Conventions
 -----------
@@ -32,12 +33,6 @@ DISTANCE_BIN = 1e-9
 # a decay fit is trusted only while the RMS residual of its log values stays
 # strictly below this
 FIT_RMS_MAX = 0.5
-# Translation-invariant operators up to this many sites keep matrix-product
-# transforms over a closed-form Hartley basis; above it they transform by FFT.
-# Per call on a 2-vCPU Xeon (numpy 2.4, OpenBLAS), a real matvec costs
-# 2.5/15/64 us at 64/256/512 sites and a real FFT transform 15/17/17 us;
-# for complex fields the two cross near 128 sites.
-DENSE_TRANSFORM_MAX_SITES = 256
 
 
 class AxiomError(ValueError):
@@ -172,14 +167,14 @@ class Spectrum:
     discrete L2 product; ``eigenvalues`` (omega_k^2) ascend and are strictly
     positive; ``frequencies`` are their positive square roots.
 
-    For a translation-invariant operator f_k is the real Fourier (Hartley)
-    mode cas(2 pi q.x/N) / sqrt(N cell) of flat wavevector index
-    q = ``hartley_modes[k]``; otherwise ``hartley_modes`` is None.
-    ``project``/``synthesize`` are matrix products with ``dense_basis`` when
-    it is set, and FFTs otherwise, in which case ``basis`` is built from the
-    closed form on first access and ``apply_function`` skips the modes: f(R)
-    is then f of the symbol on the wavevector grid (the eigenvalues placed
-    through ``hartley_modes``) times the field's DFT.
+    Exactly one of ``hartley_modes`` and ``dense_basis`` is set, and every
+    transform branches on it. For a translation-invariant R (the FFT route)
+    f_k is the real Fourier (Hartley) mode cas(2 pi q.x/N) / sqrt(N cell) of
+    flat wavevector index q = ``hartley_modes[k]``; ``project``/``synthesize``
+    are FFTs, f(R) is f of the symbol (the eigenvalues placed through
+    ``hartley_modes``) times the field's DFT, and ``basis`` is built only on
+    first access. Otherwise (the ``eigh`` route) every transform is a matrix
+    product with the eigenvectors ``dense_basis``.
     """
 
     operator: ROperator
@@ -253,11 +248,9 @@ class Spectrum:
 
     def kernel_column(self, f, site: int) -> np.ndarray:
         """Integral kernel f(R)(y, site) = sum_k f(lambda_k) f_k(y) f_k(site)."""
-        if self.hartley_modes is None:
+        if self.dense_basis is not None:
             basis = self.dense_basis
             return basis @ (f(self.eigenvalues) * basis[site, :])
-        # by FFT even where the basis is stored: against an 80-bit reference
-        # its roundoff is about 3x smaller than the matrix product's
         shape = self.lattice.shape
         unit = _unit(self.lattice, site)
         spread = self._on_grid(f(self.eigenvalues)) * _hartley(unit, shape)
@@ -280,7 +273,7 @@ class Spectrum:
 
 
 def _real_matmul(matrix: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """matrix @ values for a real square matrix and a field or (sites x k) block.
+    """matrix @ values for the ``eigh`` eigenbasis and a field or (sites x k) block.
 
     A complex block is multiplied as one real (sites x 2k) block of its real
     and imaginary parts side by side (its float view), so the matrix is
@@ -367,9 +360,10 @@ def diagonalize(op: ROperator) -> Spectrum:
     symmetry, matrix row 0, which is never built), averaged over k and -k so
     that they are exactly even. Each degenerate subspace (the +-k pairs and
     any accidental coincidences) gets the real Hartley modes cas(2 pi k.x/N)
-    of its wavevectors, in stable ascending order of the symbol. A mass that varies over the sites sends the dense
-    matrix to the eigensolver, and degenerate subspaces come back with the
-    (deterministic) basis it picks.
+    of its wavevectors, in stable ascending order of the symbol; only their
+    wavevector indices are stored. A mass that varies over the sites sends
+    the dense matrix to the eigensolver, and degenerate subspaces come back
+    with the (deterministic) basis it picks.
     """
     lattice = op.lattice
     mass = np.ravel(op.mass_squared)
@@ -392,8 +386,6 @@ def diagonalize(op: ROperator) -> Spectrum:
             f"smallest eigenvalue {vals[0]:.3e} is not strictly positive "
             f"(floor {floor:.3e}); operator violates strict positivity"
         )
-    if modes is not None and lattice.nsites <= DENSE_TRANSFORM_MAX_SITES:
-        dense = _hartley_basis(lattice, modes)
     return Spectrum(
         operator=op,
         eigenvalues=vals,

@@ -177,6 +177,22 @@ def test_support_rejects_zero_state():
         support_sites(PhaseVector(lat, np.zeros(8), np.zeros(8)))
 
 
+def test_support_and_report_refuse_a_block():
+    # each bump alone is localized (17 of 64 sites); as one block of two they
+    # would be judged as a single state of support 34, so the block is refused
+    spec = diagonalize(build_klein_gordon(1.0, Lattice((64,))))
+    bump = gaussian_bump(spec.lattice, 16, 2.0, cutoff=8.0)
+    other = gaussian_bump(spec.lattice, 48, 2.0, cutoff=8.0)
+    block = PhaseVector(
+        spec.lattice, np.stack((bump.phi, other.phi), axis=1), np.zeros((64, 2))
+    )
+    assert support_sites(bump).sum() == 17
+    with pytest.raises(ValueError, match=r"not a block of shape \(64, 2\)"):
+        support_sites(block)
+    with pytest.raises(ValueError, match=r"not a block of shape \(64, 2\)"):
+        localization_report(block, spec, 1.0)
+
+
 def test_distance_beyond_support():
     lat = Lattice((16,))
     mask = np.zeros(16, dtype=bool)

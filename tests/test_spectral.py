@@ -8,7 +8,6 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from emergence_lab.spectral import (
-    DENSE_TRANSFORM_MAX_SITES,
     AxiomError,
     Lattice,
     ROperator,
@@ -259,8 +258,8 @@ def _rel_dev(got, ref):
     return float(np.abs(got - ref).max() / np.abs(ref).max())
 
 
-# (shape, spacing, mass ripple): "fft" cases lie above DENSE_TRANSFORM_MAX_SITES,
-# where transforms run by FFT; a rippled mass takes the dense eigensolver route
+# (shape, spacing, mass ripple): a constant mass transforms by FFT at every
+# size; a rippled mass takes the dense eigensolver route
 @pytest.fixture(
     scope="module",
     params=[
@@ -321,7 +320,7 @@ def test_apply_power_on_a_batch_matches_each_column(spec_small, columns):
 
 @pytest.mark.parametrize("columns", [1, 3])
 def test_complex_block_matches_the_dense_arbiter(spec_small, columns):
-    # the stored basis multiplies a complex block as one real product of its
+    # the eigh route multiplies a complex block as one real product of its
     # real and imaginary parts; the FFT route transforms them by parts
     n = spec_small.lattice.nsites
     rng = np.random.default_rng(8)
@@ -344,7 +343,7 @@ def test_complex_block_matches_the_dense_arbiter(spec_small, columns):
 # the FFT route's Fourier multiplier
 # ---------------------------------------------------------------------------
 
-# above DENSE_TRANSFORM_MAX_SITES, with an odd last axis in 2-D
+# with an odd last axis in 2-D
 FFT_LATTICES = [((300,), 1.0), ((18, 17), 0.5), ((7, 7, 7), 0.7)]
 
 
@@ -389,6 +388,7 @@ def test_apply_power_matches_long_double_fourier_sum(shape, spacing, exponent):
 ROUTE_LATTICES = [
     ((64,), 1.0), ((8, 9), 0.5), ((4, 5, 6), 0.7),
     ((300,), 1.0), ((18, 17), 0.5), ((7, 7, 7), 0.7),
+    ((1,), 1.0), ((2,), 1.0), ((40, 2), 1.0),
 ]
 
 
@@ -397,7 +397,7 @@ def test_hartley_basis_diagonalizes_translation_invariant_r(shape, spacing):
     lat = Lattice(shape, spacing)
     spec = diagonalize(build_klein_gordon(1.3, lat))
     assert spec.hartley_modes is not None
-    assert (spec.dense_basis is None) == (lat.nsites > DENSE_TRANSFORM_MAX_SITES)
+    assert spec.dense_basis is None
     basis = spec.basis
     residual = _dense(spec.operator) @ basis - basis * spec.eigenvalues
     assert np.abs(residual).max() / spec.eigenvalues[-1] <= 1e-12
@@ -446,7 +446,7 @@ def test_perturbed_pair_takes_dense_route(shape):
     mass_squared[3] += 1e-3
     op = ROperator(lat, mass_squared)
     spec = diagonalize(op)
-    assert spec.hartley_modes is None
+    assert spec.hartley_modes is None and spec.dense_basis is not None
     assert_allclose(spec.eigenvalues, np.linalg.eigvalsh(_dense(op)), rtol=1e-12)
 
 
