@@ -46,7 +46,6 @@ from .geometry import (
     symplectic,
 )
 from .particle import (
-    ELPReport,
     LocalizationReport,
     calibrate_kappa,
     elp_check,
@@ -86,7 +85,6 @@ __all__ = [
     "AxiomError",
     "CanonicalReport",
     "DecayFit",
-    "ELPReport",
     "ExperimentConfig",
     "KernelProfile",
     "Lattice",

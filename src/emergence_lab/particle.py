@@ -18,10 +18,14 @@ but measured against the brute-force Fock oracle by calibrate_kappa, and the
 energy-density site sum reproduces sum_k omega_k |alpha_k|^2 with no further
 constant. Localization diagnostics ask how fast these excesses decay away
 from the progenitor's support, and whether superpositions of localized states
-stay localized. The probes and diagnostics read only ``spec.lattice`` and
-``spec.apply_power`` of the Spectrum they are given. The probes map a
-(sites x k) block of progenitors column by column; the support, and so every
-localization verdict, judges one state and refuses a block.
+stay localized. This module only measures: a localization report holds the
+support fraction and each probe's decay fit, and the ELP check the reports
+of its random superpositions; the bounds that judge those numbers are the
+experiments' constants. The probes and diagnostics read only
+``spec.lattice`` and ``spec.apply_power`` of the Spectrum they are given.
+The probes map a (sites x k) block of progenitors column by column; the
+support, and so every localization report, is of one state and refuses a
+block.
 """
 from __future__ import annotations
 
@@ -36,7 +40,6 @@ from .spectral import Lattice, Spectrum, bin_by_distance, fit_decay_length, Deca
 
 KAPPA = 0.5
 SUPPORT_EPS = 1e-6
-LOCALIZATION_GATE = 1.2
 FIT_WINDOW_COMPTON = (2.0, 10.0)
 ZERO_TAIL_FLOOR = 1e-20  # relative: probe values below this count as vanished
 SUPPORT_FRACTION_MAX = 0.5  # strict: only states under this support fraction are fitted
@@ -158,24 +161,19 @@ class ProbeResult:
     distances: np.ndarray
     values: np.ndarray
     fit: DecayFit
-    passes: bool
 
 
 @dataclasses.dataclass(frozen=True)
 class LocalizationReport:
-    """Verdict on whether a one-particle state is localized.
+    """How far a one-particle state's observable excesses reach.
 
     A state whose support covers SUPPORT_FRACTION_MAX of the lattice or more
-    is reported as not localized outright (status explains why, probes are
-    empty) rather than fitted; a delocalized plane wave simply has no outside
-    region to probe, and that is a finding, not an error.
+    gets no probes rather than fits; a delocalized plane wave simply has no
+    outside region to probe, and that is a finding, not an error.
     """
 
-    status: str
     support_fraction: float
-    gate: float
     probes: tuple[ProbeResult, ...]
-    passes: bool
 
 
 def localization_report(
@@ -187,23 +185,14 @@ def localization_report(
 
     ``compton`` is the expected decay length of the theory; the fit window
     FIT_WINDOW_COMPTON is in units of it, measuring distance beyond the
-    support's edge. Each probe passes when its fitted length is at most
-    LOCALIZATION_GATE * compton and the fit quality flag holds.
+    support's edge.
     """
     _check_same_lattice(u.lattice, spec.lattice)
     lattice = spec.lattice
-    gate = LOCALIZATION_GATE * compton
     mask = support_sites(u)
-    nsup = int(mask.sum())
-    frac = nsup / lattice.nsites
+    frac = int(mask.sum()) / lattice.nsites
     if frac >= SUPPORT_FRACTION_MAX:
-        return LocalizationReport(
-            status=f"not localized: support covers {nsup} of {lattice.nsites} sites",
-            support_fraction=frac,
-            gate=gate,
-            probes=(),
-            passes=False,
-        )
+        return LocalizationReport(support_fraction=frac, probes=())
     dist = distance_beyond(lattice, mask)
     outside = ~mask
     lo, hi = FIT_WINDOW_COMPTON
@@ -217,54 +206,23 @@ def localization_report(
         floor = ZERO_TAIL_FLOOR * float(column.max())
         if in_window.any() and not np.any(v_out[in_window] > floor):
             # compactly supported probe: it decays faster than any
-            # exponential, so there is nothing to fit and the gate holds
+            # exponential, so there is nothing to fit, and its length is 0
             fit = DecayFit(
-                length=0.0,
-                window=window_abs,
-                rms_log_residual=0.0,
-                quality_ok=True,
-                nsamples=0,
-                slope=float("nan"),
+                length=0.0, rms_log_residual=0.0, nsamples=0, slope=float("nan")
             )
-            ok = True
         else:
             fit = fit_decay_length(d_out, v_out, window_abs)
-            ok = bool(fit.quality_ok and fit.length <= gate)
-        results.append(
-            ProbeResult(probe=name, distances=d_out, values=v_out, fit=fit, passes=ok)
-        )
-    all_ok = all(r.passes for r in results)
-    return LocalizationReport(
-        status="ok" if all_ok else "probe decay outside gate",
-        support_fraction=frac,
-        gate=gate,
-        probes=tuple(results),
-        passes=all_ok,
-    )
+        results.append(ProbeResult(probe=name, distances=d_out, values=v_out, fit=fit))
+    return LocalizationReport(support_fraction=frac, probes=tuple(results))
 
 
 @dataclasses.dataclass(frozen=True)
 class TrialResult:
+    """One ELP superposition, its support against the region, and its report."""
+
     coefficients: np.ndarray
     support_in_region: bool
     report: LocalizationReport
-
-    @property
-    def passes(self) -> bool:
-        return self.support_in_region and self.report.passes
-
-
-@dataclasses.dataclass(frozen=True)
-class ELPReport:
-    """Superposition-stability check of localization.
-
-    ``failures`` names each input state that is not localized inside the
-    region; when there is one the trials are skipped. The check holds when
-    there are no failures and every trial passes.
-    """
-
-    failures: tuple[str, ...]
-    trials: tuple[TrialResult, ...]
 
 
 def elp_check(
@@ -274,30 +232,21 @@ def elp_check(
     compton: float,
     n_trials: int = 10,
     seed: int = 0,
-) -> ELPReport:
-    """Random complex superpositions of localized states stay localized.
+) -> tuple[TrialResult, ...]:
+    """Measure random complex superpositions of the input progenitors.
 
-    Every input progenitor must be localized with support inside ``region``
-    (boolean site mask); then ``n_trials`` Gaussian complex combinations
-    sum_i c_i u_i = sum_i Re(c_i) u_i + Im(c_i) J u_i are formed and each
-    must again be localized with support inside the region.
+    ``n_trials`` Gaussian complex combinations
+    sum_i c_i u_i = sum_i Re(c_i) u_i + Im(c_i) J u_i are formed, and each
+    gets its localization report and whether its support stays inside
+    ``region`` (boolean site mask). The ELP holds when the inputs are
+    localized inside the region and so is every trial; the inputs are the
+    caller's to screen.
     """
     if not states:
         raise ValueError("need at least one state")
     for u in states:
         _check_same_lattice(u.lattice, spec.lattice)
     region = np.asarray(region, dtype=bool).reshape(-1)
-    failures = []
-    for i, u in enumerate(states):
-        mask = support_sites(u)
-        if np.any(mask & ~region):
-            failures.append(f"state {i}: support leaves the region")
-            continue
-        rep = localization_report(u, spec, compton)
-        if not rep.passes:
-            failures.append(f"state {i}: {rep.status}")
-    if failures:
-        return ELPReport(failures=tuple(failures), trials=())
     # (phi, pi) of each u_i and of J u_i as (2, nsites) arrays, so that a
     # trial validates one PhaseVector rather than one per term of its sum
     fields = [np.array((u.phi, u.pi)) for u in states]
@@ -317,4 +266,4 @@ def elp_check(
         trials.append(
             TrialResult(coefficients=coeffs, support_in_region=in_region, report=rep)
         )
-    return ELPReport(failures=(), trials=tuple(trials))
+    return tuple(trials)

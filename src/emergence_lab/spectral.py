@@ -5,6 +5,8 @@ as a symmetric operator over lattice sites: a mass term beside the 3-point
 Laplacian stencil, applied by neighbour sums and made dense only on request.
 It exposes R's spectral decomposition, arbitrary real powers R^lambda, and
 tools to measure how fast the kernels of those powers decay with distance.
+A decay fit only measures: the bounds that judge its length and residual
+are the experiments' constants.
 Each operator kind has one transform route at every size: a constant mass
 (R translation invariant) takes closed-form Fourier modes and FFTs, and a
 variable mass takes a dense eigensolver and products with its eigenbasis.
@@ -30,9 +32,6 @@ import numpy as np
 # strict positivity rather than numerical noise.
 POSITIVITY_FLOOR = 1e-10
 DISTANCE_BIN = 1e-9
-# a decay fit is trusted only while the RMS residual of its log values stays
-# strictly below this
-FIT_RMS_MAX = 0.5
 
 
 class AxiomError(ValueError):
@@ -200,7 +199,7 @@ class Spectrum:
     def project(self, field: np.ndarray) -> np.ndarray:
         """L2 coefficients <f_k, field> for every mode."""
         if self.dense_basis is not None:
-            coeffs = _real_matmul(self.dense_basis.T, field)
+            coeffs = self.dense_basis.T @ field
             coeffs *= self.lattice.cell
         else:
             coeffs = _hartley(field, self.lattice.shape)[self.hartley_modes]
@@ -210,7 +209,7 @@ class Spectrum:
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Field sum_k coeffs[k] f_k."""
         if self.dense_basis is not None:
-            return _real_matmul(self.dense_basis, coeffs)
+            return self.dense_basis @ coeffs
         field = _hartley(self._on_grid(coeffs), self.lattice.shape)
         field *= 1.0 / math.sqrt(self.nmodes * self.lattice.cell)
         return field
@@ -272,20 +271,6 @@ class Spectrum:
         return self.apply_function(lambda lam: lam**exponent, field)
 
 
-def _real_matmul(matrix: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """matrix @ values for the ``eigh`` eigenbasis and a field or (sites x k) block.
-
-    A complex block is multiplied as one real (sites x 2k) block of its real
-    and imaginary parts side by side (its float view), so the matrix is
-    never cast to complex. At 64 sites on a 2-vCPU Xeon that took a complex
-    projection from 10.7 to about 7 us, and a 64 x 8 block from 19 to 10.7 us.
-    """
-    if not np.iscomplexobj(values):
-        return matrix @ values
-    pairs = np.ascontiguousarray(values, dtype=complex).reshape(len(values), -1)
-    return (matrix @ pairs.view(float)).view(complex).reshape(values.shape)
-
-
 def _hartley(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Unnormalized discrete Hartley transform over the leading site axis.
 
@@ -293,7 +278,7 @@ def _hartley(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     Re F - Im F of the DFT F for real v. H is symmetric and H^2 = N, so it
     also synthesizes. Complex v is transformed by parts, in one call: as the
     real (sites x 2k) block of its real and imaginary parts side by side
-    (its float view, as in ``_real_matmul``).
+    (its float view).
     """
     if np.iscomplexobj(values):
         pairs = np.ascontiguousarray(values).reshape(math.prod(shape), -1)
@@ -425,14 +410,13 @@ class KernelProfile:
 class DecayFit:
     """Log-linear decay fit: |kernel| ~ exp(-d / length).
 
-    quality_ok is set when the fit succeeded (negative slope, enough samples)
-    and the RMS residual of the log values stays below FIT_RMS_MAX.
+    A failed fit (too few samples, or a slope that is not negative) has a
+    nan length; how small the RMS residual of the log values must be is the
+    caller's bound, not the fit's.
     """
 
     length: float
-    window: tuple[float, float]
     rms_log_residual: float
-    quality_ok: bool
     nsamples: int
     slope: float
 
@@ -480,9 +464,8 @@ def fit_decay_length(
 ) -> DecayFit:
     """Least-squares fit of ln|values| vs distance over the window.
 
-    Returns a failed fit (quality_ok False, length nan) rather than raising
-    when there are fewer than 6 strictly positive samples or the slope is
-    nonnegative.
+    Returns a failed fit (length nan) rather than raising when there are
+    fewer than 6 strictly positive samples or the slope is nonnegative.
     """
     d_min, d_max = window
     distances = np.asarray(distances, dtype=float)
@@ -493,12 +476,9 @@ def fit_decay_length(
         slope = rms = float("nan")
     else:
         slope, _, rms = log_linear_fit(d, values[mask])
-    ok = slope < 0 and rms < FIT_RMS_MAX
     return DecayFit(
         length=-1.0 / slope if slope < 0 else float("nan"),
-        window=(float(d_min), float(d_max)),
         rms_log_residual=rms,
-        quality_ok=bool(ok),
         nsamples=int(d.size),
         slope=slope,
     )

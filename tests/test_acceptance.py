@@ -22,6 +22,7 @@ from emergence_lab.asymptotics import (
     kernel_decay_rate,
 )
 from emergence_lab.cli import main as cli_main
+from emergence_lab.experiments import FIT_RMS_MAX, _failing_inputs, _localized
 from emergence_lab.fock_oracle import (
     build_fock,
     field_operator,
@@ -115,13 +116,14 @@ def test_criterion_01_compton_locality():
     fit = fit_decay_length(profile.distances, profile.values, (3.0, 20.0))
     elapsed = time.perf_counter() - start
     dev = abs(fit.length - 1.0)
-    ok = fit.quality_ok and dev <= 0.10 and elapsed < 10.0
+    trusted = fit.length > 0 and fit.rms_log_residual < FIT_RMS_MAX
+    ok = trusted and dev <= 0.10 and elapsed < 10.0
     _line(
         "criterion 01 compton locality",
         ok,
         f"length {fit.length:.4f}, dev {dev:.1%}, {elapsed:.1f} s",
     )
-    assert fit.quality_ok
+    assert trusted
     assert dev <= 0.10
     assert elapsed < 10.0
 
@@ -161,7 +163,7 @@ def test_criterion_03_cross_quadrature():
         for lam in (-0.5, -1.0):
             fit = kernel_decay_rate(sym, lam, rtol=0.05)
             assert fit.ok
-            rate_dev = max(rate_dev, fit.rel_dev)
+            rate_dev = max(rate_dev, abs(fit.rate - fit.expected) / fit.expected)
     ok = cross <= 1e-4 and rate_dev <= 0.05
     _line(
         "criterion 03 cross quadrature",
@@ -348,16 +350,18 @@ def test_criterion_09_localization_and_elp(spec512):
     lattice = spec512.lattice
     bump = gaussian_bump(lattice, 256, width, cutoff=4.0 * width)
     report = localization_report(bump, spec512, compton)
-    probe_ok = report.passes and all(
+    probe_ok = _localized(report, compton) and all(
         r.fit.nsamples == 0 or r.fit.length <= 1.2 * compton for r in report.probes
     )
 
     left = gaussian_bump(lattice, 248, width, cutoff=4.0 * width)
     right = gaussian_bump(lattice, 264, width, cutoff=4.0 * width)
     region = lattice.distances_from(256) <= 45.0 * compton
-    elp = elp_check([left, right], spec512, region, compton, n_trials=10, seed=0)
+    failing = _failing_inputs([left, right], spec512, region, compton)
+    trials = elp_check([left, right], spec512, region, compton, n_trials=10, seed=0)
     elapsed = time.perf_counter() - start
-    elp_ok = not elp.failures and all(t.passes for t in elp.trials)
+    passed = sum(t.support_in_region and _localized(t.report, compton) for t in trials)
+    elp_ok = failing == 0 and passed == len(trials)
     ok = probe_ok and elp_ok and elapsed < 60.0
     lengths = ", ".join(
         f"{r.probe} {r.fit.length:.3f}" if r.fit.nsamples else f"{r.probe} compact"
@@ -366,11 +370,11 @@ def test_criterion_09_localization_and_elp(spec512):
     _line(
         "criterion 09 localization and elp",
         ok,
-        f"{lengths}; trials {sum(t.passes for t in elp.trials)}/10, {elapsed:.1f} s",
+        f"{lengths}; trials {passed}/10, {elapsed:.1f} s",
     )
     assert probe_ok
-    assert elp.failures == ()
-    assert len(elp.trials) == 10
+    assert failing == 0
+    assert len(trials) == 10
     assert elp_ok
     assert elapsed < 60.0
 
@@ -390,7 +394,11 @@ def test_criterion_10_newton_wigner(spec64, spec512, spec1024):
 
     delta = nw_delta_localization(spec512, 256, 1.0)
     width = delta.amplitude_fit
-    width_ok = width.quality_ok and abs(width.length - 1.0) <= 0.25
+    width_ok = (
+        width.length > 0
+        and width.rms_log_residual < FIT_RMS_MAX
+        and abs(width.length - 1.0) <= 0.25
+    )
 
     packet = gaussian_packet(spec1024, 512, 20.0)
     nonrel = nonrelativistic_compare(packet, 1.0, 10.0)

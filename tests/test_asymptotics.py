@@ -9,6 +9,7 @@ import pytest
 from scipy import special
 
 from emergence_lab.asymptotics import (
+    RATE_SAMPLES,
     AsymptoticsError,
     BranchStructure,
     SymbolPolynomial,
@@ -254,15 +255,28 @@ def test_kernel_positive_and_decreasing():
 def test_decay_rate_matches_branch_point(sym, lam, rate):
     fit = kernel_decay_rate(sym, lam)
     assert fit.ok
-    assert fit.rel_dev <= 0.01
+    assert abs(fit.rate - fit.expected) / fit.expected <= 0.01
     assert fit.rate == pytest.approx(rate, rel=1e-4)
-    # the removed algebraic prefactor is r^(lam + 2)
-    assert fit.prefactor_power == lam + 2.0
+    # the removed algebraic prefactor is r^(lam + 2): refit by hand over the
+    # (5, 15) Compton-length window
+    radii = np.linspace(5.0 / fit.expected, 15.0 / fit.expected, RATE_SAMPLES)
+    values = np.array([branch_cut_kernel(sym, lam, r) for r in radii])
+    slope = np.polyfit(radii, np.log(values * radii ** (lam + 2.0)), 1)[0]
+    assert fit.rate == pytest.approx(-slope, rel=1e-12)
 
 
-def test_decay_rate_window_default():
+def test_decay_rate_window_default(monkeypatch):
+    from emergence_lab import asymptotics
+
+    radii = []
+
+    def recording(symbol, lam, r):
+        radii.append(r)
+        return branch_cut_kernel(symbol, lam, r)
+
+    monkeypatch.setattr(asymptotics, "branch_cut_kernel", recording)
     fit = kernel_decay_rate(SymbolPolynomial.klein_gordon(2.0), -1.0)
-    assert fit.window == (2.5, 7.5)
+    assert (min(radii), max(radii)) == (2.5, 7.5)
     assert fit.expected == pytest.approx(2.0)
 
 
@@ -273,14 +287,14 @@ def test_decay_rate_window_default():
 
 def test_lattice_approaches_continuum():
     cmp = lattice_vs_continuum(1.0)
-    devs = [res.deviation for res in cmp.results]
+    devs = [res.deviation for res in cmp]
     assert all(dev <= 0.15 for dev in devs)
     assert all(b <= a + 1e-12 for a, b in zip(devs, devs[1:]))
     # frozen: refining a=1.0 -> 0.5 shrinks the deviation about 3.5x
     assert devs[0] == pytest.approx(0.0412, rel=0.02)
     assert devs[1] == pytest.approx(0.0118, rel=0.02)
-    assert cmp.results[0].nsites == 512
-    assert cmp.results[1].nsites == 1024
+    assert cmp[0].nsites == 512
+    assert cmp[1].nsites == 1024
 
 
 def test_lattice_too_small_rejected():

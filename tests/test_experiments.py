@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from emergence_lab.experiments import (
+    FIT_RMS_MAX,
     FIT_RMS_UPPER,
     LEAKAGE_LOWER,
+    LOCALIZATION_GATE,
     SUPPORT_UPPER,
     CheckRecord,
     ExperimentConfig,
@@ -18,12 +20,10 @@ from emergence_lab.experiments import (
 )
 from emergence_lab.modes import PhaseVector
 from emergence_lab.particle import (
-    LOCALIZATION_GATE,
     SUPPORT_FRACTION_MAX,
     localization_report,
 )
 from emergence_lab.spectral import (
-    FIT_RMS_MAX,
     Lattice,
     Spectrum,
     build_klein_gordon,
@@ -208,3 +208,13 @@ def test_each_trial_transforms_its_fields_once(monkeypatch, experiment, expected
     report, _ = run_experiment(ExperimentConfig(experiment, shape=(512,)))
     assert report.passed
     assert counts == expected
+
+
+def test_elp_draws_no_trials_when_an_input_fails():
+    # on a 40 x 2 lattice both inputs' supports cover most of the sites, so
+    # neither is localizable and the trials are never drawn
+    report, (table,) = run_experiment(ExperimentConfig("elp", shape=(40, 2)))
+    records = {c.name: c for c in report.checks}
+    assert records["inputs_localized_in_region"].measured == 2
+    assert records["trials_passed"].measured == 0
+    assert table.rows == ()

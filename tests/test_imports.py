@@ -107,10 +107,21 @@ def test_every_public_name_resolves():
     assert set(emergence_lab.__all__) <= set(namespace)
 
 
+def _library_section() -> str:
+    return README.read_text().split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _library_api() -> set[str]:
     """Names bulleted as `name` in the README's "Library API" section."""
-    section = README.read_text().split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
-    return set(re.findall(r"^- `(\w+)`", section, flags=re.MULTILINE))
+    return set(re.findall(r"^- `(\w+)`", _library_section(), flags=re.MULTILINE))
+
+
+def _library_fields() -> set[str]:
+    """Fields bulleted as `Class.field`, one or more joined by "and", there."""
+    heads = re.findall(
+        r"^- ((?:`\w+\.\w+`(?: and )?)+)", _library_section(), flags=re.MULTILINE
+    )
+    return {name for head in heads for name in re.findall(r"`(\w+\.\w+)`", head)}
 
 
 def _public_and_read() -> tuple[set[str], set[str]]:
@@ -151,4 +162,40 @@ def test_every_public_name_has_a_caller():
     documented = _library_api()
     assert sorted(unread - documented) == []
     # a listed name must exist and still lack a caller
+    assert sorted(documented - unread) == []
+
+
+def _is_dataclass_decorator(node: ast.expr) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    return name == "dataclass"
+
+
+def _fields_and_loads() -> tuple[set[str], set[str]]:
+    """Every dataclass field under src/ as "Class.field", and the attribute
+    names that src/ loads (``x.name`` read, not assigned)."""
+    fields, loads = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                _is_dataclass_decorator(d) for d in node.decorator_list
+            ):
+                fields.update(
+                    f"{node.name}.{item.target.id}"
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                )
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.add(node.attr)
+    return fields, loads
+
+
+def test_every_dataclass_field_is_read():
+    # a field that nothing under src/ reads is a number computed for the
+    # tests alone, unless the README lists it as library API and says why
+    fields, loads = _fields_and_loads()
+    unread = {f for f in fields if f.split(".")[1] not in loads}
+    documented = _library_fields()
+    assert sorted(unread - documented) == []
+    # a listed field must exist and still lack a reader
     assert sorted(documented - unread) == []

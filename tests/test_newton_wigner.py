@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from emergence_lab.experiments import FIT_RMS_MAX
 from emergence_lab.geometry import apply_J, segal_inner_product
 from emergence_lab.modes import ModeVector, evolve_state, from_modes, to_modes
 from emergence_lab.newton_wigner import (
@@ -158,7 +159,8 @@ def test_delta_profile_matches_closed_form(spec1024):
 
 def test_delta_width_near_compton(spec1024):
     report = nw_delta_localization(spec1024, 512, 1.0)
-    assert report.amplitude_fit.quality_ok
+    assert report.amplitude_fit.length > 0
+    assert report.amplitude_fit.rms_log_residual < FIT_RMS_MAX
     # frozen: the amplitude decay length comes out just under one Compton
     assert report.amplitude_fit.length == pytest.approx(0.96407, rel=1e-3)
     assert abs(report.amplitude_fit.length - 1.0) <= 0.25
