@@ -39,10 +39,12 @@ from .modes import (
     to_modes,
 )
 from .geometry import (
+    alpha_form,
     apply_J,
-    inner_product,
+    direct_form,
+    qp_form,
     schrodinger_rhs,
-    segal_inner_product,
+    segal_form,
     symplectic,
 )
 from .particle import (
@@ -97,6 +99,7 @@ __all__ = [
     "RunReport",
     "Spectrum",
     "SymbolPolynomial",
+    "alpha_form",
     "apply_J",
     "branch_cut_kernel",
     "build_klein_gordon",
@@ -104,6 +107,7 @@ __all__ = [
     "calibrate_kappa",
     "check_canonical",
     "diagonalize",
+    "direct_form",
     "direct_radial_integral",
     "elp_check",
     "energy_density_diff",
@@ -118,7 +122,6 @@ __all__ = [
     "gaussian_bump",
     "gaussian_packet",
     "hamiltonian_energy",
-    "inner_product",
     "kernel_decay_rate",
     "kernel_profile",
     "lattice_vs_continuum",
@@ -128,10 +131,11 @@ __all__ = [
     "nw_norm",
     "phi2_diff",
     "pi2_diff",
+    "qp_form",
     "run_all",
     "run_experiment",
     "schrodinger_rhs",
-    "segal_inner_product",
+    "segal_form",
     "superluminal_leakage",
     "support_sites",
     "symplectic",

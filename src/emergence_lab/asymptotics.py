@@ -485,13 +485,12 @@ def lattice_vs_continuum(mass: float) -> tuple[SpacingResult, ...]:
         fit = fit_decay_length(d, profile.values * np.sqrt(d), window)
         if fit.nsamples < 6:
             raise AsymptoticsError("not enough profile samples in the window")
-        length = -1.0 / fit.slope
         results.append(
             SpacingResult(
                 spacing=float(spacing),
                 nsites=nsites,
-                fitted_length=length,
-                deviation=abs(length - compton) / compton,
+                fitted_length=fit.length,
+                deviation=abs(fit.length - compton) / compton,
             )
         )
     return tuple(results)

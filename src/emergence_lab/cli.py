@@ -22,8 +22,9 @@ configs produce byte-identical files.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 config error (including a malformed, non-finite or out-of-range config
-value), 3 numeric failure (axiom violation, non-convergent quadrature,
-linear-algebra breakdown, arithmetic overflow or division by zero). Every
+value, and an --out directory that cannot be created or written), 3 numeric
+failure (axiom violation, non-convergent quadrature, linear-algebra
+breakdown, arithmetic overflow or division by zero). Every
 output is written before anything is printed, so a stdout closed early by
 its reader keeps the run's verdict code and all files.
 """
@@ -167,8 +168,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         if args.experiment == "all":
             aggregate, runs = run_all(config)
             runs = runs + [(aggregate, [])]
@@ -180,6 +181,10 @@ def main(argv=None) -> int:
             path for report, tables in runs
             for path in _write_outputs(out_dir, report, tables)
         ]
+    except OSError as exc:
+        # the only files the run touches are its --out directory's
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, RuntimeError, NotImplementedError,
             np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -5,9 +5,9 @@ returns a RunReport (per-check records plus an overall verdict) together with
 plot-ready tables. Every check is a CheckRecord: the number its gate judged
 against bounds that are module constants beside the check, so no config key
 moves a gate. This is the one place a measurement meets its bound: the
-library layers return numbers (decay fits, localization reports, ELP
-trials), and the records here judge them. Experiments are pure given their
-config: every random draw flows from one generator seeded with
+library layers return numbers (decay fits, localization reports) and ELP
+superpositions, and the records here judge them. Experiments are pure given
+their config: every random draw flows from one generator seeded with
 ``config.seed``, so reruns with the same config reproduce the same reports
 and tables byte for byte. Timing is carried on the report object for display
 but is never written to disk.
@@ -16,6 +16,7 @@ but is never written to disk.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import time
 import typing
@@ -32,13 +33,12 @@ from .asymptotics import (
     lattice_vs_continuum,
 )
 from .geometry import (
-    _alpha_form,
-    _direct_form,
-    _qp_form,
+    alpha_form,
     apply_J,
-    inner_product,
+    direct_form,
+    qp_form,
     schrodinger_rhs,
-    segal_inner_product,
+    segal_form,
     symplectic,
 )
 from .modes import (
@@ -341,12 +341,15 @@ def _roundtrip(back: PhaseVector, u: PhaseVector) -> np.ndarray:
     return worst / np.maximum(_column_max(u.phi), _column_max(u.pi))
 
 
-def _rel(a: complex, b: complex) -> float:
-    # Python's complex abs, also for numpy scalars and reals: the same bits
-    # whether a value came from a block or from one point
-    a, b = complex(a), complex(b)
-    scale = max(abs(a), abs(b), 1e-300)
-    return abs(a - b) / scale
+def _rel(a, b) -> np.ndarray:
+    """|a - b| / max(|a|, |b|), elementwise over complex or real values.
+
+    Magnitudes are hypot(re, im), the bits of Python's complex abs; numpy's
+    complex abs differs from it in the last place on about a third of values.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    mag_a, mag_b, mag_diff = (np.hypot(z.real, z.imag) for z in (a, b, a - b))
+    return mag_diff / np.maximum(np.maximum(mag_a, mag_b), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +421,7 @@ def _run_modes_check(config, rng) -> tuple[list[CheckRecord], list[Table]]:
 def _run_geometry_check(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     spec = _spectrum(config, 64)
     lattice = spec.lattice
-    j_sq, rhs_dev, sympl, rows = [], [], [], []
+    j_sq, rhs_dev, sympl, forms = [], [], [], []
     for u, v in _random_blocks(rng, lattice, 20, 2):
         # each point is transformed once, and every check below shares it
         ju, jv = apply_J(u, spec), apply_J(v, spec)
@@ -427,22 +430,24 @@ def _run_geometry_check(config, rng) -> tuple[list[CheckRecord], list[Table]]:
         hamilton = PhaseVector(lattice, u.pi, -spec.operator.apply(u.phi))
         rhs = schrodinger_rhs(u, spec) - hamilton
         rhs_dev.extend(np.ravel(rhs.norm() / hamilton.norm()))
-        forms = (_alpha_form(mu, mv), _qp_form(mu, mv), _direct_form(u, v, jv))
-        for f_alpha, f_qp, f_direct in zip(*map(np.ravel, forms)):
-            rows.append((len(rows), _rel(f_alpha, f_qp), _rel(f_alpha, f_direct),
-                         _rel(f_qp, f_direct)))
+        f_alpha, f_qp = alpha_form(mu, mv), qp_form(mu, mv)
+        f_direct = direct_form(u, v, jv)
+        forms.append(np.column_stack(
+            (_rel(f_alpha, f_qp), _rel(f_alpha, f_direct), _rel(f_qp, f_direct))
+        ))
         om = symplectic(u, v)
         om_j = symplectic(ju, jv)
         sympl.extend(np.ravel(np.abs(om_j - om) / np.maximum(np.abs(om), 1e-300)))
+    forms = np.concatenate(forms)
     checks = [
         CheckRecord("J_squared_is_minus_identity", np.max(j_sq), upper=FORM_TOL),
         CheckRecord("rhs_matches_hamilton", np.max(rhs_dev), upper=FORM_TOL),
-        CheckRecord("forms_agree", np.max([row[1:] for row in rows]), upper=FORM_TOL),
+        CheckRecord("forms_agree", np.max(forms), upper=FORM_TOL),
         CheckRecord("symplectic_J_invariance", np.max(sympl), upper=FORM_TOL),
     ]
     table = Table(
         "form_agreement", ("pair", "alpha_vs_qp", "alpha_vs_direct", "qp_vs_direct"),
-        tuple(rows),
+        tuple((i, *map(float, row)) for i, row in enumerate(forms)),
     )
     return checks, [table]
 
@@ -545,25 +550,17 @@ def _localization_records(
     return checks
 
 
-def _localized(report: LocalizationReport, compton: float) -> bool:
-    return all(c.passed for c in _localization_records(report, compton))
-
-
-def _failing_inputs(
-    states: list[PhaseVector], spec: Spectrum, region: np.ndarray, compton: float
-) -> int:
-    """How many ELP inputs are not localized inside the region.
-
-    An input fails when its support leaves the region (then it gets no
-    localization report) or one of its localization records fails.
+def _judge_in_region(
+    u: PhaseVector, spec: Spectrum, region: np.ndarray, compton: float
+) -> tuple[bool, LocalizationReport, bool]:
+    """Whether u's support stays in the region, u's localization report, and
+    whether u is localized there: its support stays in the region and every
+    one of its localization records passes. ELP inputs and trials alike.
     """
-    failing = 0
-    for u in states:
-        if np.any(support_sites(u) & ~region):
-            failing += 1
-        elif not _localized(localization_report(u, spec, compton), compton):
-            failing += 1
-    return failing
+    in_region = not np.any(support_sites(u) & ~region)
+    report = localization_report(u, spec, compton)
+    records = _localization_records(report, compton)
+    return in_region, report, in_region and all(c.passed for c in records)
 
 
 def _run_localize(config, rng) -> tuple[list[CheckRecord], list[Table]]:
@@ -608,21 +605,17 @@ def _run_elp(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     ]
     region = lattice.distances_from(center) <= 45.0 * compton
     # one failing input means no trials are drawn
-    failing = _failing_inputs(states, spec, region, compton)
-    trials = () if failing else elp_check(
-        states, spec, region, compton, n_trials=config.n_trials, seed=config.seed
-    )
+    failing = sum(not _judge_in_region(u, spec, region, compton)[2] for u in states)
+    trials = () if failing else elp_check(states, spec, config.n_trials, rng)
     n_passed = 0
     rows = []
     for i, trial in enumerate(trials):
-        # a trial passes when its support stays in the region and every one
-        # of its localization records passes
-        passes = trial.support_in_region and _localized(trial.report, compton)
+        in_region, report, passes = _judge_in_region(trial, spec, region, compton)
         n_passed += passes
-        fits = {p.probe: p.fit for p in trial.report.probes}
+        fits = {p.probe: p.fit for p in report.probes}
         lengths = [fits[p].length if p in fits else float("nan") for p in PROBES]
         rms = [fits[p].rms_log_residual if p in fits else float("nan") for p in PROBES]
-        rows.append((i, int(trial.support_in_region), int(passes), *lengths, *rms))
+        rows.append((i, int(in_region), int(passes), *lengths, *rms))
     checks = [
         # the count of inputs that are not localized inside the region
         CheckRecord("inputs_localized_in_region", failing, upper=0),
@@ -654,7 +647,7 @@ def _run_nw(config, rng) -> tuple[list[CheckRecord], list[Table]]:
         mu = to_modes(u, spec)
         nw = nw_from_modes(mu)
         commute.extend(_column_max(1j * nw.psi - to_nw(apply_J(u, spec), spec).psi))
-        norm_u = np.sqrt(_alpha_form(mu, mu).real)
+        norm_u = np.sqrt(alpha_form(mu, mu).real)
         norm_dev.extend(np.ravel(np.abs(nw_norm(nw) - norm_u) / norm_u))
         roundtrip.extend(_roundtrip(from_nw(nw), u))
         # evolve_state(u, spec, t), from the shared amplitudes
@@ -719,7 +712,7 @@ def _run_asymptotics(config, rng) -> tuple[list[CheckRecord], list[Table]]:
         for r in (2.0 * compton, 4.0 * compton, 8.0 * compton):
             cut = branch_cut_kernel(symbol, lam, r)
             direct = direct_radial_integral(symbol, lam, r)
-            dev = _rel(cut, direct)
+            dev = float(_rel(cut, direct))
             worst = max(worst, dev)
             cross_rows.append((lam, r, cut, direct, dev))
     checks.append(CheckRecord("cross_quadrature", worst, upper=CROSS_QUADRATURE_TOL))
@@ -758,26 +751,23 @@ def _run_segal_check(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     forms = []
     for u, v in _random_blocks(rng, lattice, config.n_pairs, 2):
         mu, mv = to_modes(u, spec), to_modes(v, spec)
-        blocks = [
-            _alpha_form(mu, mv),
-            _qp_form(mu, mv),
-            inner_product(u, v, spec, form="direct"),
-            segal_inner_product(u, v, spec),
-        ]
-        for values in zip(*map(np.ravel, blocks)):
-            for i in range(len(values)):
-                for j in range(i + 1, len(values)):
-                    forms.append(_rel(values[i], values[j]))
+        values = (
+            alpha_form(mu, mv),
+            qp_form(mu, mv),
+            direct_form(u, v, apply_J(v, spec)),
+            segal_form(u, v, apply_J(u, spec)),
+        )
+        forms += [_rel(a, b) for a, b in itertools.combinations(values, 2)]
     u = _random_state(rng, lattice)
     v = _random_state(rng, lattice)
-    before = inner_product(u, v, spec, form="alpha")
-    after = inner_product(
-        evolve_state(u, spec, config.time), evolve_state(v, spec, config.time),
-        spec, form="alpha",
+    before = alpha_form(to_modes(u, spec), to_modes(v, spec))
+    after = alpha_form(
+        to_modes(evolve_state(u, spec, config.time), spec),
+        to_modes(evolve_state(v, spec, config.time), spec),
     )
     worst_drift = _rel(before, after)
     checks = [
-        CheckRecord("four_forms_agree", np.max(forms), upper=FORM_TOL),
+        CheckRecord("four_forms_agree", np.max(np.concatenate(forms)), upper=FORM_TOL),
         CheckRecord("time_invariance", worst_drift, upper=DRIFT_TOL),
     ]
     return checks, []

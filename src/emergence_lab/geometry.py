@@ -7,18 +7,25 @@ The space of phase points (phi, pi) carries three compatible structures:
 * a symplectic form Omega(u, v) = (1/2) Int (pi_u phi_v - phi_u pi_v);
 * a Hermitian inner product <<u, v>> = sum_k conj(alpha_k) alpha'_k.
 
-The inner product can be evaluated three ways (mode amplitudes, canonical
-coordinates, or directly from the fields) and recovered from Omega alone via
-<<u, v>> = Omega(Ju, v) - i Omega(u, v). All four routes agree to rounding,
-which is what ``tests`` pin down; none is an approximation of another.
-Each form is written once, as a private helper of what it reads: "alpha"
-and "qp" read the two points' mode amplitudes, and "direct" reads u, v and
-J v, whose fields are R^{1/2} phi' and -R^{-1/2} pi'. A caller that checks
-several forms on the same points transforms each point once and hands the
-shared results to the helpers. For a constant mass, at every lattice size,
-"direct" still shares no transform with "alpha" and "qp": J applies
-R^{+-1/2} as Fourier multipliers, while they read mode coordinates through
-Hartley transforms. (A variable mass has one eigenbasis for all three.)
+The inner product has four public routes, each a function of exactly what
+it reads, and all four agree to rounding, which is what ``tests`` pin down;
+none is an approximation of another:
+
+* ``alpha_form(mu, mv)``: sum_k conj(alpha_k) alpha'_k, from the two
+  points' mode amplitudes;
+* ``qp_form(mu, mv)``: (1/2) sum_k (q q' + p p') + (i/2) sum_k (q p' - p q'),
+  from the same amplitudes;
+* ``direct_form(u, v, jv)``: (1/2) Int (phi R^{1/2} phi' + pi R^{-1/2} pi')
+  + (i/2) Int (phi pi' - pi phi'), from the fields of u, v and J v;
+* ``segal_form(u, v, ju)``: Omega(Ju, v) - i Omega(u, v), the inner product
+  rebuilt from the symplectic form alone.
+
+A caller transforms each point once (``to_modes``, ``apply_J``) and hands
+the results to every form that reads them. For a constant mass, at every
+lattice size, "direct" and "segal" still share no transform with "alpha"
+and "qp": J applies R^{+-1/2} as Fourier multipliers, while the mode
+amplitudes come through Hartley transforms. (A variable mass has one
+eigenbasis for all four.)
 
 Every function takes a block of phase points, (sites x k) fields with one
 point per column (see ``modes``), as readily as one point: J and the
@@ -29,10 +36,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .modes import ModeVector, PhaseVector, _check_same_lattice, _column_dot, to_modes
+from .modes import ModeVector, PhaseVector, _check_same_lattice, _column_dot
 from .spectral import Spectrum
-
-INNER_PRODUCT_FORMS = ("alpha", "qp", "direct")
 
 
 def apply_J(u: PhaseVector, spec: Spectrum) -> PhaseVector:
@@ -56,56 +61,33 @@ def symplectic(u: PhaseVector, v: PhaseVector) -> float | np.ndarray:
     return 0.5 * (_column_dot(u.pi, v.phi) - _column_dot(u.phi, v.pi)) * u.lattice.cell
 
 
-def inner_product(
-    u: PhaseVector, v: PhaseVector, spec: Spectrum, form: str = "alpha"
-) -> complex | np.ndarray:
-    """Hermitian inner product <<u, v>>, antilinear in u.
-
-    form="alpha": sum_k conj(alpha_k) alpha'_k.
-    form="qp": (1/2) sum_k (q q' + p p') + (i/2) sum_k (q p' - p q').
-    form="direct": (1/2) Int (phi R^{1/2} phi' + pi R^{-1/2} pi')
-                 + (i/2) Int (phi pi' - pi phi').
-    """
-    _check_same_lattice(u.lattice, v.lattice)
-    _check_same_lattice(u.lattice, spec.lattice)
-    if form == "alpha":
-        return _alpha_form(to_modes(u, spec), to_modes(v, spec))
-    if form == "qp":
-        return _qp_form(to_modes(u, spec), to_modes(v, spec))
-    if form == "direct":
-        return _direct_form(u, v, apply_J(v, spec))
-    raise ValueError(f"unknown inner-product form {form!r}; use one of {INNER_PRODUCT_FORMS}")
-
-
-def _alpha_form(mu: ModeVector, mv: ModeVector) -> complex | np.ndarray:
-    """The "alpha" form from the two points' mode amplitudes."""
+def alpha_form(mu: ModeVector, mv: ModeVector) -> complex | np.ndarray:
+    """<<u, v>> = sum_k conj(alpha_k) alpha'_k, from the two points' amplitudes."""
     return _column_dot(mu.alpha, mv.alpha)
 
 
-def _qp_form(mu: ModeVector, mv: ModeVector) -> complex | np.ndarray:
-    """The "qp" form from the two points' mode amplitudes."""
+def qp_form(mu: ModeVector, mv: ModeVector) -> complex | np.ndarray:
+    """<<u, v>> = (1/2) sum_k (q q' + p p') + (i/2) sum_k (q p' - p q')."""
     re = 0.5 * (_column_dot(mu.q, mv.q) + _column_dot(mu.p, mv.p))
     im = 0.5 * (_column_dot(mu.q, mv.p) - _column_dot(mu.p, mv.q))
     return _complex(re, im)
 
 
-def _direct_form(u: PhaseVector, v: PhaseVector, jv: PhaseVector) -> complex | np.ndarray:
-    """The "direct" form from u, v and J v.
+def direct_form(u: PhaseVector, v: PhaseVector, jv: PhaseVector) -> complex | np.ndarray:
+    """<<u, v>> from the fields of u, v and J v.
 
     (J v).pi is R^{1/2} phi' and -(J v).phi is R^{-1/2} pi', so J v holds
     both smeared fields the real part reads.
     """
+    _check_same_lattice(u.lattice, v.lattice)
     cell = u.lattice.cell
     re = 0.5 * (_column_dot(u.phi, jv.pi) - _column_dot(u.pi, jv.phi)) * cell
     im = 0.5 * (_column_dot(u.phi, v.pi) - _column_dot(u.pi, v.phi)) * cell
     return _complex(re, im)
 
 
-def segal_inner_product(
-    u: PhaseVector, v: PhaseVector, spec: Spectrum
-) -> complex | np.ndarray:
+def segal_form(u: PhaseVector, v: PhaseVector, ju: PhaseVector) -> complex | np.ndarray:
     """<<u, v>> rebuilt from the symplectic form: Omega(Ju, v) - i Omega(u, v)."""
-    ju = apply_J(u, spec)
     return _complex(symplectic(ju, v), -symplectic(u, v))
 
 

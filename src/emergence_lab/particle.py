@@ -19,10 +19,11 @@ energy-density site sum reproduces sum_k omega_k |alpha_k|^2 with no further
 constant. Localization diagnostics ask how fast these excesses decay away
 from the progenitor's support, and whether superpositions of localized states
 stay localized. This module only measures: a localization report holds the
-support fraction and each probe's decay fit, and the ELP check the reports
-of its random superpositions; the bounds that judge those numbers are the
-experiments' constants. The probes and diagnostics read only
-``spec.lattice`` and ``spec.apply_power`` of the Spectrum they are given.
+support fraction and each probe's decay fit, and the ELP check returns its
+random superpositions as bare progenitors, for the caller to report on and
+judge; the bounds that judge those numbers are the experiments' constants.
+The probes and diagnostics read only ``spec.lattice`` and
+``spec.apply_power`` of the Spectrum they are given.
 The probes map a (sites x k) block of progenitors column by column; the
 support, and so every localization report, is of one state and refuses a
 block.
@@ -207,51 +208,35 @@ def localization_report(
         if in_window.any() and not np.any(v_out[in_window] > floor):
             # compactly supported probe: it decays faster than any
             # exponential, so there is nothing to fit, and its length is 0
-            fit = DecayFit(
-                length=0.0, rms_log_residual=0.0, nsamples=0, slope=float("nan")
-            )
+            fit = DecayFit(length=0.0, rms_log_residual=0.0, nsamples=0)
         else:
             fit = fit_decay_length(d_out, v_out, window_abs)
         results.append(ProbeResult(probe=name, distances=d_out, values=v_out, fit=fit))
     return LocalizationReport(support_fraction=frac, probes=tuple(results))
 
 
-@dataclasses.dataclass(frozen=True)
-class TrialResult:
-    """One ELP superposition, its support against the region, and its report."""
-
-    coefficients: np.ndarray
-    support_in_region: bool
-    report: LocalizationReport
-
-
 def elp_check(
     states: list[PhaseVector],
     spec: Spectrum,
-    region: np.ndarray,
-    compton: float,
-    n_trials: int = 10,
-    seed: int = 0,
-) -> tuple[TrialResult, ...]:
-    """Measure random complex superpositions of the input progenitors.
+    n_trials: int,
+    rng: np.random.Generator,
+) -> tuple[PhaseVector, ...]:
+    """Random complex superpositions of the input progenitors.
 
-    ``n_trials`` Gaussian complex combinations
-    sum_i c_i u_i = sum_i Re(c_i) u_i + Im(c_i) J u_i are formed, and each
-    gets its localization report and whether its support stays inside
-    ``region`` (boolean site mask). The ELP holds when the inputs are
-    localized inside the region and so is every trial; the inputs are the
-    caller's to screen.
+    Each of ``n_trials`` draws complex coefficients c = a + i b, with a and
+    b standard normal vectors from ``rng`` (all of a, then all of b), scaled
+    to unit norm, and forms sum_i c_i u_i = sum_i Re(c_i) u_i + Im(c_i) J u_i.
+    The ELP holds when the inputs are localized inside a region and so is
+    every superposition; reporting on them and judging is the caller's.
     """
     if not states:
         raise ValueError("need at least one state")
     for u in states:
         _check_same_lattice(u.lattice, spec.lattice)
-    region = np.asarray(region, dtype=bool).reshape(-1)
     # (phi, pi) of each u_i and of J u_i as (2, nsites) arrays, so that a
     # trial validates one PhaseVector rather than one per term of its sum
     fields = [np.array((u.phi, u.pi)) for u in states]
     rotated = [np.array((ju.phi, ju.pi)) for ju in (apply_J(u, spec) for u in states)]
-    rng = np.random.default_rng(seed)
     trials = []
     for _ in range(n_trials):
         raw = rng.normal(size=len(states)) + 1j * rng.normal(size=len(states))
@@ -259,11 +244,5 @@ def elp_check(
         phi, pi = sum(
             c.real * f + c.imag * jf for c, f, jf in zip(coeffs, fields, rotated)
         )
-        w = PhaseVector(spec.lattice, phi, pi)
-        mask = support_sites(w)
-        in_region = not np.any(mask & ~region)
-        rep = localization_report(w, spec, compton)
-        trials.append(
-            TrialResult(coefficients=coeffs, support_in_region=in_region, report=rep)
-        )
+        trials.append(PhaseVector(spec.lattice, phi, pi))
     return tuple(trials)

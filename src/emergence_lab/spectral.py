@@ -386,10 +386,6 @@ def _unit(lattice: Lattice, site: int) -> np.ndarray:
     return unit
 
 
-def _is_nonneg_integer(x: float) -> bool:
-    return x >= 0 and abs(x - round(x)) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # kernel decay diagnostics
 # ---------------------------------------------------------------------------
@@ -418,7 +414,6 @@ class DecayFit:
     length: float
     rms_log_residual: float
     nsamples: int
-    slope: float
 
 
 def bin_by_distance(distances: np.ndarray, values: np.ndarray):
@@ -434,19 +429,9 @@ def bin_by_distance(distances: np.ndarray, values: np.ndarray):
 
 
 def kernel_profile(spec: Spectrum, exponent: float, source: int) -> KernelProfile:
-    """Profile of the R^exponent kernel as seen from one source site.
-
-    A nonnegative integer exponent n applies R n times to the unit vector at
-    the source, so entries more than n stencil steps away stay exact zeros.
-    """
+    """Profile of the R^exponent kernel as seen from one source site."""
     lattice = spec.lattice
-    if _is_nonneg_integer(exponent):
-        column = _unit(lattice, source)
-        for _ in range(int(round(exponent))):
-            column = spec.operator.apply(column)
-        column = column / lattice.cell
-    else:
-        column = spec.kernel_column(lambda lam: lam**exponent, source)
+    column = spec.kernel_column(lambda lam: lam**exponent, source)
     out_d, out_v = bin_by_distance(lattice.distances_from(source), column)
     return KernelProfile(distances=out_d, values=out_v)
 
@@ -480,5 +465,4 @@ def fit_decay_length(
         length=-1.0 / slope if slope < 0 else float("nan"),
         rms_log_residual=rms,
         nsamples=int(d.size),
-        slope=slope,
     )

@@ -22,7 +22,7 @@ from emergence_lab.asymptotics import (
     kernel_decay_rate,
 )
 from emergence_lab.cli import main as cli_main
-from emergence_lab.experiments import FIT_RMS_MAX, _failing_inputs, _localized
+from emergence_lab.experiments import FIT_RMS_MAX, _judge_in_region
 from emergence_lab.fock_oracle import (
     build_fock,
     field_operator,
@@ -33,10 +33,12 @@ from emergence_lab.fock_oracle import (
     vacuum,
 )
 from emergence_lab.geometry import (
+    alpha_form,
     apply_J,
-    inner_product,
+    direct_form,
+    qp_form,
     schrodinger_rhs,
-    segal_inner_product,
+    segal_form,
 )
 from emergence_lab.modes import (
     ModeVector,
@@ -226,16 +228,20 @@ def test_criterion_05_forms_and_segal(spec64):
     for seed in range(100):
         u = _random_state(spec64, 2 * seed)
         v = _random_state(spec64, 2 * seed + 1)
+        mu, mv = to_modes(u, spec64), to_modes(v, spec64)
         values = [
-            inner_product(u, v, spec64, form=f) for f in ("alpha", "qp", "direct")
+            alpha_form(mu, mv),
+            qp_form(mu, mv),
+            direct_form(u, v, apply_J(v, spec64)),
+            segal_form(u, v, apply_J(u, spec64)),
         ]
-        values.append(segal_inner_product(u, v, spec64))
         scale = max(abs(z) for z in values)
         for i in range(4):
             for j in range(i + 1, 4):
                 forms = max(forms, abs(values[i] - values[j]) / scale)
-        evolved = inner_product(
-            evolve_state(u, spec64, 100.0), evolve_state(v, spec64, 100.0), spec64
+        evolved = alpha_form(
+            to_modes(evolve_state(u, spec64, 100.0), spec64),
+            to_modes(evolve_state(v, spec64, 100.0), spec64),
         )
         drift = max(drift, abs(evolved - values[0]) / scale)
     ok = forms <= 1e-9 and drift <= 1e-8
@@ -350,17 +356,19 @@ def test_criterion_09_localization_and_elp(spec512):
     lattice = spec512.lattice
     bump = gaussian_bump(lattice, 256, width, cutoff=4.0 * width)
     report = localization_report(bump, spec512, compton)
-    probe_ok = _localized(report, compton) and all(
+    region = lattice.distances_from(256) <= 45.0 * compton
+    probe_ok = _judge_in_region(bump, spec512, region, compton)[2] and all(
         r.fit.nsamples == 0 or r.fit.length <= 1.2 * compton for r in report.probes
     )
 
     left = gaussian_bump(lattice, 248, width, cutoff=4.0 * width)
     right = gaussian_bump(lattice, 264, width, cutoff=4.0 * width)
-    region = lattice.distances_from(256) <= 45.0 * compton
-    failing = _failing_inputs([left, right], spec512, region, compton)
-    trials = elp_check([left, right], spec512, region, compton, n_trials=10, seed=0)
+    failing = sum(
+        not _judge_in_region(u, spec512, region, compton)[2] for u in (left, right)
+    )
+    trials = elp_check([left, right], spec512, 10, np.random.default_rng(0))
+    passed = sum(_judge_in_region(w, spec512, region, compton)[2] for w in trials)
     elapsed = time.perf_counter() - start
-    passed = sum(t.support_in_region and _localized(t.report, compton) for t in trials)
     elp_ok = failing == 0 and passed == len(trials)
     ok = probe_ok and elp_ok and elapsed < 60.0
     lengths = ", ".join(
@@ -389,7 +397,7 @@ def test_criterion_10_newton_wigner(spec64, spec512, spec1024):
         intertwine = max(
             intertwine, np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
         )
-        segal = math.sqrt(segal_inner_product(u, u, spec64).real)
+        segal = math.sqrt(segal_form(u, u, apply_J(u, spec64)).real)
         norm_dev = max(norm_dev, abs(nw_norm(to_nw(u, spec64)) - segal) / segal)
 
     delta = nw_delta_localization(spec512, 256, 1.0)

@@ -17,10 +17,12 @@ import pytest
 from emergence_lab import experiments
 from emergence_lab.experiments import ExperimentConfig, run_experiment
 from emergence_lab.geometry import (
+    alpha_form,
     apply_J,
-    inner_product,
+    direct_form,
+    qp_form,
     schrodinger_rhs,
-    segal_inner_product,
+    segal_form,
     symplectic,
 )
 from emergence_lab.modes import (
@@ -64,6 +66,7 @@ def _points(spec, fields):
     )
 
 
+# the four inner-product cases run each form from the transforms it reads
 CASES = {
     "to_modes": lambda s, p: to_modes(p.u, s),
     "from_modes": lambda s, p: from_modes(p.modes),
@@ -71,10 +74,10 @@ CASES = {
     "apply_J": lambda s, p: apply_J(p.u, s),
     "schrodinger_rhs": lambda s, p: schrodinger_rhs(p.u, s),
     "symplectic": lambda s, p: symplectic(p.u, p.v),
-    "inner_product_alpha": lambda s, p: inner_product(p.u, p.v, s, form="alpha"),
-    "inner_product_qp": lambda s, p: inner_product(p.u, p.v, s, form="qp"),
-    "inner_product_direct": lambda s, p: inner_product(p.u, p.v, s, form="direct"),
-    "segal_inner_product": lambda s, p: segal_inner_product(p.u, p.v, s),
+    "inner_product_alpha": lambda s, p: alpha_form(to_modes(p.u, s), to_modes(p.v, s)),
+    "inner_product_qp": lambda s, p: qp_form(to_modes(p.u, s), to_modes(p.v, s)),
+    "inner_product_direct": lambda s, p: direct_form(p.u, p.v, apply_J(p.v, s)),
+    "segal_inner_product": lambda s, p: segal_form(p.u, p.v, apply_J(p.u, s)),
     "to_nw": lambda s, p: to_nw(p.u, s),
     "from_nw": lambda s, p: from_nw(p.nw),
     "nw_norm": lambda s, p: nw_norm(p.nw),

@@ -193,6 +193,23 @@ def test_closed_stdout_keeps_every_file_and_the_verdict(tmp_path, unbuffered, li
     assert code == (EXIT_PASS if verdict else EXIT_CHECK_FAILURE)
 
 
+@pytest.mark.parametrize("layout", ["existing-file", "under-a-file", "report-is-a-directory"])
+def test_unusable_out_is_usage_error(tmp_path, capsys, layout):
+    # an --out that cannot be created or written is a usage error, not a
+    # failed check and not a traceback
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = {"existing-file": blocker, "under-a-file": blocker / "sub"}.get(layout, tmp_path)
+    if layout == "report-is-a-directory":
+        (tmp_path / "report.modes-check.json").mkdir()
+    code = main(["modes-check", "--config", write_cfg(tmp_path, "shape = 16\n"),
+                 "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_numeric_failure_exits_three(tmp_path, capsys):
     # lambda = +0.5 makes the radial integral diverge
     cfg = write_cfg(tmp_path, "experiment = asymptotics\nlambdas = 0.5\n")

@@ -1,5 +1,7 @@
 """Symplectic form, complex structure J and the one-particle inner product."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,17 +10,18 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from emergence_lab.geometry import (
-    _alpha_form,
-    _direct_form,
-    _qp_form,
+    alpha_form,
     apply_J,
-    inner_product,
+    direct_form,
+    qp_form,
     schrodinger_rhs,
-    segal_inner_product,
+    segal_form,
     symplectic,
 )
 from emergence_lab.modes import PhaseVector, evolve_state, to_modes
 from emergence_lab.spectral import Lattice, build_klein_gordon, diagonalize
+
+from dense_arbiter import dense_power, klein_gordon_matrix
 
 LATTICE = Lattice((8,), spacing=0.5)
 SPEC = diagonalize(build_klein_gordon(1.0, LATTICE))
@@ -37,6 +40,11 @@ def state(phi, pi):
 def random_state(seed):
     rng = np.random.default_rng(seed)
     return state(rng.normal(size=8), rng.normal(size=8))
+
+
+def inner(u, v, spec=SPEC):
+    """<<u, v>> by the alpha form, from freshly transformed points."""
+    return alpha_form(to_modes(u, spec), to_modes(v, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +69,8 @@ def test_J_rotates_alpha_by_i():
 
 def test_J_preserves_energy_norm():
     u = random_state(1)
-    a = inner_product(u, u, SPEC, form="alpha").real
-    b = inner_product(apply_J(u, SPEC), apply_J(u, SPEC), SPEC, form="alpha").real
+    a = inner(u, u).real
+    b = inner(apply_J(u, SPEC), apply_J(u, SPEC)).real
     assert_allclose(a, b, rtol=1e-12)
 
 
@@ -102,9 +110,10 @@ def test_symplectic_vanishes_on_same_state():
 @pytest.mark.parametrize("seed", range(10))
 def test_three_forms_agree(seed):
     u, v = random_state(seed), random_state(seed + 100)
-    f_alpha = inner_product(u, v, SPEC, form="alpha")
-    f_qp = inner_product(u, v, SPEC, form="qp")
-    f_direct = inner_product(u, v, SPEC, form="direct")
+    mu, mv = to_modes(u, SPEC), to_modes(v, SPEC)
+    f_alpha = alpha_form(mu, mv)
+    f_qp = qp_form(mu, mv)
+    f_direct = direct_form(u, v, apply_J(v, SPEC))
     assert_allclose(f_qp, f_alpha, rtol=1e-11, atol=1e-12)
     assert_allclose(f_direct, f_alpha, rtol=1e-11, atol=1e-12)
 
@@ -113,8 +122,8 @@ def test_three_forms_agree(seed):
 def test_segal_reconstruction_matches(seed):
     u, v = random_state(seed), random_state(seed + 200)
     assert_allclose(
-        segal_inner_product(u, v, SPEC),
-        inner_product(u, v, SPEC, form="alpha"),
+        segal_form(u, v, apply_J(u, SPEC)),
+        inner(u, v),
         rtol=1e-11,
         atol=1e-12,
     )
@@ -122,72 +131,77 @@ def test_segal_reconstruction_matches(seed):
 
 def test_inner_product_hermitian():
     u, v = random_state(8), random_state(9)
-    assert_allclose(
-        inner_product(u, v, SPEC, form="alpha"),
-        np.conj(inner_product(v, u, SPEC, form="alpha")),
-        rtol=1e-12,
-    )
+    assert_allclose(inner(u, v), np.conj(inner(v, u)), rtol=1e-12)
 
 
 def test_inner_product_positive_definite():
     u = random_state(10)
-    val = inner_product(u, u, SPEC, form="alpha")
+    val = inner(u, u)
     assert val.real > 0
     assert abs(val.imag) < 1e-12 * val.real
 
 
 def test_inner_product_real_linear():
     u, v = random_state(11), random_state(12)
-    assert_allclose(
-        inner_product(3.0 * u, v, SPEC, form="alpha"),
-        3.0 * inner_product(u, v, SPEC, form="alpha"),
-        rtol=1e-12,
-    )
+    assert_allclose(inner(3.0 * u, v), 3.0 * inner(u, v), rtol=1e-12)
 
 
 def test_inner_product_imag_is_symplectic():
     # <<u, v>> = Omega(Ju, v) - i Omega(u, v)
     u, v = random_state(13), random_state(14)
-    val = inner_product(u, v, SPEC, form="alpha")
+    val = inner(u, v)
     assert val.imag == pytest.approx(-symplectic(u, v), rel=1e-11)
     assert val.real == pytest.approx(symplectic(apply_J(u, SPEC), v), rel=1e-11)
 
 
 def test_inner_product_time_invariant():
     u, v = random_state(15), random_state(16)
-    before = inner_product(u, v, SPEC, form="alpha")
-    after = inner_product(
-        evolve_state(u, SPEC, 100.0), evolve_state(v, SPEC, 100.0), SPEC, form="alpha"
-    )
+    before = inner(u, v)
+    after = inner(evolve_state(u, SPEC, 100.0), evolve_state(v, SPEC, 100.0))
     assert_allclose(after, before, rtol=1e-10)
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_half_powers(shape):
+    """R^{1/2} and R^{-1/2} of the m = 1 Klein-Gordon R, from dense eigh."""
+    matrix = klein_gordon_matrix(Lattice(shape), 1.0)
+    return dense_power(matrix, 0.5), dense_power(matrix, -0.5)
 
 
 @pytest.mark.parametrize("shape", [(64,), (512,), (12, 12, 12)], ids=["64", "512", "12^3"])
 @pytest.mark.parametrize("columns", [None, 3])
 def test_form_helpers_on_shared_transforms_equal_inner_product(shape, columns):
-    # the experiments transform each point once and hand the results to the
-    # helpers; that must give inner_product's bits, one point or a block
+    # the experiments transform each point once and hand the results to all
+    # four forms; each must give <<u, v>> as a dense eigh of R writes it,
+    # (1/2) Int (phi R^{1/2} phi' + pi R^{-1/2} pi') + (i/2) Int (phi pi' - pi phi'),
+    # one point or a block
     spec = diagonalize(build_klein_gordon(1.0, Lattice(shape)))
     rng = np.random.default_rng(23)
     size = (spec.lattice.nsites,) + ((columns,) if columns else ())
     u, v = (PhaseVector(spec.lattice, rng.normal(size=size), rng.normal(size=size))
             for _ in range(2))
     mu, mv = to_modes(u, spec), to_modes(v, spec)
+    ju, jv = apply_J(u, spec), apply_J(v, spec)
     shared = {
-        "alpha": _alpha_form(mu, mv),
-        "qp": _qp_form(mu, mv),
-        "direct": _direct_form(u, v, apply_J(v, spec)),
+        "alpha": alpha_form(mu, mv),
+        "qp": qp_form(mu, mv),
+        "direct": direct_form(u, v, jv),
+        "segal": segal_form(u, v, ju),
     }
+    root, inv_root = _dense_half_powers(shape)
+
+    def dense(a, b):
+        re = np.sum(a.phi * (root @ b.phi) + a.pi * (inv_root @ b.pi), axis=0)
+        im = np.sum(a.phi * b.pi - a.pi * b.phi, axis=0)
+        return 0.5 * spec.lattice.cell * (re + 1j * im)
+
+    norm_u, norm_v = dense(u, u).real, dense(v, v).real
+    want = dense(u, v)
     for form, value in shared.items():
-        np.testing.assert_array_equal(value, inner_product(u, v, spec, form=form))
+        assert np.shape(value) == np.shape(want), form
+        assert np.all(np.abs(value - want) <= 1e-12 * np.sqrt(norm_u * norm_v)), form
     # the norm the nw experiment reads, from one point's amplitudes twice
-    np.testing.assert_array_equal(_alpha_form(mu, mu), inner_product(u, u, spec))
-
-
-def test_unknown_form_rejected():
-    u = random_state(17)
-    with pytest.raises(ValueError):
-        inner_product(u, u, SPEC, form="bogus")
+    assert_allclose(alpha_form(mu, mu).real, norm_u, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

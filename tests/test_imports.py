@@ -165,6 +165,20 @@ def test_every_public_name_has_a_caller():
     assert sorted(documented - unread) == []
 
 
+def test_experiments_imports_no_private_name():
+    # experiments reads the other layers through their public functions, so
+    # the shared transforms it hands them are an interface, not a peek inside
+    tree = ast.parse((PACKAGE / "experiments.py").read_text())
+    private = sorted(
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert private == []
+
+
 def _is_dataclass_decorator(node: ast.expr) -> bool:
     target = node.func if isinstance(node, ast.Call) else node
     name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)

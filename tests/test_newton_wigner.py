@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from emergence_lab.experiments import FIT_RMS_MAX
-from emergence_lab.geometry import apply_J, segal_inner_product
+from emergence_lab.geometry import apply_J, segal_form
 from emergence_lab.modes import ModeVector, evolve_state, from_modes, to_modes
 from emergence_lab.newton_wigner import (
     NWWavefunction,
@@ -61,7 +61,7 @@ def test_transform_intertwines_j(spec64, seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_norm_matches_segal_inner(spec64, seed):
     u = random_state(spec64, seed)
-    expected = math.sqrt(segal_inner_product(u, u, spec64).real)
+    expected = math.sqrt(segal_form(u, u, apply_J(u, spec64)).real)
     assert_allclose(nw_norm(to_nw(u, spec64)), expected, rtol=1e-12)
 
 
