@@ -14,7 +14,6 @@ lattice kernels must reproduce.
 from .spectral import (
     AxiomError,
     DecayFit,
-    KernelProfile,
     Lattice,
     LatticeMismatchError,
     ROperator,
@@ -88,7 +87,6 @@ __all__ = [
     "CanonicalReport",
     "DecayFit",
     "ExperimentConfig",
-    "KernelProfile",
     "Lattice",
     "LatticeMismatchError",
     "LocalizationReport",

@@ -7,12 +7,12 @@ radius r is the one-dimensional integral
 
 Two independent evaluations are provided. The contour route closes the
 integral in the upper half plane around the complex zeros k_i of the
-symbol: for fractional lam one branch-cut integral up each vertical line of
-zeros, evaluated by a fixed tanh-sinh (double-exponential) rule in numpy on
-the intervals between zeros, or for lam = -1 a plain residue per zero. The
-direct route integrates the oscillatory integrand over half-period panels
-with Gauss-Legendre rules and sums the alternating series by repeated
-averaging. They share no code and are compared against each other (and, for
+symbol: for fractional lam one branch-cut integral up the imaginary axis
+from the lowest zero, evaluated by a fixed tanh-sinh (double-exponential)
+rule in numpy on the intervals between zeros, or for lam = -1 a plain
+residue per zero. The direct route integrates the oscillatory integrand
+over half-period panels with Gauss-Legendre rules and sums the alternating
+series by repeated averaging. They share no code and are compared against each other (and, for
 the Klein-Gordon symbol, against Bessel/Yukawa closed forms) in the tests.
 
 Every decay question reduces to the zeros: the slowest-decaying term comes
@@ -280,25 +280,24 @@ def _tanh_sinh_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def branch_cut_kernel(symbol: SymbolPolynomial, lam: float, r: float) -> float:
     """Kernel value R^lam(r) via upper-half-plane contour pieces.
 
-    For fractional lam each vertical line through zeros, starting at its
-    lowest zero k_0 = u + i v, contributes
+    For fractional lam the one cut runs up the imaginary axis from the
+    lowest zero k_0 = i v, and the kernel is
 
-        e^{(i u - v) r} Int_0^inf disc(rho) (u + i (v + rho))
-                                  e^{-rho r} d rho / (2 pi)^2 r,
+        e^{-v r} Int_0^inf disc(rho) i (v + rho) e^{-rho r} d rho / (2 pi)^2 r,
 
     where disc is the discontinuity of the adapted-branch power across the
-    ray; higher zeros on the same line lie on that ray and only split it
-    into intervals. Each interval, up to rho = RHO_CUTOFF / r, is integrated
-    by a fixed tanh-sinh rule (Takahasi & Mori 1974), whose nodes cluster
-    double-exponentially at both ends and so absorb the integrable
-    rho^lam edges there; nodes are placed by their distance to the nearer
-    end, and the integrand is evaluated relative to that end, so it stays
-    exact at the branch points. The error estimate is the difference
+    ray; the higher zeros lie on that ray and only split it into intervals.
+    Each interval, up to rho = RHO_CUTOFF / r, is integrated by a fixed
+    tanh-sinh rule (Takahasi & Mori 1974), whose nodes cluster
+    double-exponentially at both ends and so absorb the integrable rho^lam
+    edges there; nodes are placed by their distance to the nearer end, and
+    the integrand is evaluated relative to that end, so it stays exact at
+    the branch points. The error estimate is the difference
     between the rules of step h and 2h on the same samples. Exact for
     symbols whose zeros lie on the imaginary axis (any product of
     positive-mass factors); lam = -1 is routed to the residue formula, and
     other exponents raise NotImplementedError for zeros off that axis, whose
-    per-factor cuts are not the vertical rays integrated here.
+    per-factor cuts are not the ray integrated here.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
@@ -321,44 +320,35 @@ def branch_cut_kernel(symbol: SymbolPolynomial, lam: float, r: float) -> float:
     gap, weight, coarse_weight = _tanh_sinh_rule()
     from_lower = gap > 0
     cutoff = RHO_CUTOFF / r
-    # zeros on one vertical line share one cut, integrated from the lowest up
-    lines: list[list[complex]] = []
-    for k in sorted(branch.zeros, key=lambda z: z.imag):
-        for line in lines:
-            if abs(line[0].real - k.real) < 1e-12:
-                line.append(k)
-                break
-        else:
-            lines.append([k])
-    total = 0.0 + 0.0j
-    for k0, *higher in lines:
-        u, v = k0.real, k0.imag
-        breaks = [k for k in higher if k.imag - v < cutoff]
-        ends = [0.0, *(k.imag - v for k in breaks), cutoff]
-        anchors = [k0, *breaks, k0 + 1j * cutoff]
-        piece = coarse = 0.0 + 0.0j
-        for lo, hi, k_lo, k_hi in zip(ends, ends[1:], anchors, anchors[1:]):
-            half = 0.5 * (hi - lo)
-            offset = half * gap
-            rho = np.where(from_lower, lo, hi) + offset
-            base = np.where(from_lower, k_lo, k_hi)
-            # at a non-integrable edge (lam < -1) the outermost samples
-            # overflow; the inf or nan they leave fails the error gate below
-            with np.errstate(over="ignore", invalid="ignore"):
-                values = (
-                    _cut_discontinuity(symbol, branch.zeros, lam, base, 1j * offset)
-                    * (u + 1j * (v + rho))
-                    * np.exp(-rho * r)
-                )
-                piece += half * (values @ weight)
-                coarse += half * (values @ coarse_weight)
-        err = abs(piece - coarse)
-        if not err <= 1e-7 * (abs(piece) + 1e-300):  # a nan error fails too
-            raise AsymptoticsError(
-                f"cut integral at zero {k0:.6g} converged only to {err:.3e}"
+    # every zero lies on the imaginary axis, so one cut runs up it from the
+    # lowest zero, and the higher zeros only split it into intervals
+    k0, *higher = sorted(branch.zeros, key=lambda z: z.imag)
+    v = k0.imag
+    breaks = [k for k in higher if k.imag - v < cutoff]
+    ends = [0.0, *(k.imag - v for k in breaks), cutoff]
+    anchors = [k0, *breaks, k0 + 1j * cutoff]
+    piece = coarse = 0.0 + 0.0j
+    for lo, hi, k_lo, k_hi in zip(ends, ends[1:], anchors, anchors[1:]):
+        half = 0.5 * (hi - lo)
+        offset = half * gap
+        rho = np.where(from_lower, lo, hi) + offset
+        base = np.where(from_lower, k_lo, k_hi)
+        # at a non-integrable edge (lam < -1) the outermost samples
+        # overflow; the inf or nan they leave fails the error gate below
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = (
+                _cut_discontinuity(symbol, branch.zeros, lam, base, 1j * offset)
+                * (1j * (v + rho))
+                * np.exp(-rho * r)
             )
-        total += cmath.exp((1j * u - v) * r) * piece
-    value = total / ((2.0 * math.pi) ** 2 * r)
+            piece += half * (values @ weight)
+            coarse += half * (values @ coarse_weight)
+    err = abs(piece - coarse)
+    if not err <= 1e-7 * (abs(piece) + 1e-300):  # a nan error fails too
+        raise AsymptoticsError(
+            f"cut integral at zero {k0:.6g} converged only to {err:.3e}"
+        )
+    value = math.exp(-v * r) * piece / ((2.0 * math.pi) ** 2 * r)
     if abs(value.imag) > 1e-8 * (abs(value.real) + 1e-300):
         raise AsymptoticsError(
             f"cut sum has spurious imaginary part {value.imag:.3e}"
@@ -480,9 +470,8 @@ def lattice_vs_continuum(mass: float) -> tuple[SpacingResult, ...]:
                 f"lattice too small: m N a = {mass * nsites * spacing} < 50"
             )
         spec = diagonalize(build_klein_gordon(mass, lattice))
-        profile = kernel_profile(spec, REFINE_EXPONENT, nsites // 2)
-        d = profile.distances
-        fit = fit_decay_length(d, profile.values * np.sqrt(d), window)
+        d, values = kernel_profile(spec, REFINE_EXPONENT, nsites // 2)
+        fit = fit_decay_length(d, values * np.sqrt(d), window)
         if fit.nsamples < 6:
             raise AsymptoticsError("not enough profile samples in the window")
         results.append(

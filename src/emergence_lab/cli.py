@@ -93,7 +93,7 @@ def report_json(report: RunReport) -> str:
         "experiment": report.experiment,
         "config": {k: list(v) if isinstance(v, tuple) else v
                    for k, v in report.config.items()},
-        "seed": report.seed,
+        "seed": report.config["seed"],
         "pass": report.passed,
         "checks": [
             {
@@ -116,7 +116,6 @@ def _write_outputs(out_dir: Path, report: RunReport, tables: list[Table]) -> lis
     paths.append(report_path)
     meta = dict(report.config)
     meta["kappa"] = KAPPA
-    meta["seed"] = report.seed
     for table in tables:
         table_path = out_dir / f"{table.name}.tsv"
         emit_table(table_path, table, meta)

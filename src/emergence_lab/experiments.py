@@ -78,10 +78,10 @@ from .particle import (
 from .spectral import (
     Lattice,
     Spectrum,
+    bin_by_distance,
     build_klein_gordon,
     diagonalize,
     fit_decay_length,
-    kernel_profile,
 )
 
 # cutoff radius of truncated Gaussian progenitors, in units of the width;
@@ -264,16 +264,20 @@ class Table:
 class RunReport:
     """Outcome of one experiment: parameter echo plus per-check records.
 
-    ``elapsed_seconds`` is measured wall time; it is displayed but excluded
-    from serialized reports so that reruns are byte-identical.
+    ``passed`` is computed, never given: every check passed. The seed is
+    ``config["seed"]``. ``elapsed_seconds`` is measured wall time; it is
+    displayed but excluded from serialized reports so that reruns are
+    byte-identical.
     """
 
     experiment: str
     config: dict
-    seed: int
     checks: tuple[CheckRecord, ...]
-    passed: bool
     elapsed_seconds: float
+    passed: bool = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", all(c.passed for c in self.checks))
 
 
 # ---------------------------------------------------------------------------
@@ -365,28 +369,52 @@ FIT_RMS_UPPER = float(np.nextafter(FIT_RMS_MAX, -np.inf))  # strict: rms < max
 DECAY_RTOL = 0.1  # the R^{-1/2} decay length against 1/m
 
 
+def _axis_rises(lattice: Lattice, column: np.ndarray, source: int, band) -> int:
+    """Steps of |column| that fail to decrease outward from the source.
+
+    Counted along each lattice axis through the source, both ways up to the
+    half extent (the minimum image), between offsets whose distance from the
+    source lies in the closed band (lo, hi).
+    """
+    grid = np.abs(column).reshape(lattice.shape)
+    center = np.unravel_index(source, lattice.shape)
+    rises = 0
+    for ax, n in enumerate(lattice.shape):
+        index = list(center)
+        index[ax] = slice(None)
+        # line[j] is the site j steps along the axis from the source
+        line = np.roll(grid[tuple(index)], -center[ax])
+        offsets = np.arange(n // 2 + 1)
+        distance = offsets * lattice.spacing
+        sel = offsets[(distance >= band[0]) & (distance <= band[1])]
+        for half in (line[sel], line[-sel]):
+            rises += np.count_nonzero(~(np.diff(half) < 0))
+    return rises
+
+
 def _run_kernel(config: ExperimentConfig, rng) -> tuple[list[CheckRecord], list[Table]]:
     spec = _spectrum(config, 512)
+    lattice = spec.lattice
     compton = 1.0 / config.mass
-    source = spec.lattice.nsites // 2
-    profile = kernel_profile(spec, -0.5, source)
+    source = lattice.nsites // 2
+    column = spec.kernel_column(lambda lam: lam**-0.5, source)
+    distances, values = bin_by_distance(lattice.distances_from(source), column)
     window = (3.0 * compton, 20.0 * compton)
-    fit = fit_decay_length(profile.distances, profile.values, window)
+    fit = fit_decay_length(distances, values, window)
     # beyond ~37 Compton lengths the kernel sinks under the roundoff floor
     # of its FFT sum (~1e-17 of the peak; a dense eigensolver's is ~1e-16),
-    # so monotonicity is only meaningful on the physical part of the tail;
-    # the record counts the steps there that fail to decrease
-    sel = (profile.distances >= 3.0 * compton) & (profile.distances <= 30.0 * compton)
-    steps = np.diff(profile.values[sel])
+    # so monotonicity is only meaningful on the physical part of the tail.
+    # Off 1-D the lattice kernel is not monotone in Euclidean distance, so
+    # the record counts the steps there that fail to decrease along the
+    # lattice axes through the source
+    band = (3.0 * compton, 30.0 * compton)
     checks = [
         _within("decay_length", fit.length, compton, DECAY_RTOL * compton),
         CheckRecord("fit_quality", fit.rms_log_residual, upper=FIT_RMS_UPPER),
-        CheckRecord("profile_decreasing", np.count_nonzero(~(steps < 0)), upper=0),
+        CheckRecord("profile_decreasing", _axis_rises(lattice, column, source, band), upper=0),
     ]
     rows = tuple(
-        (float(d), float(v), float(np.log(v)))
-        for d, v in zip(profile.distances, profile.values)
-        if v > 0
+        (float(d), float(v), float(np.log(v))) for d, v in zip(distances, values) if v > 0
     )
     table = Table("kernel_profile", ("distance", "value", "log_value"), rows)
     return checks, [table]
@@ -542,10 +570,10 @@ def _localization_records(
         CheckRecord("state_localizable", report.support_fraction, upper=SUPPORT_UPPER)
     ]
     gate = LOCALIZATION_GATE * compton
-    for p in report.probes:
+    for name, fit in zip(PROBES, report.fits):
         checks += [
-            CheckRecord(f"{p.probe}_decay_within_gate", p.fit.length, upper=gate),
-            CheckRecord(f"{p.probe}_fit_rms", p.fit.rms_log_residual, upper=FIT_RMS_UPPER),
+            CheckRecord(f"{name}_decay_within_gate", fit.length, upper=gate),
+            CheckRecord(f"{name}_fit_rms", fit.rms_log_residual, upper=FIT_RMS_UPPER),
         ]
     return checks
 
@@ -573,20 +601,11 @@ def _run_localize(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     )
     report = localization_report(bump, spec, compton)
     checks = _localization_records(report, compton)
-    rows = []
-    if report.probes:
-        dists = report.probes[0].distances
-        cols = {p.probe: p.values for p in report.probes}
-        for i, d in enumerate(dists):
-            rows.append((
-                float(d),
-                float(cols["phi2"][i]),
-                float(cols["pi2"][i]),
-                float(cols["energy"][i]),
-            ))
-    table = Table(
-        "localization_profile", ("distance", "phi2", "pi2", "energy"), tuple(rows)
+    rows = tuple(
+        (float(d), *(float(v) for v in row))
+        for d, row in zip(report.distances, report.values)
     )
+    table = Table("localization_profile", ("distance", *PROBES), rows)
     return checks, [table]
 
 
@@ -612,7 +631,7 @@ def _run_elp(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     for i, trial in enumerate(trials):
         in_region, report, passes = _judge_in_region(trial, spec, region, compton)
         n_passed += passes
-        fits = {p.probe: p.fit for p in report.probes}
+        fits = dict(zip(PROBES, report.fits))
         lengths = [fits[p].length if p in fits else float("nan") for p in PROBES]
         rms = [fits[p].rms_log_residual if p in fits else float("nan") for p in PROBES]
         rows.append((i, int(in_region), int(passes), *lengths, *rms))
@@ -798,9 +817,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[RunReport, list[Table]]:
     report = RunReport(
         experiment=config.experiment,
         config=config_to_mapping(config),
-        seed=config.seed,
         checks=tuple(checks),
-        passed=all(c.passed for c in checks),
         elapsed_seconds=elapsed,
     )
     return report, tables
@@ -827,9 +844,7 @@ def run_all(config: ExperimentConfig) -> tuple[RunReport, list[tuple[RunReport, 
     aggregate = RunReport(
         experiment="all",
         config=config_to_mapping(dataclasses.replace(config, experiment="all")),
-        seed=config.seed,
         checks=tuple(combined),
-        passed=all(c.passed for c in combined),
         elapsed_seconds=elapsed,
     )
     return aggregate, results

@@ -19,11 +19,14 @@ energy-density site sum reproduces sum_k omega_k |alpha_k|^2 with no further
 constant. Localization diagnostics ask how fast these excesses decay away
 from the progenitor's support, and whether superpositions of localized states
 stay localized. This module only measures: a localization report holds the
-support fraction and each probe's decay fit, and the ELP check returns its
-random superpositions as bare progenitors, for the caller to report on and
-judge; the bounds that judge those numbers are the experiments' constants.
+support fraction, the binned distances beyond the support, one column of
+excess values per probe and one decay fit per probe, and the ELP check
+returns its random superpositions as bare progenitors, for the caller to
+report on and judge; the bounds that judge those numbers are the
+experiments' constants.
 The probes and diagnostics read only ``spec.lattice`` and
-``spec.apply_power`` of the Spectrum they are given.
+``spec.apply_power`` of the Spectrum they are given; ``vacuum_two_point``
+reads one kernel column, which is f(R) applied to a unit vector.
 The probes map a (sites x k) block of progenitors column by column; the
 support, and so every localization report, is of one state and refuses a
 block.
@@ -155,26 +158,21 @@ def distance_beyond(lattice: Lattice, mask: np.ndarray) -> np.ndarray:
 
 
 @dataclasses.dataclass(frozen=True)
-class ProbeResult:
-    """Decay fit of one observable excess beyond the support."""
-
-    probe: str
-    distances: np.ndarray
-    values: np.ndarray
-    fit: DecayFit
-
-
-@dataclasses.dataclass(frozen=True)
 class LocalizationReport:
     """How far a one-particle state's observable excesses reach.
 
-    A state whose support covers SUPPORT_FRACTION_MAX of the lattice or more
-    gets no probes rather than fits; a delocalized plane wave simply has no
-    outside region to probe, and that is a finding, not an error.
+    ``distances`` are the binned distances beyond the support, ``values``
+    the (bins x probes) array of each probe's largest excess per bin, and
+    ``fits`` one DecayFit per PROBES entry, in order. A state whose support
+    covers SUPPORT_FRACTION_MAX of the lattice or more gets all three empty
+    rather than fits; a delocalized plane wave simply has no outside region
+    to probe, and that is a finding, not an error.
     """
 
     support_fraction: float
-    probes: tuple[ProbeResult, ...]
+    distances: np.ndarray
+    values: np.ndarray
+    fits: tuple[DecayFit, ...]
 
 
 def localization_report(
@@ -193,7 +191,7 @@ def localization_report(
     mask = support_sites(u)
     frac = int(mask.sum()) / lattice.nsites
     if frac >= SUPPORT_FRACTION_MAX:
-        return LocalizationReport(support_fraction=frac, probes=())
+        return LocalizationReport(frac, np.empty(0), np.empty((0, len(PROBES))), ())
     dist = distance_beyond(lattice, mask)
     outside = ~mask
     lo, hi = FIT_WINDOW_COMPTON
@@ -202,17 +200,16 @@ def localization_report(
     values = np.stack([probe(u, spec) for probe in PROBES.values()], axis=1)
     d_out, binned = bin_by_distance(dist[outside], values[outside])
     in_window = (d_out >= window_abs[0]) & (d_out <= window_abs[1])
-    results = []
-    for name, column, v_out in zip(PROBES, values.T, binned.T):
+    fits = []
+    for column, v_out in zip(values.T, binned.T):
         floor = ZERO_TAIL_FLOOR * float(column.max())
         if in_window.any() and not np.any(v_out[in_window] > floor):
             # compactly supported probe: it decays faster than any
             # exponential, so there is nothing to fit, and its length is 0
-            fit = DecayFit(length=0.0, rms_log_residual=0.0, nsamples=0)
+            fits.append(DecayFit(length=0.0, rms_log_residual=0.0, nsamples=0))
         else:
-            fit = fit_decay_length(d_out, v_out, window_abs)
-        results.append(ProbeResult(probe=name, distances=d_out, values=v_out, fit=fit))
-    return LocalizationReport(support_fraction=frac, probes=tuple(results))
+            fits.append(fit_decay_length(d_out, v_out, window_abs))
+    return LocalizationReport(frac, d_out, binned, tuple(fits))
 
 
 def elp_check(

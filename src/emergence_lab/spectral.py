@@ -166,14 +166,17 @@ class Spectrum:
     discrete L2 product; ``eigenvalues`` (omega_k^2) ascend and are strictly
     positive; ``frequencies`` are their positive square roots.
 
-    Exactly one of ``hartley_modes`` and ``dense_basis`` is set, and every
-    transform branches on it. For a translation-invariant R (the FFT route)
+    Exactly one of ``hartley_modes`` and ``dense_basis`` is set, and
+    ``project``, ``synthesize`` and ``apply_function`` branch on it; no other
+    module reads either field. For a translation-invariant R (the FFT route)
     f_k is the real Fourier (Hartley) mode cas(2 pi q.x/N) / sqrt(N cell) of
     flat wavevector index q = ``hartley_modes[k]``; ``project``/``synthesize``
     are FFTs, f(R) is f of the symbol (the eigenvalues placed through
     ``hartley_modes``) times the field's DFT, and ``basis`` is built only on
     first access. Otherwise (the ``eigh`` route) every transform is a matrix
-    product with the eigenvectors ``dense_basis``.
+    product with the eigenvectors ``dense_basis``. Mode coordinates go
+    through ``project``/``synthesize``; every kernel column, and so every
+    locality measurement, reaches f(R) through ``apply_function``.
     """
 
     operator: ROperator
@@ -246,14 +249,11 @@ class Spectrum:
         return out.reshape(field.shape)
 
     def kernel_column(self, f, site: int) -> np.ndarray:
-        """Integral kernel f(R)(y, site) = sum_k f(lambda_k) f_k(y) f_k(site)."""
-        if self.dense_basis is not None:
-            basis = self.dense_basis
-            return basis @ (f(self.eigenvalues) * basis[site, :])
-        shape = self.lattice.shape
-        unit = _unit(self.lattice, site)
-        spread = self._on_grid(f(self.eigenvalues)) * _hartley(unit, shape)
-        return _hartley(spread, shape) / (self.nmodes * self.lattice.cell)
+        """Integral kernel f(R)(y, site) = sum_k f(lambda_k) f_k(y) f_k(site).
+
+        It is f(R) applied to the unit vector at the site, over the cell.
+        """
+        return self.apply_function(f, _unit(self.lattice, site)) / self.lattice.cell
 
     @functools.cached_property
     def _symbol_grid(self) -> np.ndarray:
@@ -391,18 +391,6 @@ def _unit(lattice: Lattice, site: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
-class KernelProfile:
-    """|R^lambda(source, y)| against minimum-image distance.
-
-    Distances are binned (1e-9 rounding); each bin keeps its maximum
-    magnitude, which is the conservative choice for decay fits.
-    """
-
-    distances: np.ndarray
-    values: np.ndarray
-
-
-@dataclasses.dataclass(frozen=True)
 class DecayFit:
     """Log-linear decay fit: |kernel| ~ exp(-d / length).
 
@@ -428,12 +416,15 @@ def bin_by_distance(distances: np.ndarray, values: np.ndarray):
     return out_d, out_v
 
 
-def kernel_profile(spec: Spectrum, exponent: float, source: int) -> KernelProfile:
-    """Profile of the R^exponent kernel as seen from one source site."""
-    lattice = spec.lattice
+def kernel_profile(spec: Spectrum, exponent: float, source: int):
+    """|R^exponent(y, source)| against minimum-image distance from the source.
+
+    Returns bin_by_distance's (distances, values) pair: distances are binned
+    (1e-9 rounding) and each bin keeps its maximum magnitude, which is the
+    conservative choice for decay fits.
+    """
     column = spec.kernel_column(lambda lam: lam**exponent, source)
-    out_d, out_v = bin_by_distance(lattice.distances_from(source), column)
-    return KernelProfile(distances=out_d, values=out_v)
+    return bin_by_distance(spec.lattice.distances_from(source), column)
 
 
 def log_linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

@@ -60,6 +60,7 @@ from emergence_lab.newton_wigner import (
 )
 from emergence_lab.particle import (
     KAPPA,
+    PROBES,
     calibrate_kappa,
     elp_check,
     energy_density_diff,
@@ -114,8 +115,8 @@ def test_criterion_01_compton_locality():
     start = time.perf_counter()
     op = build_klein_gordon(1.0, Lattice((512,)))
     spec = diagonalize(op)
-    profile = kernel_profile(spec, -0.5, 256)
-    fit = fit_decay_length(profile.distances, profile.values, (3.0, 20.0))
+    distances, values = kernel_profile(spec, -0.5, 256)
+    fit = fit_decay_length(distances, values, (3.0, 20.0))
     elapsed = time.perf_counter() - start
     dev = abs(fit.length - 1.0)
     trusted = fit.length > 0 and fit.rms_log_residual < FIT_RMS_MAX
@@ -358,7 +359,7 @@ def test_criterion_09_localization_and_elp(spec512):
     report = localization_report(bump, spec512, compton)
     region = lattice.distances_from(256) <= 45.0 * compton
     probe_ok = _judge_in_region(bump, spec512, region, compton)[2] and all(
-        r.fit.nsamples == 0 or r.fit.length <= 1.2 * compton for r in report.probes
+        fit.nsamples == 0 or fit.length <= 1.2 * compton for fit in report.fits
     )
 
     left = gaussian_bump(lattice, 248, width, cutoff=4.0 * width)
@@ -372,8 +373,8 @@ def test_criterion_09_localization_and_elp(spec512):
     elp_ok = failing == 0 and passed == len(trials)
     ok = probe_ok and elp_ok and elapsed < 60.0
     lengths = ", ".join(
-        f"{r.probe} {r.fit.length:.3f}" if r.fit.nsamples else f"{r.probe} compact"
-        for r in report.probes
+        f"{name} {fit.length:.3f}" if fit.nsamples else f"{name} compact"
+        for name, fit in zip(PROBES, report.fits)
     )
     _line(
         "criterion 09 localization and elp",

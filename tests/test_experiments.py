@@ -16,6 +16,7 @@ from emergence_lab.experiments import (
     SUPPORT_UPPER,
     CheckRecord,
     ExperimentConfig,
+    _axis_rises,
     run_experiment,
 )
 from emergence_lab.modes import PhaseVector
@@ -85,7 +86,7 @@ def test_support_gate_passes_exactly_the_states_that_get_probes(nsup):
     report = localization_report(PhaseVector(spec.lattice, phi, np.zeros(16)), spec, 1.0)
     record = CheckRecord("state_localizable", report.support_fraction, upper=SUPPORT_UPPER)
     assert report.support_fraction == nsup / 16
-    assert record.passed is bool(report.probes) is (nsup / 16 < SUPPORT_FRACTION_MAX)
+    assert record.passed is bool(report.fits) is (nsup / 16 < SUPPORT_FRACTION_MAX)
 
 
 def test_record_holds_python_floats_and_computes_its_verdict():
@@ -104,13 +105,35 @@ def test_record_holds_python_floats_and_computes_its_verdict():
 # ---------------------------------------------------------------------------
 
 
+# the lattice kernel falls along every lattice axis through its source, but
+# not with Euclidean distance: at 16 x 16, 7 of its distance bins in the
+# band hold a larger value than the bin before
 @pytest.mark.parametrize(
-    "shape,count", [((), 0), ((2, 40), 1), ((16, 16), 7)]
+    "shape,count", [((), 0), ((2, 40), 0), ((16, 16), 0)]
 )
 def test_profile_decreasing_counts_the_steps_that_rise(shape, count):
     record = _records("kernel", shape=shape)["profile_decreasing"]
     assert (record.measured, record.lower, record.upper) == (count, None, 0.0)
     assert record.passed is (count == 0)
+
+
+def test_profile_decreasing_holds_on_a_3d_lattice_at_spacing_0_7():
+    record = _records("kernel", shape=(12, 12, 12), spacing=0.7)["profile_decreasing"]
+    assert (record.measured, record.passed) == (0.0, True)
+
+
+def test_one_rising_axis_step_counts_one():
+    lattice = Lattice((16, 16))
+    source = 8 * 16 + 3  # site (8, 3)
+    column = np.exp(-lattice.distances_from(source))
+    assert _axis_rises(lattice, column, source, (3.0, 30.0)) == 0
+    # the site 5 steps along axis 1 rises above the one 4 steps out, and
+    # still falls to the one 6 steps out
+    column[8 * 16 + 8] = 1.5 * column[8 * 16 + 7]
+    assert _axis_rises(lattice, column, source, (3.0, 30.0)) == 1
+    # a rise inside the source's first 3 steps lies outside the band
+    column[8 * 16 + 5] = 2.0
+    assert _axis_rises(lattice, column, source, (3.0, 30.0)) == 1
 
 
 def test_localize_records_the_fraction_and_each_fit():
@@ -185,13 +208,16 @@ def test_elp_seed_8009_trial_fails_on_fit_rms_alone():
 # blocks, each 10 applies (J u, J v, J J u, and 4 in the right-hand side) and
 # 4 projections (to_modes of u and v); nw's 10 are 2 blocks of 7 projections
 # (to_modes of u, of J u and of the evolved u, and from_nw), plus one each
-# for the NW delta and the non-relativistic comparison; segal-check's 100
-# pairs are 13 blocks of 4 projections, plus 12 for time_invariance.
+# for the NW delta and the non-relativistic comparison. nw's 9 applies are 3
+# per block (two powers of R in J u, and the NW evolution), 1 for the
+# leakage, and 2 for the NW delta: its phi2 excess, and its closed-form
+# kernel column, which is f(R) on a unit vector. segal-check's 100 pairs are
+# 13 blocks of 4 projections, plus 12 for time_invariance.
 @pytest.mark.parametrize(
     "experiment, expected",
     [
         ("geometry-check", {"apply_function": 30, "project": 12, "synthesize": 0}),
-        ("nw", {"apply_function": 8, "project": 16, "synthesize": 16}),
+        ("nw", {"apply_function": 9, "project": 16, "synthesize": 16}),
         ("segal-check", {"apply_function": 52, "project": 64, "synthesize": 4}),
     ],
 )

@@ -213,3 +213,17 @@ def test_every_dataclass_field_is_read():
     assert sorted(unread - documented) == []
     # a listed field must exist and still lack a reader
     assert sorted(documented - unread) == []
+
+
+def test_only_spectral_reads_the_transform_route():
+    # which route a Spectrum transforms by is spectral's own decision: other
+    # layers reach f(R) through apply_function and mode coordinates through
+    # project and synthesize, never through the stored basis or wavevectors
+    readers = sorted(
+        f"{path.name}: .{node.attr}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "spectral.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("dense_basis", "hartley_modes")
+    )
+    assert readers == []

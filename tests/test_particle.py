@@ -265,13 +265,15 @@ def test_truncated_bump_is_localized(spec512):
     report = localization_report(bump, spec512, 1.0)
     assert all(c.passed for c in _localization_records(report, 1.0))
     assert report.support_fraction == 41 / 512
-    by_name = {p.probe: p for p in report.probes}
+    assert len(report.fits) == report.values.shape[1] == len(PROBES)
+    assert report.values.shape[0] == report.distances.size
+    fits = dict(zip(PROBES, report.fits))
     # phi of a phi-only compact bump vanishes identically outside the support
-    assert by_name["phi2"].fit.nsamples == 0
-    assert by_name["phi2"].fit.length == 0.0
+    assert fits["phi2"].nsamples == 0
+    assert fits["phi2"].length == 0.0
     # the momentum and energy excesses decay well inside the Compton gate
     for name in ("pi2", "energy"):
-        fit = by_name[name].fit
+        fit = fits[name]
         assert fit.length > 0 and fit.rms_log_residual < FIT_RMS_MAX
         assert fit.length < 1.2
         assert_allclose(fit.length, 0.41269, rtol=1e-3)
@@ -285,7 +287,8 @@ def test_plane_wave_reported_not_localized(spec512):
     )
     report = localization_report(wave, spec512, 1.0)
     assert report.support_fraction == 510 / 512
-    assert report.probes == ()
+    assert report.fits == ()
+    assert report.distances.size == report.values.size == 0
     (record,) = _localization_records(report, 1.0)
     assert record.name == "state_localizable"
     assert not record.passed
@@ -367,12 +370,12 @@ def test_elp_trials_match_mode_superposition(spec512, elp_setup, seed):
         w = from_modes(ModeVector(spectrum=spec512, alpha=alpha))
         report = localization_report(trial, spec512, 1.0)
         ref = localization_report(w, spec512, 1.0)
-        assert len(report.probes) == len(ref.probes) == len(PROBES)
-        for got, want in zip(report.probes, ref.probes):
-            peak = float(PROBES[want.probe](w, spec512).max())
-            assert got.probe == want.probe
-            assert np.array_equal(got.distances, want.distances)
-            assert np.abs(got.values - want.values).max() <= 1e-12 * peak, got.probe
+        assert len(report.fits) == len(ref.fits) == len(PROBES)
+        assert report.values.shape == ref.values.shape == (ref.distances.size, len(PROBES))
+        assert np.array_equal(report.distances, ref.distances)
+        for name, got, want in zip(PROBES, report.values.T, ref.values.T):
+            peak = float(PROBES[name](w, spec512).max())
+            assert np.abs(got - want).max() <= 1e-12 * peak, name
 
 
 def test_localization_chain_reads_only_lattice_and_apply_power(spec512, elp_setup):

@@ -209,10 +209,10 @@ def test_large_lattice_kernel_matches_small_one_near_source():
     near = 40
     big = diagonalize(build_klein_gordon(1.0, Lattice((2**17,))))
     small = diagonalize(build_klein_gordon(1.0, Lattice((2048,))))
-    got = kernel_profile(big, -0.5, 2**16)
-    ref = kernel_profile(small, -0.5, 1024)
-    assert_allclose(got.distances[: near + 1], ref.distances[: near + 1])
-    assert _rel_dev(got.values[: near + 1], ref.values[: near + 1]) < 1e-12
+    got_d, got_v = kernel_profile(big, -0.5, 2**16)
+    ref_d, ref_v = kernel_profile(small, -0.5, 1024)
+    assert_allclose(got_d[: near + 1], ref_d[: near + 1])
+    assert _rel_dev(got_v[: near + 1], ref_v[: near + 1]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +382,23 @@ LONGDOUBLE_PEAK_RTOL = 1e-15
 @pytest.mark.parametrize("exponent", [0.5, -0.5, -0.25])
 @pytest.mark.parametrize("shape,spacing", FFT_LATTICES)
 def test_apply_power_matches_long_double_fourier_sum(shape, spacing, exponent):
+    # two inputs: a random field, and the unit vector at one site, whose
+    # image over the cell is that site's kernel column
     lat = Lattice(shape, spacing)
     spec = diagonalize(build_klein_gordon(1.3, lat))
     assert spec.dense_basis is None
     field = np.random.default_rng(9).normal(size=lat.nsites)
-    ref = longdouble_power(lat, 1.3, exponent, field)
-    got = spec.apply_power(exponent, field)
-    assert float(np.abs(got - ref).max() / np.abs(ref).max()) < LONGDOUBLE_PEAK_RTOL
+    site = lat.nsites // 3
+    unit = np.zeros(lat.nsites)
+    unit[site] = 1.0
+    for got, ref in [
+        (spec.apply_power(exponent, field), longdouble_power(lat, 1.3, exponent, field)),
+        (
+            spec.kernel_column(lambda lam: lam**exponent, site),
+            longdouble_power(lat, 1.3, exponent, unit) / np.longdouble(lat.cell),
+        ),
+    ]:
+        assert float(np.abs(got - ref).max() / np.abs(ref).max()) < LONGDOUBLE_PEAK_RTOL
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +539,8 @@ def test_fit_fails_cleanly_on_growth():
 
 def test_compton_decay_mass_one():
     spec = diagonalize(build_klein_gordon(1.0, Lattice((512,))))
-    profile = kernel_profile(spec, -0.5, 256)
-    fit = fit_decay_length(profile.distances, profile.values, (3.0, 20.0))
+    distances, values = kernel_profile(spec, -0.5, 256)
+    fit = fit_decay_length(distances, values, (3.0, 20.0))
     assert _trusted(fit)
     # frozen measurement; the physical gate is the 10% band around 1/m
     assert_allclose(fit.length, 0.9887694756170995, rtol=1e-8)
@@ -539,27 +549,27 @@ def test_compton_decay_mass_one():
 
 def test_compton_decay_mass_two_scaled_window():
     spec = diagonalize(build_klein_gordon(2.0, Lattice((512,))))
-    profile = kernel_profile(spec, -0.5, 256)
-    fit = fit_decay_length(profile.distances, profile.values, (1.5, 10.0))
+    distances, values = kernel_profile(spec, -0.5, 256)
+    fit = fit_decay_length(distances, values, (1.5, 10.0))
     assert abs(fit.length - 0.5) / 0.5 < 0.10
-    wide = fit_decay_length(profile.distances, profile.values, (3.0, 20.0))
+    wide = fit_decay_length(distances, values, (3.0, 20.0))
     assert abs(wide.length - 0.5) / 0.5 < 0.15
 
 
 @pytest.mark.parametrize("lam", [-0.5, -0.25, 0.25, 0.5])
 def test_all_fractional_kernels_decay_at_compton_scale(lam):
     spec = diagonalize(build_klein_gordon(1.0, Lattice((512,))))
-    profile = kernel_profile(spec, lam, 256)
-    fit = fit_decay_length(profile.distances, profile.values, (3.0, 20.0))
+    distances, values = kernel_profile(spec, lam, 256)
+    fit = fit_decay_length(distances, values, (3.0, 20.0))
     assert _trusted(fit)
     assert abs(fit.length - 1.0) < 0.15
 
 
 def test_profile_strictly_decreasing_in_physical_band():
     spec = diagonalize(build_klein_gordon(1.0, Lattice((512,))))
-    profile = kernel_profile(spec, -0.5, 256)
-    sel = (profile.distances >= 3.0) & (profile.distances <= 30.0)
-    assert np.all(np.diff(profile.values[sel]) < 0)
+    distances, values = kernel_profile(spec, -0.5, 256)
+    sel = (distances >= 3.0) & (distances <= 30.0)
+    assert np.all(np.diff(values[sel]) < 0)
 
 
 @pytest.mark.parametrize("shape,spacing", [((24,), 0.5), ((9, 8), 0.5)])
@@ -589,10 +599,10 @@ def test_profile_source_and_exponent_recorded():
     lat = Lattice((24,), 0.5)
     ripple = 1.3 + 0.4 * np.sin(2 * np.pi * np.arange(lat.nsites) / lat.nsites)
     spec = diagonalize(build_variable_coefficient(ripple, lat))
-    profile = kernel_profile(spec, -0.5, 5)
+    distances, values = kernel_profile(spec, -0.5, 5)
     column = dense_power(_dense(spec.operator), -0.5)[:, 5] / lat.cell
     ref_d, ref_v = bin_by_distance(lat.distances_from(5), column)
-    assert np.array_equal(profile.distances, ref_d)
-    assert _rel_dev(profile.values, ref_v) < 1e-12
+    assert np.array_equal(distances, ref_d)
+    assert _rel_dev(values, ref_v) < 1e-12
     # binned distances are unique and ascending
-    assert np.all(np.diff(profile.distances) > 0)
+    assert np.all(np.diff(distances) > 0)
