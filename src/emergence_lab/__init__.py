@@ -25,10 +25,8 @@ from .spectral import (
     kernel_profile,
 )
 from .modes import (
-    CanonicalReport,
     ModeVector,
     PhaseVector,
-    check_canonical,
     evolve_modes,
     evolve_state,
     field_hamiltonian,
@@ -84,7 +82,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticsError",
     "AxiomError",
-    "CanonicalReport",
     "DecayFit",
     "ExperimentConfig",
     "Lattice",
@@ -103,7 +100,6 @@ __all__ = [
     "build_klein_gordon",
     "build_variable_coefficient",
     "calibrate_kappa",
-    "check_canonical",
     "diagonalize",
     "direct_form",
     "direct_radial_integral",

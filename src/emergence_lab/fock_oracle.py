@@ -276,19 +276,30 @@ def displacement(space: FockSpace, direction: np.ndarray, z: complex) -> FockVec
     return FockVector(space=space, amplitudes=math.exp(-0.5 * abs(z) ** 2) * amps)
 
 
+def _mode_values(space: FockSpace, site: int) -> np.ndarray:
+    """f_k(site) for each of the space's modes, in order.
+
+    The modes are ``synthesize``d from unit coefficient columns, one per
+    mode, so no site-by-mode table of the whole spectrum is built.
+    """
+    spec = space.spectrum
+    units = np.zeros((spec.nmodes, space.nmodes))
+    units[list(space.mode_indices), range(space.nmodes)] = 1.0
+    return spec.synthesize(units)[site]
+
+
 def field_operator(space: FockSpace, site: int, which: str = "phi") -> FockOperator:
     """Field operator at one site, restricted to the oracle's modes.
 
     phi(x) = sum_k f_k(x)/sqrt(2 w_k) (a_k + adag_k)
     pi(x)  = sum_k sqrt(w_k/2) f_k(x) i (adag_k - a_k)
 
-    With only a mode subset these satisfy the canonical commutator up to the
-    missing modes' completeness defect.
+    f_k(x) is the spectrum's ``synthesize`` of the unit coefficients of mode
+    k. With only a mode subset these satisfy the canonical commutator up to
+    the missing modes' completeness defect.
     """
-    basis = space.spectrum.basis
     op = 0
-    for j, k in enumerate(space.mode_indices):
-        f = basis[site, k]
+    for j, f in enumerate(_mode_values(space, site)):
         w = space.frequencies[j]
         if which == "phi":
             op = op + (f / math.sqrt(2.0 * w)) * (space.lowering[j] + space.raising(j))
@@ -303,13 +314,13 @@ def potential_operator(space: FockSpace, site: int) -> FockOperator:
     """(R^{1/2} phi)(x)^2 at one site, the potential term of the energy density.
 
     (R^{1/2} phi)(x) = sum_k sqrt(w_k / 2) f_k(x) (a_k + adag_k), summed over
-    the truncated space's modes.
+    the truncated space's modes, with f_k(x) synthesized as in
+    ``field_operator``.
     """
-    basis = space.spectrum.basis
     op = sum(
-        np.sqrt(space.frequencies[j] / 2.0) * basis[site, k]
+        np.sqrt(space.frequencies[j] / 2.0) * f
         * (space.lowering[j] + space.raising(j))
-        for j, k in enumerate(space.mode_indices)
+        for j, f in enumerate(_mode_values(space, site))
     )
     return op @ op
 

@@ -135,7 +135,7 @@ def to_modes(state: PhaseVector, spec: Spectrum) -> ModeVector:
     _check_same_lattice(state.lattice, spec.lattice)
     sqrt_w = _per_row(np.sqrt(spec.frequencies), state.phi)
     # column-major, so that _column_dot reads the columns without a copy
-    alpha = np.empty(state.phi.shape, dtype=complex, order="F")
+    alpha = np.empty((spec.nmodes,) + state.phi.shape[1:], dtype=complex, order="F")
     np.multiply(sqrt_w, spec.project(state.phi), out=alpha.real)  # q
     np.divide(spec.project(state.pi), sqrt_w, out=alpha.imag)  # p
     alpha /= math.sqrt(2.0)
@@ -174,29 +174,6 @@ def field_hamiltonian(state: PhaseVector, op: ROperator) -> float | np.ndarray:
     _check_same_lattice(state.lattice, op.lattice)
     dens = _column_dot(state.pi, state.pi) + _column_dot(state.phi, op.apply(state.phi))
     return 0.5 * dens * op.lattice.cell
-
-
-@dataclasses.dataclass(frozen=True)
-class CanonicalReport:
-    """Orthonormality/completeness deviations of the mode basis."""
-
-    orthonormality_dev: float
-    completeness_dev: float
-
-
-def check_canonical(spec: Spectrum) -> CanonicalReport:
-    """Check the discrete relations that make (q_k, p_k) canonical.
-
-    Orthonormality: sum_x f_j f_k cell = delta_jk. Completeness:
-    sum_k f_k(x) f_k(y) cell = delta_xy.
-    """
-    basis = spec.basis
-    cell = spec.lattice.cell
-    eye_modes = np.eye(basis.shape[1])
-    eye_sites = np.eye(basis.shape[0])
-    ortho = float(np.abs(basis.T @ basis * cell - eye_modes).max())
-    complete = float(np.abs(basis @ basis.T * cell - eye_sites).max())
-    return CanonicalReport(orthonormality_dev=ortho, completeness_dev=complete)
 
 
 def gaussian_bump(

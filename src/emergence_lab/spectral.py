@@ -162,9 +162,9 @@ class ROperator:
 class Spectrum:
     """Eigendecomposition of an ROperator.
 
-    ``basis`` columns are the eigenfunctions f_k, orthonormal under the
-    discrete L2 product; ``eigenvalues`` (omega_k^2) ascend and are strictly
-    positive; ``frequencies`` are their positive square roots.
+    The eigenfunctions f_k are orthonormal under the discrete L2 product;
+    ``eigenvalues`` (omega_k^2) ascend and are strictly positive;
+    ``frequencies`` are their positive square roots.
 
     Exactly one of ``hartley_modes`` and ``dense_basis`` is set, and
     ``project``, ``synthesize`` and ``apply_function`` branch on it; no other
@@ -172,8 +172,8 @@ class Spectrum:
     f_k is the real Fourier (Hartley) mode cas(2 pi q.x/N) / sqrt(N cell) of
     flat wavevector index q = ``hartley_modes[k]``; ``project``/``synthesize``
     are FFTs, f(R) is f of the symbol (the eigenvalues placed through
-    ``hartley_modes``) times the field's DFT, and ``basis`` is built only on
-    first access. Otherwise (the ``eigh`` route) every transform is a matrix
+    ``hartley_modes``) times the field's DFT; no N x N table of the modes is
+    ever built. Otherwise (the ``eigh`` route) every transform is a matrix
     product with the eigenvectors ``dense_basis``. Mode coordinates go
     through ``project``/``synthesize``; every kernel column, and so every
     locality measurement, reaches f(R) through ``apply_function``.
@@ -192,12 +192,6 @@ class Spectrum:
     @property
     def nmodes(self) -> int:
         return len(self.eigenvalues)
-
-    @functools.cached_property
-    def basis(self) -> np.ndarray:
-        if self.dense_basis is not None:
-            return self.dense_basis
-        return _hartley_basis(self.lattice, self.hartley_modes)
 
     def project(self, field: np.ndarray) -> np.ndarray:
         """L2 coefficients <f_k, field> for every mode."""
@@ -267,7 +261,7 @@ class Spectrum:
         return grid
 
     def apply_power(self, exponent: float, field: np.ndarray) -> np.ndarray:
-        """Apply R^exponent to a field through the eigenbasis."""
+        """Apply R^exponent to a field through ``apply_function``."""
         return self.apply_function(lambda lam: lam**exponent, field)
 
 
@@ -287,27 +281,6 @@ def _hartley(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     spectrum = values.reshape(shape + values.shape[1:]).astype(complex)
     np.fft.fftn(spectrum, axes=tuple(range(len(shape))), out=spectrum)
     return (spectrum.real - spectrum.imag).reshape(values.shape)
-
-
-def _hartley_basis(lattice: Lattice, modes: np.ndarray) -> np.ndarray:
-    """Columns cas(2 pi k.x/N) / sqrt(N cell) for flat wavevector indices ``modes``.
-
-    The phase k.x/N is reduced exactly in integers, so each entry is a
-    correctly rounded table value.
-    """
-    n = lattice.nsites
-    coords = lattice.site_coords()
-    wavevectors = coords[modes]
-    phase = np.zeros((n, len(modes)), dtype=np.int64)
-    for ax, extent in enumerate(lattice.shape):
-        term = np.multiply.outer(coords[:, ax], wavevectors[:, ax])
-        term %= extent
-        term *= n // extent
-        phase += term
-    phase %= n
-    angle = 2.0 * np.pi * np.arange(n) / n
-    cas = (np.cos(angle) + np.sin(angle)) / math.sqrt(n * lattice.cell)
-    return cas[phase]
 
 
 def build_klein_gordon(mass: float, lattice: Lattice) -> ROperator:

@@ -6,9 +6,10 @@ scattering the 3-point stencil weights at the raveled neighbour indices of
 each site, so a test that compares the two does not compare the stencil code
 with itself. Powers of R come from ``numpy.linalg.eigh`` of that dense
 matrix, never from a package ``Spectrum``, and its eigenvalues also have a
-closed form, the circulant symbol written out per axis. For roundoff
-comparisons a power of R is also summed over its Fourier modes in long
-double.
+closed form, the circulant symbol written out per axis. Its eigenfunctions
+on the FFT route are tabulated in closed form too, with their phases reduced
+in integers, so no FFT is involved. For roundoff comparisons a power of R is
+also summed over its Fourier modes in long double.
 
 The Fock oracle stores its operators by diagonals, placed by each mode's
 stride. Here the ladder operators are dense matrices instead: the one-mode
@@ -58,6 +59,29 @@ def klein_gordon_symbol_eigenvalues(mass: float, lattice) -> np.ndarray:
         k = 2.0 * np.pi * coords[:, ax] / n
         vals += (2.0 - 2.0 * np.cos(k)) / lattice.spacing**2
     return np.sort(vals)
+
+
+def hartley_table(lattice, modes) -> np.ndarray:
+    """Columns cas(2 pi k.x/N) / sqrt(N cell) for flat wavevector indices ``modes``.
+
+    These are the eigenfunctions f_k of a translation-invariant R, in the
+    order a spectrum lists them when ``modes`` is its ``hartley_modes``. The
+    phase k.x/N is reduced exactly in integers, so each entry is a correctly
+    rounded table value.
+    """
+    n = lattice.nsites
+    coords = lattice.site_coords()
+    wavevectors = coords[np.asarray(modes)]
+    phase = np.zeros((n, len(wavevectors)), dtype=np.int64)
+    for ax, extent in enumerate(lattice.shape):
+        term = np.multiply.outer(coords[:, ax], wavevectors[:, ax])
+        term %= extent
+        term *= n // extent
+        phase += term
+    phase %= n
+    angle = 2.0 * np.pi * np.arange(n) / n
+    cas = (np.cos(angle) + np.sin(angle)) / np.sqrt(n * lattice.cell)
+    return cas[phase]
 
 
 def dense_function(matrix: np.ndarray, f) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dense_arbiter import dense_fock_lowering
+from dense_arbiter import dense_fock_lowering, hartley_table
 from emergence_lab import fock_oracle as fo
 from emergence_lab.spectral import Lattice, build_klein_gordon, diagonalize
 
@@ -69,7 +69,15 @@ def _oracle_and_dense(spec, space, x):
     """Each oracle operator beside its dense build, keyed by name."""
     lower = dense_fock_lowering(space.nmodes, space.n_max)
     w = space.frequencies
-    f = spec.basis[x, list(space.mode_indices)]
+    # f_k(x) as the oracle takes it, from the spectrum's synthesize, so the
+    # entries below can match bit for bit; the closed-form table judges it
+    modes = list(space.mode_indices)
+    units = np.zeros((spec.nmodes, space.nmodes))
+    units[modes, range(space.nmodes)] = 1.0
+    f = spec.synthesize(units)[x]
+    table = hartley_table(spec.lattice, spec.hartley_modes[modes])[x]
+    scale = 1.0 / np.sqrt(spec.lattice.nsites * spec.lattice.cell)
+    assert_allclose(f, table, rtol=0, atol=1e-15 * scale)
     pairs = {}
     for j, a in enumerate(lower):
         pairs[f"a{j}"] = (space.lowering[j], a)

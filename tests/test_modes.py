@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from emergence_lab import experiments
 from emergence_lab.modes import (
     ModeVector,
     PhaseVector,
-    check_canonical,
     evolve_modes,
     evolve_state,
     field_hamiltonian,
@@ -22,8 +22,11 @@ from emergence_lab.spectral import (
     Lattice,
     LatticeMismatchError,
     build_klein_gordon,
+    build_variable_coefficient,
     diagonalize,
 )
+
+from dense_arbiter import hartley_table
 
 
 @pytest.fixture(scope="module")
@@ -78,21 +81,67 @@ def test_phase_vector_mismatched_lattices():
 # canonical coordinates
 # ---------------------------------------------------------------------------
 
-def test_basis_is_canonical(spec64):
-    report = check_canonical(spec64)
-    assert report.orthonormality_dev < 1e-12
-    assert report.completeness_dev < 1e-12
-    assert spec64.basis.shape == (64, 64)
+def _modes_check(monkeypatch, spec):
+    """The modes-check records, by name, run on the given spectrum."""
+    monkeypatch.setattr(experiments, "diagonalize", lambda op: spec)
+    config = experiments.ExperimentConfig("modes-check", shape=spec.lattice.shape)
+    checks, _ = experiments._run_modes_check(config, np.random.default_rng(0))
+    return {check.name: check for check in checks}
 
 
-def test_dropped_mode_breaks_completeness(spec64):
-    # an eigh-route spectrum whose stored eigenbasis lacks one mode
+def test_basis_is_canonical(monkeypatch, spec64):
+    checks = _modes_check(monkeypatch, spec64)
+    for name in ("orthonormality", "completeness", "eigen_residual"):
+        assert checks[name].measured < 1e-12
+
+
+def test_dropped_mode_breaks_completeness(monkeypatch, spec64):
+    # an eigh-route spectrum of the arbiter's table without mode 3
+    keep = np.delete(np.arange(64), 3)
     truncated = dataclasses.replace(
-        spec64, dense_basis=np.delete(spec64.basis, 3, axis=1), hartley_modes=None
+        spec64,
+        eigenvalues=spec64.eigenvalues[keep],
+        frequencies=spec64.frequencies[keep],
+        dense_basis=hartley_table(spec64.lattice, spec64.hartley_modes[keep]),
+        hartley_modes=None,
     )
-    report = check_canonical(truncated)
+    checks = _modes_check(monkeypatch, truncated)
     # a missing oscillatory mode leaves a rank-one hole of size 2/N
-    assert_allclose(report.completeness_dev, 2.0 / 64.0, rtol=1e-10)
+    assert_allclose(checks["completeness"].measured, 2.0 / 64.0, rtol=1e-10)
+    assert not checks["completeness"].passed
+    assert checks["orthonormality"].passed
+    assert checks["eigen_residual"].passed
+
+
+def test_mispaired_modes_break_the_eigen_residual(monkeypatch, spec64):
+    # two modes of different eigenvalues trade places: still an orthonormal
+    # basis, but neither column is the eigenvector its eigenvalue names
+    modes = spec64.hartley_modes.copy()
+    assert spec64.eigenvalues[1] != spec64.eigenvalues[10]
+    modes[[1, 10]] = modes[[10, 1]]
+    swapped = dataclasses.replace(spec64, hartley_modes=modes)
+    checks = _modes_check(monkeypatch, swapped)
+    assert checks["orthonormality"].measured < 1e-15
+    assert checks["completeness"].measured < 1e-15
+    assert checks["eigen_residual"].measured > 1e-3
+    assert not checks["eigen_residual"].passed
+
+
+def test_eigh_route_records_are_the_basis_products(monkeypatch):
+    # on the eigh route project/synthesize of an identity are the very
+    # products of the stored eigenbasis with itself
+    lat = Lattice((64,))
+    ripple = 1.0 + 0.3 * np.sin(2 * np.pi * np.arange(64) / 64)
+    spec = diagonalize(build_variable_coefficient(ripple, lat))
+    basis = spec.dense_basis
+    assert basis is not None
+    cell = lat.cell
+    ortho = float(np.abs(basis.T @ basis * cell - np.eye(64)).max())
+    complete = float(np.abs(basis @ basis.T * cell - np.eye(64)).max())
+    checks = _modes_check(monkeypatch, spec)
+    assert checks["orthonormality"].measured == ortho
+    assert checks["completeness"].measured == complete
+    assert checks["eigen_residual"].passed
 
 
 def test_mode_roundtrip(spec64):
@@ -112,7 +161,7 @@ def test_alpha_encodes_q_and_p(spec64):
 def test_single_mode_coordinates(spec64):
     # a pure eigenfunction with no momentum has q on its own mode only
     k = 5
-    phi = spec64.basis[:, k].copy()
+    phi = hartley_table(spec64.lattice, spec64.hartley_modes)[:, k]
     u = PhaseVector(spec64.lattice, phi, np.zeros_like(phi))
     modes = to_modes(u, spec64)
     expected_q = np.zeros(64)
@@ -181,7 +230,7 @@ def test_evolution_at_zero_is_identity(spec64):
 def test_single_mode_oscillates_at_its_frequency(spec64):
     k = 9
     omega = spec64.frequencies[k]
-    phi0 = spec64.basis[:, k].copy()
+    phi0 = hartley_table(spec64.lattice, spec64.hartley_modes)[:, k]
     u = PhaseVector(spec64.lattice, phi0, np.zeros_like(phi0))
     half = evolve_state(u, spec64, np.pi / omega)
     # half a period flips the sign of phi

@@ -35,6 +35,8 @@ from emergence_lab.spectral import (
     diagonalize,
 )
 
+from dense_arbiter import hartley_table
+
 
 @pytest.fixture(scope="module")
 def spec6():
@@ -122,7 +124,8 @@ def test_site_sums_reduce_to_mode_sums(spec512):
 def test_phi2_closed_form(spec6):
     # phi^2 excess is 4 kappa |sum_k alpha_k f_k / sqrt(2 w_k)|^2
     modes = modes_on(spec6, {1: 0.7, 3: 0.2 - 0.5j})
-    smeared = spec6.basis @ (modes.alpha / np.sqrt(2.0 * spec6.frequencies))
+    table = hartley_table(spec6.lattice, spec6.hartley_modes)
+    smeared = table @ (modes.alpha / np.sqrt(2.0 * spec6.frequencies))
     assert_allclose(
         phi2_diff(from_modes(modes), spec6), 4.0 * KAPPA * np.abs(smeared) ** 2, atol=1e-14
     )

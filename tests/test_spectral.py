@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+from emergence_lab import fock_oracle
 from emergence_lab.experiments import FIT_RMS_MAX
 from emergence_lab.spectral import (
     AxiomError,
@@ -23,6 +24,7 @@ from emergence_lab.spectral import (
 from dense_arbiter import (
     dense_function,
     dense_power,
+    hartley_table,
     klein_gordon_matrix,
     klein_gordon_symbol_eigenvalues,
     longdouble_power,
@@ -204,6 +206,22 @@ def test_translation_invariant_route_allocates_no_dense_array(shape):
     assert peak < NO_DENSE_PEAK_BYTES
 
 
+def test_fock_field_operators_allocate_no_dense_array():
+    # the oracle reads f_k(x) for its three modes alone
+    spec = diagonalize(build_klein_gordon(1.0, Lattice((2048,), 0.7)))
+    tracemalloc.start()
+    try:
+        space = fock_oracle.build_fock(spec, (0, 1, 2))
+        for which in ("phi", "pi"):
+            fock_oracle.field_operator(space, 5, which)
+        fock_oracle.potential_operator(space, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spec.hartley_modes is not None
+    assert peak < NO_DENSE_PEAK_BYTES
+
+
 def test_large_lattice_kernel_matches_small_one_near_source():
     # the periodic images add terms of order exp(-m L), zero at both sizes
     near = 40
@@ -266,6 +284,13 @@ PRIMITIVE_RTOL = 1e-10
 
 def _rel_dev(got, ref):
     return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
+def _eigenbasis(spec):
+    """f_k as columns: the arbiter's closed-form table on the FFT route."""
+    if spec.dense_basis is not None:
+        return spec.dense_basis
+    return hartley_table(spec.lattice, spec.hartley_modes)
 
 
 # (shape, spacing, mass ripple): a constant mass transforms by FFT at every
@@ -344,7 +369,7 @@ def test_complex_block_matches_the_dense_arbiter(spec_small, columns):
     assert got.shape == (n, columns)
     assert _rel_dev(got, ref) < PRIMITIVE_RTOL
     coeffs = spec_small.project(block)
-    ref = spec_small.basis.T @ block * spec_small.lattice.cell
+    ref = _eigenbasis(spec_small).T @ block * spec_small.lattice.cell
     assert _rel_dev(coeffs, ref) < PRIMITIVE_RTOL
     assert _rel_dev(spec_small.synthesize(coeffs), block) < PRIMITIVE_RTOL
 
@@ -418,11 +443,15 @@ def test_hartley_basis_diagonalizes_translation_invariant_r(shape, spacing):
     spec = diagonalize(build_klein_gordon(1.3, lat))
     assert spec.hartley_modes is not None
     assert spec.dense_basis is None
-    basis = spec.basis
-    residual = _dense(spec.operator) @ basis - basis * spec.eigenvalues
-    assert np.abs(residual).max() / spec.eigenvalues[-1] <= 1e-12
-    gram = basis.T @ basis * lat.cell
-    assert np.abs(gram - np.eye(lat.nsites)).max() <= 1e-13
+    table = hartley_table(lat, spec.hartley_modes)
+    # the modes the transforms use: column k of synthesize(I) is f_k
+    synthesized = spec.synthesize(np.eye(spec.nmodes))
+    for basis in (table, synthesized):
+        residual = _dense(spec.operator) @ basis - basis * spec.eigenvalues
+        assert np.abs(residual).max() / spec.eigenvalues[-1] <= 1e-12
+        gram = basis.T @ basis * lat.cell
+        assert np.abs(gram - np.eye(lat.nsites)).max() <= 1e-13
+    assert _rel_dev(synthesized, table) <= 1e-14
     assert np.all(np.diff(spec.eigenvalues) >= 0)
 
 
@@ -433,7 +462,8 @@ def test_transforms_agree_with_basis(shape, spacing):
     rng = np.random.default_rng(5)
     field = rng.normal(size=lat.nsites) + 1j * rng.normal(size=lat.nsites)
     coeffs = spec.project(field)
-    assert _rel_dev(coeffs, spec.basis.T @ field * lat.cell) < PRIMITIVE_RTOL
+    ref = hartley_table(lat, spec.hartley_modes).T @ field * lat.cell
+    assert _rel_dev(coeffs, ref) < PRIMITIVE_RTOL
     assert _rel_dev(spec.synthesize(coeffs), field) < PRIMITIVE_RTOL
 
 
