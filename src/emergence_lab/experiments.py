@@ -303,34 +303,52 @@ def _random_state(rng: np.random.Generator, lattice: Lattice) -> PhaseVector:
 
 
 # Random trials are transformed in blocks of at most this many sites x trials
-# (at least one trial): 64 trials at 64 sites, 8 at 512, 2 at 2048 and 12^3.
-# It bounds memory when n_pairs is large: geometry-check@12x12x12 grows a
-# fresh process's RSS by 6.7 MB one trial at a time, 6.8 MB with this value
-# and 10.9 MB with all 20 trials in one block. Median ms per
-# run on a 2-vCPU Xeon (1 BLAS thread), one trial at a time / this value /
-# 8192: segal-check 28.1 / 3.6 / 3.2, nw 15.5 / 6.9 / 5.0 and geometry-check
-# 12.7 / 1.7 / 1.6 at their defaults, nw@2048 29.4 / 24.9 / 21.2 and
-# geometry-check@12x12x12 63.2 / 49.5 / 38.6. 8192 is faster, but in 5 s
-# benchmark runs it raised peak RSS by 0.97 MB (battery, +2.3%) and 0.70 MB
-# (large-lattice), against 0.81 MB and none for this value.
-TRIAL_BLOCK = 4096
+# (at least one trial): 160 trials at 64 sites, 20 at 512, 5 at 2048 and
+# 12^3. A wider block makes fewer FFT calls over more columns each, and a
+# block's arrays are released before the next block is drawn, so the traced
+# peak is one block's. Median ms over 40 runs and tracemalloc peak MB of one
+# run at the default trial counts, 2-vCPU Xeon, 2 BLAS threads, at
+# 4096 -> this value:
+#                   64 sites        512 sites       2048 sites       12^3 sites
+#   geometry-check  2.4->2.3 ms     7.8->5.6 ms     30.4->23.2 ms    42.6->32.0 ms
+#                   0.21->0.21 MB   0.65->1.59 MB   0.71->1.64 MB    0.62->1.43 MB
+#   nw              3.8->3.9 ms     6.7->5.6 ms     22.5->18.3 ms    29.7->23.3 ms
+#                   0.14->0.14 MB   0.74->0.92 MB   0.80->1.88 MB    0.67->1.58 MB
+#   segal-check     4.0->3.5 ms     20.3->16.3 ms   93.1->68.4 ms    125.0->88.6 ms
+#                   0.41->0.63 MB   0.42->1.01 MB   0.48->1.06 MB    0.43->0.95 MB
+# In the same kind of runs 8192 was slower at 512 sites and up, by up to
+# 6 ms; 12288 saved up to 3 ms on geometry-check and nw, cost 4 ms on
+# segal-check at 12^3, and raised the peaks at 2048 and 12^3 by 0.2-0.6 MB.
+TRIAL_BLOCK = 10240
 
 
-def _random_blocks(rng: np.random.Generator, lattice: Lattice, count: int, points: int):
-    """``count`` random trials of ``points`` phase points each, in blocks.
+def _blockwise(rng: np.random.Generator, lattice: Lattice, count: int, points: int,
+               measure) -> tuple[np.ndarray, ...]:
+    """Per-trial results of ``measure`` over ``count`` random trials.
 
-    Yields one tuple of ``points`` PhaseVector blocks (sites x k) per block.
-    One draw per block takes the same numbers, in the same order, as
+    The trials are drawn in blocks; ``measure`` takes one block's ``points``
+    PhaseVector blocks (sites x k) and returns a tuple of arrays with one row
+    per trial, and each result is concatenated over the blocks. A block's
+    arrays are released when ``measure`` returns, before the next block is
+    drawn. One draw per block takes the same numbers, in the same order, as
     ``points`` successive ``_random_state`` calls per trial.
     """
     n = lattice.nsites
     size = max(1, TRIAL_BLOCK // n)
-    for start in range(0, count, size):
-        draws = rng.normal(size=(min(size, count - start), 2 * points, n))
-        yield tuple(
-            PhaseVector(lattice, draws[:, 2 * i].T, draws[:, 2 * i + 1].T)
-            for i in range(points)
-        )
+    results = [
+        measure(*_draw_block(rng, lattice, min(size, count - start), points))
+        for start in range(0, count, size)
+    ]
+    return tuple(np.concatenate(parts) for parts in zip(*results))
+
+
+def _draw_block(rng: np.random.Generator, lattice: Lattice, k: int, points: int):
+    """``points`` PhaseVector blocks of k random trials each."""
+    draws = rng.normal(size=(k, 2 * points, lattice.nsites))
+    return tuple(
+        PhaseVector(lattice, draws[:, 2 * i].T, draws[:, 2 * i + 1].T)
+        for i in range(points)
+    )
 
 
 def _column_max(block: np.ndarray) -> np.ndarray:
@@ -458,24 +476,24 @@ def _run_modes_check(config, rng) -> tuple[list[CheckRecord], list[Table]]:
 def _run_geometry_check(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     spec = _spectrum(config, 64)
     lattice = spec.lattice
-    j_sq, rhs_dev, sympl, forms = [], [], [], []
-    for u, v in _random_blocks(rng, lattice, 20, 2):
+
+    def measure(u, v):
         # each point is transformed once, and every check below shares it
         ju, jv = apply_J(u, spec), apply_J(v, spec)
         mu, mv = to_modes(u, spec), to_modes(v, spec)
-        j_sq.extend(np.ravel((apply_J(ju, spec) + u).norm() / u.norm()))
+        j_sq = (apply_J(ju, spec) + u).norm() / u.norm()
         hamilton = PhaseVector(lattice, u.pi, -spec.operator.apply(u.phi))
         rhs = schrodinger_rhs(u, spec) - hamilton
-        rhs_dev.extend(np.ravel(rhs.norm() / hamilton.norm()))
         f_alpha, f_qp = alpha_form(mu, mv), qp_form(mu, mv)
         f_direct = direct_form(u, v, jv)
-        forms.append(np.column_stack(
+        forms = np.column_stack(
             (_rel(f_alpha, f_qp), _rel(f_alpha, f_direct), _rel(f_qp, f_direct))
-        ))
+        )
         om = symplectic(u, v)
-        om_j = symplectic(ju, jv)
-        sympl.extend(np.ravel(np.abs(om_j - om) / np.maximum(np.abs(om), 1e-300)))
-    forms = np.concatenate(forms)
+        sympl = np.abs(symplectic(ju, jv) - om) / np.maximum(np.abs(om), 1e-300)
+        return np.ravel(j_sq), np.ravel(rhs.norm() / hamilton.norm()), forms, np.ravel(sympl)
+
+    j_sq, rhs_dev, forms, sympl = _blockwise(rng, lattice, 20, 2, measure)
     checks = [
         CheckRecord("J_squared_is_minus_identity", np.max(j_sq), upper=FORM_TOL),
         CheckRecord("rhs_matches_hamilton", np.max(rhs_dev), upper=FORM_TOL),
@@ -669,19 +687,24 @@ def _run_nw(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     spec = _spectrum(config, 512)
     lattice = spec.lattice
     compton = 1.0 / config.mass
-    commute, norm_dev, roundtrip, evolve_dev = [], [], [], []
-    for (u,) in _random_blocks(rng, lattice, 10, 1):
+
+    def measure(u):
         # u's mode amplitudes, shared by the NW map, the norm and the evolution
         mu = to_modes(u, spec)
         nw = nw_from_modes(mu)
-        commute.extend(_column_max(1j * nw.psi - to_nw(apply_J(u, spec), spec).psi))
+        # i psi is formed after the NW image of J u, whose transforms set the
+        # block's peak memory
+        commute = _column_max(to_nw(apply_J(u, spec), spec).psi - 1j * nw.psi)
         norm_u = np.sqrt(alpha_form(mu, mu).real)
-        norm_dev.extend(np.ravel(np.abs(nw_norm(nw) - norm_u) / norm_u))
-        roundtrip.extend(_roundtrip(from_nw(nw), u))
+        norm_dev = np.ravel(np.abs(nw_norm(nw) - norm_u) / norm_u)
+        roundtrip = _roundtrip(from_nw(nw), u)
         # evolve_state(u, spec, t), from the shared amplitudes
         evolved = from_modes(evolve_modes(mu, config.time))
         route_a = to_nw(evolved, spec).psi
-        evolve_dev.extend(_column_max(route_a - evolve_nw(nw, config.time).psi))
+        evolve_dev = _column_max(route_a - evolve_nw(nw, config.time).psi)
+        return commute, norm_dev, roundtrip, evolve_dev
+
+    commute, norm_dev, roundtrip, evolve_dev = _blockwise(rng, lattice, 10, 1, measure)
     checks = [
         CheckRecord("nw_intertwines_J", np.max(commute), upper=FORM_TOL),
         CheckRecord("norm_agreement", np.max(norm_dev), upper=FORM_TOL),
@@ -776,8 +799,8 @@ def _run_asymptotics(config, rng) -> tuple[list[CheckRecord], list[Table]]:
 def _run_segal_check(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     spec = _spectrum(config, 64)
     lattice = spec.lattice
-    forms = []
-    for u, v in _random_blocks(rng, lattice, config.n_pairs, 2):
+
+    def measure(u, v):
         mu, mv = to_modes(u, spec), to_modes(v, spec)
         values = (
             alpha_form(mu, mv),
@@ -785,7 +808,9 @@ def _run_segal_check(config, rng) -> tuple[list[CheckRecord], list[Table]]:
             direct_form(u, v, apply_J(v, spec)),
             segal_form(u, v, apply_J(u, spec)),
         )
-        forms += [_rel(a, b) for a, b in itertools.combinations(values, 2)]
+        return (np.column_stack([_rel(a, b) for a, b in itertools.combinations(values, 2)]),)
+
+    (forms,) = _blockwise(rng, lattice, config.n_pairs, 2, measure)
     u = _random_state(rng, lattice)
     v = _random_state(rng, lattice)
     before = alpha_form(to_modes(u, spec), to_modes(v, spec))
@@ -795,7 +820,7 @@ def _run_segal_check(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     )
     worst_drift = _rel(before, after)
     checks = [
-        CheckRecord("four_forms_agree", np.max(np.concatenate(forms)), upper=FORM_TOL),
+        CheckRecord("four_forms_agree", np.max(forms), upper=FORM_TOL),
         CheckRecord("time_invariance", worst_drift, upper=DRIFT_TOL),
     ]
     return checks, []

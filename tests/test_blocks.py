@@ -2,13 +2,14 @@
 k single points.
 
 Every transform and reduction of ``modes``, ``geometry`` and
-``newton_wigner`` takes a block. A constant mass takes the FFT route at
-every lattice size, where a block column meets the same arithmetic as the
-column alone, so the match is bitwise.
+``newton_wigner``, and every ``particle`` probe, takes a block. A constant
+mass takes the FFT route at every lattice size, where a block column meets
+the same arithmetic as the column alone, so the match is bitwise.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 import types
 
 import numpy as np
@@ -41,6 +42,7 @@ from emergence_lab.newton_wigner import (
     nw_norm,
     to_nw,
 )
+from emergence_lab.particle import energy_density_diff, phi2_diff, pi2_diff
 from emergence_lab.spectral import Lattice, build_klein_gordon, diagonalize
 
 COLUMNS = 3
@@ -85,6 +87,9 @@ CASES = {
     "norm": lambda s, p: p.u.norm(),
     "hamiltonian_energy": lambda s, p: hamiltonian_energy(p.modes),
     "field_hamiltonian": lambda s, p: field_hamiltonian(p.u, s.operator),
+    "phi2_diff": lambda s, p: phi2_diff(p.u, s),
+    "pi2_diff": lambda s, p: pi2_diff(p.u, s),
+    "energy_density_diff": lambda s, p: energy_density_diff(p.u, s),
 }
 
 
@@ -119,16 +124,41 @@ def test_block_equals_its_columns_one_at_a_time(spec, name, layout):
     "experiment", ["geometry-check", "segal-check", "nw"]
 )
 @pytest.mark.parametrize(
-    "shape", [(64,), (2048,), (12, 12, 12)], ids=["64", "2048", "12^3"]
+    "shape", [(64,), (2048,), (12, 12, 12), (5, 1)], ids=["64", "2048", "12^3", "5x1"]
 )
 def test_records_do_not_depend_on_the_block_size(monkeypatch, experiment, shape):
-    # at two trials per block, segal-check's nine pairs end in a short block
+    # at five trials per block (2048 sites and 12^3), segal-check's nine pairs
+    # end in a short block; one trial per block and one block holding every
+    # trial give the same records and tables. On a (5, 1) lattice a block of
+    # one trial has the grid shape, so it is one point, not a block
     config = ExperimentConfig(experiment, shape=shape, n_pairs=9, seed=5)
     blocked, blocked_tables = run_experiment(config)
-    monkeypatch.setattr(experiments, "TRIAL_BLOCK", 1)
-    single, single_tables = run_experiment(config)
-    assert [c.measured for c in blocked.checks] == [c.measured for c in single.checks]
-    assert blocked_tables == single_tables
+    for budget in (1, 10**9):
+        monkeypatch.setattr(experiments, "TRIAL_BLOCK", budget)
+        other, other_tables = run_experiment(config)
+        # NaN records (nw's delta fit on 5 sites) match NaN
+        np.testing.assert_array_equal(
+            [c.measured for c in other.checks], [c.measured for c in blocked.checks]
+        )
+        assert other_tables == blocked_tables
+
+
+@pytest.mark.parametrize("shape", [(2048,), (12, 12, 12)], ids=["2048", "12^3"])
+def test_later_blocks_hold_no_more_memory_than_the_first(shape):
+    # each block's arrays are released before the next block is drawn, so
+    # segal-check over three full blocks peaks no higher than over one
+    per_block = max(1, experiments.TRIAL_BLOCK // Lattice(shape).nsites)
+    peaks = []
+    for n_pairs in (per_block, 3 * per_block):
+        config = ExperimentConfig("segal-check", shape=shape, n_pairs=n_pairs)
+        run_experiment(config)
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.02 * peaks[0]
 
 
 def test_phase_fields_of_different_widths_are_refused():

@@ -204,21 +204,22 @@ def test_elp_seed_8009_trial_fails_on_fit_rms_alone():
     assert not trials.passed
 
 
-# At 512 sites a block holds 8 trials. geometry-check's 20 trials are 3
-# blocks, each 10 applies (J u, J v, J J u, and 4 in the right-hand side) and
-# 4 projections (to_modes of u and v); nw's 10 are 2 blocks of 7 projections
+# At 512 sites a block holds 20 trials. geometry-check's 20 trials are one
+# block of 10 applies (J u, J v, J J u, and 4 in the right-hand side) and 4
+# projections (to_modes of u and v); nw's 10 are one block of 7 projections
 # (to_modes of u, of J u and of the evolved u, and from_nw), plus one each
-# for the NW delta and the non-relativistic comparison. nw's 9 applies are 3
-# per block (two powers of R in J u, and the NW evolution), 1 for the
+# for the NW delta and the non-relativistic comparison. nw's 6 applies are 3
+# for the block (two powers of R in J u, and the NW evolution), 1 for the
 # leakage, and 2 for the NW delta: its phi2 excess, and its closed-form
 # kernel column, which is f(R) on a unit vector. segal-check's 100 pairs are
-# 13 blocks of 4 projections, plus 12 for time_invariance.
+# 5 blocks of 4 applies and 4 projections, plus 12 projections for
+# time_invariance.
 @pytest.mark.parametrize(
     "experiment, expected",
     [
-        ("geometry-check", {"apply_function": 30, "project": 12, "synthesize": 0}),
-        ("nw", {"apply_function": 9, "project": 16, "synthesize": 16}),
-        ("segal-check", {"apply_function": 52, "project": 64, "synthesize": 4}),
+        ("geometry-check", {"apply_function": 10, "project": 4, "synthesize": 0}),
+        ("nw", {"apply_function": 6, "project": 9, "synthesize": 9}),
+        ("segal-check", {"apply_function": 20, "project": 32, "synthesize": 4}),
     ],
 )
 def test_each_trial_transforms_its_fields_once(monkeypatch, experiment, expected):
