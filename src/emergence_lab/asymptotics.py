@@ -8,12 +8,14 @@ radius r is the one-dimensional integral
 Two independent evaluations are provided. The contour route closes the
 integral in the upper half plane around the complex zeros k_i of the
 symbol: for fractional lam one branch-cut integral up the imaginary axis
-from the lowest zero, evaluated by a fixed tanh-sinh (double-exponential)
-rule in numpy on the intervals between zeros, or for lam = -1 a plain
-residue per zero. The direct route integrates the oscillatory integrand
-over half-period panels with Gauss-Legendre rules and sums the alternating
-series by repeated averaging. They share no code and are compared against each other (and, for
-the Klein-Gordon symbol, against Bessel/Yukawa closed forms) in the tests.
+from the lowest zero, of the closed-form jump 2 i sin(pi lam n) |P(-y^2)|^lam
+of P^lam across it at k = i y (n zeros at or below i y), evaluated by a
+fixed tanh-sinh (double-exponential) rule in numpy on the intervals between
+zeros, or for lam = -1 a plain residue per zero. The direct route
+integrates the oscillatory integrand over half-period panels with
+Gauss-Legendre rules and sums the alternating series by repeated averaging.
+They share no code and are compared against each other (and, for the
+Klein-Gordon symbol, against Bessel/Yukawa closed forms) in the tests.
 
 Every decay question reduces to the zeros: the slowest-decaying term comes
 from the zero with the smallest imaginary part v0, giving kernels that fall
@@ -40,10 +42,6 @@ from .spectral import (
 )
 
 LAMBDA_CONVERGENCE_MAX = -0.5  # integrals diverge for larger exponents
-# two-sided offset for cut jumps, relative to the distance from the nearer
-# interval end; the jump's first-order error is about this size (nil at
-# lam = -1/2), and the factored power keeps its sign exact however small
-SIDE_OFFSET = 1e-12
 RHO_CUTOFF = 40.0  # integrate the cut to rho = RHO_CUTOFF / r
 # tanh-sinh rule: step in s and node range |s| <= extent. At 6 the outermost
 # node sits ~1e-275 of the interval from its end, so the neglected piece of a
@@ -184,11 +182,6 @@ def _residue_kernel(symbol: SymbolPolynomial, branch: BranchStructure, r: float)
     Closing Int_R k e^{ikr} / P(k^2) dk upward picks up residues
     e^{i k_i r} / (2 P'(s_i)).
     """
-    if not _simple_roots(branch.s_roots):
-        raise NotImplementedError(
-            "residue route needs simple symbol zeros; this symbol has "
-            "(numerically) repeated roots"
-        )
     total = 0.0 + 0.0j
     for s, k in zip(branch.s_roots, branch.zeros):
         total += cmath.exp(1j * k * r) / (2.0 * complex(symbol.derivative(s)))
@@ -198,57 +191,6 @@ def _residue_kernel(symbol: SymbolPolynomial, branch: BranchStructure, r: float)
             f"residue sum has spurious imaginary part {value.imag:.3e}"
         )
     return float(value.real)
-
-
-def _factored_power(
-    symbol: SymbolPolynomial,
-    zeros: np.ndarray,
-    lam: float,
-    base: np.ndarray,
-    dk: np.ndarray,
-) -> np.ndarray:
-    """P(k^2)^lam at k = base + dk, with the branch adapted to vertical cuts.
-
-    Taking per-factor principal powers prod_j (k^2 - s_j)^lam keeps the
-    function analytic away from the vertical rays whenever the s-roots are
-    real and negative (each factor's own cut is then exactly that ray); the
-    principal power of the assembled product would instead jump across
-    spurious curves where factors' phases add up past pi. On the real axis
-    both definitions coincide with the positive real value.
-
-    Each factor is formed as ((base - k_j) + dk) ((base + k_j) + dk), so a
-    point a tiny dk away from a zero base = k_j keeps all its digits; the
-    expanded k^2 - s_j would lose them all to cancellation. The product of
-    principal powers is taken in polar form: the moduli multiply and the
-    principal arguments add before the one power.
-    """
-    lead = complex(symbol.coeffs[-1])
-    modulus, phase = abs(lead), cmath.phase(lead)
-    for k_j in zeros:
-        factor = ((base - k_j) + dk) * ((base + k_j) + dk)
-        modulus = modulus * np.abs(factor)
-        phase = phase + np.angle(factor)
-    phase = lam * phase
-    return modulus**lam * (np.cos(phase) + 1j * np.sin(phase))
-
-
-def _cut_discontinuity(
-    symbol: SymbolPolynomial,
-    zeros: np.ndarray,
-    lam: float,
-    base: np.ndarray,
-    dk: np.ndarray,
-) -> np.ndarray:
-    """Two-sided jump of the adapted-branch power across the ray at base + dk.
-
-    dk is purely imaginary, measured from the nearer end of the interval
-    (where a zero may sit); the two sides lie SIDE_OFFSET |dk| to its right
-    and left, so the offset shrinks as the point nears that end.
-    """
-    eps = SIDE_OFFSET * np.abs(dk)
-    return _factored_power(symbol, zeros, lam, base, dk + eps) - _factored_power(
-        symbol, zeros, lam, base, dk - eps
-    )
 
 
 @functools.cache
@@ -281,28 +223,39 @@ def branch_cut_kernel(symbol: SymbolPolynomial, lam: float, r: float) -> float:
     """Kernel value R^lam(r) via upper-half-plane contour pieces.
 
     For fractional lam the one cut runs up the imaginary axis from the
-    lowest zero k_0 = i v, and the kernel is
+    lowest zero k_0 = i v. At k = i y every factor k^2 - s_j = v_j^2 - y^2
+    of P is real, and the n factors whose zero i v_j lies at or below i y
+    are negative, with phase +pi just right of the axis and -pi just left of
+    it. So P^lam jumps by 2 i sin(pi lam n) |P(-y^2)|^lam across the cut,
+    and with y = v + rho the kernel is the real integral
 
-        e^{-v r} Int_0^inf disc(rho) i (v + rho) e^{-rho r} d rho / (2 pi)^2 r,
+        -e^{-v r} Int_0^inf 2 sin(pi lam n) |P(-y^2)|^lam y e^{-rho r} d rho
+        / (2 pi)^2 r.
 
-    where disc is the discontinuity of the adapted-branch power across the
-    ray; the higher zeros lie on that ray and only split it into intervals.
-    Each interval, up to rho = RHO_CUTOFF / r, is integrated by a fixed
-    tanh-sinh rule (Takahasi & Mori 1974), whose nodes cluster
-    double-exponentially at both ends and so absorb the integrable rho^lam
-    edges there; nodes are placed by their distance to the nearer end, and
-    the integrand is evaluated relative to that end, so it stays exact at
-    the branch points. The error estimate is the difference
-    between the rules of step h and 2h on the same samples. Exact for
-    symbols whose zeros lie on the imaginary axis (any product of
-    positive-mass factors); lam = -1 is routed to the residue formula, and
-    other exponents raise NotImplementedError for zeros off that axis, whose
-    per-factor cuts are not the ray integrated here.
+    The higher zeros only split the cut into intervals, on each of which n
+    is the number of zeros at or below its lower end. Each interval, up to
+    rho = RHO_CUTOFF / r, is integrated by a fixed tanh-sinh rule (Takahasi
+    & Mori 1974), whose nodes cluster double-exponentially at both ends and
+    so absorb the integrable rho^lam edges there; nodes are placed by their
+    distance to the nearer end, and each factor is formed relative to that
+    end, so it stays exact at the branch points. The error estimate is the
+    difference between the rules of step h and 2h on the same samples.
+    Exact for symbols whose simple zeros lie on the imaginary axis (any
+    product of distinct positive-mass factors); lam = -1 is routed to the
+    residue formula, and other exponents raise NotImplementedError for zeros
+    off that axis, whose per-factor cuts are not the ray integrated here. A
+    repeated zero raises NotImplementedError on both routes: its jump goes
+    as rho^{2 lam}, never integrable for lam <= -1/2.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
     _require_convergent(lam)
     branch = symbol.branch
+    if not _simple_roots(branch.s_roots):
+        raise NotImplementedError(
+            "contour route needs simple symbol zeros; this symbol has "
+            "(numerically) repeated roots"
+        )
     if abs(lam - round(lam)) < 1e-12:
         if round(lam) == -1:
             return _residue_kernel(symbol, branch, r)
@@ -320,25 +273,32 @@ def branch_cut_kernel(symbol: SymbolPolynomial, lam: float, r: float) -> float:
     gap, weight, coarse_weight = _tanh_sinh_rule()
     from_lower = gap > 0
     cutoff = RHO_CUTOFF / r
-    # every zero lies on the imaginary axis, so one cut runs up it from the
-    # lowest zero, and the higher zeros only split it into intervals
-    k0, *higher = sorted(branch.zeros, key=lambda z: z.imag)
-    v = k0.imag
-    breaks = [k for k in higher if k.imag - v < cutoff]
-    ends = [0.0, *(k.imag - v for k in breaks), cutoff]
-    anchors = [k0, *breaks, k0 + 1j * cutoff]
-    piece = coarse = 0.0 + 0.0j
-    for lo, hi, k_lo, k_hi in zip(ends, ends[1:], anchors, anchors[1:]):
+    heights = sorted(k.imag for k in branch.zeros)
+    v = heights[0]
+    breaks = [h for h in heights[1:] if h - v < cutoff]
+    ends = [0.0, *(h - v for h in breaks), cutoff]
+    anchors = [v, *breaks, v + cutoff]
+    lead = symbol.coeffs[-1]  # positive, since P(0) > 0 and every s_j < 0
+    piece = coarse = 0.0
+    # n counts the zeros at or below an interval's lower end; read off the
+    # interval, since the outermost nodes round onto their end
+    intervals = zip(ends, ends[1:], anchors, anchors[1:])
+    for n, (lo, hi, y_lo, y_hi) in enumerate(intervals, start=1):
         half = 0.5 * (hi - lo)
         offset = half * gap
         rho = np.where(from_lower, lo, hi) + offset
-        base = np.where(from_lower, k_lo, k_hi)
+        base = np.where(from_lower, y_lo, y_hi)
         # at a non-integrable edge (lam < -1) the outermost samples
         # overflow; the inf or nan they leave fails the error gate below
         with np.errstate(over="ignore", invalid="ignore"):
+            modulus = lead
+            for v_j in heights:
+                factor = ((base - v_j) + offset) * ((base + v_j) + offset)
+                modulus = modulus * np.abs(factor)
             values = (
-                _cut_discontinuity(symbol, branch.zeros, lam, base, 1j * offset)
-                * (1j * (v + rho))
+                (-2.0 * math.sin(math.pi * lam * n))
+                * modulus**lam
+                * (v + rho)
                 * np.exp(-rho * r)
             )
             piece += half * (values @ weight)
@@ -346,14 +306,9 @@ def branch_cut_kernel(symbol: SymbolPolynomial, lam: float, r: float) -> float:
     err = abs(piece - coarse)
     if not err <= 1e-7 * (abs(piece) + 1e-300):  # a nan error fails too
         raise AsymptoticsError(
-            f"cut integral at zero {k0:.6g} converged only to {err:.3e}"
+            f"cut integral at zero {1j * v:.6g} converged only to {err:.3e}"
         )
-    value = math.exp(-v * r) * piece / ((2.0 * math.pi) ** 2 * r)
-    if abs(value.imag) > 1e-8 * (abs(value.real) + 1e-300):
-        raise AsymptoticsError(
-            f"cut sum has spurious imaginary part {value.imag:.3e}"
-        )
-    return float(value.real)
+    return float(math.exp(-v * r) * piece / ((2.0 * math.pi) ** 2 * r))
 
 
 # ---------------------------------------------------------------------------

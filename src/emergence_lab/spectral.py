@@ -270,13 +270,14 @@ def _hartley(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
     ``H v(k) = sum_x v(x) cas(2 pi k.x/N)`` with cas = cos + sin, which is
     Re F - Im F of the DFT F for real v. H is symmetric and H^2 = N, so it
-    also synthesizes. Complex v is transformed by parts, in one call: as the
-    real (sites x 2k) block of its real and imaginary parts side by side
-    (its float view).
+    also synthesizes. Complex v is transformed by parts: its real and
+    imaginary parts by one real call each, straight into those of the result.
     """
     if np.iscomplexobj(values):
-        pairs = np.ascontiguousarray(values).reshape(math.prod(shape), -1)
-        return _hartley(pairs.view(float), shape).view(complex).reshape(values.shape)
+        out = np.empty(values.shape, complex)
+        out.real = _hartley(values.real, shape)
+        out.imag = _hartley(values.imag, shape)
+        return out
     # transformed in place, so one complex copy is the only temporary
     spectrum = values.reshape(shape + values.shape[1:]).astype(complex)
     np.fft.fftn(spectrum, axes=tuple(range(len(shape))), out=spectrum)

@@ -160,6 +160,19 @@ def test_inverse_sqrt_kernel_is_bessel(mass, r):
     assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("mass", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("lam", [-0.55, -0.6, -0.75, -0.9, -0.95])
+def test_fractional_kernel_is_bessel(mass, lam):
+    # (-Lap + m^2)^lam in three dimensions, with nu = 3/2 + lam:
+    # (2 pi)^{-3/2} 2^{1 + lam} / Gamma(-lam) (m / r)^nu K_nu(m r)
+    sym = SymbolPolynomial.klein_gordon(mass)
+    nu = 1.5 + lam
+    scale = (2.0 * math.pi) ** -1.5 * 2.0 ** (1.0 + lam) / math.gamma(-lam)
+    for r in (1.0, 2.0, 4.0, 8.0, 15.0):
+        want = scale * (mass / r) ** nu * special.kv(nu, mass * r)
+        assert branch_cut_kernel(sym, lam, r) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("mass,r", [(1.0, 2.0), (1.5, 5.0), (0.5, 1.0), (2.0, 3.0)])
 def test_inverse_kernel_is_yukawa(mass, r):
     # lambda = -1 collapses to the residue at the pole: exp(-m r) / (4 pi r)
@@ -179,8 +192,9 @@ def test_contour_and_direct_routes_agree(sym, lam, r):
     a = branch_cut_kernel(sym, lam, r)
     b = direct_radial_integral(sym, lam, r)
     assert a == pytest.approx(b, rel=1e-4)
-    # both routes are far better than the gate in practice
-    assert abs(a - b) <= 1e-8 * abs(b)
+    # both routes are far better than the gate in practice: to r = 8 the
+    # worst gap is the direct route's own 4.6e-13, and at r = 15 it is 1.9e-9
+    assert abs(a - b) <= (1e-12 if r <= 8.0 else 1e-8) * abs(b)
 
 
 @pytest.mark.parametrize("sym", [KG, TWO_FACTOR], ids=["kg", "two-factor"])
@@ -189,6 +203,14 @@ def test_non_integrable_cut_raises(sym, lam):
     # the jump grows as rho^lam at the branch point: not integrable below -1
     with pytest.raises(AsymptoticsError, match="converged only"):
         branch_cut_kernel(sym, lam, 4.0)
+
+
+@pytest.mark.parametrize("lam", [-0.6, -0.75, -1.0])
+def test_repeated_zero_not_implemented(lam):
+    # (s + 1)^2: a double zero's jump goes as rho^{2 lam}, never integrable
+    # for lam <= -1/2, and its pole is not simple
+    with pytest.raises(NotImplementedError, match="simple symbol zeros"):
+        branch_cut_kernel(SymbolPolynomial((1.0, 2.0, 1.0)), lam, 4.0)
 
 
 def test_divergent_exponent_rejected():

@@ -467,6 +467,25 @@ def test_transforms_agree_with_basis(shape, spacing):
     assert _rel_dev(spec.synthesize(coeffs), field) < PRIMITIVE_RTOL
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", [(2048,), (12, 12, 12)])
+def test_complex_synthesis_holds_few_temporaries(shape, order):
+    # the result, the grid copy, and one part's complex spectrum and real
+    # difference at a time: 3.5x the result, whatever its memory order
+    spec = diagonalize(build_klein_gordon(1.0, Lattice(shape, 0.7)))
+    rng = np.random.default_rng(2)
+    size = (spec.nmodes, 5)
+    coeffs = np.asarray(rng.normal(size=size) + 1j * rng.normal(size=size), order=order)
+    spec.synthesize(coeffs)  # warm up outside the trace
+    tracemalloc.start()
+    try:
+        field = spec.synthesize(coeffs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * field.nbytes
+
+
 @pytest.mark.parametrize("shape", [(512,), (2048,), (18, 17), (12, 12, 12)])
 def test_symbol_is_exactly_even(shape):
     # R is symmetric, so omega^2(k) = omega^2(-k) bit for bit, and each +-k
