@@ -384,8 +384,9 @@ def bin_by_distance(distances: np.ndarray, values: np.ndarray):
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     mags = np.abs(np.asarray(values))[order]
-    uniq, starts = np.unique(keys, return_index=True)
-    out_d = uniq.astype(float) * DISTANCE_BIN
+    # a bin starts where the sorted key changes
+    starts = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
+    out_d = keys[starts].astype(float) * DISTANCE_BIN
     out_v = np.maximum.reduceat(mags, starts)
     return out_d, out_v
 
@@ -402,9 +403,22 @@ def kernel_profile(spec: Spectrum, exponent: float, source: int):
 
 
 def log_linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares line through (x, ln y): slope, intercept, RMS residual."""
+    """Least-squares line through (x, ln y): slope, intercept, RMS residual.
+
+    Solved in closed form on centred x: with dx = x - mean(x), the slope is
+    sum(dx (ln y - mean(ln y))) / sum(dx^2) and the intercept
+    mean(ln y) - slope mean(x). Raises ValueError for fewer than two
+    distinct x, where the line is not determined.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size == 0 or np.all(x == x[0]):
+        distinct = min(x.size, 1)
+        raise ValueError(f"a line fit needs at least two distinct x, got {distinct}")
     logy = np.log(y)
-    slope, intercept = np.polyfit(x, logy, 1)
+    mean_x, mean_logy = x.mean(), logy.mean()
+    dx = x - mean_x
+    slope = np.sum(dx * (logy - mean_logy)) / np.sum(dx * dx)
+    intercept = mean_logy - slope * mean_x
     resid = logy - (slope * x + intercept)
     return float(slope), float(intercept), float(np.sqrt(np.mean(resid**2)))
 

@@ -6,7 +6,9 @@ localization, ELP, Newton-Wigner, Segal forms), the continuum kernels of
 the Fock oracle (whose operators are numpy diagonals). scipy is a test
 dependency only, as an independent arbiter. The test runs a fresh
 interpreter with scipy imports blocked, because this test process has
-imported scipy itself.
+imported scipy itself. Likewise the FFT route of a constant mass runs no
+LAPACK routine, which the guard below checks with numpy's entries to LAPACK
+patched to raise.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import emergence_lab
-from emergence_lab.cli import main
+from emergence_lab.cli import EXIT_NUMERIC, main
 from emergence_lab.experiments import EXPERIMENT_NAMES
 
 PACKAGE = Path(emergence_lab.__file__).resolve().parent
@@ -96,6 +100,44 @@ def test_numpy_layers_run_with_scipy_blocked(tmp_path):
         ref = tmp_path / "ref" / name
         assert result["codes"][name] == main(argv + ["--out", str(ref)]), name
         assert _files(tmp_path / "blocked" / name) == _files(ref), name
+
+
+# numpy's entries to LAPACK; the first call maps ~1 MB of library code
+LAPACK_ROUTINES = [(np, "polyfit"), (np, "roots")] + [
+    (np.linalg, name)
+    for name in (
+        "lstsq", "svd", "eig", "eigh", "eigvals", "eigvalsh", "solve", "qr",
+        "pinv", "inv",
+    )
+]
+
+
+class LapackCalled(Exception):
+    """A numpy routine that calls LAPACK was called."""
+
+
+def test_fft_route_experiments_call_no_lapack(tmp_path, monkeypatch):
+    # every experiment on a constant mass, at defaults and at the large
+    # sizes, with the LAPACK entries patched to raise: the spectrum is the
+    # FFT of one column and every decay fit is a closed-form line.
+    # asymptotics is left out: its symbol's branch points come from np.roots
+    for module, name in LAPACK_ROUTINES:
+        def refuse(*args, _name=name, **kwargs):
+            raise LapackCalled(_name)
+
+        monkeypatch.setattr(module, name, refuse)
+    defaults = [
+        "kernel", "localize", "elp", "nw", "geometry-check", "segal-check",
+        "modes-check", "oracle-verify",
+    ]
+    runs = [(exp, None) for exp in defaults]
+    runs += [(exp, "2048") for exp in ("kernel", "localize", "elp", "nw")]
+    runs += [(exp, "12 12 12") for exp in ("geometry-check", "localize")]
+    for i, (exp, shape) in enumerate(runs):
+        argv = [exp, "--out", str(tmp_path / f"out{i}")]
+        if shape is not None:
+            argv += ["--config", _write_cfg(tmp_path, exp, shape)]
+        assert main(argv) != EXIT_NUMERIC, (exp, shape)
 
 
 def test_every_public_name_resolves():

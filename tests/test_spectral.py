@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from emergence_lab import fock_oracle
 from emergence_lab.experiments import FIT_RMS_MAX
 from emergence_lab.spectral import (
+    DISTANCE_BIN,
     AxiomError,
     Lattice,
     ROperator,
@@ -19,6 +20,7 @@ from emergence_lab.spectral import (
     diagonalize,
     fit_decay_length,
     kernel_profile,
+    log_linear_fit,
 )
 
 from dense_arbiter import (
@@ -561,6 +563,75 @@ def test_bin_by_distance_keeps_max_magnitude():
     out_d, out_v = bin_by_distance(d, v)
     assert len(out_d) == 2
     assert_allclose(out_v, [0.9, 0.1])
+
+
+@pytest.mark.parametrize("shape", [(2048,), (12, 12, 12)])
+def test_bin_by_distance_matches_unique_binning(shape):
+    # bins come from the stable sort's key changes; np.unique over the same
+    # sorted keys is the reference, bit for bit, on distances full of ties
+    lat = Lattice(shape, 0.5)
+    values = np.random.default_rng(7).standard_normal(lat.nsites)
+    for source in (0, lat.nsites // 3):
+        distances = lat.distances_from(source)
+        keys = np.round(distances / DISTANCE_BIN).astype(np.int64)
+        order = np.argsort(keys, kind="stable")
+        uniq, starts = np.unique(keys[order], return_index=True)
+        ref_d = uniq.astype(float) * DISTANCE_BIN
+        ref_v = np.maximum.reduceat(np.abs(values)[order], starts)
+        got_d, got_v = bin_by_distance(distances, values)
+        assert got_d.tobytes() == ref_d.tobytes()
+        assert got_v.tobytes() == ref_v.tobytes()
+        assert len(got_d) < lat.nsites
+
+
+def _longdouble_line(x, y):
+    """Centred least-squares slope and intercept of (x, ln y) in long double."""
+    x = np.asarray(x, dtype=np.longdouble)
+    logy = np.log(y).astype(np.longdouble)
+    dx = x - x.mean()
+    slope = np.sum(dx * (logy - logy.mean())) / np.sum(dx * dx)
+    return slope, logy.mean() - slope * x.mean()
+
+
+def _fit_cases():
+    rng = np.random.default_rng(2024)
+    cases = {
+        "exact": np.linspace(3.0, 20.0, 40),
+        "six-points": np.arange(3.0, 9.0),
+        "far-300": np.linspace(300.0, 320.0, 25),
+        "far-1e4": 1e4 + np.arange(6.0),
+    }
+    for name, x in cases.items():
+        # decay from 1 at the first x, so far windows stay in range
+        logy = -(x - x[0]) / 1.3
+        yield name, x, np.exp(logy)
+        yield name + "-noisy", x, np.exp(logy + 0.05 * rng.standard_normal(x.size))
+
+
+@pytest.mark.parametrize(
+    "name,x,y", [pytest.param(*case, id=case[0]) for case in _fit_cases()]
+)
+def test_log_linear_fit_is_the_least_squares_line(name, x, y):
+    slope, intercept, rms = log_linear_fit(x, y)
+    ref_slope, ref_intercept = _longdouble_line(x, y)
+    assert abs(slope - ref_slope) <= 1e-14 * abs(ref_slope)
+    # the intercept carries slope * mean(x), so its error scales with it
+    scale = abs(ref_intercept) + abs(ref_slope * np.mean(x))
+    assert abs(intercept - ref_intercept) <= 1e-14 * scale
+    poly_slope, poly_intercept = np.polyfit(x, np.log(y), 1)
+    assert_allclose(slope, poly_slope, rtol=1e-12)
+    assert abs(intercept - poly_intercept) <= 1e-12 * scale
+    resid = np.log(y) - (slope * x + intercept)
+    assert rms == np.sqrt(np.mean(resid**2))
+    if "noisy" not in name:
+        assert rms < 1e-12 * scale
+
+
+@pytest.mark.parametrize("x,distinct", [([], 0), ([4.0], 1), ([2.5, 2.5, 2.5], 1)])
+def test_log_linear_fit_refuses_fewer_than_two_distinct_x(x, distinct):
+    y = np.exp(-np.asarray(x))
+    with pytest.raises(ValueError, match=f"two distinct x, got {distinct}$"):
+        log_linear_fit(x, y)
 
 
 def test_synthetic_exponential_fit_recovers_length():
