@@ -116,6 +116,7 @@ class BranchStructure:
     """Upper-half-plane zeros of the symbol and the dominant (lowest) one."""
 
     s_roots: np.ndarray
+    slopes: np.ndarray  # P'(s_i) at each root, the residues' denominators
     zeros: np.ndarray  # k_i with Im k_i > 0
     dominant: int
 
@@ -148,10 +149,12 @@ def find_branch_points(symbol: SymbolPolynomial) -> BranchStructure:
         zeros.append(k)
     zeros = np.array(zeros)
     dominant = int(np.argmin(zeros.imag))
+    # root by root: numpy's scalar complex product can round apart from its array one
+    slopes = np.array([symbol.derivative(s) for s in s_roots])
     # SymbolPolynomial.branch shares one structure among all its callers
-    s_roots.flags.writeable = False
-    zeros.flags.writeable = False
-    return BranchStructure(s_roots=s_roots, zeros=zeros, dominant=dominant)
+    for array in (s_roots, slopes, zeros):
+        array.flags.writeable = False
+    return BranchStructure(s_roots=s_roots, slopes=slopes, zeros=zeros, dominant=dominant)
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +179,15 @@ def _simple_roots(s_roots: np.ndarray) -> bool:
     return True
 
 
-def _residue_kernel(symbol: SymbolPolynomial, branch: BranchStructure, r: float) -> float:
+def _residue_kernel(branch: BranchStructure, r: float) -> float:
     """Exact kernel for lam = -1: one simple pole per upper-half zero.
 
     Closing Int_R k e^{ikr} / P(k^2) dk upward picks up residues
     e^{i k_i r} / (2 P'(s_i)).
     """
     total = 0.0 + 0.0j
-    for s, k in zip(branch.s_roots, branch.zeros):
-        total += cmath.exp(1j * k * r) / (2.0 * complex(symbol.derivative(s)))
+    for slope, k in zip(branch.slopes, branch.zeros):
+        total += cmath.exp(1j * k * r) / (2.0 * complex(slope))
     value = total / (2.0 * math.pi * r)
     if abs(value.imag) > 1e-10 * (abs(value.real) + 1e-300):
         raise AsymptoticsError(
@@ -258,7 +261,7 @@ def branch_cut_kernel(symbol: SymbolPolynomial, lam: float, r: float) -> float:
         )
     if abs(lam - round(lam)) < 1e-12:
         if round(lam) == -1:
-            return _residue_kernel(symbol, branch, r)
+            return _residue_kernel(branch, r)
         raise NotImplementedError(
             f"integer lambda = {int(round(lam))} not supported; only -1 has "
             "the simple-pole residue form"

@@ -59,6 +59,9 @@ EXIT_NUMERIC = 3
 
 
 def _format_cell(value) -> str:
+    # the common cell first: a Python float is its repr
+    if type(value) is float:
+        return repr(value)
     # numpy scalars are written as the Python values they hold: numpy 2's
     # repr of np.float64 would add the "np.float64(...)" wrapper
     if isinstance(value, (bool, np.bool_)):
@@ -83,7 +86,7 @@ def emit_table(path: Path, table: Table, meta: dict) -> None:
         lines.append(f"# {key} = {' '.join(_format_cell(v) for v in items)}")
     lines.append("\t".join(table.columns))
     for row in table.rows:
-        lines.append("\t".join(_format_cell(v) for v in row))
+        lines.append("\t".join(map(_format_cell, row)))
     path.write_text("\n".join(lines) + "\n")
 
 

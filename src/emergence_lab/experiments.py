@@ -287,6 +287,12 @@ def _within(name: str, measured: float, expected: float, tol: float) -> CheckRec
     return CheckRecord(name, measured, expected - tol, expected + tol)
 
 
+def _float_rows(*columns: np.ndarray) -> tuple[tuple[float, ...], ...]:
+    """Table rows of Python floats from float columns (1-D, or 2-D blocks of
+    columns) placed side by side: the values ``float()`` of each cell gives."""
+    return tuple(map(tuple, np.column_stack(columns).tolist()))
+
+
 def _default_lattice(config: ExperimentConfig, default_sites: int) -> Lattice:
     shape = config.shape if config.shape else (default_sites,)
     return Lattice(shape=shape, spacing=config.spacing)
@@ -430,9 +436,8 @@ def _run_kernel(config: ExperimentConfig, rng) -> tuple[list[CheckRecord], list[
         CheckRecord("fit_quality", fit.rms_log_residual, upper=FIT_RMS_UPPER),
         CheckRecord("profile_decreasing", _axis_rises(lattice, column, source, band), upper=0),
     ]
-    rows = tuple(
-        (float(d), float(v), float(np.log(v))) for d, v in zip(distances, values) if v > 0
-    )
+    positive = values > 0
+    rows = _float_rows(distances[positive], values[positive], np.log(values[positive]))
     table = Table("kernel_profile", ("distance", "value", "log_value"), rows)
     return checks, [table]
 
@@ -528,17 +533,17 @@ def _run_oracle_verify(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     u = from_modes(ModeVector(spectrum=spec, alpha=alpha))
     vac = fock_oracle.vacuum(space)
     sites = range(lattice.nsites)
-    fields = {
-        which: [fock_oracle.field_operator(space, x, which) for x in sites]
-        for which in ("phi", "pi")
-    }
+    # each site's phi(x)^2 and pi(x)^2, formed once for all three probes
+    squares = {}
+    for which in ("phi", "pi"):
+        fields = (fock_oracle.field_operator(space, x, which) for x in sites)
+        squares[which] = [field @ field for field in fields]
     rows = []
     for name, fn in PROBES.items():
         analytic = fn(u, spec)
         worst = 0.0
         for x in sites:
-            field = fields["phi" if name == "phi2" else "pi"][x]
-            op = field @ field
+            op = squares["phi" if name == "phi2" else "pi"][x]
             if name == "energy":
                 op = 0.5 * op + 0.5 * fock_oracle.potential_operator(space, x)
             excess = (
@@ -628,10 +633,7 @@ def _run_localize(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     )
     report = localization_report(bump, spec, compton)
     checks = _localization_records(report, compton)
-    rows = tuple(
-        (float(d), *(float(v) for v in row))
-        for d, row in zip(report.distances, report.values)
-    )
+    rows = _float_rows(report.distances, report.values)
     table = Table("localization_profile", ("distance", *PROBES), rows)
     return checks, [table]
 
@@ -720,9 +722,7 @@ def _run_nw(config, rng) -> tuple[list[CheckRecord], list[Table]]:
                 NW_DELTA_WIDTH_RTOL * compton),
         CheckRecord("delta_width_fit_rms", width.rms_log_residual, upper=FIT_RMS_UPPER),
     ]
-    rows = tuple(
-        (float(d), float(v)) for d, v in zip(delta.distances, delta.values)
-    )
+    rows = _float_rows(delta.distances, delta.values)
     table = Table("nw_delta_profile", ("distance", "phi2_excess"), rows)
 
     big = diagonalize(build_klein_gordon(config.mass, Lattice((1024,), config.spacing)))

@@ -9,6 +9,11 @@ elsewhere in the package can be checked against direct matrix algebra.
 Operators are stored by their diagonals (FockOperator). A ladder operator is
 one shifted diagonal, and a product of two field operators on k modes has at
 most (2k+1)^2 of them, so storage stays O(dim * offsets) up to MAX_DIM.
+Products, with operators and with states, are slice arithmetic on the
+stored diagonals: each term multiplies exactly the rows it reaches, so the
+products are exact matrix algebra and the only approximation is still
+``n_max``. A FockSpace synthesizes f_k(x) of its modes once and keeps its
+raising operators, so field operators at many sites share both.
 
 States live on a subset of at most three modes of a Spectrum; the basis is
 the tensor product of per-mode number states 0..n_max, first selected mode
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -31,15 +36,11 @@ MAX_SERIES_TERMS = 400
 GUARD_FRACTION = 0.25  # |alpha| above n_max * this triggers the truncation flag
 
 
-def _shift(values: np.ndarray, offset: int) -> np.ndarray:
-    """out[i] = values[i + offset] along axis 0, zero where i + offset leaves it."""
-    out = np.zeros_like(values)
-    n = len(values)
-    if offset >= 0:
-        out[: n - offset] = values[offset:]
-    else:
-        out[-offset:] = values[: n + offset]
-    return out
+def _rows(dim: int, offset: int) -> tuple[int, int]:
+    """Bounds lo <= i < hi of the rows of a dim x dim matrix whose column
+    i + offset lies inside it (lo == hi when there are none)."""
+    lo = max(0, -offset)
+    return lo, max(lo, min(dim, dim - offset))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -49,6 +50,11 @@ class FockOperator:
     Entries whose column i + offset falls outside the matrix are zero.
     Supports +, -, scalar *, .T, and @ with another FockOperator or with a
     state array of shape (dim,) or (dim, k); ``sum`` of operators works too.
+    An operand of another dimension is refused. Products are slice
+    arithmetic on the stored diagonals: each term multiplies only the rows
+    it reaches. An operator product adds its terms into one accumulator per
+    result diagonal, and a state product sums one term per diagonal, both
+    in the order the diagonals are stored.
     """
 
     dim: int
@@ -57,7 +63,14 @@ class FockOperator:
     # numpy scalars defer to __rmul__ instead of broadcasting over the object
     __array_ufunc__ = None
 
+    def _require_dim(self, dim: int) -> None:
+        if dim != self.dim:
+            raise ValueError(
+                f"operand of dimension {dim} for an operator of dimension {self.dim}"
+            )
+
     def __add__(self, other: FockOperator) -> FockOperator:
+        self._require_dim(other.dim)
         diags = dict(self.diags)
         for offset, values in other.diags.items():
             diags[offset] = diags[offset] + values if offset in diags else values
@@ -79,28 +92,47 @@ class FockOperator:
 
     @property
     def T(self) -> FockOperator:
-        # M^T[i, i - offset] = M[i - offset, i]
-        return FockOperator(
-            self.dim, {-o: _shift(v, -o) for o, v in self.diags.items()}
-        )
+        # M^T[i, i - offset] = M[i - offset, i], for rows i with i - offset inside
+        diags = {}
+        for offset, values in self.diags.items():
+            lo, hi = _rows(self.dim, -offset)
+            moved = np.zeros_like(values)
+            moved[lo:hi] = values[lo - offset:hi - offset]
+            diags[-offset] = moved
+        return FockOperator(self.dim, diags)
 
     def __matmul__(self, other):
+        dim = self.dim
         if isinstance(other, FockOperator):
-            # (AB)[i, i + p + q] collects A[i, i + p] B[i + p, i + p + q]
+            self._require_dim(other.dim)
+            # (AB)[i, i + p + q] collects A[i, i + p] B[i + p, i + p + q] over
+            # the rows lo <= i < hi whose i + p is a row of B
+            dtype = np.result_type(0.0, *self.diags.values(), *other.diags.values())
             diags: dict[int, np.ndarray] = {}
             for p, a in self.diags.items():
+                lo, hi = _rows(dim, p)
+                a = a[lo:hi]
                 for q, b in other.diags.items():
-                    term = a * _shift(b, p)
-                    diags[p + q] = diags[p + q] + term if p + q in diags else term
-            return FockOperator(self.dim, diags)
+                    if p + q not in diags:
+                        diags[p + q] = np.zeros(dim, dtype)
+                    segment = diags[p + q][lo:hi]
+                    segment += a * b[lo + p:hi + p]
+            return FockOperator(dim, diags)
         vec = np.asarray(other)
-        if vec.shape[0] != self.dim:
-            raise ValueError(f"{vec.shape[0]} rows for dimension {self.dim}")
-        column = (-1,) + (1,) * (vec.ndim - 1)
-        return sum(
-            values.reshape(column) * _shift(vec, offset)
-            for offset, values in self.diags.items()
-        )
+        self._require_dim(vec.shape[0])
+        # each partial sum a new array, as ``sum`` makes them: an accumulator
+        # updated in place left a long battery run ~0.4 MB higher in peak
+        # RSS (x86-64 Linux, glibc). The row axis goes last, to broadcast
+        # over the columns of a (dim, k) block
+        vec_t = vec.T
+        total = 0
+        for offset, values in self.diags.items():
+            lo, hi = _rows(dim, offset)
+            term = np.zeros(vec.shape, np.result_type(vec, values))
+            rows = term.T[..., lo:hi]
+            np.multiply(values[lo:hi], vec_t[..., lo + offset:hi + offset], out=rows)
+            total = total + term
+        return total
 
 
 @dataclasses.dataclass(frozen=True)
@@ -122,7 +154,23 @@ class FockSpace:
         return (self.n_max + 1) ** self.nmodes
 
     def raising(self, j: int) -> FockOperator:
-        return self.lowering[j].T
+        return self._raising[j]
+
+    @cached_property
+    def _raising(self) -> tuple[FockOperator, ...]:
+        return tuple(a.T for a in self.lowering)
+
+    @cached_property
+    def _mode_values(self) -> np.ndarray:
+        """f_k(x) at every site for each of the space's modes, (sites x modes).
+
+        The modes are ``synthesize``d once from unit coefficient columns,
+        one per mode, so no site-by-mode table of the whole spectrum is built.
+        """
+        spec = self.spectrum
+        units = np.zeros((spec.nmodes, self.nmodes))
+        units[list(self.mode_indices), range(self.nmodes)] = 1.0
+        return spec.synthesize(units)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -276,18 +324,6 @@ def displacement(space: FockSpace, direction: np.ndarray, z: complex) -> FockVec
     return FockVector(space=space, amplitudes=math.exp(-0.5 * abs(z) ** 2) * amps)
 
 
-def _mode_values(space: FockSpace, site: int) -> np.ndarray:
-    """f_k(site) for each of the space's modes, in order.
-
-    The modes are ``synthesize``d from unit coefficient columns, one per
-    mode, so no site-by-mode table of the whole spectrum is built.
-    """
-    spec = space.spectrum
-    units = np.zeros((spec.nmodes, space.nmodes))
-    units[list(space.mode_indices), range(space.nmodes)] = 1.0
-    return spec.synthesize(units)[site]
-
-
 def field_operator(space: FockSpace, site: int, which: str = "phi") -> FockOperator:
     """Field operator at one site, restricted to the oracle's modes.
 
@@ -295,11 +331,11 @@ def field_operator(space: FockSpace, site: int, which: str = "phi") -> FockOpera
     pi(x)  = sum_k sqrt(w_k/2) f_k(x) i (adag_k - a_k)
 
     f_k(x) is the spectrum's ``synthesize`` of the unit coefficients of mode
-    k. With only a mode subset these satisfy the canonical commutator up to
-    the missing modes' completeness defect.
+    k, made once per space. With only a mode subset these satisfy the
+    canonical commutator up to the missing modes' completeness defect.
     """
     op = 0
-    for j, f in enumerate(_mode_values(space, site)):
+    for j, f in enumerate(space._mode_values[site]):
         w = space.frequencies[j]
         if which == "phi":
             op = op + (f / math.sqrt(2.0 * w)) * (space.lowering[j] + space.raising(j))
@@ -320,7 +356,7 @@ def potential_operator(space: FockSpace, site: int) -> FockOperator:
     op = sum(
         np.sqrt(space.frequencies[j] / 2.0) * f
         * (space.lowering[j] + space.raising(j))
-        for j, f in enumerate(_mode_values(space, site))
+        for j, f in enumerate(space._mode_values[site])
     )
     return op @ op
 

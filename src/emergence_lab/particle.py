@@ -53,18 +53,28 @@ SUPPORT_FRACTION_MAX = 0.5  # strict: only states under this support fraction ar
 # observable excesses over the vacuum
 # ---------------------------------------------------------------------------
 
+def _phi2_excess(phi: np.ndarray, smeared_pi: np.ndarray) -> np.ndarray:
+    return KAPPA * (phi**2 + smeared_pi**2)
+
+
+def _pi2_excess(pi: np.ndarray, smeared_phi: np.ndarray) -> np.ndarray:
+    return KAPPA * (pi**2 + smeared_phi**2)
+
+
+def _energy_excess(pi: np.ndarray, smeared_phi: np.ndarray) -> np.ndarray:
+    return 2.0 * KAPPA * (0.5 * pi**2 + 0.5 * smeared_phi**2)
+
+
 def phi2_diff(u: PhaseVector, spec: Spectrum) -> np.ndarray:
     """Site-wise excess of <phi(x)^2> over the vacuum value."""
     _check_same_lattice(u.lattice, spec.lattice)
-    smeared_pi = spec.apply_power(-0.5, u.pi)
-    return KAPPA * (u.phi**2 + smeared_pi**2)
+    return _phi2_excess(u.phi, spec.apply_power(-0.5, u.pi))
 
 
 def pi2_diff(u: PhaseVector, spec: Spectrum) -> np.ndarray:
     """Site-wise excess of <pi(x)^2> over the vacuum value."""
     _check_same_lattice(u.lattice, spec.lattice)
-    smeared_phi = spec.apply_power(0.5, u.phi)
-    return KAPPA * (u.pi**2 + smeared_phi**2)
+    return _pi2_excess(u.pi, spec.apply_power(0.5, u.phi))
 
 
 def energy_density_diff(u: PhaseVector, spec: Spectrum) -> np.ndarray:
@@ -75,8 +85,7 @@ def energy_density_diff(u: PhaseVector, spec: Spectrum) -> np.ndarray:
     both quadratures carry the same mode weights in this convention.
     """
     _check_same_lattice(u.lattice, spec.lattice)
-    smeared_phi = spec.apply_power(0.5, u.phi)
-    return 2.0 * KAPPA * (0.5 * u.pi**2 + 0.5 * smeared_phi**2)
+    return _energy_excess(u.pi, spec.apply_power(0.5, u.phi))
 
 
 PROBES = {
@@ -196,8 +205,16 @@ def localization_report(
     outside = ~mask
     lo, hi = FIT_WINDOW_COMPTON
     window_abs = (lo * compton, hi * compton)
-    # one column per probe, binned by one sort of the distances
-    values = np.stack([probe(u, spec) for probe in PROBES.values()], axis=1)
+    # one column per probe, all read from one R^{1/2} phi and one
+    # R^{-1/2} pi, and binned by one sort of the distances
+    smeared_phi = spec.apply_power(0.5, u.phi)
+    smeared_pi = spec.apply_power(-0.5, u.pi)
+    columns = {
+        "phi2": _phi2_excess(u.phi, smeared_pi),
+        "pi2": _pi2_excess(u.pi, smeared_phi),
+        "energy": _energy_excess(u.pi, smeared_phi),
+    }
+    values = np.stack([columns[name] for name in PROBES], axis=1)
     d_out, binned = bin_by_distance(dist[outside], values[outside])
     in_window = (d_out >= window_abs[0]) & (d_out <= window_abs[1])
     fits = []

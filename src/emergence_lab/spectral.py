@@ -224,22 +224,20 @@ class Spectrum:
             # keep this order: the reversed complex product rounds differently
             return self.synthesize(self.project(field) * weights)
         shape = self.lattice.shape
-        axes = tuple(range(len(shape)))
         grid = field.reshape(shape + field.shape[1:])
         weights = f(self._symbol_grid)
         # the spectrum is weighted in place, weights first: the reversed
         # complex product rounds differently
         if np.iscomplexobj(weights) or np.iscomplexobj(field):
-            spread = grid.astype(complex)
-            np.fft.fftn(spread, axes=axes, out=spread)
+            spread = _dft(grid.astype(complex), len(shape))
             np.multiply(weights.reshape(shape + batch), spread, out=spread)
-            out = np.fft.ifftn(spread, axes=axes, out=spread)
+            out = _dft(spread, len(shape), inverse=True)
         else:
             # the real-FFT half grid: the last axis up to its Nyquist index
             half = weights[..., : shape[-1] // 2 + 1]
-            spread = np.fft.rfftn(grid, axes=axes)
+            spread = _real_dft(grid, len(shape))
             np.multiply(half.reshape(half.shape + batch), spread, out=spread)
-            out = np.fft.irfftn(spread, s=shape, axes=axes)
+            out = _inverse_real_dft(spread, shape)
         return out.reshape(field.shape)
 
     def kernel_column(self, f, site: int) -> np.ndarray:
@@ -279,9 +277,34 @@ def _hartley(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         out.imag = _hartley(values.imag, shape)
         return out
     # transformed in place, so one complex copy is the only temporary
-    spectrum = values.reshape(shape + values.shape[1:]).astype(complex)
-    np.fft.fftn(spectrum, axes=tuple(range(len(shape))), out=spectrum)
+    spectrum = _dft(values.reshape(shape + values.shape[1:]).astype(complex), len(shape))
     return (spectrum.real - spectrum.imag).reshape(values.shape)
+
+
+# One site axis goes straight to np.fft's 1-D transforms: the n-D ones make
+# those same calls after cooking their axes, so the bits are the same and
+# only the per-call overhead goes.
+
+def _dft(spread: np.ndarray, ndim: int, inverse: bool = False) -> np.ndarray:
+    """DFT, or its inverse, of a complex array over its leading ndim axes, in place."""
+    if ndim == 1:
+        return (np.fft.ifft if inverse else np.fft.fft)(spread, axis=0, out=spread)
+    axes = tuple(range(ndim))
+    return (np.fft.ifftn if inverse else np.fft.fftn)(spread, axes=axes, out=spread)
+
+
+def _real_dft(grid: np.ndarray, ndim: int) -> np.ndarray:
+    """Half spectrum of a real array over its leading ndim axes."""
+    if ndim == 1:
+        return np.fft.rfft(grid, axis=0)
+    return np.fft.rfftn(grid, axes=tuple(range(ndim)))
+
+
+def _inverse_real_dft(spread: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The real array of the given leading shape whose half spectrum is spread."""
+    if len(shape) == 1:
+        return np.fft.irfft(spread, n=shape[0], axis=0)
+    return np.fft.irfftn(spread, s=shape, axes=tuple(range(len(shape))))
 
 
 def build_klein_gordon(mass: float, lattice: Lattice) -> ROperator:

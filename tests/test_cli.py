@@ -23,6 +23,7 @@ from emergence_lab.cli import (
     EXIT_NUMERIC,
     EXIT_PASS,
     EXIT_USAGE,
+    _format_cell,
     emit_table,
     main,
 )
@@ -403,6 +404,42 @@ def test_emit_table_writes_numpy_scalars_as_python_values(tmp_path):
     lines = path.read_text().splitlines()
     assert "# x = 2.0" in lines
     assert lines[-2:] == ["1.6653345369377348e-16\ttrue\t3", "0.5\tfalse\t4"]
+
+
+def _format_cell_per_type(value) -> str:
+    """The cell formatter as it was before its Python-float fast path."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+@pytest.mark.parametrize(
+    "value,text",
+    [
+        (0.1, "0.1"),
+        (1e-300, "1e-300"),
+        (np.float64(1.6653345369377348e-16), "1.6653345369377348e-16"),
+        (np.float32(0.5), "0.5"),
+        (3, "3"),
+        (np.int64(-7), "-7"),
+        (True, "true"),
+        (False, "false"),
+        (np.bool_(True), "true"),
+        (np.bool_(False), "false"),
+        ("phi2", "phi2"),
+        (float("nan"), "nan"),
+        (np.float64("nan"), "nan"),
+        (float("inf"), "inf"),
+        (-float("inf"), "-inf"),
+        (np.float64("-inf"), "-inf"),
+        (-0.0, "-0.0"),
+        (np.float64(-0.0), "-0.0"),
+    ],
+)
+def test_format_cell_keeps_its_strings(value, text):
+    assert _format_cell(value) == _format_cell_per_type(value) == text
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from emergence_lab.experiments import (
+    BUMP_CUTOFF_WIDTHS,
     FIT_RMS_MAX,
     FIT_RMS_UPPER,
     LEAKAGE_LOWER,
@@ -19,7 +20,9 @@ from emergence_lab.experiments import (
     _axis_rises,
     run_experiment,
 )
-from emergence_lab.modes import PhaseVector
+from emergence_lab.fock_oracle import FockOperator
+from emergence_lab.modes import PhaseVector, gaussian_bump
+from emergence_lab.newton_wigner import nw_delta_localization
 from emergence_lab.particle import (
     SUPPORT_FRACTION_MAX,
     localization_report,
@@ -29,6 +32,7 @@ from emergence_lab.spectral import (
     Spectrum,
     build_klein_gordon,
     diagonalize,
+    kernel_profile,
 )
 
 
@@ -235,6 +239,76 @@ def test_each_trial_transforms_its_fields_once(monkeypatch, experiment, expected
     report, _ = run_experiment(ExperimentConfig(experiment, shape=(512,)))
     assert report.passed
     assert counts == expected
+
+
+def _count_calls(monkeypatch, cls, name, counts, key=None):
+    method = getattr(cls, name)
+
+    def counted(self, *args):
+        tally = key(self, *args) if key else name
+        if tally is not None:
+            counts[tally] = counts.get(tally, 0) + 1
+        return method(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+
+
+def test_localization_report_applies_each_power_once(monkeypatch):
+    # R^{1/2} phi and R^{-1/2} pi, shared by the three probes
+    spec = diagonalize(build_klein_gordon(1.0, Lattice((512,))))
+    counts = {}
+    _count_calls(monkeypatch, Spectrum, "apply_function", counts)
+    bump = gaussian_bump(spec.lattice, 256, 5.0, cutoff=20.0)
+    report = localization_report(bump, spec, 1.0)
+    assert len(report.fits) == 3
+    assert counts == {"apply_function": 2}
+
+
+def test_oracle_verify_forms_each_mode_table_and_square_once(monkeypatch):
+    # 7 synthesize calls: two from_modes (phi and pi each) and one f_k(x)
+    # table for each of the three spaces with field operators. 33 operator
+    # products: 6 phi(x)^2 for kappa, 6 phi(x)^2 and 6 pi(x)^2 shared by the
+    # three probes, 6 potentials, and the 9 two-point products
+    counts = {}
+    _count_calls(monkeypatch, Spectrum, "synthesize", counts)
+    _count_calls(
+        monkeypatch, FockOperator, "__matmul__", counts,
+        key=lambda self, other: "products" if isinstance(other, FockOperator) else None,
+    )
+    report, _ = run_experiment(ExperimentConfig("oracle-verify"))
+    assert report.passed
+    assert counts == {"synthesize": 7, "products": 33}
+
+
+# The three profile tables are built from arrays in one call; each cell must
+# hold the Python float that float() of its array element gives, and the
+# kernel's log column the one scalar np.log gives.
+@pytest.mark.parametrize("shape", [(512,), (2048,), (12, 12, 12)])
+def test_profile_tables_hold_the_per_cell_floats(shape):
+    config = ExperimentConfig("kernel", shape=shape)
+    spec = diagonalize(build_klein_gordon(config.mass, Lattice(shape, config.spacing)))
+    source = spec.lattice.nsites // 2
+    compton = 1.0 / config.mass
+    distances, values = kernel_profile(spec, -0.5, source)
+    kernel = tuple(
+        (float(d), float(v), float(np.log(v))) for d, v in zip(distances, values) if v > 0
+    )
+    width = config.width_compton * compton
+    bump = gaussian_bump(spec.lattice, source, width, cutoff=BUMP_CUTOFF_WIDTHS * width)
+    report = localization_report(bump, spec, compton)
+    localize = tuple(
+        (float(d), *(float(v) for v in row)) for d, row in zip(report.distances, report.values)
+    )
+    delta = nw_delta_localization(spec, source, compton)
+    nw = tuple((float(d), float(v)) for d, v in zip(delta.distances, delta.values))
+    # at 12^3 the bump is not localizable, so its profile is empty
+    assert kernel and nw and (localize or shape == (12, 12, 12))
+    for experiment, want in (("kernel", kernel), ("localize", localize), ("nw", nw)):
+        _, tables = run_experiment(dataclasses.replace(config, experiment=experiment))
+        got = tables[0].rows
+        assert all(type(cell) is float for row in got for cell in row)
+        # bit for bit: repr tells -0.0 from 0.0 and compares nan to nan
+        assert repr(got) == repr(want), experiment
 
 
 def test_elp_draws_no_trials_when_an_input_fails():

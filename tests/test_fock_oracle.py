@@ -108,9 +108,12 @@ def _oracle_and_dense(spec, space, x):
 def test_operators_match_dense_fock_build(spec6, modes, n_max):
     space = fo.build_fock(spec6, modes, n_max=n_max)
     eye = np.eye(space.dim)
-    vec = np.random.default_rng(n_max).normal(size=(space.dim, 2)) @ [1.0, 1j]
+    rng = np.random.default_rng(n_max)
+    vec = rng.normal(size=(space.dim, 2)) @ [1.0, 1j]
+    block = rng.normal(size=(space.dim, 3)) + 1j * rng.normal(size=(space.dim, 3))
     for x in (0, 4):
-        for name, (op, dense) in _oracle_and_dense(spec6, space, x).items():
+        pairs = _oracle_and_dense(spec6, space, x)
+        for name, (op, dense) in pairs.items():
             if "@" in name or name == "potential":
                 # a product entry sums several nonzero terms, which the dense
                 # matmul may add in another order: allow one rounding each
@@ -119,6 +122,39 @@ def test_operators_match_dense_fock_build(spec6, modes, n_max):
             else:
                 np.testing.assert_array_equal(op @ eye, dense, err_msg=name)
             assert_allclose(op @ vec, dense @ vec, rtol=1e-14, atol=1e-14, err_msg=name)
+            # a block, real or complex, maps column by column, each column
+            # with the bits it has alone
+            for columns in (block, block.real):
+                got = op @ columns
+                assert_allclose(got, dense @ columns, rtol=1e-14, atol=1e-14, err_msg=name)
+                for j in range(columns.shape[1]):
+                    assert got[:, j].tobytes() == (op @ columns[:, j]).tobytes(), name
+        # operator x operator, the factors themselves products or not: each
+        # result entry may round once per term it sums, on either side
+        names = ["a0", f"adag{space.nmodes - 1}", "n0", "hamiltonian", "phi", "pi", "potential"]
+        for left in names:
+            for right in names:
+                (op_l, dense_l), (op_r, dense_r) = pairs[left], pairs[right]
+                got = (op_l @ op_r) @ eye
+                bound = 8 * np.finfo(float).eps * (np.abs(dense_l) @ np.abs(dense_r))
+                assert np.all(np.abs(got - dense_l @ dense_r) <= bound), (left, right)
+
+
+def test_operators_of_another_dimension_are_refused():
+    three = fo.FockOperator(3, {1: np.ones(3)})
+    five = fo.FockOperator(5, {2: np.ones(5)})
+    for combine in (
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: a @ b,
+    ):
+        for a, b, dims in ((three, five, "5.*3"), (five, three, "3.*5")):
+            with pytest.raises(ValueError, match=dims):
+                combine(a, b)
+    with pytest.raises(ValueError, match="5.*3"):
+        three @ np.ones(5)
+    with pytest.raises(ValueError, match="3.*5"):
+        five @ np.ones((3, 2))
 
 
 # ---------------------------------------------------------------------------

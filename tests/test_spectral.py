@@ -428,6 +428,83 @@ def test_apply_power_matches_long_double_fourier_sum(shape, spacing, exponent):
         assert float(np.abs(got - ref).max() / np.abs(ref).max()) < LONGDOUBLE_PEAK_RTOL
 
 
+def _nd_hartley(values, shape):
+    """The Hartley transform through np.fft.fftn over all site axes."""
+    if np.iscomplexobj(values):
+        out = np.empty(values.shape, complex)
+        out.real = _nd_hartley(values.real, shape)
+        out.imag = _nd_hartley(values.imag, shape)
+        return out
+    spectrum = values.reshape(shape + values.shape[1:]).astype(complex)
+    np.fft.fftn(spectrum, axes=tuple(range(len(shape))), out=spectrum)
+    return (spectrum.real - spectrum.imag).reshape(values.shape)
+
+
+def _nd_transforms(spec):
+    """project, synthesize and apply_function written with the n-D FFT calls
+    (fftn/ifftn, rfftn/irfftn), as the FFT route computes them at any ndim."""
+    lat = spec.lattice
+    shape, axes, n = lat.shape, tuple(range(lat.ndim)), spec.nmodes
+    symbol = np.empty(n)
+    symbol[spec.hartley_modes] = spec.eigenvalues
+
+    def project(field):
+        coeffs = _nd_hartley(field, shape)[spec.hartley_modes]
+        coeffs *= np.sqrt(lat.cell / n)
+        return coeffs
+
+    def synthesize(coeffs):
+        grid = np.empty_like(coeffs)
+        grid[spec.hartley_modes] = coeffs
+        field = _nd_hartley(grid, shape)
+        field *= 1.0 / np.sqrt(n * lat.cell)
+        return field
+
+    def apply_function(f, field):
+        batch = (1,) * (field.ndim - 1)
+        grid = field.reshape(shape + field.shape[1:])
+        weights = f(symbol.reshape(shape))
+        if np.iscomplexobj(weights) or np.iscomplexobj(field):
+            spread = grid.astype(complex)
+            np.fft.fftn(spread, axes=axes, out=spread)
+            np.multiply(weights.reshape(shape + batch), spread, out=spread)
+            out = np.fft.ifftn(spread, axes=axes, out=spread)
+        else:
+            half = weights[..., : shape[-1] // 2 + 1]
+            spread = np.fft.rfftn(grid, axes=axes)
+            np.multiply(half.reshape(half.shape + batch), spread, out=spread)
+            out = np.fft.irfftn(spread, s=shape, axes=axes)
+        return out.reshape(field.shape)
+
+    return project, synthesize, apply_function
+
+
+@pytest.mark.parametrize("nsites", [1, 2, 64, 512, 2048])
+def test_one_site_axis_transforms_match_the_nd_fft_bit_for_bit(nsites):
+    # a 1-D lattice calls np.fft's 1-D transforms directly; fftn, rfftn and
+    # their inverses make those same calls, so every bit must agree
+    spec = diagonalize(build_klein_gordon(1.3, Lattice((nsites,), 0.7)))
+    project, synthesize, apply_function = _nd_transforms(spec)
+    rng = np.random.default_rng(nsites)
+    real = rng.normal(size=(nsites, 3))
+    fields = {
+        "real": real[:, 0],
+        "real block": real,
+        "complex": real[:, 1] + 1j * real[:, 2],
+        "complex block": real + 1j * rng.normal(size=(nsites, 3)),
+    }
+    weights = {
+        "real": lambda lam: lam**-0.5,
+        "complex": lambda lam: np.exp(-1j * np.sqrt(lam) * 1.5),
+    }
+    for kind, field in fields.items():
+        for wkind, f in weights.items():
+            got = spec.apply_function(f, field)
+            assert got.tobytes() == apply_function(f, field).tobytes(), (kind, wkind)
+        assert spec.project(field).tobytes() == project(field).tobytes(), kind
+        assert spec.synthesize(field).tobytes() == synthesize(field).tobytes(), kind
+
+
 # ---------------------------------------------------------------------------
 # route selection: closed-form Hartley spectrum or dense eigensolver
 # ---------------------------------------------------------------------------
