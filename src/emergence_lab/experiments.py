@@ -522,60 +522,58 @@ SMALL_STATE_EXPONENT_TOL = 0.1
 def _run_oracle_verify(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     lattice = Lattice((6,), spacing=config.spacing)
     spec = diagonalize(build_klein_gordon(config.mass, lattice))
-    kappa = calibrate_kappa(spec, mode_index=0, n_max=14)
+    single = fock_oracle.build_fock(spec, (0,), n_max=14)
+    kappa = calibrate_kappa(single)
     checks = [_within("kappa", kappa, KAPPA, KAPPA_TOL)]
 
-    space = fock_oracle.build_fock(spec, (0, 1), n_max=10)
-    direction = np.array([0.8, 0.6j])
+    # modes 1 and 3 have eigenvalues m^2 + 1/a^2 and m^2 + 3/a^2: they
+    # differ, so at most one is 1 and a wrong power of R in a probe shows.
+    # The direction is generic and of unit norm, as the probes are
+    # quadratic in it and the oracle's expectations are normalized
+    space = fock_oracle.build_fock(spec, (1, 3), n_max=10)
+    direction = np.array([0.48 + 0.36j, 0.64 - 0.48j])
     state_fock = fock_oracle.one_particle(space, direction)
     alpha = np.zeros(spec.nmodes, dtype=complex)
-    alpha[0], alpha[1] = direction
+    alpha[[1, 3]] = direction
     u = from_modes(ModeVector(spectrum=spec, alpha=alpha))
-    vac = fock_oracle.vacuum(space)
-    sites = range(lattice.nsites)
-    # each site's phi(x)^2 and pi(x)^2, formed once for all three probes
-    squares = {}
-    for which in ("phi", "pi"):
-        fields = (fock_oracle.field_operator(space, x, which) for x in sites)
-        squares[which] = [field @ field for field in fields]
+    # each site's excess of phi(x)^2, pi(x)^2 and (R^{1/2} phi)(x)^2, taken
+    # once for the three probes
+    excess = {
+        which: np.array([fock_oracle.square_excess(state_fock, x, which)
+                         for x in range(lattice.nsites)])
+        for which in ("phi", "pi", "smeared_phi")
+    }
+    oracle = {
+        "phi2": excess["phi"],
+        "pi2": excess["pi"],
+        "energy": 0.5 * excess["pi"] + 0.5 * excess["smeared_phi"],
+    }
     rows = []
     for name, fn in PROBES.items():
-        analytic = fn(u, spec)
-        worst = 0.0
-        for x in sites:
-            op = squares["phi" if name == "phi2" else "pi"][x]
-            if name == "energy":
-                op = 0.5 * op + 0.5 * fock_oracle.potential_operator(space, x)
-            excess = (
-                fock_oracle.expectation(state_fock, op).real
-                - fock_oracle.expectation(vac, op).real
-            )
-            worst = max(worst, abs(excess - analytic[x]))
+        worst = float(np.max(np.abs(oracle[name] - fn(u, spec))))
         checks.append(CheckRecord(f"{name}_matches_oracle", worst, upper=ORACLE_TOL))
         rows.append((name, worst, ORACLE_TOL))
 
     lattice3 = Lattice((3,), spacing=config.spacing)
     spec3 = diagonalize(build_klein_gordon(config.mass, lattice3))
     space3 = fock_oracle.build_fock(spec3, (0, 1, 2), n_max=6)
-    vac3 = fock_oracle.vacuum(space3)
-    phi3 = [fock_oracle.field_operator(space3, x, "phi") for x in range(3)]
-    worst = 0.0
-    for x in range(3):
-        for y in range(3):
-            oracle = fock_oracle.expectation(vac3, phi3[x] @ phi3[y]).real
-            worst = max(worst, abs(oracle - vacuum_two_point(spec3, x, y)))
+    vac3 = fock_oracle.vacuum(space3).amplitudes
+    # <0|phi(x) phi(y)|0> is the inner product of phi(x)|0> and phi(y)|0>
+    phi_vac = np.column_stack(
+        [fock_oracle.field_operator(space3, x, "phi", vac3) for x in range(3)]
+    )
+    two_point = np.array([vacuum_two_point(spec3, x) for x in range(3)])
+    worst = float(np.max(np.abs((phi_vac.conj().T @ phi_vac).real - two_point)))
     checks.append(CheckRecord("vacuum_two_point", worst, upper=ORACLE_TOL))
     rows.append(("two_point", worst, ORACLE_TOL))
 
-    unit = direction / np.linalg.norm(direction)
     z = 0.4 + 0.2j
-    disp = fock_oracle.displacement(space, unit, z)
-    coh = fock_oracle.coherent_state(space, z * unit)
+    disp = fock_oracle.displacement(space, direction, z)
+    coh = fock_oracle.coherent_state(space, z * direction)
     dev = float(np.linalg.norm(disp.amplitudes - coh.vector.amplitudes))
     checks.append(CheckRecord("displacement_vs_coherent", dev, upper=DISPLACEMENT_TOL))
     rows.append(("displacement", dev, DISPLACEMENT_TOL))
 
-    single = fock_oracle.build_fock(spec, (0,), n_max=14)
     report = fock_oracle.small_state_limit_check(
         single, np.array([1.0]), np.geomspace(0.02, 0.2, 8)
     )

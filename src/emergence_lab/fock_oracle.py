@@ -1,23 +1,22 @@
 """Brute-force Fock-space oracle on a few selected modes.
 
-Everything here is deliberately naive: occupation-number bases, explicit
-ladder matrices, truncated exponential series. The point is to have an
-independent slow path whose only approximation is the occupation cutoff
-``n_max`` (with a computable tail bound), so that closed-form expressions used
-elsewhere in the package can be checked against direct matrix algebra.
-
-Operators are stored by their diagonals (FockOperator). A ladder operator is
-one shifted diagonal, and a product of two field operators on k modes has at
-most (2k+1)^2 of them, so storage stays O(dim * offsets) up to MAX_DIM.
-Products, with operators and with states, are slice arithmetic on the
-stored diagonals: each term multiplies exactly the rows it reaches, so the
-products are exact matrix algebra and the only approximation is still
-``n_max``. A FockSpace synthesizes f_k(x) of its modes once and keeps its
-raising operators, so field operators at many sites share both.
+Everything here is deliberately naive: occupation-number bases, ladder
+operators acting on amplitudes, truncated exponential series. The point is
+to have an independent slow path whose only approximation is the occupation
+cutoff ``n_max`` (with a computable tail bound), so that closed-form
+expressions used elsewhere in the package can be checked against direct
+Fock-space algebra.
 
 States live on a subset of at most three modes of a Spectrum; the basis is
 the tensor product of per-mode number states 0..n_max, first selected mode
-outermost (C order).
+outermost (C order). Operators are never stored: every quantity the package
+reads is a Hermitian square, <s|A^2|s> = ||A s||^2, or a vacuum product,
+<0|A B|0> = <A 0, B 0>, so operators only act on states. The one ladder
+action (``_ladder``) views (dim,) amplitudes or a (dim, k) block as a tensor
+with one axis of length n_max + 1 per mode, shifts it one step along a
+mode's axis and scales by sqrt(n), exactly as the truncated matrix would.
+A FockSpace synthesizes f_k(x) of its modes once, so field operators at
+many sites share it.
 """
 from __future__ import annotations
 
@@ -36,105 +35,6 @@ MAX_SERIES_TERMS = 400
 GUARD_FRACTION = 0.25  # |alpha| above n_max * this triggers the truncation flag
 
 
-def _rows(dim: int, offset: int) -> tuple[int, int]:
-    """Bounds lo <= i < hi of the rows of a dim x dim matrix whose column
-    i + offset lies inside it (lo == hi when there are none)."""
-    lo = max(0, -offset)
-    return lo, max(lo, min(dim, dim - offset))
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class FockOperator:
-    """Square operator stored by its diagonals: diags[offset][i] = M[i, i + offset].
-
-    Entries whose column i + offset falls outside the matrix are zero.
-    Supports +, -, scalar *, .T, and @ with another FockOperator or with a
-    state array of shape (dim,) or (dim, k); ``sum`` of operators works too.
-    An operand of another dimension is refused. Products are slice
-    arithmetic on the stored diagonals: each term multiplies only the rows
-    it reaches. An operator product adds its terms into one accumulator per
-    result diagonal, and a state product sums one term per diagonal, both
-    in the order the diagonals are stored.
-    """
-
-    dim: int
-    diags: dict[int, np.ndarray]
-
-    # numpy scalars defer to __rmul__ instead of broadcasting over the object
-    __array_ufunc__ = None
-
-    def _require_dim(self, dim: int) -> None:
-        if dim != self.dim:
-            raise ValueError(
-                f"operand of dimension {dim} for an operator of dimension {self.dim}"
-            )
-
-    def __add__(self, other: FockOperator) -> FockOperator:
-        self._require_dim(other.dim)
-        diags = dict(self.diags)
-        for offset, values in other.diags.items():
-            diags[offset] = diags[offset] + values if offset in diags else values
-        return FockOperator(self.dim, diags)
-
-    def __radd__(self, other) -> FockOperator:
-        # the 0 that sum() and running totals start from
-        if isinstance(other, int) and other == 0:
-            return self
-        return NotImplemented
-
-    def __sub__(self, other: FockOperator) -> FockOperator:
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar) -> FockOperator:
-        return FockOperator(self.dim, {o: scalar * v for o, v in self.diags.items()})
-
-    __rmul__ = __mul__
-
-    @property
-    def T(self) -> FockOperator:
-        # M^T[i, i - offset] = M[i - offset, i], for rows i with i - offset inside
-        diags = {}
-        for offset, values in self.diags.items():
-            lo, hi = _rows(self.dim, -offset)
-            moved = np.zeros_like(values)
-            moved[lo:hi] = values[lo - offset:hi - offset]
-            diags[-offset] = moved
-        return FockOperator(self.dim, diags)
-
-    def __matmul__(self, other):
-        dim = self.dim
-        if isinstance(other, FockOperator):
-            self._require_dim(other.dim)
-            # (AB)[i, i + p + q] collects A[i, i + p] B[i + p, i + p + q] over
-            # the rows lo <= i < hi whose i + p is a row of B
-            dtype = np.result_type(0.0, *self.diags.values(), *other.diags.values())
-            diags: dict[int, np.ndarray] = {}
-            for p, a in self.diags.items():
-                lo, hi = _rows(dim, p)
-                a = a[lo:hi]
-                for q, b in other.diags.items():
-                    if p + q not in diags:
-                        diags[p + q] = np.zeros(dim, dtype)
-                    segment = diags[p + q][lo:hi]
-                    segment += a * b[lo + p:hi + p]
-            return FockOperator(dim, diags)
-        vec = np.asarray(other)
-        self._require_dim(vec.shape[0])
-        # each partial sum a new array, as ``sum`` makes them: an accumulator
-        # updated in place left a long battery run ~0.4 MB higher in peak
-        # RSS (x86-64 Linux, glibc). The row axis goes last, to broadcast
-        # over the columns of a (dim, k) block
-        vec_t = vec.T
-        total = 0
-        for offset, values in self.diags.items():
-            lo, hi = _rows(dim, offset)
-            term = np.zeros(vec.shape, np.result_type(vec, values))
-            rows = term.T[..., lo:hi]
-            np.multiply(values[lo:hi], vec_t[..., lo + offset:hi + offset], out=rows)
-            total = total + term
-        return total
-
-
 @dataclasses.dataclass(frozen=True)
 class FockSpace:
     """Truncated multi-mode oscillator Hilbert space."""
@@ -143,7 +43,6 @@ class FockSpace:
     mode_indices: tuple[int, ...]
     n_max: int
     frequencies: np.ndarray
-    lowering: tuple[FockOperator, ...]
 
     @property
     def nmodes(self) -> int:
@@ -152,13 +51,6 @@ class FockSpace:
     @property
     def dim(self) -> int:
         return (self.n_max + 1) ** self.nmodes
-
-    def raising(self, j: int) -> FockOperator:
-        return self._raising[j]
-
-    @cached_property
-    def _raising(self) -> tuple[FockOperator, ...]:
-        return tuple(a.T for a in self.lowering)
 
     @cached_property
     def _mode_values(self) -> np.ndarray:
@@ -171,6 +63,30 @@ class FockSpace:
         units = np.zeros((spec.nmodes, self.nmodes))
         units[list(self.mode_indices), range(self.nmodes)] = 1.0
         return spec.synthesize(units)
+
+
+def _ladder(space: FockSpace, j: int, amps: np.ndarray, raising: bool = False) -> np.ndarray:
+    """a_j, or adag_j when ``raising``, applied to (dim,) amplitudes or a (dim, k) block.
+
+    With s viewed as a tensor over the occupations (n_0, ..., n_j, ...) and
+    then the block's columns, (a_j s)[.., n, ..] = sqrt(n + 1) s[.., n + 1, ..]
+    and (adag_j s)[.., n, ..] = sqrt(n) s[.., n - 1, ..]. Occupations past
+    the cut n_max are dropped, as the truncated matrices drop them. Each
+    entry is one product, so a block maps with the bits of each column alone.
+    """
+    amps = np.asarray(amps)
+    size = space.n_max + 1
+    grid = amps.reshape((size,) * space.nmodes + amps.shape[1:])
+    out = np.zeros(grid.shape, np.result_type(grid, 1.0))
+    # sqrt(1..n_max) along mode j's axis, broadcast over the others
+    root = np.sqrt(np.arange(1.0, size)).reshape((-1,) + (1,) * (grid.ndim - 1 - j))
+    upper = (slice(None),) * j + (slice(1, None),)
+    lower = (slice(None),) * j + (slice(None, -1),)
+    if raising:
+        out[upper] = root * grid[lower]
+    else:
+        out[lower] = root * grid[upper]
+    return out.reshape(amps.shape)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -191,13 +107,7 @@ class FockVector:
 
 
 def build_fock(spec: Spectrum, mode_indices: tuple[int, ...], n_max: int = 14) -> FockSpace:
-    """Assemble ladder operators for the selected modes.
-
-    The per-mode lowering matrix has entries a[n-1, n] = sqrt(n). In the
-    C-ordered product basis mode j moves the index by its stride
-    (n_max+1)^(nmodes-1-j), so its lowering operator is the single diagonal
-    at that offset, sqrt(n_j + 1) on rows where n_j < n_max.
-    """
+    """The truncated space of the selected modes, occupations 0..n_max each."""
     modes = tuple(int(k) for k in mode_indices)
     if not 1 <= len(modes) <= MAX_MODES:
         raise ValueError(f"oracle supports 1..{MAX_MODES} modes, got {len(modes)}")
@@ -210,18 +120,11 @@ def build_fock(spec: Spectrum, mode_indices: tuple[int, ...], n_max: int = 14) -
     dim = (n_max + 1) ** len(modes)
     if dim > MAX_DIM:
         raise ValueError(f"truncated dimension {dim} exceeds {MAX_DIM}")
-    occ = np.unravel_index(np.arange(dim), (n_max + 1,) * len(modes))
-    lowering = []
-    for j, n in enumerate(occ):
-        stride = (n_max + 1) ** (len(modes) - 1 - j)
-        values = np.where(n < n_max, np.sqrt(n + 1.0), 0.0)
-        lowering.append(FockOperator(dim, {stride: values}))
     return FockSpace(
         spectrum=spec,
         mode_indices=modes,
         n_max=n_max,
         frequencies=spec.frequencies[list(modes)].copy(),
-        lowering=tuple(lowering),
     )
 
 
@@ -291,11 +194,8 @@ def one_particle(space: FockSpace, direction: np.ndarray) -> FockVector:
     if a.shape != (space.nmodes,):
         raise ValueError(f"{a.shape[0]} amplitudes for {space.nmodes} modes")
     vac = vacuum(space).amplitudes
-    out = np.zeros_like(vac)
-    for k, ak in enumerate(a):
-        if ak != 0:
-            out += ak * (space.raising(k) @ vac)
-    return FockVector(space=space, amplitudes=out)
+    amps = sum(ak * _ladder(space, k, vac, raising=True) for k, ak in enumerate(a))
+    return FockVector(space=space, amplitudes=amps)
 
 
 def displacement(space: FockSpace, direction: np.ndarray, z: complex) -> FockVector:
@@ -311,70 +211,60 @@ def displacement(space: FockSpace, direction: np.ndarray, z: complex) -> FockVec
     nrm = float(np.linalg.norm(a))
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"direction norm {nrm} is not 1; normalize it first")
-    adag = sum(
-        complex(z) * ak * space.raising(k) for k, ak in enumerate(a) if ak != 0
-    )
+    za = complex(z) * a
     amps = vacuum(space).amplitudes
-    term = amps.copy()
+    term = amps
     for n in range(1, MAX_SERIES_TERMS + 1):
-        term = (adag @ term) / n
+        term = sum(c * _ladder(space, k, term, raising=True) for k, c in enumerate(za)) / n
         amps = amps + term
         if np.linalg.norm(term) < SERIES_RTOL * np.linalg.norm(amps):
             break
     return FockVector(space=space, amplitudes=math.exp(-0.5 * abs(z) ** 2) * amps)
 
 
-def field_operator(space: FockSpace, site: int, which: str = "phi") -> FockOperator:
-    """Field operator at one site, restricted to the oracle's modes.
+def field_operator(space: FockSpace, site: int, which: str, amps: np.ndarray) -> np.ndarray:
+    """A field at one site, restricted to the oracle's modes, applied to amplitudes.
 
-    phi(x) = sum_k f_k(x)/sqrt(2 w_k) (a_k + adag_k)
-    pi(x)  = sum_k sqrt(w_k/2) f_k(x) i (adag_k - a_k)
+    phi(x)            = sum_k f_k(x)/sqrt(2 w_k) (a_k + adag_k)
+    pi(x)             = sum_k sqrt(w_k/2) f_k(x) i (adag_k - a_k)
+    (R^{1/2} phi)(x)  = sum_k sqrt(w_k/2) f_k(x) (a_k + adag_k)
 
-    f_k(x) is the spectrum's ``synthesize`` of the unit coefficients of mode
-    k, made once per space. With only a mode subset these satisfy the
-    canonical commutator up to the missing modes' completeness defect.
+    ``which`` is "phi", "pi" or "smeared_phi" (the last is the potential
+    term's field), and ``amps`` is (dim,) or a (dim, k) block. f_k(x) is
+    the spectrum's ``synthesize`` of the unit coefficients of mode k, made
+    once per space. With only a mode subset these satisfy the canonical
+    commutator up to the missing modes' completeness defect.
     """
-    op = 0
-    for j, f in enumerate(space._mode_values[site]):
-        w = space.frequencies[j]
-        if which == "phi":
-            op = op + (f / math.sqrt(2.0 * w)) * (space.lowering[j] + space.raising(j))
-        elif which == "pi":
-            op = op + math.sqrt(w / 2.0) * f * (1j * (space.raising(j) - space.lowering[j]))
-        else:
-            raise ValueError(f"unknown field {which!r}; use 'phi' or 'pi'")
-    return op
-
-
-def potential_operator(space: FockSpace, site: int) -> FockOperator:
-    """(R^{1/2} phi)(x)^2 at one site, the potential term of the energy density.
-
-    (R^{1/2} phi)(x) = sum_k sqrt(w_k / 2) f_k(x) (a_k + adag_k), summed over
-    the truncated space's modes, with f_k(x) synthesized as in
-    ``field_operator``.
-    """
-    op = sum(
-        np.sqrt(space.frequencies[j] / 2.0) * f
-        * (space.lowering[j] + space.raising(j))
-        for j, f in enumerate(space._mode_values[site])
-    )
-    return op @ op
-
-
-def fock_hamiltonian(space: FockSpace) -> FockOperator:
-    """H = sum_k w_k adag_k a_k (normal ordered; vacuum energy dropped)."""
+    f, w = space._mode_values[site], space.frequencies
+    # coefficients of a_k (down) and adag_k (up)
+    if which == "phi":
+        down = up = f / np.sqrt(2.0 * w)
+    elif which == "pi":
+        up = 1j * (np.sqrt(w / 2.0) * f)
+        down = -up
+    elif which == "smeared_phi":
+        down = up = np.sqrt(w / 2.0) * f
+    else:
+        raise ValueError(f"unknown field {which!r}; use 'phi', 'pi' or 'smeared_phi'")
     return sum(
-        space.frequencies[k] * (space.raising(k) @ space.lowering[k])
-        for k in range(space.nmodes)
+        down[j] * _ladder(space, j, amps) + up[j] * _ladder(space, j, amps, raising=True)
+        for j in range(space.nmodes)
     )
 
 
-def expectation(state: FockVector, op: FockOperator) -> complex:
-    """Normalized matrix element <s|op|s> / <s|s>."""
+def square_excess(state: FockVector, site: int, which: str) -> float:
+    """<s|A^2|s>/<s|s> - <0|A^2|0> for the field A of ``field_operator`` at a site.
+
+    A is Hermitian, so each term is a squared norm, ||A s||^2/||s||^2 and
+    ||A|0>||^2; A acts once, on the block of s and the vacuum.
+    """
     n2 = float(np.vdot(state.amplitudes, state.amplitudes).real)
     if n2 < 1e-300:
         raise ValueError("cannot take an expectation in a zero state")
-    return complex(np.vdot(state.amplitudes, op @ state.amplitudes)) / n2
+    block = np.column_stack((state.amplitudes, vacuum(state.space).amplitudes))
+    image = field_operator(state.space, site, which, block)
+    squares = np.sum(np.abs(image) ** 2, axis=0)
+    return float(squares[0] / n2 - squares[1])
 
 
 @dataclasses.dataclass(frozen=True)

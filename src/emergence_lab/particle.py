@@ -26,7 +26,8 @@ report on and judge; the bounds that judge those numbers are the
 experiments' constants.
 The probes and diagnostics read only ``spec.lattice`` and
 ``spec.apply_power`` of the Spectrum they are given; ``vacuum_two_point``
-reads one kernel column, which is f(R) applied to a unit vector.
+returns one kernel column, f(R) applied to a unit vector, which holds the
+two-point function from one source site to every site.
 The probes map a (sites x k) block of progenitors column by column; the
 support, and so every localization report, is of one state and refuses a
 block.
@@ -95,38 +96,29 @@ PROBES = {
 }
 
 
-def vacuum_two_point(spec: Spectrum, x: int, y: int) -> float:
-    """<0| phi(x) phi(y) |0> = (1/2) sum_k f_k(x) f_k(y) / omega_k."""
-    return 0.5 * float(spec.kernel_column(lambda lam: lam**-0.5, x)[y])
+def vacuum_two_point(spec: Spectrum, x: int) -> np.ndarray:
+    """<0| phi(x) phi(y) |0> = (1/2) sum_k f_k(x) f_k(y) / omega_k at every site y."""
+    return 0.5 * spec.kernel_column(lambda lam: lam**-0.5, x)
 
 
-def calibrate_kappa(
-    spec: Spectrum, mode_index: int = 0, n_max: int = 14
-) -> float:
-    """Measure KAPPA against the Fock oracle on a single mode.
+def calibrate_kappa(space: fock_oracle.FockSpace) -> float:
+    """Measure KAPPA against the Fock oracle on the one mode of ``space``.
 
     Compares the oracle's <phi(x)^2> excess in the one-excitation state of
     mode k with the classical expression phi^2 + (R^{-1/2} pi)^2 of the
     corresponding progenitor, site by site, and returns the median ratio.
     """
-    space = fock_oracle.build_fock(spec, (mode_index,), n_max=n_max)
+    spec = space.spectrum
     part = fock_oracle.one_particle(space, np.array([1.0]))
-    vac = fock_oracle.vacuum(space)
     alpha = np.zeros(spec.nmodes, dtype=complex)
-    alpha[mode_index] = 1.0
+    alpha[space.mode_indices[0]] = 1.0
     u = from_modes(ModeVector(spectrum=spec, alpha=alpha))
     denom = u.phi**2 + spec.apply_power(-0.5, u.pi) ** 2
-    ratios = []
-    for x in range(spec.lattice.nsites):
-        if denom[x] < 1e-12 * denom.max():
-            continue
-        op = fock_oracle.field_operator(space, x, "phi")
-        op2 = op @ op
-        excess = (
-            fock_oracle.expectation(part, op2).real
-            - fock_oracle.expectation(vac, op2).real
-        )
-        ratios.append(excess / denom[x])
+    ratios = [
+        fock_oracle.square_excess(part, x, "phi") / denom[x]
+        for x in range(spec.lattice.nsites)
+        if denom[x] >= 1e-12 * denom.max()
+    ]
     return float(np.median(ratios))
 
 

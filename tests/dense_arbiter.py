@@ -11,10 +11,11 @@ on the FFT route are tabulated in closed form too, with their phases reduced
 in integers, so no FFT is involved. For roundoff comparisons a power of R is
 also summed over its Fourier modes in long double.
 
-The Fock oracle stores its operators by diagonals, placed by each mode's
-stride. Here the ladder operators are dense matrices instead: the one-mode
-matrix is written entry by entry and joined to identities on the other
-modes by ``np.kron``, so no stride or offset arithmetic is shared.
+The Fock oracle applies its ladder operators to amplitudes viewed as a
+tensor with one axis per mode, shifting along that mode's axis. Here the
+ladder operators are dense matrices instead: the one-mode matrix is written
+entry by entry and joined to identities on the other modes by ``np.kron``,
+so no tensor or axis arithmetic is shared.
 """
 
 from functools import reduce

@@ -26,10 +26,9 @@ from emergence_lab.experiments import FIT_RMS_MAX, _judge_in_region
 from emergence_lab.fock_oracle import (
     build_fock,
     field_operator,
-    expectation,
     one_particle,
-    potential_operator,
     small_state_limit_check,
+    square_excess,
     vacuum,
 )
 from emergence_lab.geometry import (
@@ -280,12 +279,11 @@ def test_criterion_06_commuting_diagrams(spec64):
 def test_criterion_07_oracle_arbitration():
     lattice = Lattice((6,))
     spec = diagonalize(build_klein_gordon(1.0, lattice))
-    kappa = calibrate_kappa(spec, mode_index=0, n_max=14)
+    kappa = calibrate_kappa(build_fock(spec, (0,), n_max=14))
 
     space = build_fock(spec, (0, 1, 2), n_max=14)
     direction = np.array([0.6, 0.48j, 0.64])
     state_fock = one_particle(space, direction)
-    vac = vacuum(space)
     alpha = np.zeros(spec.nmodes, dtype=complex)
     alpha[:3] = direction
     u = from_modes(ModeVector(spectrum=spec, alpha=alpha))
@@ -299,27 +297,24 @@ def test_criterion_07_oracle_arbitration():
         analytic = fn(u, spec)
         for x in range(lattice.nsites):
             if name == "energy":
-                pi_op = field_operator(space, x, "pi")
-                op = 0.5 * (pi_op @ pi_op) + 0.5 * potential_operator(space, x)
+                excess = 0.5 * square_excess(state_fock, x, "pi") + 0.5 * square_excess(
+                    state_fock, x, "smeared_phi"
+                )
             else:
-                base = field_operator(space, x, "phi" if name == "phi2" else "pi")
-                op = base @ base
-            excess = (
-                expectation(state_fock, op).real - expectation(vac, op).real
-            )
+                excess = square_excess(state_fock, x, "phi" if name == "phi2" else "pi")
             worst = max(worst, abs(excess - analytic[x]))
 
     lattice3 = Lattice((3,))
     spec3 = diagonalize(build_klein_gordon(1.0, lattice3))
     space3 = build_fock(spec3, (0, 1, 2), n_max=6)
-    vac3 = vacuum(space3)
+    vac3 = vacuum(space3).amplitudes
     two_point = 0.0
     for x in range(3):
         for y in range(3):
-            phi_x = field_operator(space3, x, "phi")
-            phi_y = field_operator(space3, y, "phi")
-            oracle = expectation(vac3, phi_x @ phi_y).real
-            two_point = max(two_point, abs(oracle - vacuum_two_point(spec3, x, y)))
+            phi_x = field_operator(space3, x, "phi", vac3)
+            phi_y = field_operator(space3, y, "phi", vac3)
+            oracle = np.vdot(phi_x, phi_y).real
+            two_point = max(two_point, abs(oracle - vacuum_two_point(spec3, x)[y]))
 
     # one-particle states live exactly inside the truncation, so the
     # analytic truncation bound is zero and the floor tolerance applies

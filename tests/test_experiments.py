@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from emergence_lab import fock_oracle
 from emergence_lab.experiments import (
     BUMP_CUTOFF_WIDTHS,
     FIT_RMS_MAX,
@@ -20,7 +21,6 @@ from emergence_lab.experiments import (
     _axis_rises,
     run_experiment,
 )
-from emergence_lab.fock_oracle import FockOperator
 from emergence_lab.modes import PhaseVector, gaussian_bump
 from emergence_lab.newton_wigner import nw_delta_localization
 from emergence_lab.particle import (
@@ -241,16 +241,14 @@ def test_each_trial_transforms_its_fields_once(monkeypatch, experiment, expected
     assert counts == expected
 
 
-def _count_calls(monkeypatch, cls, name, counts, key=None):
-    method = getattr(cls, name)
+def _count_calls(monkeypatch, owner, name, counts):
+    method = getattr(owner, name)
 
-    def counted(self, *args):
-        tally = key(self, *args) if key else name
-        if tally is not None:
-            counts[tally] = counts.get(tally, 0) + 1
-        return method(self, *args)
+    def counted(*args):
+        counts[name] = counts.get(name, 0) + 1
+        return method(*args)
 
-    monkeypatch.setattr(cls, name, counted)
+    monkeypatch.setattr(owner, name, counted)
 
 
 def test_localization_report_applies_each_power_once(monkeypatch):
@@ -266,18 +264,33 @@ def test_localization_report_applies_each_power_once(monkeypatch):
 
 def test_oracle_verify_forms_each_mode_table_and_square_once(monkeypatch):
     # 7 synthesize calls: two from_modes (phi and pi each) and one f_k(x)
-    # table for each of the three spaces with field operators. 33 operator
-    # products: 6 phi(x)^2 for kappa, 6 phi(x)^2 and 6 pi(x)^2 shared by the
-    # three probes, 6 potentials, and the 9 two-point products
+    # table for each of the three spaces with field operators. Each site's
+    # phi(x)^2, pi(x)^2 and (R^{1/2} phi)(x)^2 excess is taken once: 6 for
+    # kappa and 18 for the three probes
     counts = {}
     _count_calls(monkeypatch, Spectrum, "synthesize", counts)
-    _count_calls(
-        monkeypatch, FockOperator, "__matmul__", counts,
-        key=lambda self, other: "products" if isinstance(other, FockOperator) else None,
-    )
+    _count_calls(monkeypatch, fock_oracle, "square_excess", counts)
     report, _ = run_experiment(ExperimentConfig("oracle-verify"))
     assert report.passed
-    assert counts == {"synthesize": 7, "products": 33}
+    assert counts == {"synthesize": 7, "square_excess": 24}
+
+
+def test_oracle_verify_forms_each_kernel_column_once(monkeypatch):
+    # 7 apply_function calls: R^{-1/2} pi for kappa, one smearing per probe,
+    # and one R^{-1/2} column per source site of the 3-site two-point check
+    counts = {}
+    _count_calls(monkeypatch, Spectrum, "apply_function", counts)
+    report, _ = run_experiment(ExperimentConfig("oracle-verify"))
+    assert report.passed
+    assert counts == {"apply_function": 7}
+
+
+def test_oracle_deviations_rows_hold_python_floats():
+    _, (table,) = run_experiment(ExperimentConfig("oracle-verify"))
+    assert [row[0] for row in table.rows] == [
+        "phi2", "pi2", "energy", "two_point", "displacement", "small_state_exponent",
+    ]
+    assert all(type(cell) is float for row in table.rows for cell in row[1:])
 
 
 # The three profile tables are built from arrays in one call; each cell must

@@ -22,9 +22,9 @@ def spec6():
 
 def test_single_mode_ladder_entries(spec6):
     space = fo.build_fock(spec6, (0,), n_max=2)
-    a = space.lowering[0] @ np.eye(3)
+    a = fo._ladder(space, 0, np.eye(3))
     assert_allclose(a, [[0, 1, 0], [0, 0, np.sqrt(2)], [0, 0, 0]])
-    adag = space.raising(0) @ np.eye(3)
+    adag = fo._ladder(space, 0, np.eye(3), raising=True)
     assert_allclose(adag, a.T)
 
 
@@ -38,9 +38,9 @@ def test_occupations_c_order(spec6):
     # basis states |n0 n1> in C order: |00>, |01>, |10>, |11>
     space = fo.build_fock(spec6, (0, 1), n_max=1)
     basis = np.eye(4)
-    assert_allclose(space.raising(1) @ basis[0], basis[1])
-    assert_allclose(space.raising(0) @ basis[0], basis[2])
-    assert_allclose(space.raising(0) @ basis[1], basis[3])
+    assert_allclose(fo._ladder(space, 1, basis[0], raising=True), basis[1])
+    assert_allclose(fo._ladder(space, 0, basis[0], raising=True), basis[2])
+    assert_allclose(fo._ladder(space, 0, basis[1], raising=True), basis[3])
 
 
 @pytest.mark.parametrize(
@@ -60,13 +60,14 @@ def test_build_rejects_huge_dimension(spec6):
 def test_commutator_truncation_defect(spec6):
     # [a, adag] = I everywhere except the cut edge, where the defect is -n_max
     space = fo.build_fock(spec6, (0,), n_max=2)
-    a = space.lowering[0]
-    comm = (a @ space.raising(0) - space.raising(0) @ a) @ np.eye(3)
-    assert_allclose(np.diag(comm), [1.0, 1.0, -2.0])
+    eye = np.eye(3)
+    a_adag = fo._ladder(space, 0, fo._ladder(space, 0, eye, raising=True))
+    adag_a = fo._ladder(space, 0, fo._ladder(space, 0, eye), raising=True)
+    assert_allclose(np.diag(a_adag - adag_a), [1.0, 1.0, -2.0])
 
 
 def _oracle_and_dense(spec, space, x):
-    """Each oracle operator beside its dense build, keyed by name."""
+    """Each oracle action on amplitudes beside its dense matrix, keyed by name."""
     lower = dense_fock_lowering(space.nmodes, space.n_max)
     w = space.frequencies
     # f_k(x) as the oracle takes it, from the spectrum's synthesize, so the
@@ -80,26 +81,17 @@ def _oracle_and_dense(spec, space, x):
     assert_allclose(f, table, rtol=0, atol=1e-15 * scale)
     pairs = {}
     for j, a in enumerate(lower):
-        pairs[f"a{j}"] = (space.lowering[j], a)
-        pairs[f"adag{j}"] = (space.raising(j), a.T)
-        pairs[f"n{j}"] = (space.raising(j) @ space.lowering[j], a.T @ a)
-    pairs["hamiltonian"] = (
-        fo.fock_hamiltonian(space), sum(wj * (a.T @ a) for wj, a in zip(w, lower))
-    )
-    phi_op, pi_op = fo.field_operator(space, x, "phi"), fo.field_operator(space, x, "pi")
+        pairs[f"a{j}"] = (lambda s, j=j: fo._ladder(space, j, s), a)
+        pairs[f"adag{j}"] = (lambda s, j=j: fo._ladder(space, j, s, raising=True), a.T)
+        pairs[f"n{j}"] = (
+            lambda s, j=j: fo._ladder(space, j, fo._ladder(space, j, s), raising=True),
+            a.T @ a,
+        )
     phi = sum(fj / np.sqrt(2.0 * wj) * (a + a.T) for fj, wj, a in zip(f, w, lower))
     pi = sum(np.sqrt(wj / 2.0) * fj * 1j * (a.T - a) for fj, wj, a in zip(f, w, lower))
     root_phi = sum(np.sqrt(wj / 2.0) * fj * (a + a.T) for fj, wj, a in zip(f, w, lower))
-    pairs["phi"] = (phi_op, phi)
-    pairs["pi"] = (pi_op, pi)
-    pairs["phi.T"] = (phi_op.T, phi.T)
-    pairs["pi.T"] = (pi_op.T, pi.T)
-    pairs["phi@phi"] = (phi_op @ phi_op, phi @ phi)
-    pairs["pi@pi"] = (pi_op @ pi_op, pi @ pi)
-    pairs["phi@pi"] = (phi_op @ pi_op, phi @ pi)
-    pairs["(pi@phi).T"] = ((pi_op @ phi_op).T, (pi @ phi).T)
-    pairs["phi-pi"] = (phi_op - pi_op, phi - pi)
-    pairs["potential"] = (fo.potential_operator(space, x), root_phi @ root_phi)
+    for which, dense in (("phi", phi), ("pi", pi), ("smeared_phi", root_phi)):
+        pairs[which] = (lambda s, which=which: fo.field_operator(space, x, which, s), dense)
     return pairs
 
 
@@ -112,61 +104,45 @@ def test_operators_match_dense_fock_build(spec6, modes, n_max):
     vec = rng.normal(size=(space.dim, 2)) @ [1.0, 1j]
     block = rng.normal(size=(space.dim, 3)) + 1j * rng.normal(size=(space.dim, 3))
     for x in (0, 4):
-        pairs = _oracle_and_dense(spec6, space, x)
-        for name, (op, dense) in pairs.items():
-            if "@" in name or name == "potential":
-                # a product entry sums several nonzero terms, which the dense
-                # matmul may add in another order: allow one rounding each
-                scale = np.abs(dense).max()
-                assert_allclose(op @ eye, dense, rtol=0, atol=4e-16 * scale, err_msg=name)
-            else:
-                np.testing.assert_array_equal(op @ eye, dense, err_msg=name)
-            assert_allclose(op @ vec, dense @ vec, rtol=1e-14, atol=1e-14, err_msg=name)
+        for name, (act, dense) in _oracle_and_dense(spec6, space, x).items():
+            # every entry of these matrices is one product, on either side
+            np.testing.assert_array_equal(act(eye), dense, err_msg=name)
+            assert_allclose(act(vec), dense @ vec, rtol=1e-14, atol=1e-14, err_msg=name)
             # a block, real or complex, maps column by column, each column
             # with the bits it has alone
             for columns in (block, block.real):
-                got = op @ columns
+                got = act(columns)
                 assert_allclose(got, dense @ columns, rtol=1e-14, atol=1e-14, err_msg=name)
                 for j in range(columns.shape[1]):
-                    assert got[:, j].tobytes() == (op @ columns[:, j]).tobytes(), name
-        # operator x operator, the factors themselves products or not: each
-        # result entry may round once per term it sums, on either side
-        names = ["a0", f"adag{space.nmodes - 1}", "n0", "hamiltonian", "phi", "pi", "potential"]
-        for left in names:
-            for right in names:
-                (op_l, dense_l), (op_r, dense_r) = pairs[left], pairs[right]
-                got = (op_l @ op_r) @ eye
-                bound = 8 * np.finfo(float).eps * (np.abs(dense_l) @ np.abs(dense_r))
-                assert np.all(np.abs(got - dense_l @ dense_r) <= bound), (left, right)
+                    assert got[:, j].tobytes() == act(columns[:, j]).tobytes(), name
 
 
-def test_operators_of_another_dimension_are_refused():
-    three = fo.FockOperator(3, {1: np.ones(3)})
-    five = fo.FockOperator(5, {2: np.ones(5)})
-    for combine in (
-        lambda a, b: a + b,
-        lambda a, b: a - b,
-        lambda a, b: a @ b,
-    ):
-        for a, b, dims in ((three, five, "5.*3"), (five, three, "3.*5")):
-            with pytest.raises(ValueError, match=dims):
-                combine(a, b)
-    with pytest.raises(ValueError, match="5.*3"):
-        three @ np.ones(5)
-    with pytest.raises(ValueError, match="3.*5"):
-        five @ np.ones((3, 2))
+def test_field_operator_refuses_bad_input(spec6):
+    space = fo.build_fock(spec6, (0,), n_max=2)
+    with pytest.raises(ValueError, match="chi"):
+        fo.field_operator(space, 0, "chi", fo.vacuum(space).amplitudes)
+    # amplitudes of another dimension do not fit the occupation tensor
+    for amps in (np.ones(5), np.ones((5, 2))):
+        with pytest.raises(ValueError):
+            fo.field_operator(space, 0, "phi", amps)
 
 
 # ---------------------------------------------------------------------------
 # vacuum and one-particle states
 # ---------------------------------------------------------------------------
 
+def _energy(state):
+    """<s|H|s>/<s|s> for H = sum_k w_k adag_k a_k, as sum_k w_k ||a_k s||^2/||s||^2."""
+    space, amps = state.space, state.amplitudes
+    quanta = [np.linalg.norm(fo._ladder(space, k, amps)) ** 2 for k in range(space.nmodes)]
+    return float(np.dot(space.frequencies, quanta)) / np.vdot(amps, amps).real
+
+
 def test_vacuum_is_ground_state(spec6):
     space = fo.build_fock(spec6, (0, 1), n_max=4)
     vac = fo.vacuum(space)
     assert vac.norm() == 1.0
-    h = fo.fock_hamiltonian(space)
-    assert abs(fo.expectation(vac, h)) < 1e-15
+    assert abs(_energy(vac)) < 1e-15
 
 
 def test_one_particle_norm_equals_direction_norm(spec6):
@@ -179,15 +155,28 @@ def test_one_particle_norm_equals_direction_norm(spec6):
 def test_one_particle_energy(spec6):
     space = fo.build_fock(spec6, (2,), n_max=4)
     state = fo.one_particle(space, np.array([1.0]))
-    h = fo.fock_hamiltonian(space)
-    assert fo.expectation(state, h).real == pytest.approx(spec6.frequencies[2])
+    assert _energy(state) == pytest.approx(spec6.frequencies[2])
 
 
 def test_expectation_rejects_zero_state(spec6):
     space = fo.build_fock(spec6, (0,), n_max=2)
     zero = fo.FockVector(space=space, amplitudes=np.zeros(3, dtype=complex))
     with pytest.raises(ValueError):
-        fo.expectation(zero, fo.fock_hamiltonian(space))
+        fo.square_excess(zero, 0, "phi")
+
+
+def test_square_excess_is_the_expectation_of_the_square(spec6):
+    # against the dense square of the field, on an unnormalized state
+    space = fo.build_fock(spec6, (0, 3), n_max=3)
+    state = fo.coherent_state(space, np.array([0.3 - 0.2j, 0.5j])).vector
+    amps = 2.0 * state.amplitudes
+    pairs = _oracle_and_dense(spec6, space, 4)
+    for which in ("phi", "pi", "smeared_phi"):
+        dense = pairs[which][1]
+        square = dense @ dense
+        want = (np.vdot(amps, square @ amps) / np.vdot(amps, amps) - square[0, 0]).real
+        got = fo.square_excess(fo.FockVector(space, amps), 4, which)
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-15), which
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +197,8 @@ def test_coherent_coefficients_match_closed_form(spec6):
 def test_coherent_lowering_eigenvalue(spec6):
     space = fo.build_fock(spec6, (0,), n_max=14)
     coh = fo.coherent_state(space, np.array([0.5]))
-    mean_a = fo.expectation(coh.vector, space.lowering[0])
+    amps = coh.vector.amplitudes
+    mean_a = np.vdot(amps, fo._ladder(space, 0, amps)) / np.vdot(amps, amps)
     assert_allclose(mean_a, 0.5, atol=1e-12)
     assert coh.guard_ok
     assert coh.tail_bound < 1e-12
@@ -255,9 +245,14 @@ def test_displacement_is_unitary_on_vacuum(spec6):
 
 def _evolve(state, t):
     """exp(-i H t) state for the diagonal H = sum_k w_k adag_k a_k."""
-    h = fo.fock_hamiltonian(state.space)
-    assert set(h.diags) == {0}
-    return fo.FockVector(state.space, np.exp(-1j * h.diags[0] * t) * state.amplitudes)
+    space = state.space
+    eye = np.eye(space.dim)
+    h = sum(
+        wk * fo._ladder(space, k, fo._ladder(space, k, eye), raising=True)
+        for k, wk in enumerate(space.frequencies)
+    )
+    assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
+    return fo.FockVector(space, np.exp(-1j * np.diag(h) * t) * state.amplitudes)
 
 
 def test_evolution_preserves_norm_and_phases(spec6):

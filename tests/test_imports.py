@@ -3,7 +3,7 @@
 Every layer is numpy alone: the lattice layers (kernels, modes, geometry,
 localization, ELP, Newton-Wigner, Segal forms), the continuum kernels of
 ``asymptotics`` (whose contour and direct quadratures are numpy rules) and
-the Fock oracle (whose operators are numpy diagonals). scipy is a test
+the Fock oracle (whose ladder operators shift numpy amplitude tensors). scipy is a test
 dependency only, as an independent arbiter. The test runs a fresh
 interpreter with scipy imports blocked, because this test process has
 imported scipy itself. Likewise the FFT route of a constant mass runs no
