@@ -48,10 +48,8 @@ from .particle import (
     LocalizationReport,
     calibrate_kappa,
     elp_check,
-    energy_density_diff,
     localization_report,
-    phi2_diff,
-    pi2_diff,
+    probe_excesses,
     support_sites,
     vacuum_two_point,
 )
@@ -104,7 +102,6 @@ __all__ = [
     "direct_form",
     "direct_radial_integral",
     "elp_check",
-    "energy_density_diff",
     "evolve_modes",
     "evolve_nw",
     "evolve_state",
@@ -123,8 +120,7 @@ __all__ = [
     "nonrelativistic_compare",
     "nw_delta_localization",
     "nw_norm",
-    "phi2_diff",
-    "pi2_diff",
+    "probe_excesses",
     "qp_form",
     "run_all",
     "run_experiment",

@@ -15,10 +15,11 @@ of the experiment.
 Outputs land in the --out directory: ``report.<experiment>.json`` with the
 per-check records, and one ``<table>.tsv`` per data table, each with a ``#``
 metadata preamble. A check record holds the number its gate judged
-(``measured``), the gate's inclusive ``lower`` and ``upper`` bounds (null
-when a side is open) and ``pass``, which is lower <= measured <= upper and
-false for a NaN measurement. Timing is printed to stdout only, so identical
-configs produce byte-identical files.
+(``measured``, null when not finite, so that reports are strict JSON), the
+gate's inclusive ``lower`` and ``upper`` bounds (null when a side is open)
+and ``pass``, which is lower <= measured <= upper and false for a NaN
+measurement. Timing is printed to stdout only, so identical configs produce
+byte-identical files.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 config error (including a malformed, non-finite or out-of-range config
@@ -34,6 +35,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -91,7 +93,11 @@ def emit_table(path: Path, table: Table, meta: dict) -> None:
 
 
 def report_json(report: RunReport) -> str:
-    """Serialized report: sorted keys, no timing, trailing newline."""
+    """Serialized report: sorted keys, no timing, trailing newline.
+
+    Strict JSON: a non-finite ``measured`` is null, and any other non-finite
+    value raises rather than leave a NaN token that strict parsers reject.
+    """
     payload = {
         "experiment": report.experiment,
         "config": {k: list(v) if isinstance(v, tuple) else v
@@ -101,7 +107,7 @@ def report_json(report: RunReport) -> str:
         "checks": [
             {
                 "name": c.name,
-                "measured": c.measured,
+                "measured": c.measured if math.isfinite(c.measured) else None,
                 "lower": c.lower,
                 "upper": c.upper,
                 "pass": c.passed,
@@ -109,7 +115,7 @@ def report_json(report: RunReport) -> str:
             for c in report.checks
         ],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _write_outputs(out_dir: Path, report: RunReport, tables: list[Table]) -> list[Path]:

@@ -35,7 +35,7 @@ from .modes import (
     gaussian_bump,
     to_modes,
 )
-from .particle import KAPPA, phi2_diff
+from .particle import KAPPA, PROBES, probe_excesses
 from .spectral import (
     DecayFit,
     Lattice,
@@ -135,20 +135,20 @@ def nw_delta_localization(
     site: int,
     compton: float,
 ) -> NWDeltaReport:
-    """Profile of phi2_diff for psi concentrated on a single site.
+    """Profile of the phi2 probe for psi concentrated on a single site.
 
     The profile admits a closed form: for the unit-norm delta it equals
     2 kappa cell [R^{-1/4} kernel column at the site]^2, checked here against
-    the full pipeline (from_nw, phi2_diff). The width is the decay length of
-    the profile's amplitude (its square root), fitted over
-    NW_DELTA_WINDOW_COMPTON (in units of ``compton``); the nw experiment
-    gates it against ``compton``.
+    the full pipeline: the phi2 column of probe_excesses of from_nw. The
+    width is the decay length of the profile's amplitude (its square root),
+    fitted over NW_DELTA_WINDOW_COMPTON (in units of ``compton``); the nw
+    experiment gates it against ``compton``.
     """
     lattice = spec.lattice
     psi = np.zeros(lattice.nsites, dtype=complex)
     psi[site] = 1.0 / math.sqrt(lattice.cell)
     nw = NWWavefunction(spectrum=spec, psi=psi)
-    measured = phi2_diff(from_nw(nw), spec)
+    measured = probe_excesses(from_nw(nw), spec)[:, PROBES.index("phi2")]
 
     column = spec.kernel_column(lambda lam: lam**-0.25, site)
     closed = 2.0 * KAPPA * lattice.cell * column**2

@@ -6,7 +6,9 @@ The complex structure J multiplies those amplitudes by i, so a complex
 superposition sum_i c_i u_i is the real combination
 sum_i Re(c_i) u_i + Im(c_i) J u_i of progenitors, with no mode coordinates.
 Expectation values of squared field operators in such a state exceed their
-vacuum values by an amount expressible directly in the progenitor's fields:
+vacuum values by an amount expressible directly in the progenitor's fields,
+the three PROBES that probe_excesses returns from one R^{1/2} phi and one
+R^{-1/2} pi:
 
     phi-square excess    kappa (phi^2 + (R^{-1/2} pi)^2)
     pi-square excess     kappa (pi^2 + (R^{1/2} phi)^2)
@@ -16,19 +18,19 @@ States need not be normalized; the excesses above are quadratic in u.
 KAPPA is a fixed constant of the quantization conventions; it is not assumed
 but measured against the brute-force Fock oracle by calibrate_kappa, and the
 energy-density site sum reproduces sum_k omega_k |alpha_k|^2 with no further
-constant. Localization diagnostics ask how fast these excesses decay away
-from the progenitor's support, and whether superpositions of localized states
-stay localized. This module only measures: a localization report holds the
-support fraction, the binned distances beyond the support, one column of
-excess values per probe and one decay fit per probe, and the ELP check
-returns its random superpositions as bare progenitors, for the caller to
-report on and judge; the bounds that judge those numbers are the
-experiments' constants.
+constant. The Fock oracle arbitrates these same columns, and localization
+diagnostics ask how fast they decay away from the progenitor's support, and
+whether superpositions of localized states stay localized. This module only
+measures: a localization report holds the support fraction, the binned
+distances beyond the support, each probe's largest excess per bin and one
+decay fit per probe, and the ELP check returns its random superpositions as
+bare progenitors, for the caller to report on and judge; the bounds that
+judge those numbers are the experiments' constants.
 The probes and diagnostics read only ``spec.lattice`` and
 ``spec.apply_power`` of the Spectrum they are given; ``vacuum_two_point``
 returns one kernel column, f(R) applied to a unit vector, which holds the
 two-point function from one source site to every site.
-The probes map a (sites x k) block of progenitors column by column; the
+probe_excesses maps a (sites x k) block of progenitors column by column; the
 support, and so every localization report, is of one state and refuses a
 block.
 """
@@ -54,46 +56,28 @@ SUPPORT_FRACTION_MAX = 0.5  # strict: only states under this support fraction ar
 # observable excesses over the vacuum
 # ---------------------------------------------------------------------------
 
-def _phi2_excess(phi: np.ndarray, smeared_pi: np.ndarray) -> np.ndarray:
-    return KAPPA * (phi**2 + smeared_pi**2)
+PROBES = ("phi2", "pi2", "energy")
 
 
-def _pi2_excess(pi: np.ndarray, smeared_phi: np.ndarray) -> np.ndarray:
-    return KAPPA * (pi**2 + smeared_phi**2)
+def probe_excesses(u: PhaseVector, spec: Spectrum) -> np.ndarray:
+    """Site-wise excesses of <phi(x)^2>, <pi(x)^2> and the energy density.
 
-
-def _energy_excess(pi: np.ndarray, smeared_phi: np.ndarray) -> np.ndarray:
-    return 2.0 * KAPPA * (0.5 * pi**2 + 0.5 * smeared_phi**2)
-
-
-def phi2_diff(u: PhaseVector, spec: Spectrum) -> np.ndarray:
-    """Site-wise excess of <phi(x)^2> over the vacuum value."""
-    _check_same_lattice(u.lattice, spec.lattice)
-    return _phi2_excess(u.phi, spec.apply_power(-0.5, u.pi))
-
-
-def pi2_diff(u: PhaseVector, spec: Spectrum) -> np.ndarray:
-    """Site-wise excess of <pi(x)^2> over the vacuum value."""
-    _check_same_lattice(u.lattice, spec.lattice)
-    return _pi2_excess(u.pi, spec.apply_power(0.5, u.phi))
-
-
-def energy_density_diff(u: PhaseVector, spec: Spectrum) -> np.ndarray:
-    """Site-wise excess of the energy density pi^2/2 + (R^{1/2} phi)^2/2.
-
-    Summed over sites (times the cell volume) this gives exactly
-    sum_k omega_k |alpha_k|^2. Pointwise it coincides with pi2_diff because
-    both quadratures carry the same mode weights in this convention.
+    The last axis holds one probe each, in the order of PROBES, so a
+    (sites x k) block maps column by column to (sites x k x probes). The
+    energy density coincides pointwise with the pi^2 excess, as both
+    quadratures carry the same mode weights in this convention.
     """
     _check_same_lattice(u.lattice, spec.lattice)
-    return _energy_excess(u.pi, spec.apply_power(0.5, u.phi))
-
-
-PROBES = {
-    "phi2": phi2_diff,
-    "pi2": pi2_diff,
-    "energy": energy_density_diff,
-}
+    smeared_phi = spec.apply_power(0.5, u.phi)
+    smeared_pi = spec.apply_power(-0.5, u.pi)
+    return np.stack(
+        (
+            KAPPA * (u.phi**2 + smeared_pi**2),
+            KAPPA * (u.pi**2 + smeared_phi**2),
+            2.0 * KAPPA * (0.5 * u.pi**2 + 0.5 * smeared_phi**2),
+        ),
+        axis=-1,
+    )
 
 
 def vacuum_two_point(spec: Spectrum, x: int) -> np.ndarray:
@@ -197,16 +181,8 @@ def localization_report(
     outside = ~mask
     lo, hi = FIT_WINDOW_COMPTON
     window_abs = (lo * compton, hi * compton)
-    # one column per probe, all read from one R^{1/2} phi and one
-    # R^{-1/2} pi, and binned by one sort of the distances
-    smeared_phi = spec.apply_power(0.5, u.phi)
-    smeared_pi = spec.apply_power(-0.5, u.pi)
-    columns = {
-        "phi2": _phi2_excess(u.phi, smeared_pi),
-        "pi2": _pi2_excess(u.pi, smeared_phi),
-        "energy": _energy_excess(u.pi, smeared_phi),
-    }
-    values = np.stack([columns[name] for name in PROBES], axis=1)
+    # one column per probe, binned by one sort of the distances
+    values = probe_excesses(u, spec)
     d_out, binned = bin_by_distance(dist[outside], values[outside])
     in_window = (d_out >= window_abs[0]) & (d_out <= window_abs[1])
     fits = []

@@ -2,7 +2,7 @@
 k single points.
 
 Every transform and reduction of ``modes``, ``geometry`` and
-``newton_wigner``, and every ``particle`` probe, takes a block. A constant
+``newton_wigner``, and ``particle.probe_excesses``, takes a block. A constant
 mass takes the FFT route at every lattice size, where a block column meets
 the same arithmetic as the column alone, so the match is bitwise.
 """
@@ -42,7 +42,7 @@ from emergence_lab.newton_wigner import (
     nw_norm,
     to_nw,
 )
-from emergence_lab.particle import energy_density_diff, phi2_diff, pi2_diff
+from emergence_lab.particle import PROBES, probe_excesses
 from emergence_lab.spectral import Lattice, build_klein_gordon, diagonalize
 
 COLUMNS = 3
@@ -87,9 +87,11 @@ CASES = {
     "norm": lambda s, p: p.u.norm(),
     "hamiltonian_energy": lambda s, p: hamiltonian_energy(p.modes),
     "field_hamiltonian": lambda s, p: field_hamiltonian(p.u, s.operator),
-    "phi2_diff": lambda s, p: phi2_diff(p.u, s),
-    "pi2_diff": lambda s, p: pi2_diff(p.u, s),
-    "energy_density_diff": lambda s, p: energy_density_diff(p.u, s),
+    # the three probe columns of probe_excesses, each a site-wise difference
+    # from the vacuum value
+    "phi2_diff": lambda s, p: probe_excesses(p.u, s)[..., PROBES.index("phi2")],
+    "pi2_diff": lambda s, p: probe_excesses(p.u, s)[..., PROBES.index("pi2")],
+    "energy_density_diff": lambda s, p: probe_excesses(p.u, s)[..., PROBES.index("energy")],
 }
 
 

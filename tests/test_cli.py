@@ -152,6 +152,28 @@ def test_check_failure_exits_one(tmp_path, capsys):
     assert payload["pass"] is False
 
 
+def _refuse_constant(token):
+    raise ValueError(f"non-strict JSON token {token}")
+
+
+def test_reports_are_strict_json(tmp_path, capsys):
+    # at mass 2 localize's fit window holds too few samples for the pi2 and
+    # energy tails, so their lengths and rms are NaN; reports write null
+    cfg = write_cfg(tmp_path, "mass = 2\n")
+    out = tmp_path / "out"
+    assert main(["all", "--config", cfg, "--out", str(out)]) == EXIT_CHECK_FAILURE
+    reports = sorted(out.glob("report.*.json"))
+    assert len(reports) == len(EXPERIMENT_NAMES) + 1
+    for path in reports:
+        json.loads(path.read_text(), parse_constant=_refuse_constant)
+    checks = json.loads((out / "report.localize.json").read_text())["checks"]
+    nulls = {c["name"] for c in checks if c["measured"] is None}
+    assert nulls == {
+        "pi2_decay_within_gate", "pi2_fit_rms", "energy_decay_within_gate", "energy_fit_rms",
+    }
+    assert not any(c["pass"] for c in checks if c["name"] in nulls)
+
+
 @pytest.mark.parametrize("shape", ["16", "8 8", "24"])
 def test_elp_on_small_lattice_reports_failure(tmp_path, capsys, shape):
     # the two bump centres lie 8 sites either side of the middle; on a short

@@ -212,17 +212,17 @@ def test_elp_seed_8009_trial_fails_on_fit_rms_alone():
 # block of 10 applies (J u, J v, J J u, and 4 in the right-hand side) and 4
 # projections (to_modes of u and v); nw's 10 are one block of 7 projections
 # (to_modes of u, of J u and of the evolved u, and from_nw), plus one each
-# for the NW delta and the non-relativistic comparison. nw's 6 applies are 3
+# for the NW delta and the non-relativistic comparison. nw's 7 applies are 3
 # for the block (two powers of R in J u, and the NW evolution), 1 for the
-# leakage, and 2 for the NW delta: its phi2 excess, and its closed-form
-# kernel column, which is f(R) on a unit vector. segal-check's 100 pairs are
-# 5 blocks of 4 applies and 4 projections, plus 12 projections for
-# time_invariance.
+# leakage, and 3 for the NW delta: the two smearings of its probe row, whose
+# phi2 column it reads, and its closed-form kernel column, which is f(R) on
+# a unit vector. segal-check's 100 pairs are 5 blocks of 4 applies and 4
+# projections, plus 12 projections for time_invariance.
 @pytest.mark.parametrize(
     "experiment, expected",
     [
         ("geometry-check", {"apply_function": 10, "project": 4, "synthesize": 0}),
-        ("nw", {"apply_function": 6, "project": 9, "synthesize": 9}),
+        ("nw", {"apply_function": 7, "project": 9, "synthesize": 9}),
         ("segal-check", {"apply_function": 20, "project": 32, "synthesize": 4}),
     ],
 )
@@ -276,13 +276,14 @@ def test_oracle_verify_forms_each_mode_table_and_square_once(monkeypatch):
 
 
 def test_oracle_verify_forms_each_kernel_column_once(monkeypatch):
-    # 7 apply_function calls: R^{-1/2} pi for kappa, one smearing per probe,
-    # and one R^{-1/2} column per source site of the 3-site two-point check
+    # 6 apply_function calls: R^{-1/2} pi for kappa, R^{1/2} phi and
+    # R^{-1/2} pi for the three probes, and one R^{-1/2} column per source
+    # site of the 3-site two-point check
     counts = {}
     _count_calls(monkeypatch, Spectrum, "apply_function", counts)
     report, _ = run_experiment(ExperimentConfig("oracle-verify"))
     assert report.passed
-    assert counts == {"apply_function": 7}
+    assert counts == {"apply_function": 6}
 
 
 def test_oracle_deviations_rows_hold_python_floats():

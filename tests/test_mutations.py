@@ -1,10 +1,10 @@
 """Mutation audit: physics faults that the records of ``all`` must catch.
 
-Each fault is applied in process by monkeypatching a library function,
-never by editing a check, and ``run_all`` runs at seed 0. The test pins the
-exact set of records that fail under each fault, so a record that stops
-catching its fault, or a fault that starts failing other records, shows up.
-The fault-free run fails none.
+Each fault is applied in process by monkeypatching a library function in
+every module that binds its name, never by editing a check, and ``run_all``
+runs at seed 0. The test pins the exact set of records that fail under each
+fault, so a record that stops catching its fault, or a fault that starts
+failing other records, shows up. The fault-free run fails none.
 """
 
 from __future__ import annotations
@@ -13,40 +13,94 @@ import math
 
 import pytest
 
-from emergence_lab import experiments, fock_oracle, particle
+import emergence_lab
+from emergence_lab import (
+    asymptotics,
+    experiments,
+    fock_oracle,
+    geometry,
+    modes,
+    newton_wigner,
+    particle,
+    spectral,
+)
 from emergence_lab.experiments import ExperimentConfig, run_all
+from emergence_lab.particle import PROBES
+
+MODULES = (
+    emergence_lab, asymptotics, experiments, fock_oracle, geometry, modes,
+    newton_wigner, particle, spectral,
+)
 
 
-def _quarter_smeared_pi2(u, spec):
-    """pi2_diff smearing phi with R^{1/4}, not R^{1/2}."""
-    return particle._pi2_excess(u.pi, spec.apply_power(0.25, u.phi))
+def _patch(monkeypatch, owner, name, fault):
+    """Replace ``owner.name`` by ``fault(original)`` in every module binding it."""
+    original = getattr(owner, name)
+    faulty = fault(original)
+    for module in MODULES:
+        if vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, faulty)
 
 
 def _pi2_quarter_power(monkeypatch):
-    monkeypatch.setattr(particle, "pi2_diff", _quarter_smeared_pi2)
-    monkeypatch.setitem(particle.PROBES, "pi2", _quarter_smeared_pi2)
+    # the pi2 column smearing phi with R^{1/4}, not R^{1/2}
+    def fault(original):
+        def faulty(u, spec):
+            out = original(u, spec)
+            smeared = spec.apply_power(0.25, u.phi)
+            out[..., PROBES.index("pi2")] = particle.KAPPA * (u.pi**2 + smeared**2)
+            return out
+        return faulty
+
+    _patch(monkeypatch, particle, "probe_excesses", fault)
+
+
+def _energy_scaled(monkeypatch):
+    def fault(original):
+        def faulty(u, spec):
+            out = original(u, spec)
+            out[..., PROBES.index("energy")] *= 1.1
+            return out
+        return faulty
+
+    _patch(monkeypatch, particle, "probe_excesses", fault)
+
+
+def _j_sign_flipped(monkeypatch):
+    _patch(monkeypatch, geometry, "apply_J",
+           lambda original: lambda u, spec: original(u, spec) * -1.0)
+
+
+def _evolve_modes_backwards(monkeypatch):
+    _patch(monkeypatch, modes, "evolve_modes",
+           lambda original: lambda m, t: original(m, -t))
+
+
+def _evolve_nw_backwards(monkeypatch):
+    _patch(monkeypatch, newton_wigner, "evolve_nw",
+           lambda original: lambda nw, t: original(nw, -t))
+
+
+def _mass_scaled(monkeypatch):
+    _patch(monkeypatch, spectral, "build_klein_gordon",
+           lambda original: lambda mass, lattice: original(1.03 * mass, lattice))
 
 
 def _two_point_doubled(monkeypatch):
-    original = particle.vacuum_two_point
-
-    def doubled(spec, x):
-        return 2.0 * original(spec, x)
-
-    monkeypatch.setattr(particle, "vacuum_two_point", doubled)
-    monkeypatch.setattr(experiments, "vacuum_two_point", doubled)
+    _patch(monkeypatch, particle, "vacuum_two_point",
+           lambda original: lambda spec, x: 2.0 * original(spec, x))
 
 
 def _phi_over_sqrt_omega(monkeypatch):
     # the oracle's phi(x) with f_k/sqrt(w_k) in place of f_k/sqrt(2 w_k),
     # which is sqrt(2) times the true phi(x)
-    original = fock_oracle.field_operator
+    def fault(original):
+        def faulty(space, site, which, amps):
+            out = original(space, site, which, amps)
+            return math.sqrt(2.0) * out if which == "phi" else out
+        return faulty
 
-    def faulty(space, site, which, amps):
-        out = original(space, site, which, amps)
-        return math.sqrt(2.0) * out if which == "phi" else out
-
-    monkeypatch.setattr(fock_oracle, "field_operator", faulty)
+    _patch(monkeypatch, fock_oracle, "field_operator", fault)
 
 
 FAULTS = {
@@ -54,6 +108,31 @@ FAULTS = {
     "pi2_diff_smears_with_quarter_power": (
         _pi2_quarter_power,
         {"oracle-verify.pi2_matches_oracle"},
+    ),
+    "energy_column_scaled": (
+        _energy_scaled,
+        {"oracle-verify.energy_matches_oracle"},
+    ),
+    "J_sign_flipped": (
+        _j_sign_flipped,
+        {
+            "geometry-check.forms_agree",
+            "geometry-check.rhs_matches_hamilton",
+            "nw.nw_intertwines_J",
+            "segal-check.four_forms_agree",
+        },
+    ),
+    "evolve_modes_backwards": (
+        _evolve_modes_backwards,
+        {"nw.evolution_commutes"},
+    ),
+    "evolve_nw_backwards": (
+        _evolve_nw_backwards,
+        {"nw.evolution_commutes"},
+    ),
+    "mass_scaled_in_build_klein_gordon": (
+        _mass_scaled,
+        {"asymptotics.lattice_continuum_monotone", "nw.nonrel_precondition"},
     ),
     "vacuum_two_point_doubled": (
         _two_point_doubled,

@@ -21,10 +21,8 @@ from emergence_lab.particle import (
     calibrate_kappa,
     distance_beyond,
     elp_check,
-    energy_density_diff,
     localization_report,
-    phi2_diff,
-    pi2_diff,
+    probe_excesses,
     support_sites,
     vacuum_two_point,
 )
@@ -76,25 +74,32 @@ def test_kappa_constant_across_mass_and_spacing():
 # probes against the oracle
 # ---------------------------------------------------------------------------
 
-def test_probes_match_fock_oracle_two_modes(spec6):
-    direction = np.array([0.8, 0.6j])
-    space = fo.build_fock(spec6, (0, 1), n_max=10)
-    fock_state = fo.one_particle(space, direction)
-    u = from_modes(modes_on(spec6, {0: direction[0], 1: direction[1]}))
+def probe(name, u, spec):
+    return probe_excesses(u, spec)[..., PROBES.index(name)]
 
-    for name, probe, which in [
-        ("phi2", phi2_diff, "phi"),
-        ("pi2", pi2_diff, "pi"),
-    ]:
-        analytic = probe(u, spec6)
-        for x in range(6):
-            excess = fo.square_excess(fock_state, x, which)
-            assert abs(excess - analytic[x]) < 1e-12, (name, x)
+
+def test_probes_match_fock_oracle_two_modes(spec6):
+    # modes 1 and 3 have different eigenvalues, at most one of them 1, and
+    # the direction is generic, so a wrong power of R in a probe shows
+    direction = np.array([0.48 + 0.36j, 0.64 - 0.48j])
+    space = fo.build_fock(spec6, (1, 3), n_max=10)
+    fock_state = fo.one_particle(space, direction)
+    u = from_modes(modes_on(spec6, {1: direction[0], 3: direction[1]}))
+    analytic = probe_excesses(u, spec6)
+    assert analytic.shape == (6, len(PROBES))
+
+    for x in range(6):
+        phi, pi, smeared_phi = (
+            fo.square_excess(fock_state, x, which) for which in ("phi", "pi", "smeared_phi")
+        )
+        oracle = (phi, pi, 0.5 * pi + 0.5 * smeared_phi)
+        for name, want, got in zip(PROBES, oracle, analytic[x]):
+            assert abs(want - got) < 1e-12, (name, x)
 
 
 def test_energy_density_equals_pi2_pointwise(spec6):
     u = from_modes(modes_on(spec6, {0: 0.5, 2: 0.3j, 4: -0.2}))
-    assert_allclose(energy_density_diff(u, spec6), pi2_diff(u, spec6), atol=1e-15)
+    assert_allclose(probe("energy", u, spec6), probe("pi2", u, spec6), atol=1e-15)
 
 
 def test_site_sums_reduce_to_mode_sums(spec512):
@@ -105,12 +110,12 @@ def test_site_sums_reduce_to_mode_sums(spec512):
     alpha = to_modes(u, spec512).alpha
     cell = spec512.lattice.cell
     assert_allclose(
-        np.sum(phi2_diff(u, spec512)) * cell,
+        np.sum(probe("phi2", u, spec512)) * cell,
         np.sum(np.abs(alpha) ** 2 / spec512.frequencies),
         rtol=1e-12,
     )
     assert_allclose(
-        np.sum(pi2_diff(u, spec512)) * cell,
+        np.sum(probe("pi2", u, spec512)) * cell,
         np.sum(np.abs(alpha) ** 2 * spec512.frequencies),
         rtol=1e-12,
     )
@@ -122,7 +127,7 @@ def test_phi2_closed_form(spec6):
     table = hartley_table(spec6.lattice, spec6.hartley_modes)
     smeared = table @ (modes.alpha / np.sqrt(2.0 * spec6.frequencies))
     assert_allclose(
-        phi2_diff(from_modes(modes), spec6), 4.0 * KAPPA * np.abs(smeared) ** 2, atol=1e-14
+        probe("phi2", from_modes(modes), spec6), 4.0 * KAPPA * np.abs(smeared) ** 2, atol=1e-14
     )
 
 
@@ -371,8 +376,8 @@ def test_elp_trials_match_mode_superposition(spec512, elp_setup, seed):
         assert len(report.fits) == len(ref.fits) == len(PROBES)
         assert report.values.shape == ref.values.shape == (ref.distances.size, len(PROBES))
         assert np.array_equal(report.distances, ref.distances)
-        for name, got, want in zip(PROBES, report.values.T, ref.values.T):
-            peak = float(PROBES[name](w, spec512).max())
+        peaks = probe_excesses(w, spec512).max(axis=0)
+        for name, got, want, peak in zip(PROBES, report.values.T, ref.values.T, peaks):
             assert np.abs(got - want).max() <= 1e-12 * peak, name
 
 
