@@ -416,6 +416,23 @@ def _axis_rises(lattice: Lattice, column: np.ndarray, source: int, band) -> int:
     return rises
 
 
+def _inverse_chain_deviation(lattice: Lattice, mass: float) -> float:
+    """max |G - exact| / max exact, G the R^{-1} column at site 0 of a chain.
+
+    The periodic chain has the lattice's first-axis length N and spacing a,
+    and exact is a (e^{-kn} + e^{-k(N-n)}) / (2 sinh k (1 - e^{-kN})) with
+    k = 2 asinh(m a/2): the cosh/sinh form divided through, so no term
+    overflows at large N. The record pins R's stencil, which spectra reuse.
+    """
+    nsites, a = lattice.shape[0], lattice.spacing
+    chain = diagonalize(build_klein_gordon(mass, Lattice((nsites,), a)))
+    got = chain.kernel_column(lambda lam: 1.0 / lam, 0)
+    kappa, n = 2.0 * math.asinh(mass * a / 2.0), np.arange(nsites)
+    exact = a * (np.exp(-kappa * n) + np.exp(-kappa * (nsites - n)))
+    exact /= 2.0 * math.sinh(kappa) * -math.expm1(-kappa * nsites)
+    return float(np.max(np.abs(got - exact)) / np.max(exact))
+
+
 def _run_kernel(config: ExperimentConfig, rng) -> tuple[list[CheckRecord], list[Table]]:
     spec = _spectrum(config, 512)
     lattice = spec.lattice
@@ -436,6 +453,8 @@ def _run_kernel(config: ExperimentConfig, rng) -> tuple[list[CheckRecord], list[
         _within("decay_length", fit.length, compton, DECAY_RTOL * compton),
         CheckRecord("fit_quality", fit.rms_log_residual, upper=FIT_RMS_UPPER),
         CheckRecord("profile_decreasing", _axis_rises(lattice, column, source, band), upper=0),
+        CheckRecord("inverse_closed_form", _inverse_chain_deviation(lattice, config.mass),
+                    upper=FORM_TOL),
     ]
     positive = values > 0
     rows = _float_rows(distances[positive], values[positive], np.log(values[positive]))
@@ -537,13 +556,9 @@ def _run_oracle_verify(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     alpha = np.zeros(spec.nmodes, dtype=complex)
     alpha[[1, 3]] = direction
     u = from_modes(ModeVector(spectrum=spec, alpha=alpha))
-    # each site's excess of phi(x)^2, pi(x)^2 and (R^{1/2} phi)(x)^2, taken
+    # every site's excess of phi(x)^2, pi(x)^2 and (R^{1/2} phi)(x)^2, taken
     # once for the three probes, against the probes' (sites x probes) array
-    phi, pi, smeared_phi = (
-        np.array([fock_oracle.square_excess(state_fock, x, which)
-                  for x in range(lattice.nsites)])
-        for which in ("phi", "pi", "smeared_phi")
-    )
+    phi, pi, smeared_phi = fock_oracle.square_excess(space, state_fock)
     oracle = np.column_stack((phi, pi, 0.5 * pi + 0.5 * smeared_phi))
     worst = np.max(np.abs(oracle - probe_excesses(u, spec)), axis=0)
     rows = []
@@ -554,11 +569,8 @@ def _run_oracle_verify(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     lattice3 = Lattice((3,), spacing=config.spacing)
     spec3 = diagonalize(build_klein_gordon(config.mass, lattice3))
     space3 = fock_oracle.build_fock(spec3, (0, 1, 2), n_max=6)
-    vac3 = fock_oracle.vacuum(space3).amplitudes
     # <0|phi(x) phi(y)|0> is the inner product of phi(x)|0> and phi(y)|0>
-    phi_vac = np.column_stack(
-        [fock_oracle.field_operator(space3, x, "phi", vac3) for x in range(3)]
-    )
+    phi_vac, _, _ = fock_oracle.field_operators(space3, fock_oracle.vacuum(space3))
     two_point = np.array([vacuum_two_point(spec3, x) for x in range(3)])
     worst = float(np.max(np.abs((phi_vac.conj().T @ phi_vac).real - two_point)))
     checks.append(CheckRecord("vacuum_two_point", worst, upper=ORACLE_TOL))
@@ -567,7 +579,7 @@ def _run_oracle_verify(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     z = 0.4 + 0.2j
     disp = fock_oracle.displacement(space, direction, z)
     coh = fock_oracle.coherent_state(space, z * direction)
-    dev = float(np.linalg.norm(disp.amplitudes - coh.vector.amplitudes))
+    dev = float(np.linalg.norm(disp - coh.amplitudes))
     checks.append(CheckRecord("displacement_vs_coherent", dev, upper=DISPLACEMENT_TOL))
     rows.append(("displacement", dev, DISPLACEMENT_TOL))
 

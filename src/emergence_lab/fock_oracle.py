@@ -9,14 +9,14 @@ Fock-space algebra.
 
 States live on a subset of at most three modes of a Spectrum; the basis is
 the tensor product of per-mode number states 0..n_max, first selected mode
-outermost (C order). Operators are never stored: every quantity the package
-reads is a Hermitian square, <s|A^2|s> = ||A s||^2, or a vacuum product,
-<0|A B|0> = <A 0, B 0>, so operators only act on states. The one ladder
-action (``_ladder``) views (dim,) amplitudes or a (dim, k) block as a tensor
-with one axis of length n_max + 1 per mode, shifts it one step along a
-mode's axis and scales by sqrt(n), exactly as the truncated matrix would.
-A FockSpace synthesizes f_k(x) of its modes once, so field operators at
-many sites share it.
+outermost (C order), and a state is its bare (dim,) complex amplitudes.
+Operators are never stored: every quantity the package reads is a Hermitian
+square, <s|A^2|s> = ||A s||^2, or a vacuum product, <0|A B|0> = <A 0, B 0>.
+The one ladder action (``_ladder``) views amplitudes or a (dim, k) block as
+a tensor with one axis of length n_max + 1 per mode, shifts it one step
+along a mode's axis and scales by sqrt(n), as the truncated matrix would.
+``field_operators`` applies the FIELDS at every site in one call, from the
+f_k(x) table that a FockSpace synthesizes once.
 """
 from __future__ import annotations
 
@@ -33,6 +33,7 @@ MAX_DIM = 100_000
 SERIES_RTOL = 1e-18
 MAX_SERIES_TERMS = 400
 GUARD_FRACTION = 0.25  # |alpha| above n_max * this triggers the truncation flag
+FIELDS = ("phi", "pi", "smeared_phi")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,23 +90,6 @@ def _ladder(space: FockSpace, j: int, amps: np.ndarray, raising: bool = False) -
     return out.reshape(amps.shape)
 
 
-@dataclasses.dataclass(frozen=True)
-class FockVector:
-    """State vector in a FockSpace occupation basis."""
-
-    space: FockSpace
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if a.shape != (self.space.dim,):
-            raise ValueError(f"{a.shape[0]} amplitudes for dimension {self.space.dim}")
-        object.__setattr__(self, "amplitudes", a)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
 def build_fock(spec: Spectrum, mode_indices: tuple[int, ...], n_max: int = 14) -> FockSpace:
     """The truncated space of the selected modes, occupations 0..n_max each."""
     modes = tuple(int(k) for k in mode_indices)
@@ -128,10 +112,18 @@ def build_fock(spec: Spectrum, mode_indices: tuple[int, ...], n_max: int = 14) -
     )
 
 
-def vacuum(space: FockSpace) -> FockVector:
+def vacuum(space: FockSpace) -> np.ndarray:
     amps = np.zeros(space.dim, dtype=complex)
     amps[0] = 1.0
-    return FockVector(space=space, amplitudes=amps)
+    return amps
+
+
+def _amplitudes(values: np.ndarray, size: int, unit: str) -> np.ndarray:
+    """``values`` as ``size`` complex amplitudes, one per mode or basis state."""
+    a = np.asarray(values, dtype=complex).reshape(-1)
+    if a.shape != (size,):
+        raise ValueError(f"{a.shape[0]} amplitudes for {size} {unit}")
+    return a
 
 
 def _mode_coefficients(alpha: complex, n_max: int) -> np.ndarray:
@@ -164,7 +156,7 @@ def coherent_tail_bound(space: FockSpace, alphas: np.ndarray) -> float:
 class CoherentState:
     """Truncated coherent state plus honesty metadata about the cutoff."""
 
-    vector: FockVector
+    amplitudes: np.ndarray
     tail_bound: float
     guard_ok: bool
 
@@ -175,96 +167,84 @@ def coherent_state(space: FockSpace, alphas: np.ndarray) -> CoherentState:
     guard_ok is False when any |alpha_k| exceeds n_max/4; the state is still
     returned, with the tail bound quantifying how much norm the cutoff lost.
     """
-    a = np.asarray(alphas, dtype=complex).reshape(-1)
-    if a.shape != (space.nmodes,):
-        raise ValueError(f"{a.shape[0]} amplitudes for {space.nmodes} modes")
-    vecs = [_mode_coefficients(ak, space.n_max) for ak in a]
-    amps = reduce(np.kron, vecs)
-    guard_ok = bool(np.all(np.abs(a) <= GUARD_FRACTION * space.n_max))
+    a = _amplitudes(alphas, space.nmodes, "modes")
     return CoherentState(
-        vector=FockVector(space=space, amplitudes=amps),
+        amplitudes=reduce(np.kron, [_mode_coefficients(ak, space.n_max) for ak in a]),
         tail_bound=coherent_tail_bound(space, a),
-        guard_ok=guard_ok,
+        guard_ok=bool(np.all(np.abs(a) <= GUARD_FRACTION * space.n_max)),
     )
 
 
-def one_particle(space: FockSpace, direction: np.ndarray) -> FockVector:
+def one_particle(space: FockSpace, direction: np.ndarray) -> np.ndarray:
     """sum_k alpha_k adag_k |0>; squared norm is sum |alpha_k|^2 exactly."""
-    a = np.asarray(direction, dtype=complex).reshape(-1)
-    if a.shape != (space.nmodes,):
-        raise ValueError(f"{a.shape[0]} amplitudes for {space.nmodes} modes")
-    vac = vacuum(space).amplitudes
-    amps = sum(ak * _ladder(space, k, vac, raising=True) for k, ak in enumerate(a))
-    return FockVector(space=space, amplitudes=amps)
+    vac, a = vacuum(space), _amplitudes(direction, space.nmodes, "modes")
+    return sum(ak * _ladder(space, k, vac, raising=True) for k, ak in enumerate(a))
 
 
-def displacement(space: FockSpace, direction: np.ndarray, z: complex) -> FockVector:
+def displacement(space: FockSpace, direction: np.ndarray, z: complex) -> np.ndarray:
     """Displaced vacuum exp(z A - conj(z) A^dag ... )|0> for A^dag = sum alpha_k adag_k.
 
     ``direction`` must be normalized (sum |alpha_k|^2 = 1). Acting on the
     vacuum the operator reduces to exp(-|z|^2/2) exp(z A^dag)|0>, evaluated
     as a plain power series until terms fall below SERIES_RTOL.
     """
-    a = np.asarray(direction, dtype=complex).reshape(-1)
-    if a.shape != (space.nmodes,):
-        raise ValueError(f"{a.shape[0]} amplitudes for {space.nmodes} modes")
+    a = _amplitudes(direction, space.nmodes, "modes")
     nrm = float(np.linalg.norm(a))
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"direction norm {nrm} is not 1; normalize it first")
     za = complex(z) * a
-    amps = vacuum(space).amplitudes
-    term = amps
+    amps = term = vacuum(space)
     for n in range(1, MAX_SERIES_TERMS + 1):
         term = sum(c * _ladder(space, k, term, raising=True) for k, c in enumerate(za)) / n
         amps = amps + term
         if np.linalg.norm(term) < SERIES_RTOL * np.linalg.norm(amps):
             break
-    return FockVector(space=space, amplitudes=math.exp(-0.5 * abs(z) ** 2) * amps)
+    return math.exp(-0.5 * abs(z) ** 2) * amps
 
 
-def field_operator(space: FockSpace, site: int, which: str, amps: np.ndarray) -> np.ndarray:
-    """A field at one site, restricted to the oracle's modes, applied to amplitudes.
+def field_operators(space: FockSpace, amps: np.ndarray, sites=slice(None)) -> np.ndarray:
+    """The FIELDS at ``sites``, restricted to the oracle's modes, applied to amplitudes.
 
     phi(x)            = sum_k f_k(x)/sqrt(2 w_k) (a_k + adag_k)
     pi(x)             = sum_k sqrt(w_k/2) f_k(x) i (adag_k - a_k)
     (R^{1/2} phi)(x)  = sum_k sqrt(w_k/2) f_k(x) (a_k + adag_k)
 
-    ``which`` is "phi", "pi" or "smeared_phi" (the last is the potential
-    term's field), and ``amps`` is (dim,) or a (dim, k) block. f_k(x) is
-    the spectrum's ``synthesize`` of the unit coefficients of mode k, made
-    once per space. With only a mode subset these satisfy the canonical
-    commutator up to the missing modes' completeness defect.
+    The last is the potential term's field. ``amps`` is (dim,) or a (dim, k)
+    block, ``sites`` a slice or index array (every site by default), and the
+    result is (fields, dim[, k], sites) in FIELDS order. Each mode's a_j and
+    adag_j images are formed once, and each field sums its terms
+    down_j a_j s + up_j adag_j s over j in order. f_k(x) is the spectrum's
+    ``synthesize`` of the unit coefficients of mode k, made once per space.
+    With only a mode subset these satisfy the canonical commutator up to
+    the missing modes' completeness defect.
     """
-    f, w = space._mode_values[site], space.frequencies
-    # coefficients of a_k (down) and adag_k (up)
-    if which == "phi":
-        down = up = f / np.sqrt(2.0 * w)
-    elif which == "pi":
-        up = 1j * (np.sqrt(w / 2.0) * f)
-        down = -up
-    elif which == "smeared_phi":
-        down = up = np.sqrt(w / 2.0) * f
-    else:
-        raise ValueError(f"unknown field {which!r}; use 'phi', 'pi' or 'smeared_phi'")
-    return sum(
-        down[j] * _ladder(space, j, amps) + up[j] * _ladder(space, j, amps, raising=True)
-        for j in range(space.nmodes)
-    )
+    f, w = space._mode_values[sites].T, space.frequencies[:, None]
+    phi, smeared_phi = f / np.sqrt(2.0 * w), np.sqrt(w / 2.0) * f
+    pi_up = 1j * smeared_phi
+    # coefficients of a_j (down) and adag_j (up), (modes x sites), per field
+    coefficients = ((phi, phi), (-pi_up, pi_up), (smeared_phi, smeared_phi))
+    column = np.asarray(amps)[..., None]
+    images = [(_ladder(space, j, column), _ladder(space, j, column, raising=True))
+              for j in range(space.nmodes)]
+    return np.stack([
+        sum(down[j] * lower + up[j] * upper for j, (lower, upper) in enumerate(images))
+        for down, up in coefficients
+    ])
 
 
-def square_excess(state: FockVector, site: int, which: str) -> float:
-    """<s|A^2|s>/<s|s> - <0|A^2|0> for the field A of ``field_operator`` at a site.
+def square_excess(space: FockSpace, amps: np.ndarray) -> np.ndarray:
+    """<s|A^2|s>/<s|s> - <0|A^2|0> for each of the FIELDS A at every site, (fields, sites).
 
     A is Hermitian, so each term is a squared norm, ||A s||^2/||s||^2 and
-    ||A|0>||^2; A acts once, on the block of s and the vacuum.
+    ||A|0>||^2; the fields act once, on the block of s and the vacuum.
     """
-    n2 = float(np.vdot(state.amplitudes, state.amplitudes).real)
+    amps = _amplitudes(amps, space.dim, "basis states")
+    n2 = float(np.vdot(amps, amps).real)
     if n2 < 1e-300:
         raise ValueError("cannot take an expectation in a zero state")
-    block = np.column_stack((state.amplitudes, vacuum(state.space).amplitudes))
-    image = field_operator(state.space, site, which, block)
-    squares = np.sum(np.abs(image) ** 2, axis=0)
-    return float(squares[0] / n2 - squares[1])
+    image = field_operators(space, np.column_stack((amps, vacuum(space))))
+    squares = np.sum(np.abs(image) ** 2, axis=1)
+    return squares[:, 0] / n2 - squares[:, 1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -287,11 +267,10 @@ def small_state_limit_check(
     lams = np.asarray(lams, dtype=float).reshape(-1)
     if np.any(lams <= 0) or np.any(lams > 0.3):
         raise ValueError("lambdas must lie in (0, 0.3]")
-    vac = vacuum(space).amplitudes
-    part = one_particle(space, direction).amplitudes
+    vac, part = vacuum(space), one_particle(space, direction)
     residuals = np.empty_like(lams)
     for i, lam in enumerate(lams):
-        disp = displacement(space, direction, lam).amplitudes
+        disp = displacement(space, direction, lam)
         residuals[i] = np.linalg.norm(disp - (vac + lam * part))
     slope, _, _ = log_linear_fit(np.log(lams), residuals)
     return SmallStateReport(residuals=residuals, exponent=slope)

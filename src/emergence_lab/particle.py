@@ -16,7 +16,7 @@ R^{-1/2} pi:
 
 States need not be normalized; the excesses above are quadratic in u.
 KAPPA is a fixed constant of the quantization conventions; it is not assumed
-but measured against the brute-force Fock oracle by calibrate_kappa, and the
+but measured against the Fock oracle, at every site, by calibrate_kappa; the
 energy-density site sum reproduces sum_k omega_k |alpha_k|^2 with no further
 constant. The Fock oracle arbitrates these same columns, and localization
 diagnostics ask how fast they decay away from the progenitor's support, and
@@ -98,12 +98,9 @@ def calibrate_kappa(space: fock_oracle.FockSpace) -> float:
     alpha[space.mode_indices[0]] = 1.0
     u = from_modes(ModeVector(spectrum=spec, alpha=alpha))
     denom = u.phi**2 + spec.apply_power(-0.5, u.pi) ** 2
-    ratios = [
-        fock_oracle.square_excess(part, x, "phi") / denom[x]
-        for x in range(spec.lattice.nsites)
-        if denom[x] >= 1e-12 * denom.max()
-    ]
-    return float(np.median(ratios))
+    excess = fock_oracle.square_excess(space, part)[fock_oracle.FIELDS.index("phi")]
+    kept = denom >= 1e-12 * denom.max()
+    return float(np.median(excess[kept] / denom[kept]))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ from emergence_lab.asymptotics import (
 from emergence_lab.cli import main as cli_main
 from emergence_lab.experiments import FIT_RMS_MAX, _judge_in_region
 from emergence_lab.fock_oracle import (
+    FIELDS,
     build_fock,
-    field_operator,
+    field_operators,
     one_particle,
     small_state_limit_check,
     square_excess,
@@ -286,26 +287,19 @@ def test_criterion_07_oracle_arbitration():
     alpha[:3] = direction
     u = from_modes(ModeVector(spectrum=spec, alpha=alpha))
 
-    worst = 0.0
-    analytic = probe_excesses(u, spec)
-    for x in range(lattice.nsites):
-        phi, pi, smeared_phi = (
-            square_excess(state_fock, x, which) for which in ("phi", "pi", "smeared_phi")
-        )
-        # the oracle's phi2, pi2 and energy excesses, in PROBES order
-        oracle = np.array([phi, pi, 0.5 * pi + 0.5 * smeared_phi])
-        worst = max(worst, float(np.max(np.abs(oracle - analytic[x]))))
+    phi, pi, smeared_phi = square_excess(space, state_fock)
+    # the oracle's phi2, pi2 and energy excesses, in PROBES order
+    oracle = np.column_stack((phi, pi, 0.5 * pi + 0.5 * smeared_phi))
+    worst = float(np.max(np.abs(oracle - probe_excesses(u, spec))))
 
     lattice3 = Lattice((3,))
     spec3 = diagonalize(build_klein_gordon(1.0, lattice3))
     space3 = build_fock(spec3, (0, 1, 2), n_max=6)
-    vac3 = vacuum(space3).amplitudes
+    phi_vac = field_operators(space3, vacuum(space3))[FIELDS.index("phi")]
     two_point = 0.0
     for x in range(3):
         for y in range(3):
-            phi_x = field_operator(space3, x, "phi", vac3)
-            phi_y = field_operator(space3, y, "phi", vac3)
-            oracle = np.vdot(phi_x, phi_y).real
+            oracle = np.vdot(phi_vac[:, x], phi_vac[:, y]).real
             two_point = max(two_point, abs(oracle - vacuum_two_point(spec3, x)[y]))
 
     # one-particle states live exactly inside the truncation, so the

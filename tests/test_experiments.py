@@ -264,15 +264,15 @@ def test_localization_report_applies_each_power_once(monkeypatch):
 
 def test_oracle_verify_forms_each_mode_table_and_square_once(monkeypatch):
     # 7 synthesize calls: two from_modes (phi and pi each) and one f_k(x)
-    # table for each of the three spaces with field operators. Each site's
-    # phi(x)^2, pi(x)^2 and (R^{1/2} phi)(x)^2 excess is taken once: 6 for
-    # kappa and 18 for the three probes
+    # table for each of the three spaces with field operators. The phi(x)^2,
+    # pi(x)^2 and (R^{1/2} phi)(x)^2 excesses at every site are taken in one
+    # call: one for kappa and one for the three probes
     counts = {}
     _count_calls(monkeypatch, Spectrum, "synthesize", counts)
     _count_calls(monkeypatch, fock_oracle, "square_excess", counts)
     report, _ = run_experiment(ExperimentConfig("oracle-verify"))
     assert report.passed
-    assert counts == {"synthesize": 7, "square_excess": 24}
+    assert counts == {"synthesize": 7, "square_excess": 2}
 
 
 def test_oracle_verify_forms_each_kernel_column_once(monkeypatch):

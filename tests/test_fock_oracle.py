@@ -90,8 +90,11 @@ def _oracle_and_dense(spec, space, x):
     phi = sum(fj / np.sqrt(2.0 * wj) * (a + a.T) for fj, wj, a in zip(f, w, lower))
     pi = sum(np.sqrt(wj / 2.0) * fj * 1j * (a.T - a) for fj, wj, a in zip(f, w, lower))
     root_phi = sum(np.sqrt(wj / 2.0) * fj * (a + a.T) for fj, wj, a in zip(f, w, lower))
-    for which, dense in (("phi", phi), ("pi", pi), ("smeared_phi", root_phi)):
-        pairs[which] = (lambda s, which=which: fo.field_operator(space, x, which, s), dense)
+    for which, dense in zip(fo.FIELDS, (phi, pi, root_phi)):
+        pairs[which] = (
+            lambda s, i=fo.FIELDS.index(which): fo.field_operators(space, s)[i][..., x],
+            dense,
+        )
     return pairs
 
 
@@ -117,23 +120,32 @@ def test_operators_match_dense_fock_build(spec6, modes, n_max):
                     assert got[:, j].tobytes() == act(columns[:, j]).tobytes(), name
 
 
+def test_field_operators_at_chosen_sites_are_columns_of_all_sites(spec6):
+    space = fo.build_fock(spec6, (0, 2, 5), n_max=3)
+    state = fo.coherent_state(space, np.array([0.3, 0.2j, -0.4])).amplitudes
+    every = fo.field_operators(space, state)
+    for sites in ([4], [5, 1], slice(2, 4)):
+        assert fo.field_operators(space, state, sites).tobytes() == every[..., sites].tobytes()
+
+
 def test_field_operator_refuses_bad_input(spec6):
     space = fo.build_fock(spec6, (0,), n_max=2)
-    with pytest.raises(ValueError, match="chi"):
-        fo.field_operator(space, 0, "chi", fo.vacuum(space).amplitudes)
     # amplitudes of another dimension do not fit the occupation tensor
     for amps in (np.ones(5), np.ones((5, 2))):
         with pytest.raises(ValueError):
-            fo.field_operator(space, 0, "phi", amps)
+            fo.field_operators(space, amps)
+    # square_excess takes one state, not a block of them
+    for amps in (np.ones(5), np.ones((3, 2))):
+        with pytest.raises(ValueError, match="amplitudes for 3 basis states"):
+            fo.square_excess(space, amps)
 
 
 # ---------------------------------------------------------------------------
 # vacuum and one-particle states
 # ---------------------------------------------------------------------------
 
-def _energy(state):
+def _energy(space, amps):
     """<s|H|s>/<s|s> for H = sum_k w_k adag_k a_k, as sum_k w_k ||a_k s||^2/||s||^2."""
-    space, amps = state.space, state.amplitudes
     quanta = [np.linalg.norm(fo._ladder(space, k, amps)) ** 2 for k in range(space.nmodes)]
     return float(np.dot(space.frequencies, quanta)) / np.vdot(amps, amps).real
 
@@ -141,41 +153,40 @@ def _energy(state):
 def test_vacuum_is_ground_state(spec6):
     space = fo.build_fock(spec6, (0, 1), n_max=4)
     vac = fo.vacuum(space)
-    assert vac.norm() == 1.0
-    assert abs(_energy(vac)) < 1e-15
+    assert np.linalg.norm(vac) == 1.0
+    assert abs(_energy(space, vac)) < 1e-15
 
 
 def test_one_particle_norm_equals_direction_norm(spec6):
     space = fo.build_fock(spec6, (0, 1), n_max=4)
     direction = np.array([0.3, 0.4j])
     state = fo.one_particle(space, direction)
-    assert_allclose(state.norm(), np.linalg.norm(direction), atol=1e-12)
+    assert_allclose(np.linalg.norm(state), np.linalg.norm(direction), atol=1e-12)
 
 
 def test_one_particle_energy(spec6):
     space = fo.build_fock(spec6, (2,), n_max=4)
     state = fo.one_particle(space, np.array([1.0]))
-    assert _energy(state) == pytest.approx(spec6.frequencies[2])
+    assert _energy(space, state) == pytest.approx(spec6.frequencies[2])
 
 
 def test_expectation_rejects_zero_state(spec6):
     space = fo.build_fock(spec6, (0,), n_max=2)
-    zero = fo.FockVector(space=space, amplitudes=np.zeros(3, dtype=complex))
     with pytest.raises(ValueError):
-        fo.square_excess(zero, 0, "phi")
+        fo.square_excess(space, np.zeros(3, dtype=complex))
 
 
 def test_square_excess_is_the_expectation_of_the_square(spec6):
     # against the dense square of the field, on an unnormalized state
     space = fo.build_fock(spec6, (0, 3), n_max=3)
-    state = fo.coherent_state(space, np.array([0.3 - 0.2j, 0.5j])).vector
-    amps = 2.0 * state.amplitudes
+    amps = 2.0 * fo.coherent_state(space, np.array([0.3 - 0.2j, 0.5j])).amplitudes
     pairs = _oracle_and_dense(spec6, space, 4)
-    for which in ("phi", "pi", "smeared_phi"):
+    excess = fo.square_excess(space, amps)
+    assert excess.shape == (len(fo.FIELDS), spec6.lattice.nsites)
+    for which, got in zip(fo.FIELDS, excess[:, 4]):
         dense = pairs[which][1]
         square = dense @ dense
         want = (np.vdot(amps, square @ amps) / np.vdot(amps, amps) - square[0, 0]).real
-        got = fo.square_excess(fo.FockVector(space, amps), 4, which)
         assert got == pytest.approx(want, rel=1e-13, abs=1e-15), which
 
 
@@ -191,13 +202,13 @@ def test_coherent_coefficients_match_closed_form(spec6):
     expected = np.exp(-0.5 * abs(alpha) ** 2) * alpha**n / np.sqrt(
         [math.factorial(int(k)) for k in n]
     )
-    assert_allclose(coh.vector.amplitudes, expected, atol=1e-15)
+    assert_allclose(coh.amplitudes, expected, atol=1e-15)
 
 
 def test_coherent_lowering_eigenvalue(spec6):
     space = fo.build_fock(spec6, (0,), n_max=14)
     coh = fo.coherent_state(space, np.array([0.5]))
-    amps = coh.vector.amplitudes
+    amps = coh.amplitudes
     mean_a = np.vdot(amps, fo._ladder(space, 0, amps)) / np.vdot(amps, amps)
     assert_allclose(mean_a, 0.5, atol=1e-12)
     assert coh.guard_ok
@@ -208,7 +219,7 @@ def test_coherent_norm_within_tail_bound(spec6):
     space = fo.build_fock(spec6, (0, 1), n_max=8)
     alphas = np.array([0.9, 0.4 + 0.6j])
     coh = fo.coherent_state(space, alphas)
-    lost = abs(1.0 - coh.vector.norm() ** 2)
+    lost = abs(1.0 - np.linalg.norm(coh.amplitudes) ** 2)
     assert lost <= coh.tail_bound
 
 
@@ -224,7 +235,7 @@ def test_displacement_equals_coherent_product(spec6):
     z = 0.4 + 0.2j
     disp = fo.displacement(space, direction, z)
     coh = fo.coherent_state(space, z * direction)
-    assert_allclose(disp.amplitudes, coh.vector.amplitudes, atol=1e-13)
+    assert_allclose(disp, coh.amplitudes, atol=1e-13)
 
 
 def test_displacement_requires_unit_direction(spec6):
@@ -236,30 +247,29 @@ def test_displacement_requires_unit_direction(spec6):
 def test_displacement_is_unitary_on_vacuum(spec6):
     space = fo.build_fock(spec6, (0,), n_max=14)
     disp = fo.displacement(space, np.array([1.0]), 0.3j)
-    assert disp.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(disp) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # evolution by the oracle's Hamiltonian
 # ---------------------------------------------------------------------------
 
-def _evolve(state, t):
-    """exp(-i H t) state for the diagonal H = sum_k w_k adag_k a_k."""
-    space = state.space
+def _evolve(space, amps, t):
+    """exp(-i H t) amps for the diagonal H = sum_k w_k adag_k a_k."""
     eye = np.eye(space.dim)
     h = sum(
         wk * fo._ladder(space, k, fo._ladder(space, k, eye), raising=True)
         for k, wk in enumerate(space.frequencies)
     )
     assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
-    return fo.FockVector(space, np.exp(-1j * np.diag(h) * t) * state.amplitudes)
+    return np.exp(-1j * np.diag(h) * t) * amps
 
 
 def test_evolution_preserves_norm_and_phases(spec6):
     space = fo.build_fock(spec6, (0, 1), n_max=6)
     coh = fo.coherent_state(space, np.array([0.4, 0.3j]))
-    evolved = _evolve(coh.vector, 2.5)
-    assert evolved.norm() == pytest.approx(coh.vector.norm(), abs=1e-14)
+    evolved = _evolve(space, coh.amplitudes, 2.5)
+    assert np.linalg.norm(evolved) == pytest.approx(np.linalg.norm(coh.amplitudes), abs=1e-14)
 
 
 def test_coherent_state_keeps_its_shape(spec6):
@@ -267,18 +277,18 @@ def test_coherent_state_keeps_its_shape(spec6):
     space = fo.build_fock(spec6, (0, 2), n_max=10)
     alphas = np.array([0.5, 0.2 - 0.4j])
     t = 1.7
-    evolved = _evolve(fo.coherent_state(space, alphas).vector, t)
+    evolved = _evolve(space, fo.coherent_state(space, alphas).amplitudes, t)
     rotated = fo.coherent_state(space, alphas * np.exp(-1j * space.frequencies * t))
-    assert_allclose(evolved.amplitudes, rotated.vector.amplitudes, atol=1e-13)
+    assert_allclose(evolved, rotated.amplitudes, atol=1e-13)
 
 
 def test_one_particle_evolution_is_a_phase(spec6):
     space = fo.build_fock(spec6, (1,), n_max=3)
     state = fo.one_particle(space, np.array([1.0]))
     t = 0.9
-    evolved = _evolve(state, t)
+    evolved = _evolve(space, state, t)
     phase = np.exp(-1j * space.frequencies[0] * t)
-    assert_allclose(evolved.amplitudes, phase * state.amplitudes, atol=1e-14)
+    assert_allclose(evolved, phase * state, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

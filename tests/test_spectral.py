@@ -214,9 +214,7 @@ def test_fock_field_operators_allocate_no_dense_array():
     tracemalloc.start()
     try:
         space = fock_oracle.build_fock(spec, (0, 1, 2))
-        vac = fock_oracle.vacuum(space).amplitudes
-        for which in ("phi", "pi", "smeared_phi"):
-            fock_oracle.field_operator(space, 5, which, vac)
+        fock_oracle.field_operators(space, fock_oracle.vacuum(space), sites=[5])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
