@@ -16,6 +16,9 @@ integrates the oscillatory integrand over half-period panels with
 Gauss-Legendre rules and sums the alternating series by repeated averaging.
 They share no code and are compared against each other (and, for the
 Klein-Gordon symbol, against Bessel/Yukawa closed forms) in the tests.
+Neither calls LAPACK for the symbols of degree 1 and 2 that the experiments
+use: their zeros are closed-form roots, and the Gauss-Legendre nodes come
+from Newton's method.
 
 Every decay question reduces to the zeros: the slowest-decaying term comes
 from the zero with the smallest imaginary part v0, giving kernels that fall
@@ -71,6 +74,14 @@ class AsymptoticsError(RuntimeError):
     """Raised when a quadrature fails to converge to its target accuracy."""
 
 
+def _horner(coeffs: tuple[float, ...], s):
+    """sum_j coeffs[j] s^j by Horner's rule, step for step as polyval."""
+    value = coeffs[-1] + s * 0
+    for a in reversed(coeffs[:-1]):
+        value = a + value * s
+    return value
+
+
 @dataclasses.dataclass(frozen=True)
 class SymbolPolynomial:
     """Polynomial symbol P(s), s = k^2, with real coefficients (ascending)."""
@@ -94,11 +105,10 @@ class SymbolPolynomial:
         return cls(coeffs=(mass**2, 1.0))
 
     def __call__(self, s):
-        return np.polynomial.polynomial.polyval(s, np.asarray(self.coeffs))
+        return _horner(self.coeffs, s)
 
     def derivative(self, s):
-        dcoeffs = np.polynomial.polynomial.polyder(np.asarray(self.coeffs))
-        return np.polynomial.polynomial.polyval(s, dcoeffs)
+        return _horner(tuple(j * a for j, a in enumerate(self.coeffs) if j), s)
 
     @functools.cached_property
     def branch(self) -> BranchStructure:
@@ -129,11 +139,23 @@ class BranchStructure:
 def find_branch_points(symbol: SymbolPolynomial) -> BranchStructure:
     """Zeros k_i of P(k^2) in the upper half plane.
 
-    A real nonnegative root in s would put a zero on the real k axis (the
-    symbol would not be bounded away from zero), which violates the
-    operator's axioms; that raises rather than returning a structure.
+    The roots s_i of P are closed-form up to degree 2, the experiments'
+    degrees; from degree 3 on np.roots solves a LAPACK eigenproblem. A real
+    nonnegative root in s would put a zero on the real k axis (the symbol
+    would not be bounded away from zero), which violates the operator's
+    axioms; that raises rather than returning a structure.
     """
-    s_roots = np.roots(list(reversed(symbol.coeffs)))
+    coeffs = symbol.coeffs
+    if len(coeffs) == 2:
+        s_roots = np.array([-coeffs[0] / coeffs[1]])
+    elif len(coeffs) == 3:  # cancellation-free: roots q/a and c/q
+        c, b, a = coeffs
+        disc = b * b - 4.0 * a * c
+        root = math.sqrt(disc) if disc >= 0.0 else 1j * math.sqrt(-disc)
+        q = -0.5 * (b + math.copysign(1.0, b) * root)
+        s_roots = np.array([q / a, c / q])
+    else:
+        s_roots = np.roots(coeffs[::-1])
     scale = max(1.0, float(np.abs(s_roots).max()))
     for s in s_roots:
         if abs(s.imag) < 1e-9 * scale and s.real > -1e-12 * scale:
@@ -318,14 +340,34 @@ def branch_cut_kernel(symbol: SymbolPolynomial, lam: float, r: float) -> float:
 # direct oscillatory route
 # ---------------------------------------------------------------------------
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P_{n-1}(x), P_n(x) and P_n'(x), by the three-term recurrence."""
+    below, p = np.ones_like(x), x
+    for j in range(1, n):
+        below, p = p, ((2 * j + 1) * x * p - j * below) / (j + 1)
+    return below, p, n * (x * p - below) / (x * x - 1.0)
+
+
 @functools.cache
 def _gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
     """GAUSS_POINTS-point nodes and weights on [-1, 1], built on first use.
 
-    leggauss solves an eigenproblem; at import it would be the first LAPACK
-    call of runs that never reach this route.
+    Newton's method on the Legendre recurrence from cos(pi (i - 1/4) /
+    (n + 1/2)) finds the nodes with no eigensolver (Hale & Townsend, SIAM J.
+    Sci. Comput. 35 (2013) A652): four steps reach roundoff, ~1e-16, and
+    the fifth is leggauss's last one. Its weights follow as leggauss forms
+    them: 1 / (P_{n-1} P_n'), each factor scaled to max 1, symmetrized, sum 2.
     """
-    return np.polynomial.legendre.leggauss(GAUSS_POINTS)
+    n = GAUSS_POINTS
+    x = -np.cos(math.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(5):
+        _, p, slope = _legendre(n, x)
+        x = x - p / slope
+    below = _legendre(n, x)[0]
+    weights = 1.0 / (below / np.abs(below).max() * (slope / np.abs(slope).max()))
+    weights = 0.5 * (weights + weights[::-1])
+    weights *= 2.0 / weights.sum()
+    return 0.5 * (x - x[::-1]), weights
 
 
 def direct_radial_integral(symbol: SymbolPolynomial, lam: float, r: float) -> float:

@@ -100,7 +100,16 @@ def calibrate_kappa(space: fock_oracle.FockSpace) -> float:
     denom = u.phi**2 + spec.apply_power(-0.5, u.pi) ** 2
     excess = fock_oracle.square_excess(space, part)[fock_oracle.FIELDS.index("phi")]
     kept = denom >= 1e-12 * denom.max()
-    return float(np.median(excess[kept] / denom[kept]))
+    return _median(excess[kept] / denom[kept])
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty 1-D array without importing numpy.ma: the
+    same bits, nan if any value is nan, up to the sign of a zero median."""
+    ordered = np.sort(values)
+    mid = ordered.size // 2
+    middle = ordered[mid] if ordered.size % 2 else 0.5 * (ordered[mid - 1] + ordered[mid])
+    return float(ordered[-1] if np.isnan(ordered[-1]) else middle)
 
 
 # ---------------------------------------------------------------------------

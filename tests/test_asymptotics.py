@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from emergence_lab import asymptotics
 from emergence_lab.asymptotics import (
     RATE_SAMPLES,
     AsymptoticsError,
@@ -113,8 +114,6 @@ def test_real_zero_violates_axioms():
 
 
 def test_branch_points_are_found_once_per_symbol(monkeypatch):
-    from emergence_lab import asymptotics
-
     calls = []
 
     def counting(symbol):
@@ -143,6 +142,58 @@ def test_branch_structure_is_plain_data():
     bs = find_branch_points(KG)
     assert isinstance(bs, BranchStructure)
     assert bs.s_roots[0] == pytest.approx(-1.0)
+
+
+# np.roots, a companion-matrix eigensolve, is the arbiter of the closed-form
+# roots: real zeros, the off-axis complex pairs, a double zero (which the
+# contour route still refuses, test_repeated_zero_not_implemented) and a
+# degree-3 symbol, which np.roots itself serves. (s - 1)(s - 4) still raises
+# AxiomError (test_real_zero_violates_axioms)
+ROOT_SYMBOLS = {
+    "kg": KG,
+    "kg-m2.5": SymbolPolynomial.klein_gordon(2.5),
+    "two-factor": TWO_FACTOR,
+    "two-factor-m0.3": SymbolPolynomial((4.0 * 0.3**4, 5.0 * 0.3**2, 1.0)),
+    "1-1-1": SymbolPolynomial((1.0, 1.0, 1.0)),
+    "2-0.5-1": SymbolPolynomial((2.0, 0.5, 1.0)),
+    "double": SymbolPolynomial((1.0, 2.0, 1.0)),  # (s+1)^2
+    "three-factor": SymbolPolynomial((36.0, 49.0, 14.0, 1.0)),  # (s+1)(s+4)(s+9)
+}
+
+
+def _ordered(roots: np.ndarray) -> np.ndarray:
+    """Roots by imaginary part, then by real part."""
+    return roots[np.lexsort((roots.real, roots.imag))]
+
+
+@pytest.mark.parametrize("sym", ROOT_SYMBOLS.values(), ids=ROOT_SYMBOLS.keys())
+def test_closed_form_roots_match_np_roots(sym):
+    bs = find_branch_points(sym)
+    want = np.roots(sym.coeffs[::-1])
+    assert bs.s_roots.dtype == want.dtype
+    np.testing.assert_allclose(_ordered(bs.s_roots), _ordered(want), rtol=1e-14, atol=0)
+    np.testing.assert_allclose(bs.zeros**2, bs.s_roots, rtol=1e-14, atol=0)
+    assert np.all(bs.zeros.imag > 0)
+
+
+def test_three_factor_zeros_by_np_roots():
+    bs = find_branch_points(ROOT_SYMBOLS["three-factor"])
+    np.testing.assert_allclose(np.sort(bs.zeros.imag), [1.0, 2.0, 3.0], rtol=1e-12)
+    assert bs.compton == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("sym", ROOT_SYMBOLS.values(), ids=ROOT_SYMBOLS.keys())
+def test_horner_matches_polyval(sym):
+    # the same operations in the same order: equal to the last bit on an
+    # array, a Python float and a complex scalar
+    P = np.polynomial.polynomial
+    coeffs = np.asarray(sym.coeffs)
+    for s in (np.linspace(-3.0, 5.0, 17), 2.5, -0.75, np.complex128(-1.5 + 0.25j), 0.3 - 2.0j):
+        for got, want in (
+            (sym(s), P.polyval(s, coeffs)),
+            (sym.derivative(s), P.polyval(s, P.polyder(coeffs))),
+        ):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +262,21 @@ def test_repeated_zero_not_implemented(lam):
     # for lam <= -1/2, and its pole is not simple
     with pytest.raises(NotImplementedError, match="simple symbol zeros"):
         branch_cut_kernel(SymbolPolynomial((1.0, 2.0, 1.0)), lam, 4.0)
+
+
+def test_gauss_legendre_rule_matches_leggauss():
+    # numpy's leggauss, an eigensolve of the Jacobi matrix, is the arbiter
+    nodes, weights = asymptotics._gauss_legendre_rule()
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(asymptotics.GAUSS_POINTS)
+    assert np.abs(nodes - want_nodes).max() <= 1e-15
+    assert np.abs(weights - want_weights).max() <= 1e-15
+    assert np.all(np.diff(nodes) > 0)
+    np.testing.assert_array_equal(nodes, -nodes[::-1])
+    assert abs(weights.sum() - 2.0) <= 4 * np.finfo(float).eps
+    # an n-point rule integrates x^d exactly for d < 2n
+    for d in range(2 * asymptotics.GAUSS_POINTS):
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        assert abs(weights @ nodes**d - exact) <= 1e-14, d
 
 
 def test_divergent_exponent_rejected():
@@ -288,8 +354,6 @@ def test_decay_rate_matches_branch_point(sym, lam, rate):
 
 
 def test_decay_rate_window_default(monkeypatch):
-    from emergence_lab import asymptotics
-
     radii = []
 
     def recording(symbol, lam, r):

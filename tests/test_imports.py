@@ -6,9 +6,10 @@ localization, ELP, Newton-Wigner, Segal forms), the continuum kernels of
 the Fock oracle (whose ladder operators shift numpy amplitude tensors). scipy is a test
 dependency only, as an independent arbiter. The test runs a fresh
 interpreter with scipy imports blocked, because this test process has
-imported scipy itself. Likewise the FFT route of a constant mass runs no
-LAPACK routine, which the guard below checks with numpy's entries to LAPACK
-patched to raise.
+imported scipy itself, and checks there that no run loads numpy.polynomial
+or numpy.ma. Likewise the FFT route of a constant mass and the continuum
+kernels run no LAPACK routine, which the guard below checks with numpy's
+entries to LAPACK patched to raise.
 """
 
 from __future__ import annotations
@@ -55,7 +56,12 @@ codes = {}
 for name, argv in json.loads(sys.argv[1]):
     codes[name] = main(argv)
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
-print(json.dumps({"codes": codes, "scipy_modules": loaded}))
+# numpy.polynomial and numpy.ma are heavy imports that no layer needs
+heavy = sorted(
+    m for m in sys.modules
+    if m.split(".")[:2] in (["numpy", "polynomial"], ["numpy", "ma"])
+)
+print(json.dumps({"codes": codes, "scipy_modules": loaded, "heavy_numpy": heavy}))
 """
 
 
@@ -95,6 +101,7 @@ def test_numpy_layers_run_with_scipy_blocked(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["scipy_modules"] == []
+    assert result["heavy_numpy"] == []
     assert sorted(result["codes"]) == sorted(runs)
     for name, argv in runs.items():
         ref = tmp_path / "ref" / name
@@ -118,9 +125,10 @@ class LapackCalled(Exception):
 
 def test_fft_route_experiments_call_no_lapack(tmp_path, monkeypatch):
     # every experiment on a constant mass, at defaults and at the large
-    # sizes, with the LAPACK entries patched to raise: the spectrum is the
-    # FFT of one column and every decay fit is a closed-form line.
-    # asymptotics is left out: its symbol's branch points come from np.roots
+    # sizes, and the whole battery, with the LAPACK entries patched to
+    # raise: the spectrum is the FFT of one column, every decay fit is a
+    # closed-form line, the symbols' zeros are closed-form roots and the
+    # Gauss-Legendre nodes come from Newton's method
     for module, name in LAPACK_ROUTINES:
         def refuse(*args, _name=name, **kwargs):
             raise LapackCalled(_name)
@@ -128,7 +136,7 @@ def test_fft_route_experiments_call_no_lapack(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, refuse)
     defaults = [
         "kernel", "localize", "elp", "nw", "geometry-check", "segal-check",
-        "modes-check", "oracle-verify",
+        "modes-check", "oracle-verify", "asymptotics", "all",
     ]
     runs = [(exp, None) for exp in defaults]
     runs += [(exp, "2048") for exp in ("kernel", "localize", "elp", "nw")]

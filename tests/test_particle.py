@@ -18,6 +18,7 @@ from emergence_lab.modes import ModeVector, PhaseVector, from_modes, gaussian_bu
 from emergence_lab.particle import (
     KAPPA,
     PROBES,
+    _median,
     calibrate_kappa,
     distance_beyond,
     elp_check,
@@ -68,6 +69,21 @@ def test_kappa_constant_across_mass_and_spacing():
     spec = diagonalize(build_klein_gordon(2.5, Lattice((6,), spacing=0.5)))
     space = fo.build_fock(spec, (1,))
     assert calibrate_kappa(space) == pytest.approx(KAPPA, abs=1e-12)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 8, 63, 64])
+def test_median_is_np_median_bit_for_bit(size):
+    # np.median is the arbiter; calibrate_kappa takes its own median so that
+    # a run never imports numpy.ma
+    rng = np.random.default_rng(size)
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size)
+    assert np.asarray(_median(values)).tobytes() == np.asarray(np.median(values)).tobytes()
+    # repeated values; sort and np.median's partition may order -0.0 and 0.0
+    # either way, so a zero median's sign may differ: + 0.0 clears it
+    ties = np.round(values) + 0.0
+    assert np.asarray(_median(ties)).tobytes() == np.asarray(np.median(ties)).tobytes()
+    values[size // 2] = np.nan
+    assert np.isnan(_median(values)) and np.isnan(np.median(values))
 
 
 # ---------------------------------------------------------------------------
