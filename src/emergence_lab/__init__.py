@@ -25,7 +25,6 @@ from .spectral import (
     kernel_profile,
 )
 from .modes import (
-    ModeVector,
     PhaseVector,
     evolve_modes,
     evolve_state,
@@ -54,7 +53,6 @@ from .particle import (
     vacuum_two_point,
 )
 from .newton_wigner import (
-    NWWavefunction,
     evolve_nw,
     from_nw,
     gaussian_packet,
@@ -85,8 +83,6 @@ __all__ = [
     "Lattice",
     "LatticeMismatchError",
     "LocalizationReport",
-    "ModeVector",
-    "NWWavefunction",
     "PhaseVector",
     "ROperator",
     "RunReport",

@@ -100,8 +100,7 @@ def report_json(report: RunReport) -> str:
     """
     payload = {
         "experiment": report.experiment,
-        "config": {k: list(v) if isinstance(v, tuple) else v
-                   for k, v in report.config.items()},
+        "config": report.config,
         "seed": report.config["seed"],
         "pass": report.passed,
         "checks": [

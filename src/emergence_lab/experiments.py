@@ -42,7 +42,6 @@ from .geometry import (
     symplectic,
 )
 from .modes import (
-    ModeVector,
     PhaseVector,
     evolve_modes,
     evolve_state,
@@ -476,12 +475,12 @@ def _run_modes_check(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     residual = spec.operator.apply(eigvecs) - eigvecs * spec.eigenvalues
     eigen_residual = np.max(np.abs(residual)) / spec.eigenvalues[-1]
     u = _random_state(rng, lattice)
-    modes = to_modes(u, spec)
-    roundtrip = np.max(_roundtrip(from_modes(modes), u))
-    e_modes = hamiltonian_energy(modes)
+    alpha = to_modes(u, spec)
+    roundtrip = np.max(_roundtrip(from_modes(alpha, spec), u))
+    e_modes = hamiltonian_energy(alpha, spec)
     e_field = field_hamiltonian(u, spec.operator)
     evolved = to_modes(evolve_state(u, spec, config.time), spec)
-    drift = abs(hamiltonian_energy(evolved) - e_modes) / e_modes
+    drift = abs(hamiltonian_energy(evolved, spec) - e_modes) / e_modes
     checks = [
         CheckRecord("orthonormality", ortho, upper=FORM_TOL),
         CheckRecord("completeness", complete, upper=FORM_TOL),
@@ -555,7 +554,7 @@ def _run_oracle_verify(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     state_fock = fock_oracle.one_particle(space, direction)
     alpha = np.zeros(spec.nmodes, dtype=complex)
     alpha[[1, 3]] = direction
-    u = from_modes(ModeVector(spectrum=spec, alpha=alpha))
+    u = from_modes(alpha, spec)
     # every site's excess of phi(x)^2, pi(x)^2 and (R^{1/2} phi)(x)^2, taken
     # once for the three probes, against the probes' (sites x probes) array
     phi, pi, smeared_phi = fock_oracle.square_excess(space, state_fock)
@@ -701,17 +700,17 @@ def _run_nw(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     def measure(u):
         # u's mode amplitudes, shared by the NW map, the norm and the evolution
         mu = to_modes(u, spec)
-        nw = nw_from_modes(mu)
+        psi = nw_from_modes(mu, spec)
         # i psi is formed after the NW image of J u, whose transforms set the
         # block's peak memory
-        commute = _column_max(to_nw(apply_J(u, spec), spec).psi - 1j * nw.psi)
+        commute = _column_max(to_nw(apply_J(u, spec), spec) - 1j * psi)
         norm_u = np.sqrt(alpha_form(mu, mu).real)
-        norm_dev = np.ravel(np.abs(nw_norm(nw) - norm_u) / norm_u)
-        roundtrip = _roundtrip(from_nw(nw), u)
+        norm_dev = np.ravel(np.abs(nw_norm(psi, spec) - norm_u) / norm_u)
+        roundtrip = _roundtrip(from_nw(psi, spec), u)
         # evolve_state(u, spec, t), from the shared amplitudes
-        evolved = from_modes(evolve_modes(mu, config.time))
-        route_a = to_nw(evolved, spec).psi
-        evolve_dev = _column_max(route_a - evolve_nw(nw, config.time).psi)
+        evolved = from_modes(evolve_modes(mu, spec, config.time), spec)
+        route_a = to_nw(evolved, spec)
+        evolve_dev = _column_max(route_a - evolve_nw(psi, spec, config.time))
         return commute, norm_dev, roundtrip, evolve_dev
 
     commute, norm_dev, roundtrip, evolve_dev = _blockwise(rng, lattice, 10, 1, measure)
@@ -735,7 +734,7 @@ def _run_nw(config, rng) -> tuple[list[CheckRecord], list[Table]]:
 
     big = diagonalize(build_klein_gordon(config.mass, Lattice((1024,), config.spacing)))
     packet = gaussian_packet(big, 512, 20.0 / config.mass)
-    nonrel = nonrelativistic_compare(packet, config.mass, 10.0)
+    nonrel = nonrelativistic_compare(packet, big, config.mass, 10.0)
     checks += [
         CheckRecord("nonrel_precondition", nonrel.low_k_weight, lower=NONREL_LOW_K_MIN),
         CheckRecord("nonrel_l2_distance", nonrel.l2_distance, upper=NONREL_TOL),
@@ -743,7 +742,7 @@ def _run_nw(config, rng) -> tuple[list[CheckRecord], list[Table]]:
 
     trunc = gaussian_packet(big, 512, 10.0 * big.lattice.spacing,
                             cutoff=40.0 * big.lattice.spacing)
-    leak = superluminal_leakage(trunc, 512, 40.0 * big.lattice.spacing, 5.0)
+    leak = superluminal_leakage(trunc, big, 512, 40.0 * big.lattice.spacing, 5.0)
     checks.append(CheckRecord("leakage_positive", leak.leakage, lower=LEAKAGE_LOWER))
     checks.append(CheckRecord("leakage_norm_drift", leak.norm_drift, upper=FORM_TOL))
     return checks, [table]

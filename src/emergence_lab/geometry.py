@@ -11,10 +11,10 @@ The inner product has four public routes, each a function of exactly what
 it reads, and all four agree to rounding, which is what ``tests`` pin down;
 none is an approximation of another:
 
-* ``alpha_form(mu, mv)``: sum_k conj(alpha_k) alpha'_k, from the two
-  points' mode amplitudes;
-* ``qp_form(mu, mv)``: (1/2) sum_k (q q' + p p') + (i/2) sum_k (q p' - p q'),
-  from the same amplitudes;
+* ``alpha_form(a, b)``: sum_k conj(alpha_k) alpha'_k, from the two
+  points' mode amplitudes a and b (``to_modes``);
+* ``qp_form(a, b)``: (1/2) sum_k (q q' + p p') + (i/2) sum_k (q p' - p q'),
+  from the same amplitudes, with q = sqrt(2) Re alpha, p = sqrt(2) Im alpha;
 * ``direct_form(u, v, jv)``: (1/2) Int (phi R^{1/2} phi' + pi R^{-1/2} pi')
   + (i/2) Int (phi pi' - pi phi'), from the fields of u, v and J v;
 * ``segal_form(u, v, ju)``: Omega(Ju, v) - i Omega(u, v), the inner product
@@ -28,15 +28,18 @@ amplitudes come through Hartley transforms. (A variable mass has one
 eigenbasis for all four.)
 
 Every function takes a block of phase points, (sites x k) fields with one
-point per column (see ``modes``), as readily as one point: J and the
-right-hand side map it column by column, and Omega and the inner products
-return one value per column pair.
+point per column (see ``modes``), as readily as one point, and the two
+amplitude forms a (modes x k) block of amplitudes: J and the right-hand side
+map a block column by column, and Omega and the inner products return one
+value per column pair.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .modes import ModeVector, PhaseVector, _check_same_lattice, _column_dot
+from .modes import PhaseVector, _check_same_lattice, _column_dot
 from .spectral import Spectrum
 
 
@@ -61,15 +64,17 @@ def symplectic(u: PhaseVector, v: PhaseVector) -> float | np.ndarray:
     return 0.5 * (_column_dot(u.pi, v.phi) - _column_dot(u.phi, v.pi)) * u.lattice.cell
 
 
-def alpha_form(mu: ModeVector, mv: ModeVector) -> complex | np.ndarray:
+def alpha_form(a: np.ndarray, b: np.ndarray) -> complex | np.ndarray:
     """<<u, v>> = sum_k conj(alpha_k) alpha'_k, from the two points' amplitudes."""
-    return _column_dot(mu.alpha, mv.alpha)
+    return _column_dot(a, b)
 
 
-def qp_form(mu: ModeVector, mv: ModeVector) -> complex | np.ndarray:
+def qp_form(a: np.ndarray, b: np.ndarray) -> complex | np.ndarray:
     """<<u, v>> = (1/2) sum_k (q q' + p p') + (i/2) sum_k (q p' - p q')."""
-    re = 0.5 * (_column_dot(mu.q, mv.q) + _column_dot(mu.p, mv.p))
-    im = 0.5 * (_column_dot(mu.q, mv.p) - _column_dot(mu.p, mv.q))
+    qa, pa = math.sqrt(2.0) * a.real, math.sqrt(2.0) * a.imag
+    qb, pb = math.sqrt(2.0) * b.real, math.sqrt(2.0) * b.imag
+    re = 0.5 * (_column_dot(qa, qb) + _column_dot(pa, pb))
+    im = 0.5 * (_column_dot(qa, pb) - _column_dot(pa, qb))
     return _complex(re, im)
 
 

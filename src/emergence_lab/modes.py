@@ -11,11 +11,17 @@ alpha_k(t) = alpha_k exp(-i omega_k t) and the classical energy is
 sum_k omega_k |alpha_k|^2. Time evolution is exact spectral rotation; there is
 no integrator anywhere in this package.
 
+The amplitudes are a plain complex array handed on with the Spectrum, not a
+second stored form of the point: ``PhaseVector`` is the one validated state,
+so a non-finite amplitude is refused where ``from_modes`` makes it a field,
+and a wrong length where the Spectrum transforms it.
+
 A block of k phase points is stored as (sites x k) fields, one point per
-column, the batch convention of ``Spectrum.apply_function``. Transforms map
-a block column by column, and reductions (norms, energies, products) return
-one value per column: a scalar for one point, a length-k array for a block.
-A field in its lattice's grid shape is always one point.
+column, the batch convention of ``Spectrum.apply_function``, and its
+amplitudes as a (modes x k) array. Transforms map a block column by column,
+and reductions (norms, energies, products) return one value per column: a
+scalar for one point, a length-k array for a block. A field in its
+lattice's grid shape is always one point.
 """
 from __future__ import annotations
 
@@ -68,32 +74,6 @@ class PhaseVector:
         return np.sqrt(dots * self.lattice.cell)
 
 
-@dataclasses.dataclass(frozen=True)
-class ModeVector:
-    """Complex mode amplitudes alpha_k, ordered as in the Spectrum."""
-
-    spectrum: Spectrum
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        a = _columns(self.alpha, complex, (self.spectrum.nmodes,))
-        if a.shape[0] != self.spectrum.nmodes:
-            raise ValueError(
-                f"{a.shape[0]} amplitudes for {self.spectrum.nmodes} modes"
-            )
-        if not np.all(np.isfinite(a)):
-            raise ValueError("mode amplitudes must be finite")
-        object.__setattr__(self, "alpha", a)
-
-    @property
-    def q(self) -> np.ndarray:
-        return math.sqrt(2.0) * self.alpha.real
-
-    @property
-    def p(self) -> np.ndarray:
-        return math.sqrt(2.0) * self.alpha.imag
-
-
 def _check_same_lattice(a: Lattice, b: Lattice) -> None:
     if a != b:
         raise LatticeMismatchError(f"lattices differ: {a} vs {b}")
@@ -130,7 +110,7 @@ def _column_sum(a: np.ndarray) -> np.ndarray:
     return np.sum(np.ascontiguousarray(a.T), axis=-1)
 
 
-def to_modes(state: PhaseVector, spec: Spectrum) -> ModeVector:
+def to_modes(state: PhaseVector, spec: Spectrum) -> np.ndarray:
     """Mode amplitudes of a phase point; real-linear in (phi, pi)."""
     _check_same_lattice(state.lattice, spec.lattice)
     sqrt_w = _per_row(np.sqrt(spec.frequencies), state.phi)
@@ -139,34 +119,32 @@ def to_modes(state: PhaseVector, spec: Spectrum) -> ModeVector:
     np.multiply(sqrt_w, spec.project(state.phi), out=alpha.real)  # q
     np.divide(spec.project(state.pi), sqrt_w, out=alpha.imag)  # p
     alpha /= math.sqrt(2.0)
-    return ModeVector(spectrum=spec, alpha=alpha)
+    return alpha
 
 
-def from_modes(modes: ModeVector) -> PhaseVector:
+def from_modes(alpha: np.ndarray, spec: Spectrum) -> PhaseVector:
     """Inverse of to_modes: phi = sum q_k f_k / sqrt(omega_k), pi = sum p_k sqrt(omega_k) f_k."""
-    spec = modes.spectrum
-    sqrt_w = _per_row(np.sqrt(spec.frequencies), modes.alpha)
-    phi = spec.synthesize(modes.q / sqrt_w)
-    pi = spec.synthesize(modes.p * sqrt_w)
+    sqrt_w = _per_row(np.sqrt(spec.frequencies), alpha)
+    phi = spec.synthesize(math.sqrt(2.0) * alpha.real / sqrt_w)
+    pi = spec.synthesize(math.sqrt(2.0) * alpha.imag * sqrt_w)
     return PhaseVector(lattice=spec.lattice, phi=phi, pi=pi)
 
 
-def evolve_modes(modes: ModeVector, t: float) -> ModeVector:
+def evolve_modes(alpha: np.ndarray, spec: Spectrum, t: float) -> np.ndarray:
     """Exact evolution: each amplitude rotates by exp(-i omega_k t)."""
-    phase = np.exp(-1j * modes.spectrum.frequencies * t)
-    alpha = modes.alpha * _per_row(phase, modes.alpha)
-    return ModeVector(spectrum=modes.spectrum, alpha=alpha)
+    phase = np.exp(-1j * spec.frequencies * t)
+    return alpha * _per_row(phase, alpha)
 
 
 def evolve_state(state: PhaseVector, spec: Spectrum, t: float) -> PhaseVector:
     """Field-space evolution through the mode picture (exact)."""
-    return from_modes(evolve_modes(to_modes(state, spec), t))
+    return from_modes(evolve_modes(to_modes(state, spec), spec, t), spec)
 
 
-def hamiltonian_energy(modes: ModeVector) -> float | np.ndarray:
+def hamiltonian_energy(alpha: np.ndarray, spec: Spectrum) -> float | np.ndarray:
     """Classical energy sum_k omega_k |alpha_k|^2."""
-    freq = _per_row(modes.spectrum.frequencies, modes.alpha)
-    return _column_sum(freq * np.abs(modes.alpha) ** 2)
+    freq = _per_row(spec.frequencies, alpha)
+    return _column_sum(freq * np.abs(alpha) ** 2)
 
 
 def field_hamiltonian(state: PhaseVector, op: ROperator) -> float | np.ndarray:

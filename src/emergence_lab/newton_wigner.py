@@ -13,11 +13,12 @@ the diagnostics here quantify how far it can be trusted: the NW delta has a
 Compton-scale field profile, the non-relativistic limit holds for slow wide
 packets, and compactly supported psi leak outside the light cone.
 
-Like phase points (see ``modes``), a block of k wavefunctions is a (sites x k)
-psi, one wavefunction per column: to_nw, from_nw and evolve_nw map it column
-by column, and nw_norm returns one norm per column. The two regime
-diagnostics, nonrelativistic_compare and superluminal_leakage, weigh one
-wavefunction and refuse a block.
+Like mode amplitudes (see ``modes``), psi is a plain complex array, (sites,)
+for one wavefunction, handed on with its Spectrum; it has no grid shape. A
+block of k wavefunctions is a (sites x k) psi, one per column: to_nw,
+from_nw and evolve_nw map it column by column, and nw_norm returns one norm
+per column. The two regime diagnostics, nonrelativistic_compare and
+superluminal_leakage, weigh one wavefunction and refuse a block.
 """
 from __future__ import annotations
 
@@ -26,78 +27,38 @@ import math
 
 import numpy as np
 
-from .modes import (
-    ModeVector,
-    PhaseVector,
-    _column_sum,
-    _columns,
-    from_modes,
-    gaussian_bump,
-    to_modes,
-)
+from .modes import PhaseVector, _column_sum, from_modes, gaussian_bump, to_modes
 from .particle import KAPPA, PROBES, probe_excesses
-from .spectral import (
-    DecayFit,
-    Lattice,
-    Spectrum,
-    bin_by_distance,
-    fit_decay_length,
-)
+from .spectral import DecayFit, Spectrum, bin_by_distance, fit_decay_length
 
 NW_DELTA_WINDOW_COMPTON = (3.0, 20.0)
 LIGHT_SPEED = 1.0
 SUPPORT_THRESHOLD = 1e-12
 
 
-@dataclasses.dataclass(frozen=True)
-class NWWavefunction:
-    """Complex wavefunction on lattice sites, or a (sites x k) block of them."""
-
-    spectrum: Spectrum
-    psi: np.ndarray
-
-    def __post_init__(self):
-        psi = _columns(self.psi, complex, self.spectrum.lattice.shape)
-        if psi.shape[0] != self.spectrum.lattice.nsites:
-            raise ValueError(
-                f"{psi.shape[0]} entries for {self.spectrum.lattice.nsites} sites"
-            )
-        if not np.all(np.isfinite(psi)):
-            raise ValueError("wavefunction entries must be finite")
-        object.__setattr__(self, "psi", psi)
-
-    @property
-    def lattice(self) -> Lattice:
-        return self.spectrum.lattice
-
-
-def nw_norm(nw: NWWavefunction) -> float | np.ndarray:
+def nw_norm(psi: np.ndarray, spec: Spectrum) -> float | np.ndarray:
     """Discrete L2 norm, sqrt(sum |psi|^2 cell)."""
-    return np.sqrt(_column_sum(np.abs(nw.psi) ** 2) * nw.lattice.cell)
+    return np.sqrt(_column_sum(np.abs(psi) ** 2) * spec.lattice.cell)
 
 
-def to_nw(u: PhaseVector, spec: Spectrum) -> NWWavefunction:
+def to_nw(u: PhaseVector, spec: Spectrum) -> np.ndarray:
     """psi = sum_k alpha_k f_k; complex-linear with respect to J."""
-    return nw_from_modes(to_modes(u, spec))
+    return nw_from_modes(to_modes(u, spec), spec)
 
 
-def from_nw(nw: NWWavefunction) -> PhaseVector:
+def from_nw(psi: np.ndarray, spec: Spectrum) -> PhaseVector:
     """Inverse transform via the mode amplitudes alpha_k = <f_k, psi>."""
-    alpha = nw.spectrum.project(nw.psi)
-    return from_modes(ModeVector(spectrum=nw.spectrum, alpha=alpha))
+    return from_modes(spec.project(psi), spec)
 
 
-def nw_from_modes(modes: ModeVector) -> NWWavefunction:
-    return NWWavefunction(
-        spectrum=modes.spectrum, psi=modes.spectrum.synthesize(modes.alpha)
-    )
+def nw_from_modes(alpha: np.ndarray, spec: Spectrum) -> np.ndarray:
+    """psi = sum_k alpha_k f_k, from the mode amplitudes."""
+    return spec.synthesize(alpha)
 
 
-def evolve_nw(nw: NWWavefunction, t: float) -> NWWavefunction:
+def evolve_nw(psi: np.ndarray, spec: Spectrum, t: float) -> np.ndarray:
     """Exact Schrodinger evolution exp(-i R^{1/2} t) in the mode basis."""
-    spec = nw.spectrum
-    psi = spec.apply_function(lambda lam: np.exp(-1j * np.sqrt(lam) * t), nw.psi)
-    return NWWavefunction(spectrum=spec, psi=psi)
+    return spec.apply_function(lambda lam: np.exp(-1j * np.sqrt(lam) * t), psi)
 
 
 def gaussian_packet(
@@ -105,15 +66,16 @@ def gaussian_packet(
     center: int,
     width: float,
     cutoff: float | None = None,
-) -> NWWavefunction:
-    """Normalized real Gaussian wave packet, optionally truncated.
+) -> np.ndarray:
+    """Normalized Gaussian wave packet, optionally truncated.
 
     With ``cutoff`` the envelope is zeroed beyond that radius (hard
-    truncation, used by the causality check).
+    truncation, used by the causality check). The envelope is real, but the
+    packet is complex, so that its transforms take the route of any other
+    wavefunction's.
     """
-    envelope = gaussian_bump(spec.lattice, center, width, cutoff).phi
-    nw = NWWavefunction(spectrum=spec, psi=envelope)
-    return NWWavefunction(spectrum=spec, psi=nw.psi / nw_norm(nw))
+    psi = gaussian_bump(spec.lattice, center, width, cutoff).phi.astype(complex)
+    return psi / nw_norm(psi, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +109,7 @@ def nw_delta_localization(
     lattice = spec.lattice
     psi = np.zeros(lattice.nsites, dtype=complex)
     psi[site] = 1.0 / math.sqrt(lattice.cell)
-    nw = NWWavefunction(spectrum=spec, psi=psi)
-    measured = probe_excesses(from_nw(nw), spec)[:, PROBES.index("phi2")]
+    measured = probe_excesses(from_nw(psi, spec), spec)[:, PROBES.index("phi2")]
 
     column = spec.kernel_column(lambda lam: lam**-0.25, site)
     closed = 2.0 * KAPPA * lattice.cell * column**2
@@ -182,23 +143,24 @@ class NonrelReport:
     low_k_weight: float
 
 
-def _one_wavefunction(nw: NWWavefunction, diagnostic: str) -> None:
+def _one_wavefunction(psi: np.ndarray, diagnostic: str) -> None:
     """Refuse a (sites x k) block where only one wavefunction makes sense."""
-    if nw.psi.ndim != 1:
+    if psi.ndim != 1:
         raise ValueError(
-            f"{diagnostic} takes one wavefunction, not a block of shape {nw.psi.shape}"
+            f"{diagnostic} takes one wavefunction, not a block of shape {psi.shape}"
         )
 
 
-def nonrelativistic_compare(nw: NWWavefunction, mass: float, t: float) -> NonrelReport:
-    _one_wavefunction(nw, "nonrelativistic_compare")
-    spec = nw.spectrum
+def nonrelativistic_compare(
+    psi: np.ndarray, spec: Spectrum, mass: float, t: float
+) -> NonrelReport:
+    _one_wavefunction(psi, "nonrelativistic_compare")
     if mass <= 0:
         raise ValueError("mass must be positive")
-    norm = nw_norm(nw)
+    norm = nw_norm(psi, spec)
     if norm == 0.0:
         raise ValueError("zero wavefunction")
-    alpha = spec.project(nw.psi / norm)
+    alpha = spec.project(psi / norm)
     ksq = spec.eigenvalues - mass**2
     weight = np.abs(alpha) ** 2
     low = float(weight[ksq < (mass / 5.0) ** 2].sum() / weight.sum())
@@ -219,7 +181,8 @@ class LeakageReport:
 
 
 def superluminal_leakage(
-    nw: NWWavefunction,
+    psi: np.ndarray,
+    spec: Spectrum,
     center: int,
     radius: float,
     t: float,
@@ -231,20 +194,19 @@ def superluminal_leakage(
     than radius + c t is reported. Any strictly positive value demonstrates
     that the NW flow is not causal.
     """
-    _one_wavefunction(nw, "superluminal_leakage")
-    lattice = nw.spectrum.lattice
-    d = lattice.distances_from(center)
-    amp = np.abs(nw.psi)
+    _one_wavefunction(psi, "superluminal_leakage")
+    d = spec.lattice.distances_from(center)
+    amp = np.abs(psi)
     outside_initial = amp > SUPPORT_THRESHOLD * amp.max()
     if np.any(outside_initial & (d > radius)):
         worst = float(d[outside_initial].max())
         raise ValueError(
             f"initial support reaches distance {worst}, beyond radius {radius}"
         )
-    evolved = evolve_nw(nw, t)
+    evolved = evolve_nw(psi, spec, t)
     horizon = radius + LIGHT_SPEED * t
-    weight = np.abs(evolved.psi) ** 2
+    weight = np.abs(evolved) ** 2
     total = float(weight.sum())
     leak = float(weight[d > horizon].sum() / total)
-    drift = abs(nw_norm(evolved) - nw_norm(nw))
+    drift = abs(nw_norm(evolved, spec) - nw_norm(psi, spec))
     return LeakageReport(leakage=leak, norm_drift=drift)

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import fock_oracle
 from .geometry import apply_J
-from .modes import ModeVector, PhaseVector, _check_same_lattice, from_modes
+from .modes import PhaseVector, _check_same_lattice, from_modes
 from .spectral import Lattice, Spectrum, bin_by_distance, fit_decay_length, DecayFit
 
 KAPPA = 0.5
@@ -96,7 +96,7 @@ def calibrate_kappa(space: fock_oracle.FockSpace) -> float:
     part = fock_oracle.one_particle(space, np.array([1.0]))
     alpha = np.zeros(spec.nmodes, dtype=complex)
     alpha[space.mode_indices[0]] = 1.0
-    u = from_modes(ModeVector(spectrum=spec, alpha=alpha))
+    u = from_modes(alpha, spec)
     denom = u.phi**2 + spec.apply_power(-0.5, u.pi) ** 2
     excess = fock_oracle.square_excess(space, part)[fock_oracle.FIELDS.index("phi")]
     kept = denom >= 1e-12 * denom.max()

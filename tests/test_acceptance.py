@@ -41,7 +41,6 @@ from emergence_lab.geometry import (
     segal_form,
 )
 from emergence_lab.modes import (
-    ModeVector,
     PhaseVector,
     evolve_modes,
     evolve_state,
@@ -259,11 +258,11 @@ def test_criterion_06_commuting_diagrams(spec64):
     nw = 0.0
     for seed in range(100):
         u = _random_state(spec64, seed)
-        a = to_modes(evolve_state(u, spec64, t), spec64).alpha
-        b = evolve_modes(to_modes(u, spec64), t).alpha
+        a = to_modes(evolve_state(u, spec64, t), spec64)
+        b = evolve_modes(to_modes(u, spec64), spec64, t)
         classical = max(classical, np.linalg.norm(a - b) / np.linalg.norm(b))
-        pa = to_nw(evolve_state(u, spec64, t), spec64).psi
-        pb = evolve_nw(to_nw(u, spec64), t).psi
+        pa = to_nw(evolve_state(u, spec64, t), spec64)
+        pb = evolve_nw(to_nw(u, spec64), spec64, t)
         nw = max(nw, np.linalg.norm(pa - pb) / np.linalg.norm(pb))
     ok = classical < 1e-10 and nw < 1e-9
     _line(
@@ -285,7 +284,7 @@ def test_criterion_07_oracle_arbitration():
     state_fock = one_particle(space, direction)
     alpha = np.zeros(spec.nmodes, dtype=complex)
     alpha[:3] = direction
-    u = from_modes(ModeVector(spectrum=spec, alpha=alpha))
+    u = from_modes(alpha, spec)
 
     phi, pi, smeared_phi = square_excess(space, state_fock)
     # the oracle's phi2, pi2 and energy excesses, in PROBES order
@@ -374,13 +373,13 @@ def test_criterion_10_newton_wigner(spec64, spec512, spec1024):
     norm_dev = 0.0
     for seed in range(100):
         u = _random_state(spec64, seed)
-        lhs = to_nw(apply_J(u, spec64), spec64).psi
-        rhs = 1j * to_nw(u, spec64).psi
+        lhs = to_nw(apply_J(u, spec64), spec64)
+        rhs = 1j * to_nw(u, spec64)
         intertwine = max(
             intertwine, np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
         )
         segal = math.sqrt(segal_form(u, u, apply_J(u, spec64)).real)
-        norm_dev = max(norm_dev, abs(nw_norm(to_nw(u, spec64)) - segal) / segal)
+        norm_dev = max(norm_dev, abs(nw_norm(to_nw(u, spec64), spec64) - segal) / segal)
 
     delta = nw_delta_localization(spec512, 256, 1.0)
     width = delta.amplitude_fit
@@ -391,10 +390,10 @@ def test_criterion_10_newton_wigner(spec64, spec512, spec1024):
     )
 
     packet = gaussian_packet(spec1024, 512, 20.0)
-    nonrel = nonrelativistic_compare(packet, 1.0, 10.0)
+    nonrel = nonrelativistic_compare(packet, spec1024, 1.0, 10.0)
 
     truncated = gaussian_packet(spec1024, 512, 10.0, cutoff=40.0)
-    leak = superluminal_leakage(truncated, 512, 40.0, 5.0)
+    leak = superluminal_leakage(truncated, spec1024, 512, 40.0, 5.0)
 
     ok = (
         intertwine <= 1e-9

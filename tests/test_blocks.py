@@ -27,7 +27,6 @@ from emergence_lab.geometry import (
     symplectic,
 )
 from emergence_lab.modes import (
-    ModeVector,
     PhaseVector,
     evolve_state,
     field_hamiltonian,
@@ -35,13 +34,7 @@ from emergence_lab.modes import (
     hamiltonian_energy,
     to_modes,
 )
-from emergence_lab.newton_wigner import (
-    NWWavefunction,
-    evolve_nw,
-    from_nw,
-    nw_norm,
-    to_nw,
-)
+from emergence_lab.newton_wigner import evolve_nw, from_nw, nw_norm, to_nw
 from emergence_lab.particle import PROBES, probe_excesses
 from emergence_lab.spectral import Lattice, build_klein_gordon, diagonalize
 
@@ -63,15 +56,15 @@ def _points(spec, fields):
     return types.SimpleNamespace(
         u=PhaseVector(lattice, fields[0], fields[1]),
         v=PhaseVector(lattice, fields[2], fields[3]),
-        modes=ModeVector(spec, fields[4] + 1j * fields[5]),
-        nw=NWWavefunction(spec, fields[5] - 1j * fields[4]),
+        alpha=fields[4] + 1j * fields[5],
+        psi=fields[5] - 1j * fields[4],
     )
 
 
 # the four inner-product cases run each form from the transforms it reads
 CASES = {
     "to_modes": lambda s, p: to_modes(p.u, s),
-    "from_modes": lambda s, p: from_modes(p.modes),
+    "from_modes": lambda s, p: from_modes(p.alpha, s),
     "evolve_state": lambda s, p: evolve_state(p.u, s, 50.0),
     "apply_J": lambda s, p: apply_J(p.u, s),
     "schrodinger_rhs": lambda s, p: schrodinger_rhs(p.u, s),
@@ -81,11 +74,11 @@ CASES = {
     "inner_product_direct": lambda s, p: direct_form(p.u, p.v, apply_J(p.v, s)),
     "segal_inner_product": lambda s, p: segal_form(p.u, p.v, apply_J(p.u, s)),
     "to_nw": lambda s, p: to_nw(p.u, s),
-    "from_nw": lambda s, p: from_nw(p.nw),
-    "nw_norm": lambda s, p: nw_norm(p.nw),
-    "evolve_nw": lambda s, p: evolve_nw(p.nw, 50.0),
+    "from_nw": lambda s, p: from_nw(p.psi, s),
+    "nw_norm": lambda s, p: nw_norm(p.psi, s),
+    "evolve_nw": lambda s, p: evolve_nw(p.psi, s, 50.0),
     "norm": lambda s, p: p.u.norm(),
-    "hamiltonian_energy": lambda s, p: hamiltonian_energy(p.modes),
+    "hamiltonian_energy": lambda s, p: hamiltonian_energy(p.alpha, s),
     "field_hamiltonian": lambda s, p: field_hamiltonian(p.u, s.operator),
     # the three probe columns of probe_excesses, each a site-wise difference
     # from the vacuum value
@@ -98,10 +91,6 @@ CASES = {
 def _arrays(result) -> list[np.ndarray]:
     if isinstance(result, PhaseVector):
         return [result.phi, result.pi]
-    if isinstance(result, ModeVector):
-        return [result.alpha]
-    if isinstance(result, NWWavefunction):
-        return [result.psi]
     return [np.asarray(result)]
 
 
@@ -171,15 +160,11 @@ def test_phase_fields_of_different_widths_are_refused():
         PhaseVector(lattice, np.zeros((8, 1)), np.zeros(8))
 
 
-@pytest.mark.parametrize("kind", ["phase", "nw"])
-def test_a_field_in_its_lattice_shape_is_one_point(kind):
+def test_a_field_in_its_lattice_shape_is_one_point():
     # on a (5, 1) lattice a (5, 1) array is one field, not a block of one
-    spec = diagonalize(build_klein_gordon(1.0, Lattice((5, 1))))
+    lattice = Lattice((5, 1))
     field = np.arange(5.0).reshape(5, 1)
-    if kind == "phase":
-        got = [PhaseVector(spec.lattice, field, field).phi,
-               PhaseVector(spec.lattice, np.ones((5, 2)), np.ones((5, 2))).phi]
-    else:
-        got = [NWWavefunction(spec, field).psi, NWWavefunction(spec, np.ones((5, 2))).psi]
+    got = [PhaseVector(lattice, field, field).phi,
+           PhaseVector(lattice, np.ones((5, 2)), np.ones((5, 2))).phi]
     assert got[0].shape == (5,)
     assert got[1].shape == (5, 2)

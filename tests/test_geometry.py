@@ -62,8 +62,8 @@ def test_J_squares_to_minus_identity(phi, pi):
 
 def test_J_rotates_alpha_by_i():
     u = random_state(0)
-    alpha = to_modes(u, SPEC).alpha
-    alpha_j = to_modes(apply_J(u, SPEC), SPEC).alpha
+    alpha = to_modes(u, SPEC)
+    alpha_j = to_modes(apply_J(u, SPEC), SPEC)
     assert_allclose(alpha_j, 1j * alpha, atol=1e-12)
 
 

@@ -265,6 +265,36 @@ def test_every_dataclass_field_is_read():
     assert sorted(documented - unread) == []
 
 
+def _annotation_names(node: ast.expr) -> set[str]:
+    """Every name an annotation spells, a string annotation's included."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names |= _annotation_names(ast.parse(sub.value, mode="eval").body)
+    return names
+
+
+def test_no_state_type_stores_its_spectrum():
+    # mode amplitudes and NW wavefunctions are arrays handed on with the
+    # Spectrum, like every field, so no dataclass pairs a state with one.
+    # The truncated Fock space is the exception: its basis is built over
+    # the modes of one Spectrum
+    holders = sorted(
+        f"{path.name}: {node.name}.{item.target.id}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(_is_dataclass_decorator(d) for d in node.decorator_list)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and "Spectrum" in _annotation_names(item.annotation)
+    )
+    assert holders == ["fock_oracle.py: FockSpace.spectrum"]
+
+
 def test_only_spectral_reads_the_transform_route():
     # which route a Spectrum transforms by is spectral's own decision: other
     # layers reach f(R) through apply_function and mode coordinates through

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from emergence_lab import experiments
 from emergence_lab.modes import (
-    ModeVector,
     PhaseVector,
     evolve_modes,
     evolve_state,
@@ -146,16 +145,19 @@ def test_eigh_route_records_are_the_basis_products(monkeypatch):
 
 def test_mode_roundtrip(spec64):
     u = random_state(spec64.lattice, seed=1)
-    back = from_modes(to_modes(u, spec64))
+    back = from_modes(to_modes(u, spec64), spec64)
     assert_allclose(back.phi, u.phi, atol=1e-12)
     assert_allclose(back.pi, u.pi, atol=1e-12)
 
 
 def test_alpha_encodes_q_and_p(spec64):
+    # q_k = sqrt(omega_k) <f_k, phi> and p_k = <f_k, pi> / sqrt(omega_k)
+    # are sqrt(2) times the real and imaginary parts of alpha_k
     u = random_state(spec64.lattice, seed=2)
-    modes = to_modes(u, spec64)
-    assert_allclose(modes.q, np.sqrt(2.0) * modes.alpha.real, atol=1e-14)
-    assert_allclose(modes.p, np.sqrt(2.0) * modes.alpha.imag, atol=1e-14)
+    alpha = to_modes(u, spec64)
+    sqrt_w = np.sqrt(spec64.frequencies)
+    assert_allclose(np.sqrt(2.0) * alpha.real, sqrt_w * spec64.project(u.phi), atol=1e-14)
+    assert_allclose(np.sqrt(2.0) * alpha.imag, spec64.project(u.pi) / sqrt_w, atol=1e-14)
 
 
 def test_single_mode_coordinates(spec64):
@@ -163,16 +165,28 @@ def test_single_mode_coordinates(spec64):
     k = 5
     phi = hartley_table(spec64.lattice, spec64.hartley_modes)[:, k]
     u = PhaseVector(spec64.lattice, phi, np.zeros_like(phi))
-    modes = to_modes(u, spec64)
+    alpha = to_modes(u, spec64)
     expected_q = np.zeros(64)
     expected_q[k] = spec64.frequencies[k] ** 0.5
-    assert_allclose(modes.q, expected_q, atol=1e-12)
-    assert_allclose(modes.p, np.zeros(64), atol=1e-12)
+    assert_allclose(np.sqrt(2.0) * alpha.real, expected_q, atol=1e-12)
+    assert_allclose(np.sqrt(2.0) * alpha.imag, np.zeros(64), atol=1e-12)
 
 
-def test_mode_vector_length_checked(spec64):
+def test_amplitude_length_checked_by_the_transforms(spec64):
+    alpha = np.zeros(5, dtype=complex)
     with pytest.raises(ValueError):
-        ModeVector(spectrum=spec64, alpha=np.zeros(5, dtype=complex))
+        from_modes(alpha, spec64)
+    with pytest.raises(ValueError):
+        evolve_modes(alpha, spec64, 1.0)
+
+
+def test_nonfinite_amplitudes_refused_as_a_field(spec64):
+    # the amplitudes are not checked themselves; the PhaseVector that
+    # from_modes builds refuses them (a numpy warning may come first)
+    alpha = np.zeros(64, dtype=complex)
+    alpha[3] = np.nan
+    with pytest.raises((ValueError, RuntimeWarning)):
+        from_modes(alpha, spec64)
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +195,14 @@ def test_mode_vector_length_checked(spec64):
 
 def test_hamiltonian_matches_field_form(spec64):
     u = random_state(spec64.lattice, seed=3)
-    e_modes = hamiltonian_energy(to_modes(u, spec64))
+    e_modes = hamiltonian_energy(to_modes(u, spec64), spec64)
     e_field = field_hamiltonian(u, spec64.operator)
     assert_allclose(e_modes, e_field, rtol=1e-12)
 
 
 def test_energy_positive(spec64):
     u = random_state(spec64.lattice, seed=4)
-    assert hamiltonian_energy(to_modes(u, spec64)) > 0
+    assert hamiltonian_energy(to_modes(u, spec64), spec64) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -197,18 +211,16 @@ def test_energy_positive(spec64):
 
 def test_evolution_phase_rotation(spec64):
     u = random_state(spec64.lattice, seed=5)
-    modes = to_modes(u, spec64)
+    alpha = to_modes(u, spec64)
     t = 3.7
-    evolved = evolve_modes(modes, t)
-    assert_allclose(
-        evolved.alpha, modes.alpha * np.exp(-1j * spec64.frequencies * t), atol=1e-13
-    )
+    evolved = evolve_modes(alpha, spec64, t)
+    assert_allclose(evolved, alpha * np.exp(-1j * spec64.frequencies * t), atol=1e-13)
 
 
 def test_evolution_conserves_energy(spec64):
     u = random_state(spec64.lattice, seed=6)
-    e0 = hamiltonian_energy(to_modes(u, spec64))
-    e1 = hamiltonian_energy(to_modes(evolve_state(u, spec64, 100.0), spec64))
+    e0 = hamiltonian_energy(to_modes(u, spec64), spec64)
+    e1 = hamiltonian_energy(to_modes(evolve_state(u, spec64, 100.0), spec64), spec64)
     assert abs(e1 - e0) / e0 < 1e-12
 
 

@@ -14,7 +14,7 @@ from emergence_lab.experiments import (
     _localization_records,
 )
 from emergence_lab.geometry import apply_J
-from emergence_lab.modes import ModeVector, PhaseVector, from_modes, gaussian_bump, to_modes
+from emergence_lab.modes import PhaseVector, from_modes, gaussian_bump, to_modes
 from emergence_lab.particle import (
     KAPPA,
     PROBES,
@@ -51,7 +51,7 @@ def modes_on(spec, assignments):
     alpha = np.zeros(spec.nmodes, dtype=complex)
     for k, a in assignments.items():
         alpha[k] = a
-    return ModeVector(spectrum=spec, alpha=alpha)
+    return alpha
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,7 @@ def test_probes_match_fock_oracle_two_modes(spec6):
     direction = np.array([0.48 + 0.36j, 0.64 - 0.48j])
     space = fo.build_fock(spec6, (1, 3), n_max=10)
     fock_state = fo.one_particle(space, direction)
-    u = from_modes(modes_on(spec6, {1: direction[0], 3: direction[1]}))
+    u = from_modes(modes_on(spec6, {1: direction[0], 3: direction[1]}), spec6)
     analytic = probe_excesses(u, spec6)
     assert analytic.shape == (6, len(PROBES))
 
@@ -112,7 +112,7 @@ def test_probes_match_fock_oracle_two_modes(spec6):
 
 
 def test_energy_density_equals_pi2_pointwise(spec6):
-    u = from_modes(modes_on(spec6, {0: 0.5, 2: 0.3j, 4: -0.2}))
+    u = from_modes(modes_on(spec6, {0: 0.5, 2: 0.3j, 4: -0.2}), spec6)
     assert_allclose(probe("energy", u, spec6), probe("pi2", u, spec6), atol=1e-15)
 
 
@@ -121,7 +121,7 @@ def test_site_sums_reduce_to_mode_sums(spec512):
     u = PhaseVector(
         spec512.lattice, rng.normal(size=512), rng.normal(size=512)
     )
-    alpha = to_modes(u, spec512).alpha
+    alpha = to_modes(u, spec512)
     cell = spec512.lattice.cell
     assert_allclose(
         np.sum(probe("phi2", u, spec512)) * cell,
@@ -137,11 +137,12 @@ def test_site_sums_reduce_to_mode_sums(spec512):
 
 def test_phi2_closed_form(spec6):
     # phi^2 excess is 4 kappa |sum_k alpha_k f_k / sqrt(2 w_k)|^2
-    modes = modes_on(spec6, {1: 0.7, 3: 0.2 - 0.5j})
+    alpha = modes_on(spec6, {1: 0.7, 3: 0.2 - 0.5j})
     table = hartley_table(spec6.lattice, spec6.hartley_modes)
-    smeared = table @ (modes.alpha / np.sqrt(2.0 * spec6.frequencies))
+    smeared = table @ (alpha / np.sqrt(2.0 * spec6.frequencies))
     assert_allclose(
-        probe("phi2", from_modes(modes), spec6), 4.0 * KAPPA * np.abs(smeared) ** 2, atol=1e-14
+        probe("phi2", from_modes(alpha, spec6), spec6), 4.0 * KAPPA * np.abs(smeared) ** 2,
+        atol=1e-14,
     )
 
 
@@ -169,14 +170,14 @@ def test_vacuum_two_point_symmetric(spec6):
 @pytest.mark.parametrize("coeffs", [(0.6, 0.8j), (1.0, 0.0), (0.6 - 0.2j, -0.3 + 0.7j)])
 def test_j_superposition_is_linear_in_alpha(spec6, coeffs):
     # sum_i Re(c_i) u_i + Im(c_i) J u_i has amplitudes sum_i c_i alpha_i
-    m1 = modes_on(spec6, {0: 0.3, 2: 0.4})
-    m2 = modes_on(spec6, {1: 1.0, 2: -0.5j})
+    a1 = modes_on(spec6, {0: 0.3, 2: 0.4})
+    a2 = modes_on(spec6, {1: 1.0, 2: -0.5j})
     mix = PhaseVector(spec6.lattice, np.zeros(6), np.zeros(6))
-    for c, m in zip(coeffs, (m1, m2)):
-        u = from_modes(m)
+    for c, a in zip(coeffs, (a1, a2)):
+        u = from_modes(a, spec6)
         mix = mix + np.real(c) * u + np.imag(c) * apply_J(u, spec6)
-    expected = coeffs[0] * m1.alpha + coeffs[1] * m2.alpha
-    assert_allclose(to_modes(mix, spec6).alpha, expected, atol=1e-15)
+    expected = coeffs[0] * a1 + coeffs[1] * a2
+    assert_allclose(to_modes(mix, spec6), expected, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +377,13 @@ def test_elp_trials_match_mode_superposition(spec512, elp_setup, seed):
     states, _ = elp_setup
     trials = elp_check(states, spec512, 10, np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
-    alphas = [to_modes(u, spec512).alpha for u in states]
+    alphas = [to_modes(u, spec512) for u in states]
     assert len(trials) == 10
     for trial in trials:
         raw = rng.normal(size=len(states)) + 1j * rng.normal(size=len(states))
         coeffs = raw / np.linalg.norm(raw)
         alpha = sum(c * a for c, a in zip(coeffs, alphas))
-        w = from_modes(ModeVector(spectrum=spec512, alpha=alpha))
+        w = from_modes(alpha, spec512)
         report = localization_report(trial, spec512, 1.0)
         ref = localization_report(w, spec512, 1.0)
         assert len(report.fits) == len(ref.fits) == len(PROBES)
