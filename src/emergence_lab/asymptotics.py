@@ -23,7 +23,7 @@ from Newton's method.
 Every decay question reduces to the zeros: the slowest-decaying term comes
 from the zero with the smallest imaginary part v0, giving kernels that fall
 like exp(-v0 r)/r times algebraic corrections, i.e. a Compton length of
-1/v0.
+1/v0. lattice_vs_continuum returns the lattice_continuum table's rows.
 """
 from __future__ import annotations
 
@@ -440,22 +440,14 @@ def kernel_decay_rate(
     return RateFit(rate=rate, expected=v0, ok=bool(abs(rate - v0) / v0 <= rtol))
 
 
-@dataclasses.dataclass(frozen=True)
-class SpacingResult:
-    spacing: float
-    nsites: int
-    fitted_length: float
-    deviation: float
-
-
-def lattice_vs_continuum(mass: float) -> tuple[SpacingResult, ...]:
+def lattice_vs_continuum(mass: float) -> tuple[tuple[float, int, float, float], ...]:
     """Refine the lattice and watch its decay length approach 1/m.
 
     One-dimensional Klein-Gordon lattices at each of REFINE_SPACINGS (fixed
     physical size, so nsites scales inversely with spacing) are profiled from
     a central source; the fit removes the lattice kernel's sqrt(d) prefactor.
-    Results run from the coarsest spacing to the finest, each with its
-    relative deviation from 1/m.
+    Returns one (spacing, nsites, fitted_length, deviation) row per spacing,
+    coarsest first, the deviation relative to 1/m.
     """
     compton = 1.0 / mass
     lo, hi = REFINE_WINDOW_COMPTON
@@ -474,12 +466,6 @@ def lattice_vs_continuum(mass: float) -> tuple[SpacingResult, ...]:
         fit = fit_decay_length(d, values * np.sqrt(d), window)
         if fit.nsamples < 6:
             raise AsymptoticsError("not enough profile samples in the window")
-        results.append(
-            SpacingResult(
-                spacing=float(spacing),
-                nsites=nsites,
-                fitted_length=fit.length,
-                deviation=abs(fit.length - compton) / compton,
-            )
-        )
+        deviation = abs(fit.length - compton) / compton
+        results.append((float(spacing), nsites, fit.length, deviation))
     return tuple(results)

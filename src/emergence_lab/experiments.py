@@ -583,12 +583,12 @@ def _run_oracle_verify(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     checks.append(CheckRecord("displacement_vs_coherent", dev, upper=DISPLACEMENT_TOL))
     rows.append(("displacement", dev, DISPLACEMENT_TOL))
 
-    report = fock_oracle.small_state_limit_check(
+    exponent, _ = fock_oracle.small_state_limit_check(
         single, np.array([1.0]), np.geomspace(0.02, 0.2, 8)
     )
-    checks.append(_within("small_state_exponent", report.exponent,
+    checks.append(_within("small_state_exponent", exponent,
                           SMALL_STATE_EXPONENT, SMALL_STATE_EXPONENT_TOL))
-    rows.append(("small_state_exponent", report.exponent, SMALL_STATE_EXPONENT_TOL))
+    rows.append(("small_state_exponent", exponent, SMALL_STATE_EXPONENT_TOL))
 
     table = Table("oracle_deviations", ("check", "value", "tolerance"), tuple(rows))
     return checks, [table]
@@ -721,30 +721,31 @@ def _run_nw(config, rng) -> tuple[list[CheckRecord], list[Table]]:
         CheckRecord("evolution_commutes", np.max(evolve_dev), upper=FORM_TOL),
     ]
 
-    delta = nw_delta_localization(spec, lattice.nsites // 2, compton)
-    width = delta.amplitude_fit
+    distances, values, closed_form_dev, width = nw_delta_localization(
+        spec, lattice.nsites // 2, compton
+    )
     checks += [
-        CheckRecord("delta_profile_closed_form", delta.closed_form_dev, upper=FORM_TOL),
+        CheckRecord("delta_profile_closed_form", closed_form_dev, upper=FORM_TOL),
         _within("delta_width_near_compton", width.length, compton,
                 NW_DELTA_WIDTH_RTOL * compton),
         CheckRecord("delta_width_fit_rms", width.rms_log_residual, upper=FIT_RMS_UPPER),
     ]
-    rows = _float_rows(delta.distances, delta.values)
+    rows = _float_rows(distances, values)
     table = Table("nw_delta_profile", ("distance", "phi2_excess"), rows)
 
     big = diagonalize(build_klein_gordon(config.mass, Lattice((1024,), config.spacing)))
     packet = gaussian_packet(big, 512, 20.0 / config.mass)
-    nonrel = nonrelativistic_compare(packet, big, config.mass, 10.0)
+    l2_distance, low_k_weight = nonrelativistic_compare(packet, big, config.mass, 10.0)
     checks += [
-        CheckRecord("nonrel_precondition", nonrel.low_k_weight, lower=NONREL_LOW_K_MIN),
-        CheckRecord("nonrel_l2_distance", nonrel.l2_distance, upper=NONREL_TOL),
+        CheckRecord("nonrel_precondition", low_k_weight, lower=NONREL_LOW_K_MIN),
+        CheckRecord("nonrel_l2_distance", l2_distance, upper=NONREL_TOL),
     ]
 
-    trunc = gaussian_packet(big, 512, 10.0 * big.lattice.spacing,
-                            cutoff=40.0 * big.lattice.spacing)
-    leak = superluminal_leakage(trunc, big, 512, 40.0 * big.lattice.spacing, 5.0)
-    checks.append(CheckRecord("leakage_positive", leak.leakage, lower=LEAKAGE_LOWER))
-    checks.append(CheckRecord("leakage_norm_drift", leak.norm_drift, upper=FORM_TOL))
+    radius = 40.0 * big.lattice.spacing
+    trunc = gaussian_packet(big, 512, 10.0 * big.lattice.spacing, cutoff=radius)
+    leakage, norm_drift = superluminal_leakage(trunc, big, 512, radius, 5.0)
+    checks.append(CheckRecord("leakage_positive", leakage, lower=LEAKAGE_LOWER))
+    checks.append(CheckRecord("leakage_norm_drift", norm_drift, upper=FORM_TOL))
     return checks, [table]
 
 
@@ -778,17 +779,13 @@ def _run_asymptotics(config, rng) -> tuple[list[CheckRecord], list[Table]]:
         fit = kernel_decay_rate(symbol, lam)
         tol = RATE_RTOL * fit.expected
         checks.append(_within(f"decay_rate_lambda_{lam}", fit.rate, fit.expected, tol))
-    comparison = lattice_vs_continuum(m)
-    devs = np.array([res.deviation for res in comparison])
+    lattice_rows = lattice_vs_continuum(m)
+    devs = np.array([deviation for *_, deviation in lattice_rows])
     checks += [
         CheckRecord("lattice_approaches_continuum", devs.max(), upper=REFINE_RTOL),
         CheckRecord("lattice_continuum_monotone", np.diff(devs).max(),
                     upper=REFINE_GROWTH_MAX),
     ]
-    lattice_rows = tuple(
-        (res.spacing, res.nsites, res.fitted_length, res.deviation)
-        for res in comparison
-    )
     tables = [
         Table(
             "kernel_cross", ("lambda", "radius", "contour", "direct", "rel_dev"),

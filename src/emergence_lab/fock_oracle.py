@@ -16,7 +16,8 @@ The one ladder action (``_ladder``) views amplitudes or a (dim, k) block as
 a tensor with one axis of length n_max + 1 per mode, shifts it one step
 along a mode's axis and scales by sqrt(n), as the truncated matrix would.
 ``field_operators`` applies the FIELDS at every site in one call, from the
-f_k(x) table that a FockSpace synthesizes once.
+f_k(x) table that a FockSpace synthesizes once. ``small_state_limit_check``
+returns its fitted exponent and residuals as a plain pair.
 """
 from __future__ import annotations
 
@@ -247,22 +248,15 @@ def square_excess(space: FockSpace, amps: np.ndarray) -> np.ndarray:
     return squares[:, 0] / n2 - squares[:, 1]
 
 
-@dataclasses.dataclass(frozen=True)
-class SmallStateReport:
-    """Residuals of D(lambda)|0> against |0> + lambda |particle>, one per lambda."""
-
-    residuals: np.ndarray
-    exponent: float
-
-
 def small_state_limit_check(
     space: FockSpace, direction: np.ndarray, lams: np.ndarray
-) -> SmallStateReport:
+) -> tuple[float, np.ndarray]:
     """Measure how fast the displaced vacuum approaches vacuum + particle.
 
-    The residual norm scales as lambda^exponent; the exponent is fitted in
-    log-log. Quadratic scaling is what makes single particles dominate
-    weakly excited states.
+    Returns (exponent, residuals): the residuals are the norms of
+    D(lambda)|0> - (|0> + lambda |particle>), one per lambda, and they scale
+    as lambda^exponent, fitted in log-log. Quadratic scaling is what makes
+    single particles dominate weakly excited states.
     """
     lams = np.asarray(lams, dtype=float).reshape(-1)
     if np.any(lams <= 0) or np.any(lams > 0.3):
@@ -273,4 +267,4 @@ def small_state_limit_check(
         disp = displacement(space, direction, lam)
         residuals[i] = np.linalg.norm(disp - (vac + lam * part))
     slope, _, _ = log_linear_fit(np.log(lams), residuals)
-    return SmallStateReport(residuals=residuals, exponent=slope)
+    return slope, residuals

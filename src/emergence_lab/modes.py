@@ -14,7 +14,8 @@ no integrator anywhere in this package.
 The amplitudes are a plain complex array handed on with the Spectrum, not a
 second stored form of the point: ``PhaseVector`` is the one validated state,
 so a non-finite amplitude is refused where ``from_modes`` makes it a field,
-and a wrong length where the Spectrum transforms it.
+and a wrong length where the Spectrum transforms it or
+``hamiltonian_energy`` weighs it.
 
 A block of k phase points is stored as (sites x k) fields, one point per
 column, the batch convention of ``Spectrum.apply_function``, and its
@@ -143,6 +144,8 @@ def evolve_state(state: PhaseVector, spec: Spectrum, t: float) -> PhaseVector:
 
 def hamiltonian_energy(alpha: np.ndarray, spec: Spectrum) -> float | np.ndarray:
     """Classical energy sum_k omega_k |alpha_k|^2."""
+    if len(alpha) != spec.nmodes:
+        raise ValueError(f"alpha has {len(alpha)} amplitudes for {spec.nmodes} modes")
     freq = _per_row(spec.frequencies, alpha)
     return _column_sum(freq * np.abs(alpha) ** 2)
 

@@ -11,18 +11,20 @@ Schrodinger flow exp(-i R^{1/2} t). Position language (expectation values,
 localization widths, spreading speed) only makes sense in this picture, and
 the diagnostics here quantify how far it can be trusted: the NW delta has a
 Compton-scale field profile, the non-relativistic limit holds for slow wide
-packets, and compactly supported psi leak outside the light cone.
+packets, and compactly supported psi leak outside the light cone. Each
+diagnostic returns its numbers as a plain tuple, named in order in its
+docstring, for the nw experiment to judge.
 
 Like mode amplitudes (see ``modes``), psi is a plain complex array, (sites,)
 for one wavefunction, handed on with its Spectrum; it has no grid shape. A
 block of k wavefunctions is a (sites x k) psi, one per column: to_nw,
 from_nw and evolve_nw map it column by column, and nw_norm returns one norm
-per column. The two regime diagnostics, nonrelativistic_compare and
-superluminal_leakage, weigh one wavefunction and refuse a block.
+per column and refuses a psi whose length is not the site count. The two
+regime diagnostics, nonrelativistic_compare and superluminal_leakage, weigh
+one wavefunction and refuse a block.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -38,6 +40,8 @@ SUPPORT_THRESHOLD = 1e-12
 
 def nw_norm(psi: np.ndarray, spec: Spectrum) -> float | np.ndarray:
     """Discrete L2 norm, sqrt(sum |psi|^2 cell)."""
+    if len(psi) != spec.lattice.nsites:
+        raise ValueError(f"psi has {len(psi)} values for {spec.lattice.nsites} sites")
     return np.sqrt(_column_sum(np.abs(psi) ** 2) * spec.lattice.cell)
 
 
@@ -82,24 +86,16 @@ def gaussian_packet(
 # localization of the NW delta
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class NWDeltaReport:
-    """Field-space footprint of a one-site NW wavefunction."""
-
-    distances: np.ndarray
-    values: np.ndarray
-    closed_form_dev: float
-    amplitude_fit: DecayFit
-
-
 def nw_delta_localization(
     spec: Spectrum,
     site: int,
     compton: float,
-) -> NWDeltaReport:
+) -> tuple[np.ndarray, np.ndarray, float, DecayFit]:
     """Profile of the phi2 probe for psi concentrated on a single site.
 
-    The profile admits a closed form: for the unit-norm delta it equals
+    Returns (distances, values, closed_form_dev, amplitude_fit): the binned
+    profile, its largest deviation from the closed form, and the decay fit
+    of its amplitude. For the unit-norm delta the profile equals
     2 kappa cell [R^{-1/4} kernel column at the site]^2, checked here against
     the full pipeline: the phi2 column of probe_excesses of from_nw. The
     width is the decay length of the profile's amplitude (its square root),
@@ -120,28 +116,12 @@ def nw_delta_localization(
     lo, hi = NW_DELTA_WINDOW_COMPTON
     window_abs = (lo * compton, hi * compton)
     fit = fit_decay_length(d_out, np.sqrt(v_out), window_abs)
-    return NWDeltaReport(
-        distances=d_out, values=v_out, closed_form_dev=dev, amplitude_fit=fit
-    )
+    return d_out, v_out, dev, fit
 
 
 # ---------------------------------------------------------------------------
 # dynamical regimes
 # ---------------------------------------------------------------------------
-
-@dataclasses.dataclass(frozen=True)
-class NonrelReport:
-    """Distance between the exact flow and the non-relativistic surrogate.
-
-    The surrogate phases are exp(-i (m + (lambda_k - m^2)/(2m)) t); they only
-    approximate sqrt(lambda_k) when the state's spectral weight sits well
-    below the mass scale (|k| < m/5), so the report carries that
-    low-frequency weight fraction beside the distance.
-    """
-
-    l2_distance: float
-    low_k_weight: float
-
 
 def _one_wavefunction(psi: np.ndarray, diagnostic: str) -> None:
     """Refuse a (sites x k) block where only one wavefunction makes sense."""
@@ -153,7 +133,15 @@ def _one_wavefunction(psi: np.ndarray, diagnostic: str) -> None:
 
 def nonrelativistic_compare(
     psi: np.ndarray, spec: Spectrum, mass: float, t: float
-) -> NonrelReport:
+) -> tuple[float, float]:
+    """Distance between the exact flow and the non-relativistic surrogate.
+
+    Returns (l2_distance, low_k_weight). The surrogate phases are
+    exp(-i (m + (lambda_k - m^2)/(2m)) t); they only approximate
+    sqrt(lambda_k) when the state's spectral weight sits well below the
+    mass scale (|k| < m/5), so the low-frequency weight fraction comes
+    beside the distance.
+    """
     _one_wavefunction(psi, "nonrelativistic_compare")
     if mass <= 0:
         raise ValueError("mass must be positive")
@@ -167,17 +155,7 @@ def nonrelativistic_compare(
     exact = alpha * np.exp(-1j * spec.frequencies * t)
     surrogate = alpha * np.exp(-1j * (mass + ksq / (2.0 * mass)) * t)
     # Parseval: the L2 distance of the fields equals the amplitude distance
-    return NonrelReport(
-        l2_distance=float(np.linalg.norm(exact - surrogate)), low_k_weight=low
-    )
-
-
-@dataclasses.dataclass(frozen=True)
-class LeakageReport:
-    """Norm fraction beyond the light cone after evolving a truncated packet."""
-
-    leakage: float
-    norm_drift: float
+    return float(np.linalg.norm(exact - surrogate)), low
 
 
 def superluminal_leakage(
@@ -186,13 +164,14 @@ def superluminal_leakage(
     center: int,
     radius: float,
     t: float,
-) -> LeakageReport:
+) -> tuple[float, float]:
     """Evolve a compactly supported psi and weigh what escapes the cone.
 
-    The initial wavefunction must vanish (below SUPPORT_THRESHOLD of its peak)
-    outside the given ball; after time t the weight at distances greater
-    than radius + c t is reported. Any strictly positive value demonstrates
-    that the NW flow is not causal.
+    The initial wavefunction must vanish (below SUPPORT_THRESHOLD of its
+    peak) outside the given ball. Returns (leakage, norm_drift): the norm
+    fraction at distances greater than radius + c t after time t, and how
+    far the evolution moved the norm. Any strictly positive leakage
+    demonstrates that the NW flow is not causal.
     """
     _one_wavefunction(psi, "superluminal_leakage")
     d = spec.lattice.distances_from(center)
@@ -209,4 +188,4 @@ def superluminal_leakage(
     total = float(weight.sum())
     leak = float(weight[d > horizon].sum() / total)
     drift = abs(nw_norm(evolved, spec) - nw_norm(psi, spec))
-    return LeakageReport(leakage=leak, norm_drift=drift)
+    return leak, drift

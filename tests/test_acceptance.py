@@ -317,15 +317,15 @@ def test_criterion_07_oracle_arbitration():
 def test_criterion_08_small_state_limit():
     spec = diagonalize(build_klein_gordon(1.0, Lattice((6,))))
     space = build_fock(spec, (0,), n_max=14)
-    report = small_state_limit_check(
+    exponent, _ = small_state_limit_check(
         space, np.array([1.0]), np.geomspace(0.02, 0.2, 8)
     )
-    dev = abs(report.exponent - 2.0)
+    dev = abs(exponent - 2.0)
     ok = dev <= 0.1
     _line(
         "criterion 08 small-state limit",
         ok,
-        f"exponent {report.exponent:.4f}",
+        f"exponent {exponent:.4f}",
     )
     assert dev <= 0.1
 
@@ -381,8 +381,7 @@ def test_criterion_10_newton_wigner(spec64, spec512, spec1024):
         segal = math.sqrt(segal_form(u, u, apply_J(u, spec64)).real)
         norm_dev = max(norm_dev, abs(nw_norm(to_nw(u, spec64), spec64) - segal) / segal)
 
-    delta = nw_delta_localization(spec512, 256, 1.0)
-    width = delta.amplitude_fit
+    _, _, closed_form_dev, width = nw_delta_localization(spec512, 256, 1.0)
     width_ok = (
         width.length > 0
         and width.rms_log_residual < FIT_RMS_MAX
@@ -390,32 +389,32 @@ def test_criterion_10_newton_wigner(spec64, spec512, spec1024):
     )
 
     packet = gaussian_packet(spec1024, 512, 20.0)
-    nonrel = nonrelativistic_compare(packet, spec1024, 1.0, 10.0)
+    l2_distance, _ = nonrelativistic_compare(packet, spec1024, 1.0, 10.0)
 
     truncated = gaussian_packet(spec1024, 512, 10.0, cutoff=40.0)
-    leak = superluminal_leakage(truncated, spec1024, 512, 40.0, 5.0)
+    leakage, _ = superluminal_leakage(truncated, spec1024, 512, 40.0, 5.0)
 
     ok = (
         intertwine <= 1e-9
         and norm_dev <= 1e-9
-        and delta.closed_form_dev <= 1e-9
+        and closed_form_dev <= 1e-9
         and width_ok
-        and nonrel.l2_distance < 0.01
-        and leak.leakage > 0.0
+        and l2_distance < 0.01
+        and leakage > 0.0
     )
     _line(
         "criterion 10 newton-wigner",
         ok,
         f"iN=NJ {intertwine:.1e}, norm {norm_dev:.1e}, "
-        f"delta dev {delta.closed_form_dev:.1e} width {delta.amplitude_fit.length:.3f}, "
-        f"nonrel {nonrel.l2_distance:.1e}, leakage {leak.leakage:.1e}",
+        f"delta dev {closed_form_dev:.1e} width {width.length:.3f}, "
+        f"nonrel {l2_distance:.1e}, leakage {leakage:.1e}",
     )
     assert intertwine <= 1e-9
     assert norm_dev <= 1e-9
-    assert delta.closed_form_dev <= 1e-9
+    assert closed_form_dev <= 1e-9
     assert width_ok
-    assert nonrel.l2_distance < 0.01
-    assert leak.leakage > 0.0
+    assert l2_distance < 0.01
+    assert leakage > 0.0
 
 
 def test_criterion_11_determinism(tmp_path):

@@ -372,15 +372,15 @@ def test_decay_rate_window_default(monkeypatch):
 
 
 def test_lattice_approaches_continuum():
-    cmp = lattice_vs_continuum(1.0)
-    devs = [res.deviation for res in cmp]
+    rows = lattice_vs_continuum(1.0)
+    devs = [deviation for *_, deviation in rows]
     assert all(dev <= 0.15 for dev in devs)
     assert all(b <= a + 1e-12 for a, b in zip(devs, devs[1:]))
     # frozen: refining a=1.0 -> 0.5 shrinks the deviation about 3.5x
     assert devs[0] == pytest.approx(0.0412, rel=0.02)
     assert devs[1] == pytest.approx(0.0118, rel=0.02)
-    assert cmp[0].nsites == 512
-    assert cmp[1].nsites == 1024
+    assert rows[0][1] == 512
+    assert rows[1][1] == 1024
 
 
 def test_lattice_too_small_rejected():

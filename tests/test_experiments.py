@@ -313,8 +313,8 @@ def test_profile_tables_hold_the_per_cell_floats(shape):
     localize = tuple(
         (float(d), *(float(v) for v in row)) for d, row in zip(report.distances, report.values)
     )
-    delta = nw_delta_localization(spec, source, compton)
-    nw = tuple((float(d), float(v)) for d, v in zip(delta.distances, delta.values))
+    nw_distances, nw_values, _, _ = nw_delta_localization(spec, source, compton)
+    nw = tuple((float(d), float(v)) for d, v in zip(nw_distances, nw_values))
     # at 12^3 the bump is not localizable, so its profile is empty
     assert kernel and nw and (localize or shape == (12, 12, 12))
     for experiment, want in (("kernel", kernel), ("localize", localize), ("nw", nw)):

@@ -307,3 +307,23 @@ def test_only_spectral_reads_the_transform_route():
         if isinstance(node, ast.Attribute) and node.attr in ("dense_basis", "hartley_modes")
     )
     assert readers == []
+
+
+# Every dataclass under src/. A diagnostic that one experiment reads straight
+# back returns a plain tuple instead, so a new record lands here as a decision
+DATACLASSES = [
+    "BranchStructure", "CheckRecord", "CoherentState", "DecayFit", "ExperimentConfig",
+    "FockSpace", "Lattice", "LocalizationReport", "PhaseVector", "ROperator",
+    "RateFit", "RunReport", "Spectrum", "SymbolPolynomial", "Table",
+]
+
+
+def test_dataclasses_are_pinned():
+    names = sorted(
+        node.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(_is_dataclass_decorator(d) for d in node.decorator_list)
+    )
+    assert names == DATACLASSES

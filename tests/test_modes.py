@@ -180,6 +180,14 @@ def test_amplitude_length_checked_by_the_transforms(spec64):
         evolve_modes(alpha, spec64, 1.0)
 
 
+def test_energy_refuses_a_wrong_amplitude_count(spec64):
+    # one amplitude, or a block of one-amplitude columns, would broadcast
+    # over all 64 frequencies
+    for alpha in (np.ones(1, dtype=complex), np.ones((1, 64), dtype=complex)):
+        with pytest.raises(ValueError, match="1 amplitudes for 64 modes"):
+            hamiltonian_energy(alpha, spec64)
+
+
 def test_nonfinite_amplitudes_refused_as_a_field(spec64):
     # the amplitudes are not checked themselves; the PhaseVector that
     # from_modes builds refuses them (a numpy warning may come first)

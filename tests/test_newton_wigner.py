@@ -90,12 +90,14 @@ def test_nw_from_modes_matches_synthesis(spec64):
 
 
 def test_wrong_length_rejected(spec64):
-    # the transforms refuse a psi of the wrong length
+    # the transforms and the norm refuse a psi of the wrong length
     psi = np.ones(65, dtype=complex)
     with pytest.raises(ValueError):
         from_nw(psi, spec64)
     with pytest.raises(ValueError):
         evolve_nw(psi, spec64, 1.0)
+    with pytest.raises(ValueError, match="65 values for 64 sites"):
+        nw_norm(psi, spec64)
 
 
 def test_nonfinite_rejected(spec64):
@@ -161,17 +163,17 @@ def test_packet_cutoff_gives_compact_support(spec64):
 
 
 def test_delta_profile_matches_closed_form(spec1024):
-    report = nw_delta_localization(spec1024, 512, 1.0)
-    assert report.closed_form_dev <= 1e-12
+    _, _, closed_form_dev, _ = nw_delta_localization(spec1024, 512, 1.0)
+    assert closed_form_dev <= 1e-12
 
 
 def test_delta_width_near_compton(spec1024):
-    report = nw_delta_localization(spec1024, 512, 1.0)
-    assert report.amplitude_fit.length > 0
-    assert report.amplitude_fit.rms_log_residual < FIT_RMS_MAX
+    *_, amplitude_fit = nw_delta_localization(spec1024, 512, 1.0)
+    assert amplitude_fit.length > 0
+    assert amplitude_fit.rms_log_residual < FIT_RMS_MAX
     # frozen: the amplitude decay length comes out just under one Compton
-    assert report.amplitude_fit.length == pytest.approx(0.96407, rel=1e-3)
-    assert abs(report.amplitude_fit.length - 1.0) <= 0.25
+    assert amplitude_fit.length == pytest.approx(0.96407, rel=1e-3)
+    assert abs(amplitude_fit.length - 1.0) <= 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +183,20 @@ def test_delta_width_near_compton(spec1024):
 
 def test_nonrelativistic_limit_wide_packet(spec1024):
     packet = gaussian_packet(spec1024, 512, 20.0)
-    report = nonrelativistic_compare(packet, spec1024, 1.0, 10.0)
-    assert report.low_k_weight > 0.999
-    assert report.l2_distance < 1e-4
+    l2_distance, low_k_weight = nonrelativistic_compare(packet, spec1024, 1.0, 10.0)
+    assert low_k_weight > 0.999
+    assert l2_distance < 1e-4
     # frozen against this lattice and packet
-    assert report.l2_distance == pytest.approx(1.9865e-5, rel=1e-3)
+    assert l2_distance == pytest.approx(1.9865e-5, rel=1e-3)
 
 
 def test_nonrelativistic_narrow_packet_is_flagged(spec1024):
     # a width-2 packet carries half its weight above the mass scale, so the
-    # surrogate phases are wrong and the report must say so
+    # surrogate phases are wrong and the low-k weight must say so
     packet = gaussian_packet(spec1024, 512, 2.0)
-    report = nonrelativistic_compare(packet, spec1024, 1.0, 10.0)
-    assert report.low_k_weight < 0.5
-    assert report.l2_distance > 0.1
+    l2_distance, low_k_weight = nonrelativistic_compare(packet, spec1024, 1.0, 10.0)
+    assert low_k_weight < 0.5
+    assert l2_distance > 0.1
 
 
 def test_nonrelativistic_rejects_bad_inputs(spec64):
@@ -231,10 +233,10 @@ def test_group_velocity_matches_dispersion(spec1024):
 
 def test_leakage_is_positive(spec1024):
     packet = gaussian_packet(spec1024, 512, 10.0, cutoff=40.0)
-    report = superluminal_leakage(packet, spec1024, 512, 40.0, 5.0)
-    assert report.leakage > 0.0
-    assert report.leakage < 1e-8
-    assert report.norm_drift < 1e-12
+    leakage, norm_drift = superluminal_leakage(packet, spec1024, 512, 40.0, 5.0)
+    assert leakage > 0.0
+    assert leakage < 1e-8
+    assert norm_drift < 1e-12
 
 
 def test_leakage_rejects_untruncated_packet(spec1024):
