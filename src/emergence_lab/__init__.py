@@ -19,7 +19,6 @@ from .spectral import (
     ROperator,
     Spectrum,
     build_klein_gordon,
-    build_variable_coefficient,
     diagonalize,
     fit_decay_length,
     kernel_profile,
@@ -92,7 +91,6 @@ __all__ = [
     "apply_J",
     "branch_cut_kernel",
     "build_klein_gordon",
-    "build_variable_coefficient",
     "calibrate_kappa",
     "diagonalize",
     "direct_form",

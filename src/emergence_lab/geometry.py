@@ -21,11 +21,10 @@ none is an approximation of another:
   rebuilt from the symplectic form alone.
 
 A caller transforms each point once (``to_modes``, ``apply_J``) and hands
-the results to every form that reads them. For a constant mass, at every
-lattice size, "direct" and "segal" still share no transform with "alpha"
-and "qp": J applies R^{+-1/2} as Fourier multipliers, while the mode
-amplitudes come through Hartley transforms. (A variable mass has one
-eigenbasis for all four.)
+the results to every form that reads them. At every lattice size, "direct"
+and "segal" still share no transform with "alpha" and "qp": J applies
+R^{+-1/2} as Fourier multipliers, while the mode amplitudes come through
+Hartley transforms.
 
 Every function takes a block of phase points, (sites x k) fields with one
 point per column (see ``modes``), as readily as one point, and the two

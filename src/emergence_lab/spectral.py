@@ -7,9 +7,8 @@ It exposes R's spectral decomposition, arbitrary real powers R^lambda, and
 tools to measure how fast the kernels of those powers decay with distance.
 A decay fit only measures: the bounds that judge its length and residual
 are the experiments' constants.
-Each operator kind has one transform route at every size: a constant mass
-(R translation invariant) takes closed-form Fourier modes and FFTs, and a
-variable mass takes a dense eigensolver and products with its eigenbasis.
+The mass is one value for every site, so R is translation invariant and
+has one transform route at every size: closed-form Fourier modes and FFTs.
 
 Conventions
 -----------
@@ -117,24 +116,19 @@ class Lattice:
 class ROperator:
     """R = mass_squared - Laplacian over lattice sites (application form).
 
-    ``mass_squared`` is a scalar, or one value per site; the Laplacian is the
-    3-point central stencil per axis with periodic wrap. ``apply`` is an O(N)
-    neighbour sum, and the dense ``matrix`` is built from it on first read.
-    The + and - neighbour weights are equal, so R is symmetric by
-    construction. Equality is identity.
+    ``mass_squared`` is one float for every site (an array is refused), so R
+    is translation invariant; the Laplacian is the 3-point central stencil
+    per axis with periodic wrap. ``apply`` is an O(N) neighbour sum, and the
+    dense ``matrix`` is built from it on first read. The + and - neighbour
+    weights are equal, so R is symmetric by construction. Equality is
+    identity.
     """
 
     lattice: Lattice
-    mass_squared: float | np.ndarray
+    mass_squared: float
 
     def __post_init__(self):
-        n = self.lattice.nsites
-        mass = np.asarray(self.mass_squared, dtype=float)
-        if mass.ndim and mass.size != n:
-            raise ValueError(f"mass_squared has {mass.size} values for {n} sites")
-        object.__setattr__(
-            self, "mass_squared", mass.reshape(-1) if mass.ndim else float(mass)
-        )
+        object.__setattr__(self, "mass_squared", float(self.mass_squared))
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -151,11 +145,8 @@ class ROperator:
             lap += inv_a2 * np.roll(grid, -1, axis=ax)  # field(x + e)
             lap += inv_a2 * np.roll(grid, 1, axis=ax)  # field(x - e)
             lap -= 2.0 * inv_a2 * grid
-        mass = np.reshape(
-            self.mass_squared, np.shape(self.mass_squared) + (1,) * (field.ndim - 1)
-        )
         # 0.0 - lap, not -lap: it leaves no negative zeros
-        return (0.0 - lap).reshape(field.shape) + mass * field
+        return (0.0 - lap).reshape(field.shape) + self.mass_squared * field
 
 
 @dataclasses.dataclass(frozen=True)
@@ -166,24 +157,20 @@ class Spectrum:
     ``eigenvalues`` (omega_k^2) ascend and are strictly positive;
     ``frequencies`` are their positive square roots.
 
-    Exactly one of ``hartley_modes`` and ``dense_basis`` is set, and
-    ``project``, ``synthesize`` and ``apply_function`` branch on it; no other
-    module reads either field. For a translation-invariant R (the FFT route)
-    f_k is the real Fourier (Hartley) mode cas(2 pi q.x/N) / sqrt(N cell) of
-    flat wavevector index q = ``hartley_modes[k]``; ``project``/``synthesize``
-    are FFTs, f(R) is f of the symbol (the eigenvalues placed through
-    ``hartley_modes``) times the field's DFT; no N x N table of the modes is
-    ever built. Otherwise (the ``eigh`` route) every transform is a matrix
-    product with the eigenvectors ``dense_basis``. Mode coordinates go
-    through ``project``/``synthesize``; every kernel column, and so every
-    locality measurement, reaches f(R) through ``apply_function``.
+    R is translation invariant, so f_k is the real Fourier (Hartley) mode
+    cas(2 pi q.x/N) / sqrt(N cell) of flat wavevector index
+    q = ``hartley_modes[k]``; no other module reads that field.
+    ``project``/``synthesize`` are FFTs, and f(R) is f of the symbol (the
+    eigenvalues placed through ``hartley_modes``) times the field's DFT; no
+    N x N table of the modes is ever built. Mode coordinates go through
+    ``project``/``synthesize``; every kernel column, and so every locality
+    measurement, reaches f(R) through ``apply_function``.
     """
 
     operator: ROperator
     eigenvalues: np.ndarray
     frequencies: np.ndarray
-    dense_basis: np.ndarray | None
-    hartley_modes: np.ndarray | None
+    hartley_modes: np.ndarray
 
     @property
     def lattice(self) -> Lattice:
@@ -195,34 +182,24 @@ class Spectrum:
 
     def project(self, field: np.ndarray) -> np.ndarray:
         """L2 coefficients <f_k, field> for every mode."""
-        if self.dense_basis is not None:
-            coeffs = self.dense_basis.T @ field
-            coeffs *= self.lattice.cell
-        else:
-            coeffs = _hartley(field, self.lattice.shape)[self.hartley_modes]
-            coeffs *= math.sqrt(self.lattice.cell / self.nmodes)
+        coeffs = _hartley(field, self.lattice.shape)[self.hartley_modes]
+        coeffs *= math.sqrt(self.lattice.cell / self.lattice.nsites)
         return coeffs
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Field sum_k coeffs[k] f_k."""
-        if self.dense_basis is not None:
-            return self.dense_basis @ coeffs
         field = _hartley(self._on_grid(coeffs), self.lattice.shape)
-        field *= 1.0 / math.sqrt(self.nmodes * self.lattice.cell)
+        field *= 1.0 / math.sqrt(self.lattice.nsites * self.lattice.cell)
         return field
 
     def apply_function(self, f, field: np.ndarray) -> np.ndarray:
         """Apply f(R) to a field: sum_k f(lambda_k) <f_k, field> f_k.
 
-        A 2-D field is a batch of fields, one per column. On the FFT route
-        f(R) is a Fourier multiplier, applied by one real-FFT pair when the
-        weights and the field are real.
+        A 2-D field is a batch of fields, one per column. f(R) is a Fourier
+        multiplier, applied by one real-FFT pair when the weights and the
+        field are real.
         """
         batch = (1,) * (field.ndim - 1)
-        if self.dense_basis is not None:
-            weights = f(self.eigenvalues).reshape((self.nmodes,) + batch)
-            # keep this order: the reversed complex product rounds differently
-            return self.synthesize(self.project(field) * weights)
         shape = self.lattice.shape
         grid = field.reshape(shape + field.shape[1:])
         weights = f(self._symbol_grid)
@@ -253,8 +230,8 @@ class Spectrum:
         return self._on_grid(self.eigenvalues).reshape(self.lattice.shape)
 
     def _on_grid(self, coeffs: np.ndarray) -> np.ndarray:
-        """Mode coefficients moved to their wavevectors' flat grid positions."""
-        grid = np.empty_like(coeffs)
+        """Mode coefficients at their wavevectors' grid positions, zero elsewhere."""
+        grid = np.zeros_like(coeffs, shape=(self.lattice.nsites,) + coeffs.shape[1:])
         grid[self.hartley_modes] = coeffs
         return grid
 
@@ -321,47 +298,28 @@ def build_klein_gordon(mass: float, lattice: Lattice) -> ROperator:
     return ROperator(lattice, mass**2)
 
 
-def build_variable_coefficient(mass_field: np.ndarray, lattice: Lattice) -> ROperator:
-    """KG stencil with a site-dependent mass: diagonal m(x)^2 + 2*ndim/spacing^2."""
-    m = np.asarray(mass_field, dtype=float).reshape(-1)
-    if m.shape[0] != lattice.nsites:
-        raise ValueError(
-            f"mass_field has {m.shape[0]} samples for {lattice.nsites} sites"
-        )
-    if np.any(m <= 0):
-        raise AxiomError("mass_field must be strictly positive everywhere")
-    return ROperator(lattice, m**2)
-
-
 def diagonalize(op: ROperator) -> Spectrum:
     """Full eigendecomposition; raises AxiomError if strict positivity fails.
 
-    Eigenvalues ascend; eigenvectors are L2-orthonormalized. When the mass is
-    one value R is translation invariant and is diagonalized in closed form:
-    its eigenvalues are the FFT of R applied to the unit vector at site 0 (by
-    symmetry, matrix row 0, which is never built), averaged over k and -k so
-    that they are exactly even. Each degenerate subspace (the +-k pairs and
-    any accidental coincidences) gets the real Hartley modes cas(2 pi k.x/N)
-    of its wavevectors, in stable ascending order of the symbol; only their
-    wavevector indices are stored. A mass that varies over the sites sends
-    the dense matrix to the eigensolver, and degenerate subspaces come back
-    with the (deterministic) basis it picks.
+    Eigenvalues ascend; eigenvectors are L2-orthonormalized. R is translation
+    invariant and is diagonalized in closed form: its eigenvalues are the FFT
+    of R applied to the unit vector at site 0 (by symmetry, matrix row 0,
+    which is never built), averaged over k and -k so that they are exactly
+    even. Each degenerate subspace (the +-k pairs and any accidental
+    coincidences) gets the real Hartley modes cas(2 pi k.x/N) of its
+    wavevectors, in stable ascending order of the symbol; only their
+    wavevector indices are stored.
     """
     lattice = op.lattice
-    mass = np.ravel(op.mass_squared)
-    if np.all(mass == mass[0]):
-        row = op.apply(_unit(lattice, 0))
-        symbol = np.fft.fftn(row.reshape(lattice.shape)).real
-        # R is symmetric, so its symbol is even in k, but the FFT's roundoff
-        # is not; flipping and rolling by one maps k to -k
-        axes = tuple(range(lattice.ndim))
-        mirrored = np.roll(np.flip(symbol, axis=axes), 1, axis=axes)
-        symbol = (0.5 * (symbol + mirrored)).reshape(-1)
-        modes = np.argsort(symbol, kind="stable")
-        vals, dense = symbol[modes], None
-    else:
-        vals, vecs = np.linalg.eigh(op.matrix)
-        dense, modes = vecs / math.sqrt(lattice.cell), None
+    row = op.apply(_unit(lattice, 0))
+    symbol = np.fft.fftn(row.reshape(lattice.shape)).real
+    # R is symmetric, so its symbol is even in k, but the FFT's roundoff
+    # is not; flipping and rolling by one maps k to -k
+    axes = tuple(range(lattice.ndim))
+    mirrored = np.roll(np.flip(symbol, axis=axes), 1, axis=axes)
+    symbol = (0.5 * (symbol + mirrored)).reshape(-1)
+    modes = np.argsort(symbol, kind="stable")
+    vals = symbol[modes]
     floor = POSITIVITY_FLOOR * max(vals[-1], 0.0)
     if vals[0] <= floor:
         raise AxiomError(
@@ -372,7 +330,6 @@ def diagonalize(op: ROperator) -> Spectrum:
         operator=op,
         eigenvalues=vals,
         frequencies=np.sqrt(vals),
-        dense_basis=dense,
         hartley_modes=modes,
     )
 

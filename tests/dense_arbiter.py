@@ -6,8 +6,8 @@ scattering the 3-point stencil weights at the raveled neighbour indices of
 each site, so a test that compares the two does not compare the stencil code
 with itself. Powers of R come from ``numpy.linalg.eigh`` of that dense
 matrix, never from a package ``Spectrum``, and its eigenvalues also have a
-closed form, the circulant symbol written out per axis. Its eigenfunctions
-on the FFT route are tabulated in closed form too, with their phases reduced
+closed form, the circulant symbol written out per axis. Its eigenfunctions,
+the Hartley modes, are tabulated in closed form too, with their phases reduced
 in integers, so no FFT is involved. For roundoff comparisons a power of R is
 also summed over its Fourier modes in long double.
 
@@ -24,7 +24,7 @@ import numpy as np
 
 
 def klein_gordon_matrix(lattice, mass_squared) -> np.ndarray:
-    """mass_squared (scalar or per site) on the diagonal minus the Laplacian.
+    """mass_squared on the diagonal minus the Laplacian.
 
     Entries add in the order the stencil sums its terms (+ neighbour,
     - neighbour, centre, axis by axis), so the result matches the package's

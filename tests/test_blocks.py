@@ -2,9 +2,9 @@
 k single points.
 
 Every transform and reduction of ``modes``, ``geometry`` and
-``newton_wigner``, and ``particle.probe_excesses``, takes a block. A constant
-mass takes the FFT route at every lattice size, where a block column meets
-the same arithmetic as the column alone, so the match is bitwise.
+``newton_wigner``, and ``particle.probe_excesses``, takes a block. R
+transforms by FFT at every lattice size, where a block column meets the
+same arithmetic as the column alone, so the match is bitwise.
 """
 
 from __future__ import annotations

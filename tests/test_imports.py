@@ -7,9 +7,9 @@ the Fock oracle (whose ladder operators shift numpy amplitude tensors). scipy is
 dependency only, as an independent arbiter. The test runs a fresh
 interpreter with scipy imports blocked, because this test process has
 imported scipy itself, and checks there that no run loads numpy.polynomial
-or numpy.ma. Likewise the FFT route of a constant mass and the continuum
-kernels run no LAPACK routine, which the guard below checks with numpy's
-entries to LAPACK patched to raise.
+or numpy.ma. Likewise the FFT route of R and the continuum kernels run no
+LAPACK routine, which one guard below checks with numpy's entries to LAPACK
+patched to raise and another by reading the source.
 """
 
 from __future__ import annotations
@@ -146,6 +146,37 @@ def test_fft_route_experiments_call_no_lapack(tmp_path, monkeypatch):
         if shape is not None:
             argv += ["--config", _write_cfg(tmp_path, exp, shape)]
         assert main(argv) != EXIT_NUMERIC, (exp, shape)
+
+
+def _dotted(node: ast.expr) -> str | None:
+    """``np.linalg.eigh`` for that attribute chain, None for anything else."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id] + parts[::-1])
+
+
+def test_source_names_no_lapack_entry_but_roots():
+    # the guard above patches the entries for the runs it makes; this one
+    # reads the source, so an entry on a path no run takes shows as well.
+    # Only a symbol of degree 3 or more, which no experiment builds, reaches
+    # LAPACK, through np.roots
+    entries = {
+        f"{module.__name__.replace('numpy', 'np', 1)}.{name}"
+        for module, name in LAPACK_ROUTINES
+    }
+    found = sorted(
+        f"{path.stem}.{getattr(top, 'name', '<module>')}: {dotted}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if (dotted := _dotted(node)) is not None
+        and re.sub(r"^numpy\.", "np.", dotted) in entries
+    )
+    assert found == ["asymptotics.find_branch_points: np.roots"]
 
 
 def test_every_public_name_resolves():
@@ -296,15 +327,15 @@ def test_no_state_type_stores_its_spectrum():
 
 
 def test_only_spectral_reads_the_transform_route():
-    # which route a Spectrum transforms by is spectral's own decision: other
-    # layers reach f(R) through apply_function and mode coordinates through
-    # project and synthesize, never through the stored basis or wavevectors
+    # how a Spectrum transforms is spectral's own business: other layers
+    # reach f(R) through apply_function and mode coordinates through project
+    # and synthesize, never through the stored wavevectors
     readers = sorted(
         f"{path.name}: .{node.attr}"
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "spectral.py"
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and node.attr in ("dense_basis", "hartley_modes")
+        if isinstance(node, ast.Attribute) and node.attr == "hartley_modes"
     )
     assert readers == []
 

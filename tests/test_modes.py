@@ -21,7 +21,6 @@ from emergence_lab.spectral import (
     Lattice,
     LatticeMismatchError,
     build_klein_gordon,
-    build_variable_coefficient,
     diagonalize,
 )
 
@@ -95,14 +94,13 @@ def test_basis_is_canonical(monkeypatch, spec64):
 
 
 def test_dropped_mode_breaks_completeness(monkeypatch, spec64):
-    # an eigh-route spectrum of the arbiter's table without mode 3
+    # the spectrum without mode 3: 63 modes over 64 sites
     keep = np.delete(np.arange(64), 3)
     truncated = dataclasses.replace(
         spec64,
         eigenvalues=spec64.eigenvalues[keep],
         frequencies=spec64.frequencies[keep],
-        dense_basis=hartley_table(spec64.lattice, spec64.hartley_modes[keep]),
-        hartley_modes=None,
+        hartley_modes=spec64.hartley_modes[keep],
     )
     checks = _modes_check(monkeypatch, truncated)
     # a missing oscillatory mode leaves a rank-one hole of size 2/N
@@ -124,23 +122,6 @@ def test_mispaired_modes_break_the_eigen_residual(monkeypatch, spec64):
     assert checks["completeness"].measured < 1e-15
     assert checks["eigen_residual"].measured > 1e-3
     assert not checks["eigen_residual"].passed
-
-
-def test_eigh_route_records_are_the_basis_products(monkeypatch):
-    # on the eigh route project/synthesize of an identity are the very
-    # products of the stored eigenbasis with itself
-    lat = Lattice((64,))
-    ripple = 1.0 + 0.3 * np.sin(2 * np.pi * np.arange(64) / 64)
-    spec = diagonalize(build_variable_coefficient(ripple, lat))
-    basis = spec.dense_basis
-    assert basis is not None
-    cell = lat.cell
-    ortho = float(np.abs(basis.T @ basis * cell - np.eye(64)).max())
-    complete = float(np.abs(basis @ basis.T * cell - np.eye(64)).max())
-    checks = _modes_check(monkeypatch, spec)
-    assert checks["orthonormality"].measured == ortho
-    assert checks["completeness"].measured == complete
-    assert checks["eigen_residual"].passed
 
 
 def test_mode_roundtrip(spec64):
