@@ -21,7 +21,6 @@ from .spectral import (
     build_klein_gordon,
     diagonalize,
     fit_decay_length,
-    kernel_profile,
 )
 from .modes import (
     PhaseVector,
@@ -68,7 +67,6 @@ from .asymptotics import (
     direct_radial_integral,
     find_branch_points,
     kernel_decay_rate,
-    lattice_vs_continuum,
 )
 from .experiments import ExperimentConfig, RunReport, run_all, run_experiment
 
@@ -108,8 +106,6 @@ __all__ = [
     "gaussian_packet",
     "hamiltonian_energy",
     "kernel_decay_rate",
-    "kernel_profile",
-    "lattice_vs_continuum",
     "localization_report",
     "nonrelativistic_compare",
     "nw_delta_localization",

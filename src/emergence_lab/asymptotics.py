@@ -16,14 +16,13 @@ integrates the oscillatory integrand over half-period panels with
 Gauss-Legendre rules and sums the alternating series by repeated averaging.
 They share no code and are compared against each other (and, for the
 Klein-Gordon symbol, against Bessel/Yukawa closed forms) in the tests.
-Neither calls LAPACK for the symbols of degree 1 and 2 that the experiments
-use: their zeros are closed-form roots, and the Gauss-Legendre nodes come
-from Newton's method.
+Neither calls LAPACK: a symbol has degree 1 or 2, so its zeros are
+closed-form roots, and the Gauss-Legendre nodes come from Newton's method.
 
 Every decay question reduces to the zeros: the slowest-decaying term comes
 from the zero with the smallest imaginary part v0, giving kernels that fall
 like exp(-v0 r)/r times algebraic corrections, i.e. a Compton length of
-1/v0. lattice_vs_continuum returns the lattice_continuum table's rows.
+1/v0.
 """
 from __future__ import annotations
 
@@ -34,15 +33,7 @@ import math
 
 import numpy as np
 
-from .spectral import (
-    AxiomError,
-    Lattice,
-    build_klein_gordon,
-    diagonalize,
-    fit_decay_length,
-    kernel_profile,
-    log_linear_fit,
-)
+from .spectral import AxiomError, log_linear_fit
 
 LAMBDA_CONVERGENCE_MAX = -0.5  # integrals diverge for larger exponents
 RHO_CUTOFF = 40.0  # integrate the cut to rho = RHO_CUTOFF / r
@@ -62,12 +53,6 @@ RATE_SAMPLES = 25
 # asymptotics experiment's decay_rate checks; RateFit.ok and the rtol of
 # kernel_decay_rate stay only because the benchmark harness passes rtol
 RATE_RTOL = 0.05
-# lattice refinement: spacings, sites at the coarsest spacing, kernel exponent,
-# fit window in Compton lengths
-REFINE_SPACINGS = (1.0, 0.5)
-REFINE_BASE_NSITES = 512
-REFINE_EXPONENT = -0.5
-REFINE_WINDOW_COMPTON = (3.0, 20.0)
 
 
 class AsymptoticsError(RuntimeError):
@@ -84,14 +69,14 @@ def _horner(coeffs: tuple[float, ...], s):
 
 @dataclasses.dataclass(frozen=True)
 class SymbolPolynomial:
-    """Polynomial symbol P(s), s = k^2, with real coefficients (ascending)."""
+    """Polynomial symbol P(s) of degree 1 or 2, s = k^2, real coefficients (ascending)."""
 
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.coeffs)
-        if len(coeffs) < 2:
-            raise ValueError("symbol needs degree at least 1")
+        if len(coeffs) not in (2, 3):
+            raise ValueError(f"symbol needs degree 1 or 2, got degree {len(coeffs) - 1}")
         if coeffs[-1] == 0.0:
             raise ValueError("leading coefficient must be nonzero")
         if coeffs[0] <= 0.0:
@@ -139,8 +124,7 @@ class BranchStructure:
 def find_branch_points(symbol: SymbolPolynomial) -> BranchStructure:
     """Zeros k_i of P(k^2) in the upper half plane.
 
-    The roots s_i of P are closed-form up to degree 2, the experiments'
-    degrees; from degree 3 on np.roots solves a LAPACK eigenproblem. A real
+    The roots s_i of P, of degree 1 or 2, are closed-form. A real
     nonnegative root in s would put a zero on the real k axis (the symbol
     would not be bounded away from zero), which violates the operator's
     axioms; that raises rather than returning a structure.
@@ -148,14 +132,12 @@ def find_branch_points(symbol: SymbolPolynomial) -> BranchStructure:
     coeffs = symbol.coeffs
     if len(coeffs) == 2:
         s_roots = np.array([-coeffs[0] / coeffs[1]])
-    elif len(coeffs) == 3:  # cancellation-free: roots q/a and c/q
+    else:  # cancellation-free: roots q/a and c/q
         c, b, a = coeffs
         disc = b * b - 4.0 * a * c
         root = math.sqrt(disc) if disc >= 0.0 else 1j * math.sqrt(-disc)
         q = -0.5 * (b + math.copysign(1.0, b) * root)
         s_roots = np.array([q / a, c / q])
-    else:
-        s_roots = np.roots(coeffs[::-1])
     scale = max(1.0, float(np.abs(s_roots).max()))
     for s in s_roots:
         if abs(s.imag) < 1e-9 * scale and s.real > -1e-12 * scale:
@@ -191,14 +173,10 @@ def _require_convergent(lam: float) -> None:
 
 
 def _simple_roots(s_roots: np.ndarray) -> bool:
-    if s_roots.size < 2:
+    if s_roots.size == 1:
         return True
     scale = max(1.0, float(np.abs(s_roots).max()))
-    for i in range(s_roots.size):
-        for j in range(i + 1, s_roots.size):
-            if abs(s_roots[i] - s_roots[j]) < 1e-8 * scale:
-                return False
-    return True
+    return not abs(s_roots[0] - s_roots[1]) < 1e-8 * scale
 
 
 def _residue_kernel(branch: BranchStructure, r: float) -> float:
@@ -257,7 +235,7 @@ def branch_cut_kernel(symbol: SymbolPolynomial, lam: float, r: float) -> float:
         -e^{-v r} Int_0^inf 2 sin(pi lam n) |P(-y^2)|^lam y e^{-rho r} d rho
         / (2 pi)^2 r.
 
-    The higher zeros only split the cut into intervals, on each of which n
+    A higher zero only splits the cut into intervals, on each of which n
     is the number of zeros at or below its lower end. Each interval, up to
     rho = RHO_CUTOFF / r, is integrated by a fixed tanh-sinh rule (Takahasi
     & Mori 1974), whose nodes cluster double-exponentially at both ends and
@@ -265,8 +243,8 @@ def branch_cut_kernel(symbol: SymbolPolynomial, lam: float, r: float) -> float:
     distance to the nearer end, and each factor is formed relative to that
     end, so it stays exact at the branch points. The error estimate is the
     difference between the rules of step h and 2h on the same samples.
-    Exact for symbols whose simple zeros lie on the imaginary axis (any
-    product of distinct positive-mass factors); lam = -1 is routed to the
+    Exact for symbols whose simple zeros lie on the imaginary axis (one or
+    two distinct positive-mass factors); lam = -1 is routed to the
     residue formula, and other exponents raise NotImplementedError for zeros
     off that axis, whose per-factor cuts are not the ray integrated here. A
     repeated zero raises NotImplementedError on both routes: its jump goes
@@ -438,34 +416,3 @@ def kernel_decay_rate(
     slope, _, _ = log_linear_fit(radii, values * radii**power)
     rate = -slope
     return RateFit(rate=rate, expected=v0, ok=bool(abs(rate - v0) / v0 <= rtol))
-
-
-def lattice_vs_continuum(mass: float) -> tuple[tuple[float, int, float, float], ...]:
-    """Refine the lattice and watch its decay length approach 1/m.
-
-    One-dimensional Klein-Gordon lattices at each of REFINE_SPACINGS (fixed
-    physical size, so nsites scales inversely with spacing) are profiled from
-    a central source; the fit removes the lattice kernel's sqrt(d) prefactor.
-    Returns one (spacing, nsites, fitted_length, deviation) row per spacing,
-    coarsest first, the deviation relative to 1/m.
-    """
-    compton = 1.0 / mass
-    lo, hi = REFINE_WINDOW_COMPTON
-    window = (lo * compton, hi * compton)
-    results = []
-    order = sorted(REFINE_SPACINGS, reverse=True)
-    for spacing in order:
-        nsites = int(round(REFINE_BASE_NSITES * order[0] / spacing))
-        lattice = Lattice((nsites,), spacing)
-        if mass * nsites * spacing < 50:
-            raise ValueError(
-                f"lattice too small: m N a = {mass * nsites * spacing} < 50"
-            )
-        spec = diagonalize(build_klein_gordon(mass, lattice))
-        d, values = kernel_profile(spec, REFINE_EXPONENT, nsites // 2)
-        fit = fit_decay_length(d, values * np.sqrt(d), window)
-        if fit.nsamples < 6:
-            raise AsymptoticsError("not enough profile samples in the window")
-        deviation = abs(fit.length - compton) / compton
-        results.append((float(spacing), nsites, fit.length, deviation))
-    return tuple(results)

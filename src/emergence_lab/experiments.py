@@ -25,12 +25,12 @@ import numpy as np
 
 from . import fock_oracle
 from .asymptotics import (
+    AsymptoticsError,
     SymbolPolynomial,
     branch_cut_kernel,
     direct_radial_integral,
     RATE_RTOL,
     kernel_decay_rate,
-    lattice_vs_continuum,
 )
 from .geometry import (
     alpha_form,
@@ -298,8 +298,8 @@ def _default_lattice(config: ExperimentConfig, default_sites: int) -> Lattice:
     return Lattice(shape=shape, spacing=config.spacing)
 
 
-def _spectrum(config: ExperimentConfig, default_sites: int) -> Spectrum:
-    lattice = _default_lattice(config, default_sites)
+def _spectrum(config: ExperimentConfig, lattice: Lattice) -> Spectrum:
+    """The config's R on the lattice, diagonalized: the one place that builds R."""
     return diagonalize(build_klein_gordon(config.mass, lattice))
 
 
@@ -390,6 +390,15 @@ DRIFT_TOL = 1e-8  # a conserved inner product after an evolution
 FIT_RMS_MAX = 0.5
 FIT_RMS_UPPER = float(np.nextafter(FIT_RMS_MAX, -np.inf))  # strict: rms < max
 DECAY_RTOL = 0.1  # the R^{-1/2} decay length against 1/m
+# where the R^{-1/2} profile's decay length is fitted, in Compton lengths
+PROFILE_WINDOW_COMPTON = (3.0, 20.0)
+
+
+def _inverse_sqrt_profile(spec: Spectrum, source: int):
+    """The R^{-1/2} kernel column at the source, then bin_by_distance's
+    (distances, values) pair of it: the largest magnitude at each distance."""
+    column = spec.kernel_column(lambda lam: lam**-0.5, source)
+    return column, *bin_by_distance(spec.lattice.distances_from(source), column)
 
 
 def _axis_rises(lattice: Lattice, column: np.ndarray, source: int, band) -> int:
@@ -415,16 +424,18 @@ def _axis_rises(lattice: Lattice, column: np.ndarray, source: int, band) -> int:
     return rises
 
 
-def _inverse_chain_deviation(lattice: Lattice, mass: float) -> float:
+def _inverse_chain_deviation(config: ExperimentConfig, spec: Spectrum) -> float:
     """max |G - exact| / max exact, G the R^{-1} column at site 0 of a chain.
 
-    The periodic chain has the lattice's first-axis length N and spacing a,
-    and exact is a (e^{-kn} + e^{-k(N-n)}) / (2 sinh k (1 - e^{-kN})) with
+    The periodic chain has the first-axis length N and spacing a of the
+    spectrum's lattice, which is its own chain in 1-D, and exact is
+    a (e^{-kn} + e^{-k(N-n)}) / (2 sinh k (1 - e^{-kN})) with
     k = 2 asinh(m a/2): the cosh/sinh form divided through, so no term
     overflows at large N. The record pins R's stencil, which spectra reuse.
     """
+    lattice, mass = spec.lattice, config.mass
     nsites, a = lattice.shape[0], lattice.spacing
-    chain = diagonalize(build_klein_gordon(mass, Lattice((nsites,), a)))
+    chain = spec if lattice.ndim == 1 else _spectrum(config, Lattice((nsites,), a))
     got = chain.kernel_column(lambda lam: 1.0 / lam, 0)
     kappa, n = 2.0 * math.asinh(mass * a / 2.0), np.arange(nsites)
     exact = a * (np.exp(-kappa * n) + np.exp(-kappa * (nsites - n)))
@@ -433,14 +444,13 @@ def _inverse_chain_deviation(lattice: Lattice, mass: float) -> float:
 
 
 def _run_kernel(config: ExperimentConfig, rng) -> tuple[list[CheckRecord], list[Table]]:
-    spec = _spectrum(config, 512)
+    spec = _spectrum(config, _default_lattice(config, 512))
     lattice = spec.lattice
     compton = 1.0 / config.mass
     source = lattice.nsites // 2
-    column = spec.kernel_column(lambda lam: lam**-0.5, source)
-    distances, values = bin_by_distance(lattice.distances_from(source), column)
-    window = (3.0 * compton, 20.0 * compton)
-    fit = fit_decay_length(distances, values, window)
+    column, distances, values = _inverse_sqrt_profile(spec, source)
+    lo, hi = PROFILE_WINDOW_COMPTON
+    fit = fit_decay_length(distances, values, (lo * compton, hi * compton))
     # beyond ~37 Compton lengths the kernel sinks under the roundoff floor
     # of its FFT sum (~1e-17 of the peak; a dense eigensolver's is ~1e-16),
     # so monotonicity is only meaningful on the physical part of the tail.
@@ -452,7 +462,7 @@ def _run_kernel(config: ExperimentConfig, rng) -> tuple[list[CheckRecord], list[
         _within("decay_length", fit.length, compton, DECAY_RTOL * compton),
         CheckRecord("fit_quality", fit.rms_log_residual, upper=FIT_RMS_UPPER),
         CheckRecord("profile_decreasing", _axis_rises(lattice, column, source, band), upper=0),
-        CheckRecord("inverse_closed_form", _inverse_chain_deviation(lattice, config.mass),
+        CheckRecord("inverse_closed_form", _inverse_chain_deviation(config, spec),
                     upper=FORM_TOL),
     ]
     positive = values > 0
@@ -462,7 +472,7 @@ def _run_kernel(config: ExperimentConfig, rng) -> tuple[list[CheckRecord], list[
 
 
 def _run_modes_check(config, rng) -> tuple[list[CheckRecord], list[Table]]:
-    spec = _spectrum(config, 64)
+    spec = _spectrum(config, _default_lattice(config, 64))
     lattice = spec.lattice
     # the canonical relations, on the transforms every computation uses:
     # column k of eigvecs = synthesize(I) is f_k, so project(eigvecs) = I is
@@ -498,7 +508,7 @@ def _run_modes_check(config, rng) -> tuple[list[CheckRecord], list[Table]]:
 
 
 def _run_geometry_check(config, rng) -> tuple[list[CheckRecord], list[Table]]:
-    spec = _spectrum(config, 64)
+    spec = _spectrum(config, _default_lattice(config, 64))
     lattice = spec.lattice
 
     def measure(u, v):
@@ -539,8 +549,7 @@ SMALL_STATE_EXPONENT_TOL = 0.1
 
 
 def _run_oracle_verify(config, rng) -> tuple[list[CheckRecord], list[Table]]:
-    lattice = Lattice((6,), spacing=config.spacing)
-    spec = diagonalize(build_klein_gordon(config.mass, lattice))
+    spec = _spectrum(config, Lattice((6,), spacing=config.spacing))
     single = fock_oracle.build_fock(spec, (0,), n_max=14)
     kappa = calibrate_kappa(single)
     checks = [_within("kappa", kappa, KAPPA, KAPPA_TOL)]
@@ -565,8 +574,7 @@ def _run_oracle_verify(config, rng) -> tuple[list[CheckRecord], list[Table]]:
         checks.append(CheckRecord(f"{name}_matches_oracle", dev, upper=ORACLE_TOL))
         rows.append((name, dev, ORACLE_TOL))
 
-    lattice3 = Lattice((3,), spacing=config.spacing)
-    spec3 = diagonalize(build_klein_gordon(config.mass, lattice3))
+    spec3 = _spectrum(config, Lattice((3,), spacing=config.spacing))
     space3 = fock_oracle.build_fock(spec3, (0, 1, 2), n_max=6)
     # <0|phi(x) phi(y)|0> is the inner product of phi(x)|0> and phi(y)|0>
     phi_vac, _, _ = fock_oracle.field_operators(space3, fock_oracle.vacuum(space3))
@@ -631,7 +639,7 @@ def _judge_in_region(
 
 
 def _run_localize(config, rng) -> tuple[list[CheckRecord], list[Table]]:
-    spec = _spectrum(config, 512)
+    spec = _spectrum(config, _default_lattice(config, 512))
     lattice = spec.lattice
     compton = 1.0 / config.mass
     width = config.width_compton * compton
@@ -646,7 +654,7 @@ def _run_localize(config, rng) -> tuple[list[CheckRecord], list[Table]]:
 
 
 def _run_elp(config, rng) -> tuple[list[CheckRecord], list[Table]]:
-    spec = _spectrum(config, 512)
+    spec = _spectrum(config, _default_lattice(config, 512))
     lattice = spec.lattice
     compton = 1.0 / config.mass
     width = config.width_compton * compton
@@ -693,7 +701,7 @@ LEAKAGE_LOWER = float(np.nextafter(0.0, np.inf))  # strict: leakage > 0
 
 
 def _run_nw(config, rng) -> tuple[list[CheckRecord], list[Table]]:
-    spec = _spectrum(config, 512)
+    spec = _spectrum(config, _default_lattice(config, 512))
     lattice = spec.lattice
     compton = 1.0 / config.mass
 
@@ -733,7 +741,7 @@ def _run_nw(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     rows = _float_rows(distances, values)
     table = Table("nw_delta_profile", ("distance", "phi2_excess"), rows)
 
-    big = diagonalize(build_klein_gordon(config.mass, Lattice((1024,), config.spacing)))
+    big = _spectrum(config, Lattice((1024,), config.spacing))
     packet = gaussian_packet(big, 512, 20.0 / config.mass)
     l2_distance, low_k_weight = nonrelativistic_compare(packet, big, config.mass, 10.0)
     checks += [
@@ -751,8 +759,41 @@ def _run_nw(config, rng) -> tuple[list[CheckRecord], list[Table]]:
 
 BRANCH_RTOL = 1e-12  # the branch point's Compton length against 1/m
 CROSS_QUADRATURE_TOL = 1e-4
+# lattice refinement: spacings, and sites at the coarsest spacing
+REFINE_SPACINGS = (1.0, 0.5)
+REFINE_BASE_NSITES = 512
 REFINE_RTOL = 0.15  # lattice decay lengths against 1/m, at every spacing
 REFINE_GROWTH_MAX = 1e-12  # the deviation may not grow as the spacing shrinks
+
+
+def _lattice_vs_continuum(config) -> tuple[tuple[float, int, float, float], ...]:
+    """Refine the lattice and watch its decay length approach 1/m.
+
+    One-dimensional lattices at each of REFINE_SPACINGS (fixed physical
+    size, so nsites scales inversely with spacing) are profiled from a
+    central source; the fit removes the lattice kernel's sqrt(d) prefactor.
+    Returns one (spacing, nsites, fitted_length, deviation) row per spacing,
+    coarsest first, the deviation relative to 1/m.
+    """
+    compton = 1.0 / config.mass
+    lo, hi = PROFILE_WINDOW_COMPTON
+    window = (lo * compton, hi * compton)
+    results = []
+    order = sorted(REFINE_SPACINGS, reverse=True)
+    for spacing in order:
+        nsites = int(round(REFINE_BASE_NSITES * order[0] / spacing))
+        if config.mass * nsites * spacing < 50:
+            raise ValueError(
+                f"lattice too small: m N a = {config.mass * nsites * spacing} < 50"
+            )
+        spec = _spectrum(config, Lattice((nsites,), spacing))
+        _, d, values = _inverse_sqrt_profile(spec, nsites // 2)
+        fit = fit_decay_length(d, values * np.sqrt(d), window)
+        if fit.nsamples < 6:
+            raise AsymptoticsError("not enough profile samples in the window")
+        deviation = abs(fit.length - compton) / compton
+        results.append((float(spacing), nsites, fit.length, deviation))
+    return tuple(results)
 
 
 def _run_asymptotics(config, rng) -> tuple[list[CheckRecord], list[Table]]:
@@ -779,7 +820,7 @@ def _run_asymptotics(config, rng) -> tuple[list[CheckRecord], list[Table]]:
         fit = kernel_decay_rate(symbol, lam)
         tol = RATE_RTOL * fit.expected
         checks.append(_within(f"decay_rate_lambda_{lam}", fit.rate, fit.expected, tol))
-    lattice_rows = lattice_vs_continuum(m)
+    lattice_rows = _lattice_vs_continuum(config)
     devs = np.array([deviation for *_, deviation in lattice_rows])
     checks += [
         CheckRecord("lattice_approaches_continuum", devs.max(), upper=REFINE_RTOL),
@@ -801,7 +842,7 @@ def _run_asymptotics(config, rng) -> tuple[list[CheckRecord], list[Table]]:
 
 
 def _run_segal_check(config, rng) -> tuple[list[CheckRecord], list[Table]]:
-    spec = _spectrum(config, 64)
+    spec = _spectrum(config, _default_lattice(config, 64))
     lattice = spec.lattice
 
     def measure(u, v):

@@ -371,17 +371,6 @@ def bin_by_distance(distances: np.ndarray, values: np.ndarray):
     return out_d, out_v
 
 
-def kernel_profile(spec: Spectrum, exponent: float, source: int):
-    """|R^exponent(y, source)| against minimum-image distance from the source.
-
-    Returns bin_by_distance's (distances, values) pair: distances are binned
-    (1e-9 rounding) and each bin keeps its maximum magnitude, which is the
-    conservative choice for decay fits.
-    """
-    column = spec.kernel_column(lambda lam: lam**exponent, source)
-    return bin_by_distance(spec.lattice.distances_from(source), column)
-
-
 def log_linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Least-squares line through (x, ln y): slope, intercept, RMS residual.
 

@@ -68,10 +68,10 @@ from emergence_lab.particle import (
 )
 from emergence_lab.spectral import (
     Lattice,
+    bin_by_distance,
     build_klein_gordon,
     diagonalize,
     fit_decay_length,
-    kernel_profile,
 )
 
 from dense_arbiter import dense_power, klein_gordon_matrix
@@ -112,7 +112,8 @@ def test_criterion_01_compton_locality():
     start = time.perf_counter()
     op = build_klein_gordon(1.0, Lattice((512,)))
     spec = diagonalize(op)
-    distances, values = kernel_profile(spec, -0.5, 256)
+    column = spec.kernel_column(lambda lam: lam**-0.5, 256)
+    distances, values = bin_by_distance(spec.lattice.distances_from(256), column)
     fit = fit_decay_length(distances, values, (3.0, 20.0))
     elapsed = time.perf_counter() - start
     dev = abs(fit.length - 1.0)

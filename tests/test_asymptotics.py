@@ -18,8 +18,8 @@ from emergence_lab.asymptotics import (
     direct_radial_integral,
     find_branch_points,
     kernel_decay_rate,
-    lattice_vs_continuum,
 )
+from emergence_lab.experiments import ExperimentConfig, _lattice_vs_continuum
 from emergence_lab.spectral import AxiomError
 
 KG = SymbolPolynomial.klein_gordon(1.0)
@@ -42,8 +42,10 @@ def test_symbol_derivative():
 
 
 def test_symbol_validation():
-    with pytest.raises(ValueError, match="degree"):
+    with pytest.raises(ValueError, match="degree 0"):
         SymbolPolynomial(coeffs=(1.0,))
+    with pytest.raises(ValueError, match="degree 3"):
+        SymbolPolynomial(coeffs=(36.0, 49.0, 14.0, 1.0))
     with pytest.raises(ValueError, match="leading"):
         SymbolPolynomial(coeffs=(1.0, 0.0))
     with pytest.raises(AxiomError, match="positive at k = 0"):
@@ -145,10 +147,9 @@ def test_branch_structure_is_plain_data():
 
 
 # np.roots, a companion-matrix eigensolve, is the arbiter of the closed-form
-# roots: real zeros, the off-axis complex pairs, a double zero (which the
-# contour route still refuses, test_repeated_zero_not_implemented) and a
-# degree-3 symbol, which np.roots itself serves. (s - 1)(s - 4) still raises
-# AxiomError (test_real_zero_violates_axioms)
+# roots: real zeros, the off-axis complex pairs and a double zero (which the
+# contour route still refuses, test_repeated_zero_not_implemented).
+# (s - 1)(s - 4) still raises AxiomError (test_real_zero_violates_axioms)
 ROOT_SYMBOLS = {
     "kg": KG,
     "kg-m2.5": SymbolPolynomial.klein_gordon(2.5),
@@ -157,7 +158,6 @@ ROOT_SYMBOLS = {
     "1-1-1": SymbolPolynomial((1.0, 1.0, 1.0)),
     "2-0.5-1": SymbolPolynomial((2.0, 0.5, 1.0)),
     "double": SymbolPolynomial((1.0, 2.0, 1.0)),  # (s+1)^2
-    "three-factor": SymbolPolynomial((36.0, 49.0, 14.0, 1.0)),  # (s+1)(s+4)(s+9)
 }
 
 
@@ -174,12 +174,6 @@ def test_closed_form_roots_match_np_roots(sym):
     np.testing.assert_allclose(_ordered(bs.s_roots), _ordered(want), rtol=1e-14, atol=0)
     np.testing.assert_allclose(bs.zeros**2, bs.s_roots, rtol=1e-14, atol=0)
     assert np.all(bs.zeros.imag > 0)
-
-
-def test_three_factor_zeros_by_np_roots():
-    bs = find_branch_points(ROOT_SYMBOLS["three-factor"])
-    np.testing.assert_allclose(np.sort(bs.zeros.imag), [1.0, 2.0, 3.0], rtol=1e-12)
-    assert bs.compton == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("sym", ROOT_SYMBOLS.values(), ids=ROOT_SYMBOLS.keys())
@@ -372,7 +366,7 @@ def test_decay_rate_window_default(monkeypatch):
 
 
 def test_lattice_approaches_continuum():
-    rows = lattice_vs_continuum(1.0)
+    rows = _lattice_vs_continuum(ExperimentConfig("asymptotics", mass=1.0))
     devs = [deviation for *_, deviation in rows]
     assert all(dev <= 0.15 for dev in devs)
     assert all(b <= a + 1e-12 for a, b in zip(devs, devs[1:]))
@@ -385,4 +379,4 @@ def test_lattice_approaches_continuum():
 
 def test_lattice_too_small_rejected():
     with pytest.raises(ValueError, match="too small"):
-        lattice_vs_continuum(0.05)
+        _lattice_vs_continuum(ExperimentConfig("asymptotics", mass=0.05))

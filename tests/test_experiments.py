@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from emergence_lab import fock_oracle
+from emergence_lab import experiments, fock_oracle
 from emergence_lab.experiments import (
     BUMP_CUTOFF_WIDTHS,
     FIT_RMS_MAX,
@@ -30,9 +30,9 @@ from emergence_lab.particle import (
 from emergence_lab.spectral import (
     Lattice,
     Spectrum,
+    bin_by_distance,
     build_klein_gordon,
     diagonalize,
-    kernel_profile,
 )
 
 
@@ -286,6 +286,17 @@ def test_oracle_verify_forms_each_kernel_column_once(monkeypatch):
     assert counts == {"apply_function": 6}
 
 
+@pytest.mark.parametrize("shape,calls", [((512,), 1), ((12, 12, 12), 2)], ids=["1d", "3d"])
+def test_kernel_diagonalizes_a_separate_chain_only_off_1d(monkeypatch, shape, calls):
+    # the R^{-1} closed form is taken on a chain along the first axis; a 1-D
+    # lattice is that chain, so its kernel spectrum is reused
+    counts = {}
+    _count_calls(monkeypatch, experiments, "diagonalize", counts)
+    report, _ = run_experiment(ExperimentConfig("kernel", shape=shape))
+    assert report.passed
+    assert counts == {"diagonalize": calls}
+
+
 def test_oracle_deviations_rows_hold_python_floats():
     _, (table,) = run_experiment(ExperimentConfig("oracle-verify"))
     assert [row[0] for row in table.rows] == [
@@ -303,7 +314,8 @@ def test_profile_tables_hold_the_per_cell_floats(shape):
     spec = diagonalize(build_klein_gordon(config.mass, Lattice(shape, config.spacing)))
     source = spec.lattice.nsites // 2
     compton = 1.0 / config.mass
-    distances, values = kernel_profile(spec, -0.5, source)
+    column = spec.kernel_column(lambda lam: lam**-0.5, source)
+    distances, values = bin_by_distance(spec.lattice.distances_from(source), column)
     kernel = tuple(
         (float(d), float(v), float(np.log(v))) for d, v in zip(distances, values) if v > 0
     )

@@ -9,7 +9,9 @@ interpreter with scipy imports blocked, because this test process has
 imported scipy itself, and checks there that no run loads numpy.polynomial
 or numpy.ma. Likewise the FFT route of R and the continuum kernels run no
 LAPACK routine, which one guard below checks with numpy's entries to LAPACK
-patched to raise and another by reading the source.
+patched to raise and another by reading the source. A third source scan
+holds the building and diagonalizing of R to one function of
+``experiments``, so that one place chooses the theory every experiment runs.
 """
 
 from __future__ import annotations
@@ -159,11 +161,9 @@ def _dotted(node: ast.expr) -> str | None:
     return ".".join([node.id] + parts[::-1])
 
 
-def test_source_names_no_lapack_entry_but_roots():
+def test_source_names_no_lapack_entry():
     # the guard above patches the entries for the runs it makes; this one
-    # reads the source, so an entry on a path no run takes shows as well.
-    # Only a symbol of degree 3 or more, which no experiment builds, reaches
-    # LAPACK, through np.roots
+    # reads the source, so an entry on a path no run takes shows as well
     entries = {
         f"{module.__name__.replace('numpy', 'np', 1)}.{name}"
         for module, name in LAPACK_ROUTINES
@@ -176,7 +176,26 @@ def test_source_names_no_lapack_entry_but_roots():
         if (dotted := _dotted(node)) is not None
         and re.sub(r"^numpy\.", "np.", dotted) in entries
     )
-    assert found == ["asymptotics.find_branch_points: np.roots"]
+    assert found == []
+
+
+def test_one_function_builds_and_diagonalizes_r():
+    # every lattice of every experiment, the chains and refinement lattices
+    # included, reaches R through experiments._spectrum, so a theory other
+    # than Klein-Gordon enters there alone
+    calls = sorted(
+        f"{path.stem}.{getattr(top, 'name', '<module>')}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", getattr(node.func, "attr", None)))
+        in ("build_klein_gordon", "diagonalize")
+    )
+    assert calls == [
+        "experiments._spectrum: build_klein_gordon",
+        "experiments._spectrum: diagonalize",
+    ]
 
 
 def test_every_public_name_resolves():

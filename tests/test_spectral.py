@@ -18,7 +18,6 @@ from emergence_lab.spectral import (
     build_klein_gordon,
     diagonalize,
     fit_decay_length,
-    kernel_profile,
     log_linear_fit,
 )
 
@@ -165,6 +164,12 @@ def test_operator_takes_exactly_one_form():
             ROperator(Lattice((4,)), np.ones(size))
 
 
+def _profile(spec, exponent, source):
+    """|R^exponent(y, source)| binned by distance from the source."""
+    column = spec.kernel_column(lambda lam: lam**exponent, source)
+    return bin_by_distance(spec.lattice.distances_from(source), column)
+
+
 # at the 4096 sites below, one dense N x N float array takes 134 MB
 NO_DENSE_PEAK_BYTES = 4_000_000
 
@@ -179,7 +184,7 @@ def test_translation_invariant_route_allocates_no_dense_array(shape):
         spec = diagonalize(op)
         op.apply(field)
         spec.apply_power(-0.5, field)
-        kernel_profile(spec, -0.5, 5)
+        _profile(spec, -0.5, 5)
         bin_by_distance(lat.distances_from(5), _applied(op, 3, 5))
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -205,8 +210,8 @@ def test_large_lattice_kernel_matches_small_one_near_source():
     near = 40
     big = diagonalize(build_klein_gordon(1.0, Lattice((2**17,))))
     small = diagonalize(build_klein_gordon(1.0, Lattice((2048,))))
-    got_d, got_v = kernel_profile(big, -0.5, 2**16)
-    ref_d, ref_v = kernel_profile(small, -0.5, 1024)
+    got_d, got_v = _profile(big, -0.5, 2**16)
+    ref_d, ref_v = _profile(small, -0.5, 1024)
     assert_allclose(got_d[: near + 1], ref_d[: near + 1])
     assert _rel_dev(got_v[: near + 1], ref_v[: near + 1]) < 1e-12
 
@@ -676,7 +681,7 @@ def test_fit_fails_cleanly_on_growth():
 
 def test_compton_decay_mass_one():
     spec = diagonalize(build_klein_gordon(1.0, Lattice((512,))))
-    distances, values = kernel_profile(spec, -0.5, 256)
+    distances, values = _profile(spec, -0.5, 256)
     fit = fit_decay_length(distances, values, (3.0, 20.0))
     assert _trusted(fit)
     # frozen measurement; the physical gate is the 10% band around 1/m
@@ -686,7 +691,7 @@ def test_compton_decay_mass_one():
 
 def test_compton_decay_mass_two_scaled_window():
     spec = diagonalize(build_klein_gordon(2.0, Lattice((512,))))
-    distances, values = kernel_profile(spec, -0.5, 256)
+    distances, values = _profile(spec, -0.5, 256)
     fit = fit_decay_length(distances, values, (1.5, 10.0))
     assert abs(fit.length - 0.5) / 0.5 < 0.10
     wide = fit_decay_length(distances, values, (3.0, 20.0))
@@ -696,7 +701,7 @@ def test_compton_decay_mass_two_scaled_window():
 @pytest.mark.parametrize("lam", [-0.5, -0.25, 0.25, 0.5])
 def test_all_fractional_kernels_decay_at_compton_scale(lam):
     spec = diagonalize(build_klein_gordon(1.0, Lattice((512,))))
-    distances, values = kernel_profile(spec, lam, 256)
+    distances, values = _profile(spec, lam, 256)
     fit = fit_decay_length(distances, values, (3.0, 20.0))
     assert _trusted(fit)
     assert abs(fit.length - 1.0) < 0.15
@@ -704,7 +709,7 @@ def test_all_fractional_kernels_decay_at_compton_scale(lam):
 
 def test_profile_strictly_decreasing_in_physical_band():
     spec = diagonalize(build_klein_gordon(1.0, Lattice((512,))))
-    distances, values = kernel_profile(spec, -0.5, 256)
+    distances, values = _profile(spec, -0.5, 256)
     sel = (distances >= 3.0) & (distances <= 30.0)
     assert np.all(np.diff(values[sel]) < 0)
 
@@ -734,7 +739,7 @@ def test_profile_source_and_exponent_recorded():
     # the profile is |R^exponent(y, source)| binned by distance from the source
     lat = Lattice((24,), 0.5)
     spec = diagonalize(build_klein_gordon(1.3, lat))
-    distances, values = kernel_profile(spec, -0.5, 5)
+    distances, values = _profile(spec, -0.5, 5)
     column = dense_power(_dense(spec.operator), -0.5)[:, 5] / lat.cell
     ref_d, ref_v = bin_by_distance(lat.distances_from(5), column)
     assert np.array_equal(distances, ref_d)
