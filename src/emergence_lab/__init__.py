@@ -65,7 +65,6 @@ from .asymptotics import (
     SymbolPolynomial,
     branch_cut_kernel,
     direct_radial_integral,
-    find_branch_points,
     kernel_decay_rate,
 )
 from .experiments import ExperimentConfig, RunReport, run_all, run_experiment
@@ -98,7 +97,6 @@ __all__ = [
     "evolve_nw",
     "evolve_state",
     "field_hamiltonian",
-    "find_branch_points",
     "fit_decay_length",
     "from_modes",
     "from_nw",

@@ -16,13 +16,14 @@ integrates the oscillatory integrand over half-period panels with
 Gauss-Legendre rules and sums the alternating series by repeated averaging.
 They share no code and are compared against each other (and, for the
 Klein-Gordon symbol, against Bessel/Yukawa closed forms) in the tests.
-Neither calls LAPACK: a symbol has degree 1 or 2, so its zeros are
-closed-form roots, and the Gauss-Legendre nodes come from Newton's method.
+Neither calls LAPACK: a symbol has degree 1 or 2, so it finds its zeros in
+closed form when it is built, and the Gauss-Legendre nodes come from
+Newton's method.
 
 Every decay question reduces to the zeros: the slowest-decaying term comes
 from the zero with the smallest imaginary part v0, giving kernels that fall
 like exp(-v0 r)/r times algebraic corrections, i.e. a Compton length of
-1/v0.
+1/v0, the symbol's ``compton``.
 """
 from __future__ import annotations
 
@@ -67,11 +68,32 @@ def _horner(coeffs: tuple[float, ...], s):
     return value
 
 
+def _s_roots(coeffs: tuple[float, ...]) -> np.ndarray:
+    """Closed-form roots s_i of the degree-1 or degree-2 polynomial ``coeffs``."""
+    if len(coeffs) == 2:
+        return np.array([-coeffs[0] / coeffs[1]])
+    c, b, a = coeffs  # cancellation-free: roots q/a and c/q
+    disc = b * b - 4.0 * a * c
+    root = math.sqrt(disc) if disc >= 0.0 else 1j * math.sqrt(-disc)
+    q = -0.5 * (b + math.copysign(1.0, b) * root)
+    return np.array([q / a, c / q])
+
+
 @dataclasses.dataclass(frozen=True)
 class SymbolPolynomial:
-    """Polynomial symbol P(s) of degree 1 or 2, s = k^2, real coefficients (ascending)."""
+    """Polynomial symbol P(s) of degree 1 or 2, s = k^2, real coefficients (ascending).
+
+    Its zeros are found when it is built. The roots s_i of P are
+    closed-form; a real nonnegative root would put a zero on the real k axis
+    (the symbol would not be bounded away from zero), which violates the
+    operator's axioms, so that raises AxiomError. ``zeros`` holds each k_i
+    = sqrt(s_i) with Im k_i > 0, and ``slopes`` P'(s_i), the residues'
+    denominators. Both are read-only and play no part in equality or hash.
+    """
 
     coeffs: tuple[float, ...]
+    zeros: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    slopes: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.coeffs)
@@ -82,6 +104,21 @@ class SymbolPolynomial:
         if coeffs[0] <= 0.0:
             raise AxiomError("symbol must be strictly positive at k = 0")
         object.__setattr__(self, "coeffs", coeffs)
+        s_roots = _s_roots(coeffs)
+        scale = max(1.0, float(np.abs(s_roots).max()))
+        for s in s_roots:
+            if abs(s.imag) < 1e-9 * scale and s.real > -1e-12 * scale:
+                raise AxiomError(
+                    f"symbol has a real nonnegative zero s = {s.real:.6g}; "
+                    "omega^2 must be strictly positive"
+                )
+        zeros = [cmath.sqrt(complex(s)) for s in s_roots]
+        zeros = np.array([-k if k.imag < 0 else k for k in zeros])
+        # root by root: numpy's scalar complex product can round apart from its array one
+        slopes = np.array([self.derivative(s) for s in s_roots])
+        for name, array in (("zeros", zeros), ("slopes", slopes)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @classmethod
     def klein_gordon(cls, mass: float) -> "SymbolPolynomial":
@@ -95,70 +132,10 @@ class SymbolPolynomial:
     def derivative(self, s):
         return _horner(tuple(j * a for j, a in enumerate(self.coeffs) if j), s)
 
-    @functools.cached_property
-    def branch(self) -> BranchStructure:
-        """find_branch_points of this symbol, found once and kept.
-
-        Every quadrature call needs the zeros; a rate fit alone makes 25
-        calls on one symbol. A symbol that violates the axioms is not
-        cached, so each use raises again.
-        """
-        return find_branch_points(self)
-
-
-@dataclasses.dataclass(frozen=True)
-class BranchStructure:
-    """Upper-half-plane zeros of the symbol and the dominant (lowest) one."""
-
-    s_roots: np.ndarray
-    slopes: np.ndarray  # P'(s_i) at each root, the residues' denominators
-    zeros: np.ndarray  # k_i with Im k_i > 0
-    dominant: int
-
     @property
     def compton(self) -> float:
         """Compton length 1/v0 from the lowest upper-half-plane zero."""
-        return 1.0 / float(self.zeros[self.dominant].imag)
-
-
-def find_branch_points(symbol: SymbolPolynomial) -> BranchStructure:
-    """Zeros k_i of P(k^2) in the upper half plane.
-
-    The roots s_i of P, of degree 1 or 2, are closed-form. A real
-    nonnegative root in s would put a zero on the real k axis (the symbol
-    would not be bounded away from zero), which violates the operator's
-    axioms; that raises rather than returning a structure.
-    """
-    coeffs = symbol.coeffs
-    if len(coeffs) == 2:
-        s_roots = np.array([-coeffs[0] / coeffs[1]])
-    else:  # cancellation-free: roots q/a and c/q
-        c, b, a = coeffs
-        disc = b * b - 4.0 * a * c
-        root = math.sqrt(disc) if disc >= 0.0 else 1j * math.sqrt(-disc)
-        q = -0.5 * (b + math.copysign(1.0, b) * root)
-        s_roots = np.array([q / a, c / q])
-    scale = max(1.0, float(np.abs(s_roots).max()))
-    for s in s_roots:
-        if abs(s.imag) < 1e-9 * scale and s.real > -1e-12 * scale:
-            raise AxiomError(
-                f"symbol has a real nonnegative zero s = {s.real:.6g}; "
-                "omega^2 must be strictly positive"
-            )
-    zeros = []
-    for s in s_roots:
-        k = cmath.sqrt(complex(s))
-        if k.imag < 0:
-            k = -k
-        zeros.append(k)
-    zeros = np.array(zeros)
-    dominant = int(np.argmin(zeros.imag))
-    # root by root: numpy's scalar complex product can round apart from its array one
-    slopes = np.array([symbol.derivative(s) for s in s_roots])
-    # SymbolPolynomial.branch shares one structure among all its callers
-    for array in (s_roots, slopes, zeros):
-        array.flags.writeable = False
-    return BranchStructure(s_roots=s_roots, slopes=slopes, zeros=zeros, dominant=dominant)
+        return 1.0 / float(self.zeros.imag.min())
 
 
 # ---------------------------------------------------------------------------
@@ -172,21 +149,20 @@ def _require_convergent(lam: float) -> None:
         )
 
 
-def _simple_roots(s_roots: np.ndarray) -> bool:
-    if s_roots.size == 1:
-        return True
+def _simple_roots(zeros: np.ndarray) -> bool:
+    s_roots = zeros**2
     scale = max(1.0, float(np.abs(s_roots).max()))
-    return not abs(s_roots[0] - s_roots[1]) < 1e-8 * scale
+    return s_roots.size == 1 or not abs(s_roots[0] - s_roots[1]) < 1e-8 * scale
 
 
-def _residue_kernel(branch: BranchStructure, r: float) -> float:
+def _residue_kernel(symbol: SymbolPolynomial, r: float) -> float:
     """Exact kernel for lam = -1: one simple pole per upper-half zero.
 
     Closing Int_R k e^{ikr} / P(k^2) dk upward picks up residues
     e^{i k_i r} / (2 P'(s_i)).
     """
     total = 0.0 + 0.0j
-    for slope, k in zip(branch.slopes, branch.zeros):
+    for slope, k in zip(symbol.slopes, symbol.zeros):
         total += cmath.exp(1j * k * r) / (2.0 * complex(slope))
     value = total / (2.0 * math.pi * r)
     if abs(value.imag) > 1e-10 * (abs(value.real) + 1e-300):
@@ -253,20 +229,19 @@ def branch_cut_kernel(symbol: SymbolPolynomial, lam: float, r: float) -> float:
     if r <= 0:
         raise ValueError("radius must be positive")
     _require_convergent(lam)
-    branch = symbol.branch
-    if not _simple_roots(branch.s_roots):
+    if not _simple_roots(symbol.zeros):
         raise NotImplementedError(
             "contour route needs simple symbol zeros; this symbol has "
             "(numerically) repeated roots"
         )
     if abs(lam - round(lam)) < 1e-12:
         if round(lam) == -1:
-            return _residue_kernel(branch, r)
+            return _residue_kernel(symbol, r)
         raise NotImplementedError(
             f"integer lambda = {int(round(lam))} not supported; only -1 has "
             "the simple-pole residue form"
         )
-    off_axis = [k for k in branch.zeros if abs(k.real) > 1e-9 * max(1.0, abs(k))]
+    off_axis = [k for k in symbol.zeros if abs(k.real) > 1e-9 * max(1.0, abs(k))]
     if off_axis:
         raise NotImplementedError(
             "cut route needs zeros on the imaginary axis; zeros "
@@ -276,7 +251,7 @@ def branch_cut_kernel(symbol: SymbolPolynomial, lam: float, r: float) -> float:
     gap, weight, coarse_weight = _tanh_sinh_rule()
     from_lower = gap > 0
     cutoff = RHO_CUTOFF / r
-    heights = sorted(k.imag for k in branch.zeros)
+    heights = sorted(k.imag for k in symbol.zeros)
     v = heights[0]
     breaks = [h for h in heights[1:] if h - v < cutoff]
     ends = [0.0, *(h - v for h in breaks), cutoff]
@@ -359,7 +334,6 @@ def direct_radial_integral(symbol: SymbolPolynomial, lam: float, r: float) -> fl
     if r <= 0:
         raise ValueError("radius must be positive")
     _require_convergent(lam)
-    symbol.branch  # validates positivity of the symbol
     nodes, weights = _gauss_legendre_rule()
     half = math.pi / r
     # one row of GAUSS_POINTS nodes per panel
@@ -391,7 +365,6 @@ class RateFit:
     """Exponential rate of a radial kernel, algebraic prefactor removed."""
 
     rate: float
-    expected: float
     ok: bool
 
 
@@ -406,7 +379,7 @@ def kernel_decay_rate(
     algebraic factor is divided out before the log-linear fit; what remains
     is compared against v0 at the stated tolerance.
     """
-    v0 = 1.0 / symbol.branch.compton
+    v0 = 1.0 / symbol.compton
     window = (RATE_WINDOW_COMPTON[0] / v0, RATE_WINDOW_COMPTON[1] / v0)
     power = lam + 2.0
     radii = np.linspace(window[0], window[1], RATE_SAMPLES)
@@ -415,4 +388,4 @@ def kernel_decay_rate(
         raise AsymptoticsError("kernel changed sign inside the rate window")
     slope, _, _ = log_linear_fit(radii, values * radii**power)
     rate = -slope
-    return RateFit(rate=rate, expected=v0, ok=bool(abs(rate - v0) / v0 <= rtol))
+    return RateFit(rate=rate, ok=bool(abs(rate - v0) / v0 <= rtol))

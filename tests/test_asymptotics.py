@@ -12,11 +12,9 @@ from emergence_lab import asymptotics
 from emergence_lab.asymptotics import (
     RATE_SAMPLES,
     AsymptoticsError,
-    BranchStructure,
     SymbolPolynomial,
     branch_cut_kernel,
     direct_radial_integral,
-    find_branch_points,
     kernel_decay_rate,
 )
 from emergence_lab.experiments import ExperimentConfig, _lattice_vs_continuum
@@ -75,7 +73,7 @@ def rescale_symbol(symbol: SymbolPolynomial, c: float) -> SymbolPolynomial:
 
 @pytest.mark.parametrize("c", [0.5, 2.0, 3.0])
 def test_rescale_moves_compton_exactly(c):
-    assert rescale_symbol(KG, c).branch.compton == pytest.approx(c, rel=1e-14)
+    assert rescale_symbol(KG, c).compton == pytest.approx(c, rel=1e-14)
 
 
 def test_rescale_coefficient_law():
@@ -95,55 +93,45 @@ def test_rescale_rejects_nonpositive():
 
 @pytest.mark.parametrize("mass", [0.5, 1.0, 2.5])
 def test_single_branch_point_at_i_mass(mass):
-    bs = find_branch_points(SymbolPolynomial.klein_gordon(mass))
-    assert bs.zeros.shape == (1,)
-    assert bs.zeros[0] == pytest.approx(1j * mass)
-    assert bs.compton == pytest.approx(1.0 / mass, rel=1e-14)
+    sym = SymbolPolynomial.klein_gordon(mass)
+    assert sym.zeros.shape == (1,)
+    assert sym.zeros[0] == pytest.approx(1j * mass)
+    assert sym.compton == pytest.approx(1.0 / mass, rel=1e-14)
 
 
 def test_two_factor_dominant_is_lighter():
-    bs = find_branch_points(TWO_FACTOR)
-    imags = sorted(z.imag for z in bs.zeros)
+    imags = sorted(z.imag for z in TWO_FACTOR.zeros)
     np.testing.assert_allclose(imags, [1.0, 2.0], rtol=1e-12)
-    assert bs.zeros[bs.dominant].imag == pytest.approx(1.0)
-    assert bs.compton == pytest.approx(1.0)
+    assert TWO_FACTOR.compton == pytest.approx(1.0)
 
 
 def test_real_zero_violates_axioms():
     # (s - 1)(s - 4) is positive at s = 0 but vanishes on the real k axis
     with pytest.raises(AxiomError, match="real nonnegative zero"):
-        find_branch_points(SymbolPolynomial(coeffs=(4.0, -5.0, 1.0)))
+        SymbolPolynomial(coeffs=(4.0, -5.0, 1.0))
 
 
 def test_branch_points_are_found_once_per_symbol(monkeypatch):
     calls = []
+    original = asymptotics._s_roots
 
-    def counting(symbol):
-        calls.append(symbol)
-        return find_branch_points(symbol)
+    def counting(coeffs):
+        calls.append(coeffs)
+        return original(coeffs)
 
-    monkeypatch.setattr(asymptotics, "find_branch_points", counting)
+    monkeypatch.setattr(asymptotics, "_s_roots", counting)
     symbol = SymbolPolynomial(coeffs=(4.0, 5.0, 1.0))
     fit = kernel_decay_rate(symbol, -0.5)
     direct_radial_integral(symbol, -0.5, 3.0)
-    assert symbol.branch.compton == pytest.approx(1.0)
+    assert symbol.compton == pytest.approx(1.0)
     assert fit.ok
-    assert calls == [symbol]
-    assert symbol.branch is symbol.branch
-    # the cached zeros are shared, so no caller may write to them
+    assert calls == [symbol.coeffs]
+    # every caller shares the zeros, so none may write to them
     with pytest.raises(ValueError):
-        symbol.branch.zeros[0] = 0.0
-    # a symbol that violates the axioms raises on every use, not just once
-    bad = SymbolPolynomial(coeffs=(4.0, -5.0, 1.0))
-    for _ in range(2):
-        with pytest.raises(AxiomError):
-            direct_radial_integral(bad, -0.5, 1.0)
-
-
-def test_branch_structure_is_plain_data():
-    bs = find_branch_points(KG)
-    assert isinstance(bs, BranchStructure)
-    assert bs.s_roots[0] == pytest.approx(-1.0)
+        symbol.zeros[0] = 0.0
+    # the zeros take no part in equality or hashing
+    assert SymbolPolynomial.klein_gordon(1.0) == SymbolPolynomial((1.0, 1.0))
+    assert hash(SymbolPolynomial.klein_gordon(1.0)) == hash(SymbolPolynomial((1.0, 1.0)))
 
 
 # np.roots, a companion-matrix eigensolve, is the arbiter of the closed-form
@@ -168,12 +156,12 @@ def _ordered(roots: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("sym", ROOT_SYMBOLS.values(), ids=ROOT_SYMBOLS.keys())
 def test_closed_form_roots_match_np_roots(sym):
-    bs = find_branch_points(sym)
+    s_roots = asymptotics._s_roots(sym.coeffs)
     want = np.roots(sym.coeffs[::-1])
-    assert bs.s_roots.dtype == want.dtype
-    np.testing.assert_allclose(_ordered(bs.s_roots), _ordered(want), rtol=1e-14, atol=0)
-    np.testing.assert_allclose(bs.zeros**2, bs.s_roots, rtol=1e-14, atol=0)
-    assert np.all(bs.zeros.imag > 0)
+    assert s_roots.dtype == want.dtype
+    np.testing.assert_allclose(_ordered(s_roots), _ordered(want), rtol=1e-14, atol=0)
+    np.testing.assert_allclose(sym.zeros**2, s_roots, rtol=1e-14, atol=0)
+    assert np.all(sym.zeros.imag > 0)
 
 
 @pytest.mark.parametrize("sym", ROOT_SYMBOLS.values(), ids=ROOT_SYMBOLS.keys())
@@ -337,11 +325,12 @@ def test_kernel_positive_and_decreasing():
 def test_decay_rate_matches_branch_point(sym, lam, rate):
     fit = kernel_decay_rate(sym, lam)
     assert fit.ok
-    assert abs(fit.rate - fit.expected) / fit.expected <= 0.01
+    expected = 1.0 / sym.compton
+    assert abs(fit.rate - expected) / expected <= 0.01
     assert fit.rate == pytest.approx(rate, rel=1e-4)
     # the removed algebraic prefactor is r^(lam + 2): refit by hand over the
     # (5, 15) Compton-length window
-    radii = np.linspace(5.0 / fit.expected, 15.0 / fit.expected, RATE_SAMPLES)
+    radii = np.linspace(5.0 / expected, 15.0 / expected, RATE_SAMPLES)
     values = np.array([branch_cut_kernel(sym, lam, r) for r in radii])
     slope = np.polyfit(radii, np.log(values * radii ** (lam + 2.0)), 1)[0]
     assert fit.rate == pytest.approx(-slope, rel=1e-12)
@@ -355,9 +344,10 @@ def test_decay_rate_window_default(monkeypatch):
         return branch_cut_kernel(symbol, lam, r)
 
     monkeypatch.setattr(asymptotics, "branch_cut_kernel", recording)
-    fit = kernel_decay_rate(SymbolPolynomial.klein_gordon(2.0), -1.0)
+    sym = SymbolPolynomial.klein_gordon(2.0)
+    kernel_decay_rate(sym, -1.0)
     assert (min(radii), max(radii)) == (2.5, 7.5)
-    assert fit.expected == pytest.approx(2.0)
+    assert 1.0 / sym.compton == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------

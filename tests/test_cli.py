@@ -286,6 +286,9 @@ BAD_ENTRIES = st.one_of(
     st.tuples(st.sampled_from(FLOAT_KEYS + ("lambdas",)), NOT_A_NUMBER),
     st.tuples(st.sampled_from(FLOAT_KEYS + ("lambdas",)), NOT_FINITE),
     st.tuples(st.just("lambdas"), NOT_FINITE.map("-0.5 {}".format)),
+    # a repeated exponent, even spelled apart
+    st.tuples(st.just("lambdas"),
+              st.sampled_from(["-0.5 -0.5", "-1 -1.0", "-0.75 -0.5 -0.75"])),
     st.tuples(st.sampled_from(FLOAT_KEYS), st.floats(-1e6, 0.0).map(repr)),
     st.tuples(st.sampled_from(("n_trials", "n_pairs")), st.integers(-5, 0).map(str)),
     # shape: a non-integer extent, an extent below 1, or four or more axes

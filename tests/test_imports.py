@@ -362,7 +362,7 @@ def test_only_spectral_reads_the_transform_route():
 # Every dataclass under src/. A diagnostic that one experiment reads straight
 # back returns a plain tuple instead, so a new record lands here as a decision
 DATACLASSES = [
-    "BranchStructure", "CheckRecord", "CoherentState", "DecayFit", "ExperimentConfig",
+    "CheckRecord", "CoherentState", "DecayFit", "ExperimentConfig",
     "FockSpace", "Lattice", "LocalizationReport", "PhaseVector", "ROperator",
     "RateFit", "RunReport", "Spectrum", "SymbolPolynomial", "Table",
 ]

@@ -187,14 +187,14 @@ def _nonrel_kinetic_sign_flipped(monkeypatch):
 
 
 def _branch_points_off_by_1pct(monkeypatch):
-    # the zeros of P(s / 1.0201), a_j / 1.0201^j: every zero k_i x 1.01
+    # the roots of P(s / 1.0201), a_j / 1.0201^j: every zero k_i x 1.01; the
+    # original root step is called directly, as a symbol built here would recurse
     def fault(original):
-        def faulty(symbol):
-            coeffs = tuple(a / 1.0201**j for j, a in enumerate(symbol.coeffs))
-            return original(asymptotics.SymbolPolynomial(coeffs))
+        def faulty(coeffs):
+            return original(tuple(a / 1.0201**j for j, a in enumerate(coeffs)))
         return faulty
 
-    _patch(monkeypatch, asymptotics, "find_branch_points", fault)
+    _patch(monkeypatch, asymptotics, "_s_roots", fault)
 
 
 def _gauss_legendre_weights_scaled(monkeypatch):
