@@ -43,7 +43,6 @@ from .geometry import (
 )
 from .particle import (
     LocalizationReport,
-    calibrate_kappa,
     elp_check,
     localization_report,
     probe_excesses,
@@ -88,7 +87,6 @@ __all__ = [
     "apply_J",
     "branch_cut_kernel",
     "build_klein_gordon",
-    "calibrate_kappa",
     "diagonalize",
     "direct_form",
     "direct_radial_integral",

@@ -67,7 +67,6 @@ from .particle import (
     PROBES,
     SUPPORT_FRACTION_MAX,
     LocalizationReport,
-    calibrate_kappa,
     elp_check,
     localization_report,
     probe_excesses,
@@ -550,10 +549,36 @@ SMALL_STATE_EXPONENT = 2.0
 SMALL_STATE_EXPONENT_TOL = 0.1
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty 1-D array without importing numpy.ma: the
+    same bits, nan if any value is nan, up to the sign of a zero median."""
+    ordered = np.sort(values)
+    mid = ordered.size // 2
+    middle = ordered[mid] if ordered.size % 2 else 0.5 * (ordered[mid - 1] + ordered[mid])
+    return float(ordered[-1] if np.isnan(ordered[-1]) else middle)
+
+
+def _calibrate_kappa(space: fock_oracle.FockSpace, spec: Spectrum, mode: int) -> float:
+    """Measure KAPPA against the Fock oracle on ``space``, mode ``mode`` of ``spec`` alone.
+
+    Compares the oracle's <phi(x)^2> excess in the one-excitation state of
+    the mode with the classical expression phi^2 + (R^{-1/2} pi)^2 of the
+    corresponding progenitor, site by site, and returns the median ratio.
+    """
+    part = fock_oracle.one_particle(space, np.array([1.0]))
+    alpha = np.zeros(spec.nmodes, dtype=complex)
+    alpha[mode] = 1.0
+    u = from_modes(alpha, spec)
+    denom = u.phi**2 + spec.apply_power(-0.5, u.pi) ** 2
+    excess = fock_oracle.square_excess(space, part)[fock_oracle.FIELDS.index("phi")]
+    kept = denom >= 1e-12 * denom.max()
+    return _median(excess[kept] / denom[kept])
+
+
 def _run_oracle_verify(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     spec = _spectrum(config, Lattice((6,), spacing=config.spacing))
     single = fock_oracle.build_fock(spec, (0,), n_max=14)
-    kappa = calibrate_kappa(single)
+    kappa = _calibrate_kappa(single, spec, 0)
     checks = [_within("kappa", kappa, KAPPA, KAPPA_TOL)]
 
     # modes 1 and 3 have eigenvalues m^2 + 1/a^2 and m^2 + 3/a^2: they

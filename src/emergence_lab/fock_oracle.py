@@ -5,7 +5,8 @@ operators acting on amplitudes, truncated exponential series. The point is
 to have an independent slow path whose only approximation is the occupation
 cutoff ``n_max`` (with a computable tail bound), so that closed-form
 expressions used elsewhere in the package can be checked against direct
-Fock-space algebra.
+Fock-space algebra. It is a leaf: only ``experiments`` reads it, so the
+layers it arbitrates never import their arbiter.
 
 States live on a subset of at most three modes of a Spectrum; the basis is
 the tensor product of per-mode number states 0..n_max, first selected mode
@@ -15,15 +16,16 @@ square, <s|A^2|s> = ||A s||^2, or a vacuum product, <0|A B|0> = <A 0, B 0>.
 The one ladder action (``_ladder``) views amplitudes or a (dim, k) block as
 a tensor with one axis of length n_max + 1 per mode, shifts it one step
 along a mode's axis and scales by sqrt(n), as the truncated matrix would.
-``field_operators`` applies the FIELDS at every site in one call, from the
-f_k(x) table that a FockSpace synthesizes once. ``small_state_limit_check``
-returns its fitted exponent and residuals as a plain pair.
+A FockSpace holds its modes' frequencies and the f_k(x) table that
+``build_fock`` synthesizes once, from which ``field_operators`` applies
+the FIELDS at every site in one call. ``small_state_limit_check`` returns
+its fitted exponent and residuals as a plain pair.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -32,39 +34,26 @@ from .spectral import Spectrum, log_linear_fit
 MAX_MODES = 3
 MAX_DIM = 100_000
 SERIES_RTOL = 1e-18
-MAX_SERIES_TERMS = 400
 GUARD_FRACTION = 0.25  # |alpha| above n_max * this triggers the truncation flag
 FIELDS = ("phi", "pi", "smeared_phi")
 
 
 @dataclasses.dataclass(frozen=True)
 class FockSpace:
-    """Truncated multi-mode oscillator Hilbert space."""
+    """Truncated multi-mode oscillator Hilbert space; ``mode_values`` is the
+    (sites x modes) table of f_k(x) for its modes."""
 
-    spectrum: Spectrum
-    mode_indices: tuple[int, ...]
     n_max: int
     frequencies: np.ndarray
+    mode_values: np.ndarray
 
     @property
     def nmodes(self) -> int:
-        return len(self.mode_indices)
+        return len(self.frequencies)
 
     @property
     def dim(self) -> int:
         return (self.n_max + 1) ** self.nmodes
-
-    @cached_property
-    def _mode_values(self) -> np.ndarray:
-        """f_k(x) at every site for each of the space's modes, (sites x modes).
-
-        The modes are ``synthesize``d once from unit coefficient columns,
-        one per mode, so no site-by-mode table of the whole spectrum is built.
-        """
-        spec = self.spectrum
-        units = np.zeros((spec.nmodes, self.nmodes))
-        units[list(self.mode_indices), range(self.nmodes)] = 1.0
-        return spec.synthesize(units)
 
 
 def _ladder(space: FockSpace, j: int, amps: np.ndarray, raising: bool = False) -> np.ndarray:
@@ -105,11 +94,13 @@ def build_fock(spec: Spectrum, mode_indices: tuple[int, ...], n_max: int = 14) -
     dim = (n_max + 1) ** len(modes)
     if dim > MAX_DIM:
         raise ValueError(f"truncated dimension {dim} exceeds {MAX_DIM}")
+    # one synthesize of a unit column per mode: no table of every mode is built
+    units = np.zeros((spec.nmodes, len(modes)))
+    units[list(modes), range(len(modes))] = 1.0
     return FockSpace(
-        spectrum=spec,
-        mode_indices=modes,
         n_max=n_max,
-        frequencies=spec.frequencies[list(modes)].copy(),
+        frequencies=spec.frequencies[list(modes)],
+        mode_values=spec.synthesize(units),
     )
 
 
@@ -187,7 +178,9 @@ def displacement(space: FockSpace, direction: np.ndarray, z: complex) -> np.ndar
 
     ``direction`` must be normalized (sum |alpha_k|^2 = 1). Acting on the
     vacuum the operator reduces to exp(-|z|^2/2) exp(z A^dag)|0>, evaluated
-    as a plain power series until terms fall below SERIES_RTOL.
+    as a plain power series until terms fall below SERIES_RTOL; term n holds
+    n quanta, so past nmodes * n_max it is exactly zero in the truncated
+    space. A partial sum whose norm overflows raises OverflowError.
     """
     a = _amplitudes(direction, space.nmodes, "modes")
     nrm = float(np.linalg.norm(a))
@@ -195,31 +188,33 @@ def displacement(space: FockSpace, direction: np.ndarray, z: complex) -> np.ndar
         raise ValueError(f"direction norm {nrm} is not 1; normalize it first")
     za = complex(z) * a
     amps = term = vacuum(space)
-    for n in range(1, MAX_SERIES_TERMS + 1):
-        term = sum(c * _ladder(space, k, term, raising=True) for k, c in enumerate(za)) / n
-        amps = amps + term
-        if np.linalg.norm(term) < SERIES_RTOL * np.linalg.norm(amps):
-            break
+    with np.errstate(over="ignore"):  # an overflowed sum is refused below
+        for n in range(1, space.nmodes * space.n_max + 1):
+            term = sum(c * _ladder(space, k, term, raising=True) for k, c in enumerate(za)) / n
+            amps = amps + term
+            total = np.linalg.norm(amps)
+            if not math.isfinite(total):
+                raise OverflowError(f"displacement series at z = {z} overflows after {n} terms")
+            if np.linalg.norm(term) < SERIES_RTOL * total:
+                break
     return math.exp(-0.5 * abs(z) ** 2) * amps
 
 
-def field_operators(space: FockSpace, amps: np.ndarray, sites=slice(None)) -> np.ndarray:
-    """The FIELDS at ``sites``, restricted to the oracle's modes, applied to amplitudes.
+def field_operators(space: FockSpace, amps: np.ndarray) -> np.ndarray:
+    """The FIELDS at every site, restricted to the oracle's modes, applied to amplitudes.
 
     phi(x)            = sum_k f_k(x)/sqrt(2 w_k) (a_k + adag_k)
     pi(x)             = sum_k sqrt(w_k/2) f_k(x) i (adag_k - a_k)
     (R^{1/2} phi)(x)  = sum_k sqrt(w_k/2) f_k(x) (a_k + adag_k)
 
     The last is the potential term's field. ``amps`` is (dim,) or a (dim, k)
-    block, ``sites`` a slice or index array (every site by default), and the
-    result is (fields, dim[, k], sites) in FIELDS order. Each mode's a_j and
-    adag_j images are formed once, and each field sums its terms
-    down_j a_j s + up_j adag_j s over j in order. f_k(x) is the spectrum's
-    ``synthesize`` of the unit coefficients of mode k, made once per space.
-    With only a mode subset these satisfy the canonical commutator up to
-    the missing modes' completeness defect.
+    block, and the result is (fields, dim[, k], sites) in FIELDS order. Each
+    mode's a_j and adag_j images are formed once, and each field sums its
+    terms down_j a_j s + up_j adag_j s over j in order. f_k(x) is the
+    space's ``mode_values`` table. With only a mode subset these satisfy the
+    canonical commutator up to the missing modes' completeness defect.
     """
-    f, w = space._mode_values[sites].T, space.frequencies[:, None]
+    f, w = space.mode_values.T, space.frequencies[:, None]
     phi, smeared_phi = f / np.sqrt(2.0 * w), np.sqrt(w / 2.0) * f
     pi_up = 1j * smeared_phi
     # coefficients of a_j (down) and adag_j (up), (modes x sites), per field

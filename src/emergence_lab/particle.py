@@ -16,9 +16,10 @@ R^{-1/2} pi:
 
 States need not be normalized; the excesses above are quadratic in u.
 KAPPA is a fixed constant of the quantization conventions; it is not assumed
-but measured against the Fock oracle, at every site, by calibrate_kappa; the
-energy-density site sum reproduces sum_k omega_k |alpha_k|^2 with no further
-constant. The Fock oracle arbitrates these same columns, and localization
+but measured against the Fock oracle, at every site, by the oracle-verify
+experiment, which alone reads the oracle; the energy-density site sum
+reproduces sum_k omega_k |alpha_k|^2 with no further constant. That
+experiment arbitrates these same columns against the oracle, and localization
 diagnostics ask how fast they decay away from the progenitor's support, and
 whether superpositions of localized states stay localized. This module only
 measures: a localization report holds the support fraction, the binned
@@ -40,9 +41,8 @@ import dataclasses
 
 import numpy as np
 
-from . import fock_oracle
 from .geometry import apply_J
-from .modes import PhaseVector, _check_same_lattice, from_modes
+from .modes import PhaseVector, _check_same_lattice
 from .spectral import Lattice, Spectrum, bin_by_distance, fit_decay_length, DecayFit
 
 KAPPA = 0.5
@@ -83,33 +83,6 @@ def probe_excesses(u: PhaseVector, spec: Spectrum) -> np.ndarray:
 def vacuum_two_point(spec: Spectrum, x: int) -> np.ndarray:
     """<0| phi(x) phi(y) |0> = (1/2) sum_k f_k(x) f_k(y) / omega_k at every site y."""
     return 0.5 * spec.kernel_column(lambda lam: lam**-0.5, x)
-
-
-def calibrate_kappa(space: fock_oracle.FockSpace) -> float:
-    """Measure KAPPA against the Fock oracle on the one mode of ``space``.
-
-    Compares the oracle's <phi(x)^2> excess in the one-excitation state of
-    mode k with the classical expression phi^2 + (R^{-1/2} pi)^2 of the
-    corresponding progenitor, site by site, and returns the median ratio.
-    """
-    spec = space.spectrum
-    part = fock_oracle.one_particle(space, np.array([1.0]))
-    alpha = np.zeros(spec.nmodes, dtype=complex)
-    alpha[space.mode_indices[0]] = 1.0
-    u = from_modes(alpha, spec)
-    denom = u.phi**2 + spec.apply_power(-0.5, u.pi) ** 2
-    excess = fock_oracle.square_excess(space, part)[fock_oracle.FIELDS.index("phi")]
-    kept = denom >= 1e-12 * denom.max()
-    return _median(excess[kept] / denom[kept])
-
-
-def _median(values: np.ndarray) -> float:
-    """np.median of a non-empty 1-D array without importing numpy.ma: the
-    same bits, nan if any value is nan, up to the sign of a zero median."""
-    ordered = np.sort(values)
-    mid = ordered.size // 2
-    middle = ordered[mid] if ordered.size % 2 else 0.5 * (ordered[mid - 1] + ordered[mid])
-    return float(ordered[-1] if np.isnan(ordered[-1]) else middle)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,12 @@ from emergence_lab.asymptotics import (
     kernel_decay_rate,
 )
 from emergence_lab.cli import main as cli_main
-from emergence_lab.experiments import FIT_RMS_MAX, _judge_in_region
+from emergence_lab.experiments import (
+    FIT_RMS_MAX,
+    ExperimentConfig,
+    _judge_in_region,
+    run_experiment,
+)
 from emergence_lab.fock_oracle import (
     FIELDS,
     build_fock,
@@ -59,7 +64,6 @@ from emergence_lab.newton_wigner import (
 from emergence_lab.particle import (
     KAPPA,
     PROBES,
-    calibrate_kappa,
     elp_check,
     localization_report,
     probe_excesses,
@@ -278,7 +282,9 @@ def test_criterion_06_commuting_diagrams(spec64):
 def test_criterion_07_oracle_arbitration():
     lattice = Lattice((6,))
     spec = diagonalize(build_klein_gordon(1.0, lattice))
-    kappa = calibrate_kappa(build_fock(spec, (0,), n_max=14))
+    # KAPPA as oracle-verify measures it, on mode 0 of the same 6-site chain
+    report, _ = run_experiment(ExperimentConfig("oracle-verify"))
+    kappa = next(check.measured for check in report.checks if check.name == "kappa")
 
     space = build_fock(spec, (0, 1, 2), n_max=14)
     direction = np.array([0.6, 0.48j, 0.64])

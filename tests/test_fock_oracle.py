@@ -66,15 +66,18 @@ def test_commutator_truncation_defect(spec6):
     assert_allclose(np.diag(a_adag - adag_a), [1.0, 1.0, -2.0])
 
 
-def _oracle_and_dense(spec, space, x):
-    """Each oracle action on amplitudes beside its dense matrix, keyed by name."""
+def _oracle_and_dense(spec, space, modes, x):
+    """Each oracle action on amplitudes beside its dense matrix, keyed by name.
+
+    ``space`` is ``build_fock(spec, modes, ...)``.
+    """
     lower = dense_fock_lowering(space.nmodes, space.n_max)
     w = space.frequencies
     # f_k(x) as the oracle takes it, from the spectrum's synthesize, so the
     # entries below can match bit for bit; the closed-form table judges it
-    modes = list(space.mode_indices)
-    units = np.zeros((spec.nmodes, space.nmodes))
-    units[modes, range(space.nmodes)] = 1.0
+    modes = list(modes)
+    units = np.zeros((spec.nmodes, len(modes)))
+    units[modes, range(len(modes))] = 1.0
     f = spec.synthesize(units)[x]
     table = hartley_table(spec.lattice, spec.hartley_modes[modes])[x]
     scale = 1.0 / np.sqrt(spec.lattice.nsites * spec.lattice.cell)
@@ -107,7 +110,7 @@ def test_operators_match_dense_fock_build(spec6, modes, n_max):
     vec = rng.normal(size=(space.dim, 2)) @ [1.0, 1j]
     block = rng.normal(size=(space.dim, 3)) + 1j * rng.normal(size=(space.dim, 3))
     for x in (0, 4):
-        for name, (act, dense) in _oracle_and_dense(spec6, space, x).items():
+        for name, (act, dense) in _oracle_and_dense(spec6, space, modes, x).items():
             # every entry of these matrices is one product, on either side
             np.testing.assert_array_equal(act(eye), dense, err_msg=name)
             assert_allclose(act(vec), dense @ vec, rtol=1e-14, atol=1e-14, err_msg=name)
@@ -118,14 +121,6 @@ def test_operators_match_dense_fock_build(spec6, modes, n_max):
                 assert_allclose(got, dense @ columns, rtol=1e-14, atol=1e-14, err_msg=name)
                 for j in range(columns.shape[1]):
                     assert got[:, j].tobytes() == act(columns[:, j]).tobytes(), name
-
-
-def test_field_operators_at_chosen_sites_are_columns_of_all_sites(spec6):
-    space = fo.build_fock(spec6, (0, 2, 5), n_max=3)
-    state = fo.coherent_state(space, np.array([0.3, 0.2j, -0.4])).amplitudes
-    every = fo.field_operators(space, state)
-    for sites in ([4], [5, 1], slice(2, 4)):
-        assert fo.field_operators(space, state, sites).tobytes() == every[..., sites].tobytes()
 
 
 def test_field_operator_refuses_bad_input(spec6):
@@ -180,7 +175,7 @@ def test_square_excess_is_the_expectation_of_the_square(spec6):
     # against the dense square of the field, on an unnormalized state
     space = fo.build_fock(spec6, (0, 3), n_max=3)
     amps = 2.0 * fo.coherent_state(space, np.array([0.3 - 0.2j, 0.5j])).amplitudes
-    pairs = _oracle_and_dense(spec6, space, 4)
+    pairs = _oracle_and_dense(spec6, space, (0, 3), 4)
     excess = fo.square_excess(space, amps)
     assert excess.shape == (len(fo.FIELDS), spec6.lattice.nsites)
     for which, got in zip(fo.FIELDS, excess[:, 4]):
@@ -236,6 +231,23 @@ def test_displacement_equals_coherent_product(spec6):
     disp = fo.displacement(space, direction, z)
     coh = fo.coherent_state(space, z * direction)
     assert_allclose(disp, coh.amplitudes, atol=1e-13)
+
+
+def test_displacement_sums_a_long_series_to_the_coherent_state(spec6):
+    # at |z|^2 = 400 the terms peak near n = 400 and the series needs some
+    # 680 of them; only nmodes * n_max, past which every term is zero,
+    # bounds the sum
+    space = fo.build_fock(spec6, (0,), n_max=3000)
+    disp = fo.displacement(space, np.array([1.0]), 20.0)
+    coh = fo.coherent_state(space, np.array([20.0]))
+    assert_allclose(disp, coh.amplitudes, rtol=0, atol=1e-12)
+
+
+def test_displacement_refuses_an_overflowing_series(spec6):
+    # at |z|^2 = 900 the unnormalized partial sums' squared norm overflows
+    space = fo.build_fock(spec6, (0,), n_max=3000)
+    with pytest.raises(OverflowError):
+        fo.displacement(space, np.array([1.0]), 30.0)
 
 
 def test_displacement_requires_unit_direction(spec6):

@@ -331,8 +331,8 @@ def _annotation_names(node: ast.expr) -> set[str]:
 def test_no_state_type_stores_its_spectrum():
     # mode amplitudes and NW wavefunctions are arrays handed on with the
     # Spectrum, like every field, so no dataclass pairs a state with one.
-    # The truncated Fock space is the exception: its basis is built over
-    # the modes of one Spectrum
+    # The truncated Fock space keeps the f_k(x) table of its modes, not the
+    # Spectrum it was built from
     holders = sorted(
         f"{path.name}: {node.name}.{item.target.id}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -342,7 +342,24 @@ def test_no_state_type_stores_its_spectrum():
         for item in node.body
         if isinstance(item, ast.AnnAssign) and "Spectrum" in _annotation_names(item.annotation)
     )
-    assert holders == ["fock_oracle.py: FockSpace.spectrum"]
+    assert holders == []
+
+
+def test_only_experiments_imports_the_fock_oracle():
+    # the oracle arbitrates the other layers' formulas, so none of them
+    # imports it: experiments alone sets the two side by side
+    importers = sorted({
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "fock_oracle" in {
+            part
+            for name in (getattr(node, "module", None) or "", *(a.name for a in node.names))
+            for part in name.split(".")
+        }
+    })
+    assert importers == ["experiments.py"]
 
 
 def test_only_spectral_reads_the_transform_route():

@@ -146,8 +146,8 @@ def _phi_over_sqrt_omega(monkeypatch):
     # the oracle's phi(x) with f_k/sqrt(w_k) in place of f_k/sqrt(2 w_k),
     # which is sqrt(2) times the true phi(x)
     def fault(original):
-        def faulty(space, amps, sites=slice(None)):
-            out = original(space, amps, sites)
+        def faulty(space, amps):
+            out = original(space, amps)
             out[fock_oracle.FIELDS.index("phi")] *= math.sqrt(2.0)
             return out
         return faulty

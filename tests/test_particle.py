@@ -10,16 +10,16 @@ from numpy.testing import assert_allclose
 from emergence_lab import fock_oracle as fo
 from emergence_lab.experiments import (
     FIT_RMS_MAX,
+    _calibrate_kappa,
     _judge_in_region,
     _localization_records,
+    _median,
 )
 from emergence_lab.geometry import apply_J
 from emergence_lab.modes import PhaseVector, from_modes, gaussian_bump, to_modes
 from emergence_lab.particle import (
     KAPPA,
     PROBES,
-    _median,
-    calibrate_kappa,
     distance_beyond,
     elp_check,
     localization_report,
@@ -62,18 +62,18 @@ def modes_on(spec, assignments):
 def test_kappa_is_half_on_every_mode(mode):
     spec = diagonalize(build_klein_gordon(1.0, Lattice((8,))))
     space = fo.build_fock(spec, (mode,), n_max=14)
-    assert calibrate_kappa(space) == pytest.approx(KAPPA, abs=1e-12)
+    assert _calibrate_kappa(space, spec, mode) == pytest.approx(KAPPA, abs=1e-12)
 
 
 def test_kappa_constant_across_mass_and_spacing():
     spec = diagonalize(build_klein_gordon(2.5, Lattice((6,), spacing=0.5)))
     space = fo.build_fock(spec, (1,))
-    assert calibrate_kappa(space) == pytest.approx(KAPPA, abs=1e-12)
+    assert _calibrate_kappa(space, spec, 1) == pytest.approx(KAPPA, abs=1e-12)
 
 
 @pytest.mark.parametrize("size", [1, 2, 7, 8, 63, 64])
 def test_median_is_np_median_bit_for_bit(size):
-    # np.median is the arbiter; calibrate_kappa takes its own median so that
+    # np.median is the arbiter; _calibrate_kappa takes its own median so that
     # a run never imports numpy.ma
     rng = np.random.default_rng(size)
     values = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size)
