@@ -54,7 +54,6 @@ from .newton_wigner import (
     from_nw,
     gaussian_packet,
     nonrelativistic_compare,
-    nw_delta_localization,
     nw_norm,
     superluminal_leakage,
     to_nw,
@@ -104,7 +103,6 @@ __all__ = [
     "kernel_decay_rate",
     "localization_report",
     "nonrelativistic_compare",
-    "nw_delta_localization",
     "nw_norm",
     "probe_excesses",
     "qp_form",

@@ -6,11 +6,14 @@ plot-ready tables. Every check is a CheckRecord: the number its gate judged
 against bounds that are module constants beside the check, so no config key
 moves a gate. This is the one place a measurement meets its bound: the
 library layers return numbers (decay fits, localization reports) and ELP
-superpositions, and the records here judge them. Experiments are pure given
-their config: every random draw flows from one generator seeded with
-``config.seed``, so reruns with the same config reproduce the same reports
-and tables byte for byte. Timing is carried on the report object for display
-but is never written to disk.
+superpositions, and the records here judge them. It is also where layers
+meet that do not import each other: oracle-verify sets the Fock oracle beside
+particle's formulas, and nw measures the NW delta's phi2 footprint with
+particle's probes, fitting its width over the kernel profile's window.
+Experiments are pure given their config: every random draw flows from one
+generator seeded with ``config.seed``, so reruns with the same config
+reproduce the same reports and tables byte for byte. Timing is carried on
+the report object for display but is never written to disk.
 """
 
 from __future__ import annotations
@@ -56,8 +59,6 @@ from .newton_wigner import (
     from_nw,
     gaussian_packet,
     nonrelativistic_compare,
-    nw_delta_localization,
-    nw_from_modes,
     nw_norm,
     superluminal_leakage,
     to_nw,
@@ -391,7 +392,8 @@ DRIFT_TOL = 1e-8  # a conserved inner product after an evolution
 FIT_RMS_MAX = 0.5
 FIT_RMS_UPPER = float(np.nextafter(FIT_RMS_MAX, -np.inf))  # strict: rms < max
 DECAY_RTOL = 0.1  # the R^{-1/2} decay length against 1/m
-# where the R^{-1/2} profile's decay length is fitted, in Compton lengths
+# where a profile's decay length is fitted, in Compton lengths: the R^{-1/2}
+# kernel's, at each refinement too, and the NW delta footprint's amplitude
 PROFILE_WINDOW_COMPTON = (3.0, 20.0)
 
 
@@ -735,7 +737,7 @@ def _run_nw(config, rng) -> tuple[list[CheckRecord], list[Table]]:
     def measure(u):
         # u's mode amplitudes, shared by the NW map, the norm and the evolution
         mu = to_modes(u, spec)
-        psi = nw_from_modes(mu, spec)
+        psi = spec.synthesize(mu)
         # i psi is formed after the NW image of J u, whose transforms set the
         # block's peak memory
         commute = _column_max(to_nw(apply_J(u, spec), spec) - 1j * psi)
@@ -756,11 +758,21 @@ def _run_nw(config, rng) -> tuple[list[CheckRecord], list[Table]]:
         CheckRecord("evolution_commutes", np.max(evolve_dev), upper=FORM_TOL),
     ]
 
-    distances, values, closed_form_dev, width = nw_delta_localization(
-        spec, lattice.nsites // 2, compton
-    )
+    # the unit-norm NW delta's phi2 footprint, through the full pipeline,
+    # against its closed form 2 kappa cell [R^{-1/4} kernel column]^2; the
+    # width is the decay length of the footprint's amplitude (its square root)
+    site = lattice.nsites // 2
+    delta = np.zeros(lattice.nsites, dtype=complex)
+    delta[site] = 1.0 / math.sqrt(lattice.cell)
+    measured = probe_excesses(from_nw(delta, spec), spec)[:, PROBES.index("phi2")]
+    column = spec.kernel_column(lambda lam: lam**-0.25, site)
+    closed = 2.0 * KAPPA * lattice.cell * column**2
+    distances, values = bin_by_distance(lattice.distances_from(site), measured)
+    lo, hi = PROFILE_WINDOW_COMPTON
+    width = fit_decay_length(distances, np.sqrt(values), (lo * compton, hi * compton))
     checks += [
-        CheckRecord("delta_profile_closed_form", closed_form_dev, upper=FORM_TOL),
+        CheckRecord("delta_profile_closed_form", float(np.abs(measured - closed).max()),
+                    upper=FORM_TOL),
         _within("delta_width_near_compton", width.length, compton,
                 NW_DELTA_WIDTH_RTOL * compton),
         CheckRecord("delta_width_fit_rms", width.rms_log_residual, upper=FIT_RMS_UPPER),

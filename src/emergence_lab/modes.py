@@ -168,8 +168,11 @@ def gaussian_bump(
     Distances are minimum-image, so the bump wraps smoothly on the torus.
     ``width`` is in length units. With ``cutoff`` set, the field is zeroed
     beyond that radius, giving a compactly supported progenitor (useful when
-    the declared support should be exact rather than threshold-based).
+    the declared support should be exact rather than threshold-based); a
+    negative cutoff, which would zero every site, is refused.
     """
+    if cutoff is not None and cutoff < 0:
+        raise ValueError(f"cutoff must be non-negative, got {cutoff}")
     d = lattice.distances_from(center)
     phi = np.exp(-(d**2) / (2.0 * width**2))
     if cutoff is not None:

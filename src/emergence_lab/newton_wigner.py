@@ -9,11 +9,12 @@ structure J with multiplication by i, turns the inner product into the plain
 discrete L^2 product, and turns time evolution into the one-particle
 Schrodinger flow exp(-i R^{1/2} t). Position language (expectation values,
 localization widths, spreading speed) only makes sense in this picture, and
-the diagnostics here quantify how far it can be trusted: the NW delta has a
-Compton-scale field profile, the non-relativistic limit holds for slow wide
-packets, and compactly supported psi leak outside the light cone. Each
-diagnostic returns its numbers as a plain tuple, named in order in its
-docstring, for the nw experiment to judge.
+the two diagnostics here quantify how far it can be trusted: the
+non-relativistic limit holds for slow wide packets, and compactly supported
+psi leak outside the light cone. Each returns its numbers as a plain tuple,
+named in order in its docstring, for the nw experiment to judge. That
+experiment also measures the NW delta's Compton-scale field profile, where
+the map meets particle's probes; this module imports only modes and spectral.
 
 Like mode amplitudes (see ``modes``), psi is a plain complex array, (sites,)
 for one wavefunction, handed on with its Spectrum; it has no grid shape. A
@@ -21,19 +22,15 @@ block of k wavefunctions is a (sites x k) psi, one per column: to_nw,
 from_nw and evolve_nw map it column by column, and nw_norm returns one norm
 per column and refuses a psi whose length is not the site count. The two
 regime diagnostics, nonrelativistic_compare and superluminal_leakage, weigh
-one wavefunction and refuse a block.
+one wavefunction and refuse a block or a zero wavefunction.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .modes import PhaseVector, _column_sum, from_modes, gaussian_bump, to_modes
-from .particle import KAPPA, PROBES, probe_excesses
-from .spectral import DecayFit, Spectrum, bin_by_distance, fit_decay_length
+from .spectral import Spectrum
 
-NW_DELTA_WINDOW_COMPTON = (3.0, 20.0)
 LIGHT_SPEED = 1.0
 SUPPORT_THRESHOLD = 1e-12
 
@@ -47,17 +44,12 @@ def nw_norm(psi: np.ndarray, spec: Spectrum) -> float | np.ndarray:
 
 def to_nw(u: PhaseVector, spec: Spectrum) -> np.ndarray:
     """psi = sum_k alpha_k f_k; complex-linear with respect to J."""
-    return nw_from_modes(to_modes(u, spec), spec)
+    return spec.synthesize(to_modes(u, spec))
 
 
 def from_nw(psi: np.ndarray, spec: Spectrum) -> PhaseVector:
     """Inverse transform via the mode amplitudes alpha_k = <f_k, psi>."""
     return from_modes(spec.project(psi), spec)
-
-
-def nw_from_modes(alpha: np.ndarray, spec: Spectrum) -> np.ndarray:
-    """psi = sum_k alpha_k f_k, from the mode amplitudes."""
-    return spec.synthesize(alpha)
 
 
 def evolve_nw(psi: np.ndarray, spec: Spectrum, t: float) -> np.ndarray:
@@ -80,43 +72,6 @@ def gaussian_packet(
     """
     psi = gaussian_bump(spec.lattice, center, width, cutoff).phi.astype(complex)
     return psi / nw_norm(psi, spec)
-
-
-# ---------------------------------------------------------------------------
-# localization of the NW delta
-# ---------------------------------------------------------------------------
-
-def nw_delta_localization(
-    spec: Spectrum,
-    site: int,
-    compton: float,
-) -> tuple[np.ndarray, np.ndarray, float, DecayFit]:
-    """Profile of the phi2 probe for psi concentrated on a single site.
-
-    Returns (distances, values, closed_form_dev, amplitude_fit): the binned
-    profile, its largest deviation from the closed form, and the decay fit
-    of its amplitude. For the unit-norm delta the profile equals
-    2 kappa cell [R^{-1/4} kernel column at the site]^2, checked here against
-    the full pipeline: the phi2 column of probe_excesses of from_nw. The
-    width is the decay length of the profile's amplitude (its square root),
-    fitted over NW_DELTA_WINDOW_COMPTON (in units of ``compton``); the nw
-    experiment gates it against ``compton``.
-    """
-    lattice = spec.lattice
-    psi = np.zeros(lattice.nsites, dtype=complex)
-    psi[site] = 1.0 / math.sqrt(lattice.cell)
-    measured = probe_excesses(from_nw(psi, spec), spec)[:, PROBES.index("phi2")]
-
-    column = spec.kernel_column(lambda lam: lam**-0.25, site)
-    closed = 2.0 * KAPPA * lattice.cell * column**2
-    dev = float(np.abs(measured - closed).max())
-
-    dists = lattice.distances_from(site)
-    d_out, v_out = bin_by_distance(dists, measured)
-    lo, hi = NW_DELTA_WINDOW_COMPTON
-    window_abs = (lo * compton, hi * compton)
-    fit = fit_decay_length(d_out, np.sqrt(v_out), window_abs)
-    return d_out, v_out, dev, fit
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +131,11 @@ def superluminal_leakage(
     _one_wavefunction(psi, "superluminal_leakage")
     d = spec.lattice.distances_from(center)
     amp = np.abs(psi)
-    outside_initial = amp > SUPPORT_THRESHOLD * amp.max()
-    if np.any(outside_initial & (d > radius)):
-        worst = float(d[outside_initial].max())
+    if not amp.any():
+        raise ValueError("zero wavefunction")
+    support = amp > SUPPORT_THRESHOLD * amp.max()
+    if np.any(support & (d > radius)):
+        worst = float(d[support].max())
         raise ValueError(
             f"initial support reaches distance {worst}, beyond radius {radius}"
         )

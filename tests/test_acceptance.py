@@ -56,7 +56,6 @@ from emergence_lab.newton_wigner import (
     evolve_nw,
     gaussian_packet,
     nonrelativistic_compare,
-    nw_delta_localization,
     nw_norm,
     superluminal_leakage,
     to_nw,
@@ -375,7 +374,7 @@ def test_criterion_09_localization_and_elp(spec512):
     assert elapsed < 60.0
 
 
-def test_criterion_10_newton_wigner(spec64, spec512, spec1024):
+def test_criterion_10_newton_wigner(spec64, spec1024):
     intertwine = 0.0
     norm_dev = 0.0
     for seed in range(100):
@@ -388,11 +387,16 @@ def test_criterion_10_newton_wigner(spec64, spec512, spec1024):
         segal = math.sqrt(segal_form(u, u, apply_J(u, spec64)).real)
         norm_dev = max(norm_dev, abs(nw_norm(to_nw(u, spec64), spec64) - segal) / segal)
 
-    _, _, closed_form_dev, width = nw_delta_localization(spec512, 256, 1.0)
+    # the NW delta's footprint, as the default nw run measures it: 512
+    # sites, the delta at site 256, mass 1
+    report, _ = run_experiment(ExperimentConfig("nw"))
+    records = {c.name: c.measured for c in report.checks}
+    closed_form_dev = records["delta_profile_closed_form"]
+    width = records["delta_width_near_compton"]
     width_ok = (
-        width.length > 0
-        and width.rms_log_residual < FIT_RMS_MAX
-        and abs(width.length - 1.0) <= 0.25
+        width > 0
+        and records["delta_width_fit_rms"] < FIT_RMS_MAX
+        and abs(width - 1.0) <= 0.25
     )
 
     packet = gaussian_packet(spec1024, 512, 20.0)
@@ -413,7 +417,7 @@ def test_criterion_10_newton_wigner(spec64, spec512, spec1024):
         "criterion 10 newton-wigner",
         ok,
         f"iN=NJ {intertwine:.1e}, norm {norm_dev:.1e}, "
-        f"delta dev {closed_form_dev:.1e} width {width.length:.3f}, "
+        f"delta dev {closed_form_dev:.1e} width {width:.3f}, "
         f"nonrel {l2_distance:.1e}, leakage {leakage:.1e}",
     )
     assert intertwine <= 1e-9

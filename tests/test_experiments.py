@@ -22,10 +22,12 @@ from emergence_lab.experiments import (
     run_experiment,
 )
 from emergence_lab.modes import PhaseVector, gaussian_bump
-from emergence_lab.newton_wigner import nw_delta_localization
+from emergence_lab.newton_wigner import from_nw
 from emergence_lab.particle import (
+    PROBES,
     SUPPORT_FRACTION_MAX,
     localization_report,
+    probe_excesses,
 )
 from emergence_lab.spectral import (
     Lattice,
@@ -181,6 +183,26 @@ def test_nw_records_width_precondition_and_leakage():
     assert records["leakage_positive"].measured == pytest.approx(5.4e-12, rel=0.01)
 
 
+@pytest.fixture(scope="module")
+def nw1024():
+    return _records("nw", shape=(1024,))
+
+
+def test_delta_profile_matches_closed_form(nw1024):
+    # the unit-norm delta's phi2 footprint through probe_excesses of from_nw
+    # against 2 kappa cell [R^{-1/4} kernel column]^2
+    assert nw1024["delta_profile_closed_form"].measured <= 1e-12
+
+
+def test_delta_width_near_compton(nw1024):
+    width = nw1024["delta_width_near_compton"].measured
+    assert width > 0
+    assert nw1024["delta_width_fit_rms"].measured < FIT_RMS_MAX
+    # frozen: the amplitude decay length comes out just under one Compton
+    assert width == pytest.approx(0.96407, rel=1e-3)
+    assert abs(width - 1.0) <= 0.25
+
+
 @pytest.mark.parametrize("sites", [512, 2048])
 def test_nw_evolution_routes_agree_to_a_few_ulp(sites):
     # the Fourier multiplier exp(-i sqrt(omega^2) t) of an exactly even
@@ -325,7 +347,10 @@ def test_profile_tables_hold_the_per_cell_floats(shape):
     localize = tuple(
         (float(d), *(float(v) for v in row)) for d, row in zip(report.distances, report.values)
     )
-    nw_distances, nw_values, _, _ = nw_delta_localization(spec, source, compton)
+    delta = np.zeros(spec.lattice.nsites, dtype=complex)
+    delta[source] = 1.0 / math.sqrt(spec.lattice.cell)
+    phi2 = probe_excesses(from_nw(delta, spec), spec)[:, PROBES.index("phi2")]
+    nw_distances, nw_values = bin_by_distance(spec.lattice.distances_from(source), phi2)
     nw = tuple((float(d), float(v)) for d, v in zip(nw_distances, nw_values))
     # at 12^3 the bump is not localizable, so its profile is empty
     assert kernel and nw and (localize or shape == (12, 12, 12))

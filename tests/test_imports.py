@@ -11,7 +11,8 @@ or numpy.ma. Likewise the FFT route of R and the continuum kernels run no
 LAPACK routine, which one guard below checks with numpy's entries to LAPACK
 patched to raise and another by reading the source. A third source scan
 holds the building and diagonalizing of R to one function of
-``experiments``, so that one place chooses the theory every experiment runs.
+``experiments``, so that one place chooses the theory every experiment runs,
+and a fourth pins which of the package's modules each module imports.
 """
 
 from __future__ import annotations
@@ -345,21 +346,62 @@ def test_no_state_type_stores_its_spectrum():
     assert holders == []
 
 
-def test_only_experiments_imports_the_fock_oracle():
-    # the oracle arbitrates the other layers' formulas, so none of them
-    # imports it: experiments alone sets the two side by side
-    importers = sorted({
-        path.name
+# Each module's imports from within the package. A layer reads only the
+# layers beneath it; experiments alone sets the layers side by side, so it
+# alone imports the Fock oracle, which arbitrates the others' formulas, and
+# it alone meets the NW map with particle's probes
+IMPORT_GRAPH = {
+    "__init__": {
+        "asymptotics", "experiments", "geometry", "modes", "newton_wigner",
+        "particle", "spectral",
+    },
+    "asymptotics": {"spectral"},
+    "cli": {"experiments", "particle", "serialize"},
+    "experiments": {
+        "asymptotics", "fock_oracle", "geometry", "modes", "newton_wigner",
+        "particle", "spectral",
+    },
+    "fock_oracle": {"spectral"},
+    "geometry": {"modes", "spectral"},
+    "modes": {"spectral"},
+    "newton_wigner": {"modes", "spectral"},
+    "particle": {"geometry", "modes", "spectral"},
+    "serialize": set(),
+    "spectral": set(),
+}
+
+
+def _package_imports(tree: ast.AST) -> set[str]:
+    """The package's modules that one module imports, relatively or by the
+    package's name, at top level or inside a function."""
+    package = emergence_lab.__name__
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != package:
+                continue
+            parts = module.split(".")[1:] if node.level == 0 else module.split(".")
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(
+                parts[1]
+                for alias in node.names
+                if (parts := alias.name.split("."))[0] == package and len(parts) > 1
+            )
+    return found
+
+
+def test_import_graph_is_pinned():
+    graph = {
+        path.stem: _package_imports(ast.parse(path.read_text()))
         for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, (ast.Import, ast.ImportFrom))
-        and "fock_oracle" in {
-            part
-            for name in (getattr(node, "module", None) or "", *(a.name for a in node.names))
-            for part in name.split(".")
-        }
-    })
-    assert importers == ["experiments.py"]
+    }
+    assert graph == IMPORT_GRAPH
+    assert [name for name, deps in graph.items() if "fock_oracle" in deps] == ["experiments"]
 
 
 def test_only_spectral_reads_the_transform_route():

@@ -259,3 +259,12 @@ def test_gaussian_bump_cutoff_compact_support():
     d = lat.distances_from(32)
     assert np.all(bump.phi[d > 10.0] == 0.0)
     assert np.all(bump.phi[d <= 10.0] > 0.0)
+
+
+def test_gaussian_bump_refuses_a_negative_cutoff():
+    # a negative cutoff zeroes every site, and gaussian_packet then divided
+    # the zero envelope by its zero norm; cutoff 0 keeps the centre alone
+    lat = Lattice((64,))
+    with pytest.raises(ValueError, match="cutoff"):
+        gaussian_bump(lat, 32, 2.0, cutoff=-1.0)
+    assert np.count_nonzero(gaussian_bump(lat, 32, 2.0, cutoff=0.0).phi) == 1

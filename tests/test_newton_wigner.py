@@ -16,8 +16,6 @@ from emergence_lab.newton_wigner import (
     from_nw,
     gaussian_packet,
     nonrelativistic_compare,
-    nw_delta_localization,
-    nw_from_modes,
     nw_norm,
     superluminal_leakage,
     to_nw,
@@ -85,7 +83,7 @@ def test_nw_from_modes_matches_synthesis(spec64):
     rng = np.random.default_rng(3)
     alpha = rng.normal(size=64) + 1j * rng.normal(size=64)
     assert_allclose(
-        nw_from_modes(alpha, spec64), to_nw(from_modes(alpha, spec64), spec64), atol=1e-12
+        spec64.synthesize(alpha), to_nw(from_modes(alpha, spec64), spec64), atol=1e-12
     )
 
 
@@ -158,25 +156,6 @@ def test_packet_cutoff_gives_compact_support(spec64):
 
 
 # ---------------------------------------------------------------------------
-# one-site localization
-# ---------------------------------------------------------------------------
-
-
-def test_delta_profile_matches_closed_form(spec1024):
-    _, _, closed_form_dev, _ = nw_delta_localization(spec1024, 512, 1.0)
-    assert closed_form_dev <= 1e-12
-
-
-def test_delta_width_near_compton(spec1024):
-    *_, amplitude_fit = nw_delta_localization(spec1024, 512, 1.0)
-    assert amplitude_fit.length > 0
-    assert amplitude_fit.rms_log_residual < FIT_RMS_MAX
-    # frozen: the amplitude decay length comes out just under one Compton
-    assert amplitude_fit.length == pytest.approx(0.96407, rel=1e-3)
-    assert abs(amplitude_fit.length - 1.0) <= 0.25
-
-
-# ---------------------------------------------------------------------------
 # non-relativistic regime
 # ---------------------------------------------------------------------------
 
@@ -237,6 +216,13 @@ def test_leakage_is_positive(spec1024):
     assert leakage > 0.0
     assert leakage < 1e-8
     assert norm_drift < 1e-12
+
+
+def test_leakage_refuses_a_zero_wavefunction(spec64):
+    # 0/0 once gave a nan leakage; its sibling nonrelativistic_compare refuses
+    zero = np.zeros(64, dtype=complex)
+    with pytest.raises(ValueError, match="zero wavefunction"):
+        superluminal_leakage(zero, spec64, 32, 8.0, 1.0)
 
 
 def test_leakage_rejects_untruncated_packet(spec1024):
